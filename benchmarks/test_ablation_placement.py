@@ -14,7 +14,7 @@ from typing import Dict, List
 
 from repro.core.grid import TenantPlacementStats, build_grid
 from repro.core.placement import PlacementConstraints, ReplicaPlacer
-from repro.experiments.report import format_table
+from repro.harness.report import format_table
 from repro.simulation.random import RandomSource
 from repro.traces import build_datacenter, fleet_specs
 from repro.traces.reimage import ReimageProfile, generate_reimage_events

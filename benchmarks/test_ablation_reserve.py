@@ -16,9 +16,9 @@ from repro.cluster.resource_manager import SchedulerMode
 from repro.jobs.scheduler_variants import ClusterConfig, HarvestingCluster
 from repro.jobs.tpcds import TpcdsWorkloadFactory
 from repro.jobs.workload import WorkloadGenerator
-from repro.experiments.report import format_table
-from repro.experiments.testbed import build_testbed_tenants
-from repro.experiments.config import ExperimentScale
+from repro.harness.builders import build_testbed_tenants
+from repro.harness.config import ExperimentScale
+from repro.harness.report import format_table
 from repro.simulation.random import RandomSource
 
 from conftest import run_once

@@ -15,7 +15,7 @@ from typing import Dict
 from repro.core.class_selection import ClassCapacity, ClassSelector, RankingWeights
 from repro.core.clustering import UtilizationClass
 from repro.core.job_types import JobType
-from repro.experiments.report import format_table
+from repro.harness.report import format_table
 from repro.simulation.random import RandomSource
 from repro.traces.utilization import UtilizationPattern
 

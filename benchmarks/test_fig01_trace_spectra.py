@@ -9,7 +9,7 @@ the synthetic trace generators and checks those two signatures.
 from __future__ import annotations
 
 from repro.analysis.fft import compute_spectrum
-from repro.experiments.report import format_table
+from repro.harness.report import format_table
 from repro.simulation.random import RandomSource
 from repro.traces.utilization import TraceSpec, UtilizationPattern, generate_trace
 

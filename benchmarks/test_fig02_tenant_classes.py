@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis import characterize_fleet
-from repro.experiments.report import format_table
+from repro.harness.report import format_table
 from repro.simulation.random import RandomSource
 from repro.traces import build_fleet
 from repro.traces.utilization import UtilizationPattern

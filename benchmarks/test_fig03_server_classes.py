@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.analysis import characterize_fleet
 from repro.analysis.characterization import average_server_fraction
-from repro.experiments.report import format_table
+from repro.harness.report import format_table
 from repro.simulation.random import RandomSource
 from repro.traces import build_fleet
 from repro.traces.utilization import UtilizationPattern

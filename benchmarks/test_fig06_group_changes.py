@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.analysis import characterize_datacenter
 from repro.analysis.cdf import fraction_at_or_below
-from repro.experiments.report import format_table
+from repro.harness.report import format_table
 from repro.simulation.random import RandomSource
 from repro.traces import build_datacenter, fleet_specs
 

@@ -7,7 +7,7 @@ estimate is 469 concurrent containers.
 
 from __future__ import annotations
 
-from repro.experiments.report import format_table
+from repro.harness.report import format_table
 from repro.jobs.tpcds import TpcdsWorkloadFactory, tpcds_query_dag
 from repro.simulation.random import RandomSource
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.grid import TenantPlacementStats, build_grid
-from repro.experiments.report import format_table
+from repro.harness.report import format_table
 from repro.simulation.random import RandomSource
 from repro.traces import build_datacenter, fleet_specs
 

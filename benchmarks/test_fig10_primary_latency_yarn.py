@@ -7,7 +7,7 @@ to the no-harvesting baseline (within tens of milliseconds in the paper).
 
 from __future__ import annotations
 
-from repro.experiments.report import format_table
+from repro.harness.report import format_table
 
 from conftest import run_once
 

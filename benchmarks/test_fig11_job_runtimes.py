@@ -9,7 +9,7 @@ and the cluster's average CPU utilization rises from 33% to 54%).
 
 from __future__ import annotations
 
-from repro.experiments.report import format_table
+from repro.harness.report import format_table
 
 from conftest import run_once
 

@@ -9,7 +9,7 @@ HDFS-PT's placement occasionally suffers.
 
 from __future__ import annotations
 
-from repro.experiments.report import format_table
+from repro.harness.report import format_table
 
 from conftest import run_once
 

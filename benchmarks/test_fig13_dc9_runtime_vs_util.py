@@ -10,7 +10,7 @@ preserves more temporal variation), and YARN-PT kills more tasks.
 from __future__ import annotations
 
 
-from repro.experiments.report import format_table
+from repro.harness.report import format_table
 from repro.traces.scaling import ScalingMethod
 
 from conftest import run_once

@@ -12,7 +12,7 @@ DC-9) to keep the suite fast; set ``REPRO_BENCH_FULL=1`` for all ten.
 from __future__ import annotations
 
 
-from repro.experiments.report import format_table
+from repro.harness.report import format_table
 from repro.traces.scaling import ScalingMethod
 
 from conftest import run_once

@@ -9,21 +9,13 @@ datacenters.
 
 from __future__ import annotations
 
-from repro.experiments.durability import run_durability_experiment
-from repro.experiments.report import format_float, format_table
+from repro.harness.report import format_float, format_table
 
-from conftest import BENCH_SCALE, run_once
+from conftest import run_figure, run_once
 
 
 def test_fig15_durability(benchmark):
-    result = run_once(
-        benchmark,
-        run_durability_experiment,
-        "DC-9",
-        (3, 4),
-        BENCH_SCALE,
-        1,
-    )
+    result = run_once(benchmark, run_figure, "fig15-durability")
 
     rows = []
     for replication in (3, 4):

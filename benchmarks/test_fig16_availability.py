@@ -10,27 +10,16 @@ at four-way replication for most utilization levels.
 
 from __future__ import annotations
 
-from repro.experiments.availability import run_availability_experiment
-from repro.experiments.report import format_table
-from repro.traces.scaling import ScalingMethod
+from repro.harness.report import format_table
 
-from conftest import BENCH_SCALE, run_once
+from conftest import run_figure, run_once
 
+#: The registered scenario's utilization levels (R=3 and R=4 at each).
 UTILIZATION_LEVELS = (0.3, 0.4, 0.5, 0.66, 0.75)
 
 
 def test_fig16_availability(benchmark):
-    result = run_once(
-        benchmark,
-        run_availability_experiment,
-        "DC-9",
-        UTILIZATION_LEVELS,
-        (3, 4),
-        ScalingMethod.LINEAR,
-        BENCH_SCALE,
-        1,
-        2000,
-    )
+    result = run_once(benchmark, run_figure, "fig16-availability")
 
     rows = []
     for util in UTILIZATION_LEVELS:

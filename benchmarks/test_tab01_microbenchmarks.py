@@ -11,9 +11,9 @@ more expensive than stock but still milliseconds — must hold.
 
 from __future__ import annotations
 
-from repro.experiments.config import QUICK_SCALE
 from repro.experiments.microbench import run_microbenchmarks
-from repro.experiments.report import format_table
+from repro.harness.config import QUICK_SCALE
+from repro.harness.report import format_table
 
 from conftest import run_once
 

@@ -21,7 +21,7 @@ import argparse
 
 from repro.analysis import characterize_fleet
 from repro.analysis.cdf import fraction_at_or_below, percentile
-from repro.experiments.report import format_table
+from repro.harness.report import format_table
 from repro.simulation.random import RandomSource
 from repro.traces import build_fleet
 from repro.traces.utilization import UtilizationPattern

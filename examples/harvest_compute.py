@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments.config import ExperimentScale
-from repro.experiments.report import format_table
-from repro.experiments.testbed import run_scheduling_testbed
+import repro.api as api
+from repro.harness.config import ExperimentScale
+from repro.harness.report import format_table
 
 
 def main() -> None:
@@ -42,7 +42,9 @@ def main() -> None:
         f"Running the scheduling testbed: {args.servers} servers, "
         f"{args.hours:.1f} simulated hours per variant ..."
     )
-    result = run_scheduling_testbed(scale, seed=args.seed)
+    result = api.run(
+        "fig10-11-scheduling-testbed", overrides={"scale": scale}, seed=args.seed
+    ).payload
 
     rows = [["No-Harvesting", f"{result.no_harvesting_p99_ms:.0f}", "-", "-", "-", "-"]]
     for name in ("YARN-Stock", "YARN-PT", "YARN-H"):

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import argparse
 
-from repro.experiments.availability import run_availability_experiment
-from repro.experiments.config import ExperimentScale
-from repro.experiments.durability import run_durability_experiment
-from repro.experiments.report import format_float, format_table
+import repro.api as api
+from repro.harness.config import ExperimentScale
+from repro.harness.report import format_float, format_table
 
 
 def main() -> None:
@@ -43,7 +42,9 @@ def main() -> None:
     )
 
     print(f"Durability: {args.blocks} blocks, {args.days:.0f} days of reimages ...")
-    durability = run_durability_experiment("DC-9", scale=scale, seed=args.seed)
+    durability = api.run(
+        "fig15-durability", overrides={"scale": scale}, seed=args.seed
+    ).payload
     rows = []
     for replication in (3, 4):
         for variant in ("HDFS-Stock", "HDFS-H"):
@@ -59,13 +60,15 @@ def main() -> None:
           f"{format_float(durability.loss_reduction_factor(3))}")
 
     print("\nAvailability: sweeping utilization levels ...")
-    availability = run_availability_experiment(
-        "DC-9",
-        utilization_levels=(0.3, 0.5, 0.66, 0.75),
-        scale=scale,
+    availability = api.run(
+        "fig16-availability",
+        overrides={
+            "scale": scale,
+            "utilization_levels": (0.3, 0.5, 0.66, 0.75),
+            "accesses_per_point": 1000,
+        },
         seed=args.seed,
-        accesses_per_point=1000,
-    )
+    ).payload
     rows = []
     for util in (0.3, 0.5, 0.66, 0.75):
         rows.append([

@@ -26,7 +26,7 @@ from repro.core import (
 )
 from repro.core.class_selection import ClassCapacity
 from repro.core.grid import TenantPlacementStats
-from repro.experiments.report import format_table
+from repro.harness.report import format_table
 from repro.simulation.random import RandomSource
 from repro.traces import build_datacenter, fleet_specs
 

@@ -8,8 +8,8 @@ user code:
 1. derive a faster variant of the Figure 16 availability scenario (fewer
    tenants, fewer sampled accesses, a custom utilization sweep);
 2. register it, so it is runnable by name like any built-in figure;
-3. run it through ``repro.api`` serially and on a 2-worker process pool and
-   check the ``RunResult`` fingerprints agree — the parallel executor is
+3. run it through ``repro.api.run`` serially and on a 2-worker process pool
+   and check the ``RunResult`` fingerprints agree — the parallel executor is
    bit-identical to the serial run by construction;
 4. build a small cross-product family with ``api.sweep`` and run it.
 
@@ -21,9 +21,9 @@ Run with::
 from __future__ import annotations
 
 import repro.api as api
-from repro.experiments.config import QUICK_SCALE
-from repro.experiments.report import format_table
-from repro.harness import get_scenario, register_scenario, run_scenario
+from repro.harness import get_scenario, register_scenario
+from repro.harness.config import QUICK_SCALE
+from repro.harness.report import format_table
 
 
 def main() -> None:
@@ -42,7 +42,9 @@ def main() -> None:
     print(f"Registered scenario {custom.name!r} (kind={custom.kind})")
 
     # 2. Run it by name, exactly as `repro run-scenario availability-fast`.
-    result = run_scenario("availability-fast", seed=1)
+    # The RunResult envelope carries the figure's payload.
+    serial = api.run("availability-fast", seed=1)
+    result = serial.payload
     rows = [
         [
             f"{level:.2f}",
@@ -57,10 +59,8 @@ def main() -> None:
         title="\nCustom availability sweep",
     ))
 
-    # 3. The programmatic API: the same run as a uniform RunResult
-    # envelope, serially and on a 2-worker process pool.  The cell grid
-    # makes the parallel run bit-identical, so the fingerprints must agree.
-    serial = api.run("availability-fast", seed=1)
+    # 3. The same run on a 2-worker process pool.  The cell grid makes the
+    # parallel run bit-identical, so the fingerprints must agree.
     parallel = api.run("availability-fast", seed=1, workers=2)
     identical = serial.fingerprint() == parallel.fingerprint()
     print(f"\nExecutor equivalence (serial vs workers=2): "

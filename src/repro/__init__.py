@@ -15,7 +15,12 @@ Cycles and Storage in Large-Scale Datacenters" (OSDI 2016):
 * :mod:`repro.storage` — the HDFS-like storage harvesting simulator with
   Stock / PT / History variants;
 * :mod:`repro.services` — the primary-tenant latency model for the testbed;
-* :mod:`repro.experiments` — drivers that regenerate every evaluation figure.
+* :mod:`repro.harness` — the scenario harness every evaluation figure runs
+  on, one registered scenario per figure;
+* :mod:`repro.api` — the one entry point: ``repro.api.run(<scenario>,
+  overrides=..., seed=...)`` (the ``repro run-scenario`` CLI wraps it);
+* :mod:`repro.experiments` — the Section 6.2 policy-operation
+  microbenchmarks.
 
 Quickstart::
 

@@ -175,9 +175,10 @@ def run(
     Args:
         scenario: a registered scenario name or an explicit spec.
         overrides: spec-field (or params) replacements applied first.
-        workers: worker processes for the cell grid; ``1`` runs serially.
-            Any value yields bit-identical results — parallel partials are
-            reassembled in deterministic cell order.
+        workers: worker processes for the cell grid (``>= 1``, else
+            ``ValueError``); ``1`` runs serially.  Any count yields
+            bit-identical results — parallel partials are reassembled in
+            deterministic cell order.
         seed: run-time seed override (defaults to the spec's seed).
         metrics: registry to collect into (a fresh one by default).
         checkpoint: directory to record run progress in (the serialized

@@ -1,17 +1,14 @@
 """Command-line interface for the reproduction experiments.
 
-Exposes the experiment drivers behind a small argparse front end so every
-figure can be regenerated without writing Python::
+Every evaluation figure is a registered scenario, run by name through
+:func:`repro.api.run`; two extra subcommands cover what is not a scenario
+(the Section 3 characterization and the Section 6.2 microbenchmarks)::
 
-    python -m repro.cli characterize --scale 0.05
-    python -m repro.cli testbed --hours 1 --servers 24
-    python -m repro.cli storage-testbed --hours 1
-    python -m repro.cli sweep --datacenter DC-9 --levels 0.25 0.45
-    python -m repro.cli durability --blocks 2000
-    python -m repro.cli availability --levels 0.3 0.5 0.66
-    python -m repro.cli microbench
     python -m repro.cli run-scenario --list
-    python -m repro.cli run-scenario fig15-durability
+    python -m repro.cli run-scenario fig15-durability --scale tiny
+    python -m repro.cli --seed 3 run-scenario fig13-dc9-sweep --workers 2
+    python -m repro.cli characterize --scale 0.05
+    python -m repro.cli microbench
 
 (With the package installed, ``repro <subcommand>`` works as well.)
 """
@@ -25,35 +22,14 @@ from typing import Optional, Sequence
 import repro.api as api
 from repro.analysis import characterize_fleet
 from repro.analysis.cdf import fraction_at_or_below
-from repro.experiments.availability import run_availability_experiment
-from repro.experiments.config import ExperimentScale, QUICK_SCALE
-from repro.experiments.durability import run_durability_experiment
 from repro.experiments.microbench import run_microbenchmarks
-from repro.experiments.report import format_float, format_table
-from repro.experiments.scheduling import run_datacenter_sweep
-from repro.experiments.testbed import run_scheduling_testbed, run_storage_testbed
 from repro.harness import get_scenario, iter_scenarios
+from repro.harness.report import format_table
 from repro.harness.results import epoch_record
 from repro.harness.snapshot import CheckpointPause
 from repro.simulation.random import RandomSource
 from repro.traces import build_fleet
-from repro.traces.scaling import ScalingMethod
 from repro.traces.utilization import UtilizationPattern
-
-
-def _scale_from_args(args: argparse.Namespace) -> ExperimentScale:
-    """Build an ExperimentScale from common CLI arguments."""
-    return ExperimentScale(
-        num_servers=getattr(args, "servers", QUICK_SCALE.num_servers),
-        num_tenants=QUICK_SCALE.num_tenants,
-        experiment_hours=getattr(args, "hours", QUICK_SCALE.experiment_hours),
-        mean_interarrival_seconds=QUICK_SCALE.mean_interarrival_seconds,
-        simulation_days=getattr(args, "days", QUICK_SCALE.simulation_days),
-        durability_days=getattr(args, "durability_days", QUICK_SCALE.durability_days),
-        num_blocks=getattr(args, "blocks", QUICK_SCALE.num_blocks),
-        datacenter_scale=getattr(args, "dc_scale", QUICK_SCALE.datacenter_scale),
-        repetitions=1,
-    )
 
 
 def cmd_characterize(args: argparse.Namespace) -> str:
@@ -79,73 +55,9 @@ def cmd_characterize(args: argparse.Namespace) -> str:
     )
 
 
-def cmd_testbed(args: argparse.Namespace) -> str:
-    """Scheduling testbed comparison (Figures 10 and 11)."""
-    result = run_scheduling_testbed(_scale_from_args(args), seed=args.seed)
-    return render_scenario_result(result)
-
-
-def cmd_storage_testbed(args: argparse.Namespace) -> str:
-    """Storage testbed comparison (Figure 12)."""
-    result = run_storage_testbed(_scale_from_args(args), seed=args.seed)
-    return render_scenario_result(result)
-
-
-def cmd_sweep(args: argparse.Namespace) -> str:
-    """DC utilization sweep (Figure 13)."""
-    sweep = run_datacenter_sweep(
-        args.datacenter,
-        utilization_levels=tuple(args.levels),
-        scalings=(ScalingMethod(args.scaling),),
-        scale=_scale_from_args(args),
-        seed=args.seed,
-    )
-    return render_scenario_result(sweep)
-
-
-def cmd_durability(args: argparse.Namespace) -> str:
-    """Durability comparison (Figure 15)."""
-    result = run_durability_experiment(
-        args.datacenter, scale=_scale_from_args(args), seed=args.seed
-    )
-    rows = []
-    for replication in (3, 4):
-        for variant in ("HDFS-Stock", "HDFS-H"):
-            r = result.result(variant, replication)
-            rows.append([variant, replication, r.blocks_created, r.blocks_lost])
-    table = format_table(
-        ["system", "replication", "blocks", "lost"], rows, title="Durability"
-    )
-    return table + (
-        f"\nLoss reduction factor at R=3: {format_float(result.loss_reduction_factor(3))}"
-    )
-
-
-def cmd_availability(args: argparse.Namespace) -> str:
-    """Availability comparison (Figure 16)."""
-    result = run_availability_experiment(
-        args.datacenter,
-        utilization_levels=tuple(args.levels),
-        scale=_scale_from_args(args),
-        seed=args.seed,
-    )
-    rows = []
-    for util in args.levels:
-        rows.append([
-            f"{util:.2f}",
-            f"{100 * result.failed_fraction('HDFS-Stock', 3, util):.2f}%",
-            f"{100 * result.failed_fraction('HDFS-H', 3, util):.2f}%",
-        ])
-    return format_table(
-        ["avg util", "HDFS-Stock R3 failed", "HDFS-H R3 failed"],
-        rows,
-        title="Availability",
-    )
-
-
 def cmd_microbench(args: argparse.Namespace) -> str:
     """Policy-operation latencies (Section 6.2)."""
-    result = run_microbenchmarks(scale=_scale_from_args(args), seed=args.seed)
+    result = run_microbenchmarks(seed=args.seed)
     return format_table(
         ["operation", "measured"],
         [
@@ -157,19 +69,6 @@ def cmd_microbench(args: argparse.Namespace) -> str:
         ],
         title="Microbenchmarks",
     )
-
-
-def render_scenario_result(result: object) -> str:
-    """Format any scenario result as the table its figure uses.
-
-    The per-kind tables live on the result dataclasses themselves
-    (:mod:`repro.harness.results`); this shim survives for the legacy
-    subcommands and for callers holding a bare payload.
-    """
-    render = getattr(result, "render", None)
-    if callable(render):
-        return render()
-    return repr(result)
 
 
 def _report_profile(profiler, destination: str) -> None:
@@ -188,9 +87,9 @@ def _report_profile(profiler, destination: str) -> None:
     stats.strip_dirs().sort_stats("cumulative").print_stats(25)
 
 
-def cmd_run_scenario(args: argparse.Namespace) -> str:
+def cmd_scenario(args: argparse.Namespace) -> str:
     """Run any registered scenario by name (or list them)."""
-    profile = getattr(args, "profile", None)
+    profile = args.profile
     if not args.name and profile not in (None, "-"):
         # `run-scenario --profile fig12-...` parses the scenario name as
         # --profile's PATH operand; fail loudly instead of listing scenarios.
@@ -230,10 +129,10 @@ def cmd_run_scenario(args: argparse.Namespace) -> str:
         spec = get_scenario(args.name)
     except KeyError as error:
         raise SystemExit(f"error: {error.args[0]}") from None
-    epochs_arg = getattr(args, "epochs", None)
-    epoch_seconds_arg = getattr(args, "epoch_seconds", None)
-    max_sim_arg = getattr(args, "max_sim_seconds", None)
-    emit_epochs = getattr(args, "emit_epochs", None)
+    epochs_arg = args.epochs
+    epoch_seconds_arg = args.epoch_seconds
+    max_sim_arg = args.max_sim_seconds
+    emit_epochs = args.emit_epochs
     if epochs_arg is not None and epochs_arg < 0:
         raise SystemExit("error: --epochs must be >= 0 (0 = run forever)")
     if epoch_seconds_arg is not None and epoch_seconds_arg <= 0:
@@ -247,78 +146,81 @@ def cmd_run_scenario(args: argparse.Namespace) -> str:
         )
     if max_sim_arg is not None and epochs_arg != 0:
         raise SystemExit("error: --max-sim-seconds requires --epochs 0")
-    if (
-        emit_epochs or epochs_arg == 0 or max_sim_arg is not None
-    ) and spec.kind != "continuous":
+    continuous_flags = (
+        args.traffic,
+        epochs_arg,
+        epoch_seconds_arg,
+        max_sim_arg,
+        emit_epochs,
+    )
+    if spec.kind != "continuous" and any(f is not None for f in continuous_flags):
         raise SystemExit(
-            "error: --emit-epochs/--epochs 0/--max-sim-seconds apply only to "
-            f"continuous scenarios ({spec.name} is kind {spec.kind!r})"
+            "error: --traffic/--epochs/--epoch-seconds/--max-sim-seconds/"
+            "--emit-epochs apply only to continuous scenarios "
+            f"({spec.name} is kind {spec.kind!r})"
         )
-    workload_arg = getattr(args, "workload", None)
-    skew_arg = getattr(args, "skew", None)
-    record_arg = getattr(args, "record_trace", None)
-    replay_arg = getattr(args, "replay_trace", None)
-    if workload_arg:
+    if args.workload:
         # Validate eagerly so a typo'd distribution fails before any build.
         from repro.workload.spec import parse_workload
 
         try:
-            parse_workload(workload_arg)
+            parse_workload(args.workload)
         except ValueError as error:
             raise SystemExit(f"error: {error}") from None
-    if skew_arg:
+    if args.skew:
         from repro.workload.distributions import parse_skew
 
         try:
-            parse_skew(skew_arg)
+            parse_skew(args.skew)
         except ValueError as error:
             raise SystemExit(f"error: {error}") from None
-    if record_arg and replay_arg:
+    if args.record_trace and args.replay_trace:
         raise SystemExit("error: cannot record and replay a trace in the same run")
-    if replay_arg:
+    if args.replay_trace:
         from repro.workload.trace import read_trace_header
 
         try:
-            read_trace_header(replay_arg)
+            read_trace_header(args.replay_trace)
         except (OSError, ValueError) as error:
             raise SystemExit(f"error: {error}") from None
-    overrides = {}
-    if getattr(args, "scale", None):
-        overrides["scale"] = args.scale
-    if workload_arg:
-        overrides["workload"] = workload_arg
-    if skew_arg:
-        overrides["skew"] = skew_arg
-    if record_arg:
-        overrides["record_trace"] = record_arg
-    if replay_arg:
-        overrides["replay_trace"] = replay_arg
-    # Continuous-mode knobs route into the spec's params (see api.resolve);
-    # they are inert for the fixed-grid figure kinds.
-    if getattr(args, "traffic", None):
-        overrides["traffic"] = args.traffic
-    if epochs_arg is not None:
-        overrides["epochs"] = epochs_arg
-    if epoch_seconds_arg is not None:
-        overrides["epoch_seconds"] = epoch_seconds_arg
-    if max_sim_arg is not None:
-        overrides["max_sim_seconds"] = max_sim_arg
-    overrides = overrides or None
-    if getattr(args, "list_cells", False):
+    # Every set flag becomes a spec override; unknown keys route into the
+    # spec's params (see api.resolve).
+    overrides = {
+        key: value
+        for key, value in (
+            ("scale", args.scale),
+            ("workload", args.workload),
+            ("skew", args.skew),
+            ("record_trace", args.record_trace),
+            ("replay_trace", args.replay_trace),
+            ("traffic", args.traffic),
+            ("epochs", epochs_arg),
+            ("epoch_seconds", epoch_seconds_arg),
+            ("max_sim_seconds", max_sim_arg),
+        )
+        if value not in (None, "")
+    } or None
+    if args.list_cells:
         return _render_cells(api.resolve(spec, overrides), args)
-    if getattr(args, "resume", False) and not getattr(args, "checkpoint_dir", None):
+    if args.workers < 1:
+        raise SystemExit("error: --workers must be >= 1")
+    if args.resume and not args.checkpoint_dir:
         raise SystemExit("error: --resume requires --checkpoint-dir")
-    workers = getattr(args, "workers", 1)
+    if args.stop_after_cells is not None:
+        if args.stop_after_cells < 1:
+            raise SystemExit("error: --stop-after-cells must be >= 1")
+        if not args.checkpoint_dir:
+            raise SystemExit("error: --stop-after-cells requires --checkpoint-dir")
     run_kwargs = dict(
         overrides=overrides,
-        workers=workers,
+        workers=args.workers,
         seed=args.seed,
-        checkpoint=getattr(args, "checkpoint_dir", None),
-        resume=getattr(args, "resume", False),
-        stop_after_cells=getattr(args, "stop_after_cells", None),
+        checkpoint=args.checkpoint_dir,
+        resume=args.resume,
+        stop_after_cells=args.stop_after_cells,
     )
     profiler = None
-    if getattr(args, "profile", None) is not None:
+    if args.profile is not None:
         import cProfile
 
         profiler = cProfile.Profile()
@@ -408,38 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", type=float, default=0.05)
     p.add_argument("--months", type=int, default=12)
     p.set_defaults(func=cmd_characterize)
-
-    p = subparsers.add_parser("testbed", help="Figures 10-11 scheduling testbed")
-    p.add_argument("--hours", type=float, default=1.0)
-    p.add_argument("--servers", type=int, default=24)
-    p.set_defaults(func=cmd_testbed)
-
-    p = subparsers.add_parser("storage-testbed", help="Figure 12 storage testbed")
-    p.add_argument("--hours", type=float, default=1.0)
-    p.add_argument("--servers", type=int, default=24)
-    p.set_defaults(func=cmd_storage_testbed)
-
-    p = subparsers.add_parser("sweep", help="Figure 13 utilization sweep")
-    p.add_argument("--datacenter", default="DC-9")
-    p.add_argument("--levels", type=float, nargs="+", default=[0.25, 0.45])
-    p.add_argument(
-        "--scaling", choices=[m.value for m in ScalingMethod], default="linear"
-    )
-    p.add_argument("--days", type=float, default=1.0)
-    p.set_defaults(func=cmd_sweep)
-
-    p = subparsers.add_parser("durability", help="Figure 15 durability")
-    p.add_argument("--datacenter", default="DC-9")
-    p.add_argument("--blocks", type=int, default=2000)
-    p.add_argument(
-        "--durability-days", dest="durability_days", type=float, default=60.0
-    )
-    p.set_defaults(func=cmd_durability)
-
-    p = subparsers.add_parser("availability", help="Figure 16 availability")
-    p.add_argument("--datacenter", default="DC-9")
-    p.add_argument("--levels", type=float, nargs="+", default=[0.3, 0.5, 0.66])
-    p.set_defaults(func=cmd_availability)
 
     p = subparsers.add_parser("microbench", help="Section 6.2 microbenchmarks")
     p.set_defaults(func=cmd_microbench)
@@ -619,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
             "repro.harness.results.epoch_record)"
         ),
     )
-    p.set_defaults(func=cmd_run_scenario)
+    p.set_defaults(func=cmd_scenario)
 
     return parser
 

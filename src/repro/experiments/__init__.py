@@ -1,50 +1,14 @@
-"""Experiment entry points: one per table or figure in the paper's evaluation.
+"""The Section 6.2 policy-operation microbenchmarks.
 
-Every driver assembles a :class:`repro.harness.ScenarioSpec` from its
-arguments and hands it to the shared :class:`repro.harness.ExperimentHarness`,
-which builds the synthetic fleet, runs the relevant simulators for each
-system variant, and returns a small result dataclass the benchmarks consume.
-The drivers expose ``quick`` knobs (shorter durations, fewer blocks, smaller
-clusters) so the benchmark suite can regenerate every figure's shape in
-minutes.
+Every evaluation figure runs as a registered scenario through
+:func:`repro.api.run` (or ``repro run-scenario``); what remains here is the
+one measurement that is not a scenario: wall-clock latencies of the
+clustering, class-selection and placement operations themselves.
 """
 
-from repro.experiments.config import ExperimentScale, TESTBED_SCALE, QUICK_SCALE
-from repro.experiments.testbed import (
-    SchedulingTestbedResult,
-    StorageTestbedResult,
-    run_scheduling_testbed,
-    run_storage_testbed,
-)
-from repro.experiments.scheduling import (
-    SchedulingSweepPoint,
-    SchedulingSweepResult,
-    run_datacenter_sweep,
-    run_fleet_improvements,
-)
-from repro.experiments.durability import DurabilityResult, run_durability_experiment
-from repro.experiments.availability import (
-    AvailabilityResult,
-    run_availability_experiment,
-)
 from repro.experiments.microbench import MicrobenchResult, run_microbenchmarks
 
 __all__ = [
-    "ExperimentScale",
-    "TESTBED_SCALE",
-    "QUICK_SCALE",
-    "SchedulingTestbedResult",
-    "StorageTestbedResult",
-    "run_scheduling_testbed",
-    "run_storage_testbed",
-    "SchedulingSweepPoint",
-    "SchedulingSweepResult",
-    "run_datacenter_sweep",
-    "run_fleet_improvements",
-    "DurabilityResult",
-    "run_durability_experiment",
-    "AvailabilityResult",
-    "run_availability_experiment",
     "MicrobenchResult",
     "run_microbenchmarks",
 ]

@@ -19,7 +19,7 @@ from repro.core.clustering import ClusteringService
 from repro.core.grid import TenantPlacementStats, build_grid
 from repro.core.job_types import JobType
 from repro.core.placement import ReplicaPlacer
-from repro.experiments.config import ExperimentScale, QUICK_SCALE
+from repro.harness.config import ExperimentScale, QUICK_SCALE
 from repro.simulation.random import RandomSource
 from repro.storage.placement_policies import StockPlacementPolicy
 from repro.storage.datanode import DataNode

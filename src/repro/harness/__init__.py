@@ -8,7 +8,8 @@ metric collection — into three pieces:
 * :class:`~repro.harness.spec.ScenarioSpec` — a declarative description of a
   scenario (datacenter, scale, tenant trimming, utilization levels, policy
   variants), plus a registry so scenarios can be listed and run by name
-  (``repro run-scenario fig15-durability``);
+  (``repro.api.run("fig15-durability")`` or
+  ``repro run-scenario fig15-durability``);
 * :class:`~repro.harness.harness.ExperimentHarness` — builds the datacenter
   once per scenario, forks seeded random streams per variant, drives all
   time-stepped logic through :class:`repro.simulation.engine.SimulationEngine`,
@@ -18,8 +19,8 @@ metric collection — into three pieces:
   fleet/scaling/NameNode builders in :mod:`repro.harness.builders` and the
   vectorized :class:`repro.traces.matrix.TraceMatrix` substrate.
 
-The legacy ``repro.experiments.run_*`` entry points survive as thin wrappers
-that assemble a spec and hand it to the harness.
+The one entry point on top of it is :func:`repro.api.run`, which the CLI's
+``run-scenario``, the benchmarks and the examples all call.
 """
 
 from repro.harness.cells import Cell, CellTiming
@@ -30,7 +31,7 @@ from repro.harness.spec import (
     register_scenario,
     scenario_names,
 )
-from repro.harness.harness import ExperimentHarness, cells_from_spec, run_scenario
+from repro.harness.harness import ExperimentHarness, cells_from_spec
 from repro.harness.snapshot import (
     CheckpointPause,
     ContextSnapshot,
@@ -61,7 +62,6 @@ __all__ = [
     "cells_from_spec",
     "deserialize_snapshot",
     "restore_runner",
-    "run_scenario",
     "register_scenario",
     "get_scenario",
     "scenario_names",

@@ -17,7 +17,7 @@ finalized :class:`~repro.harness.results.EpochMetrics` the moment its
 window can no longer change — so retained series state is O(window), not
 O(horizon), and callers can observe epochs incrementally via the runner's
 ``on_epoch`` hook (see :func:`repro.api.run_continuous`).  The streamed
-fold is bit-identical to the retired full-horizon post-hoc pass.
+fold is bit-identical to one full-horizon pass over the same rows.
 
 Cell grid: one cell per scheduler variant.  Each cell records the four
 child seeds its serial forks resolve to (cluster, workload factory, traffic

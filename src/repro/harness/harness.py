@@ -162,7 +162,9 @@ class ExperimentHarness:
         self.spec = spec
         self.seed = spec.seed if seed is None else int(seed)
         self.metrics = metrics if metrics is not None else MetricRegistry()
-        self.workers = max(1, int(workers))
+        self.workers = int(workers)
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1 (got {workers})")
         self.checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir else None
         self.resume = bool(resume)
         if stop_after_cells is not None:
@@ -192,7 +194,7 @@ class ExperimentHarness:
         self.worker_restore_seconds: List[float] = []
         self.resumed_cells = 0
 
-    def run(self, workers: Optional[int] = None) -> Any:
+    def run(self) -> Any:
         """Execute the scenario; returns its kind-specific result dataclass."""
         checkpoint = (
             RunCheckpoint(self.checkpoint_dir) if self.checkpoint_dir else None
@@ -242,8 +244,7 @@ class ExperimentHarness:
             )
 
         pending = [cell for cell in cells if cell.index not in done]
-        effective = self.workers if workers is None else max(1, int(workers))
-        effective = min(effective, len(pending)) if pending else 1
+        effective = min(self.workers, len(pending)) if pending else 1
         if self.stop_after_cells is not None:
             # The pause hook counts cells in completion order; only the
             # serial path has one.
@@ -341,22 +342,3 @@ class ExperimentHarness:
                 executed[index] = (partial, timing)
         return executed
 
-
-def run_scenario(
-    scenario: Union[str, ScenarioSpec],
-    seed: Optional[int] = None,
-    metrics: Optional[MetricRegistry] = None,
-    workers: int = 1,
-    checkpoint_dir: Optional[Union[str, Path]] = None,
-    resume: bool = False,
-) -> Any:
-    """Run a scenario by name (registry lookup) or from an explicit spec."""
-    spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-    return ExperimentHarness(
-        spec,
-        seed=seed,
-        metrics=metrics,
-        workers=workers,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-    ).run()

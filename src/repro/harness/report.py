@@ -1,8 +1,8 @@
-"""Textual reporting helpers shared by the examples and benchmarks.
+"""Plain-text table formatting for the result dataclasses, CLI and benchmarks.
 
-The benchmarks regenerate each figure as a small table printed to stdout (and
-captured by pytest); these formatters keep that output consistent and easy to
-diff against EXPERIMENTS.md.
+Every figure renders as a small aligned table (``result.render()``, the CLI,
+the benchmark suite's stdout); these formatters keep that output consistent
+and easy to diff.
 """
 
 from __future__ import annotations

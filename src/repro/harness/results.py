@@ -1,10 +1,5 @@
 """Result dataclasses produced by the scenario runners.
 
-These used to live in the per-experiment driver modules; they moved here when
-the drivers were unified on :class:`repro.harness.ExperimentHarness` so the
-runners and the (thin) legacy wrappers can share them without import cycles.
-The driver modules re-export them under their historical names.
-
 Every top-level result implements the uniform presentation protocol the
 ``repro.api`` envelope relies on:
 
@@ -25,6 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.harness.report import format_table
 from repro.traces.scaling import ScalingMethod
 
 
@@ -88,8 +84,6 @@ class DurabilityResult:
 
     def render(self) -> str:
         """Figure 15's table."""
-        from repro.experiments.report import format_table
-
         rows = [
             [variant, replication, r.blocks_created, r.blocks_lost,
              f"{100 * r.lost_fraction:.4f}%"]
@@ -168,8 +162,6 @@ class AvailabilityResult:
 
     def render(self) -> str:
         """Figure 16's table."""
-        from repro.experiments.report import format_table
-
         variants = sorted({(p.variant, p.replication) for p in self.points})
         levels = sorted({p.target_utilization for p in self.points})
         rows = [
@@ -274,8 +266,6 @@ class SchedulingSweepResult:
 
     def render(self) -> str:
         """Figure 13's table."""
-        from repro.experiments.report import format_table
-
         rows = [
             [p.scaling.value, f"{p.target_utilization:.2f}",
              f"{p.yarn_pt_seconds:.0f}", f"{p.yarn_h_seconds:.0f}",
@@ -314,8 +304,6 @@ class FleetImprovementResult:
 
     def render(self) -> str:
         """Figure 14's table."""
-        from repro.experiments.report import format_table
-
         rows = [
             [name, f"{100 * s['min']:.0f}%", f"{100 * s['avg']:.0f}%",
              f"{100 * s['max']:.0f}%"]
@@ -381,8 +369,6 @@ class SchedulingTestbedResult:
 
     def render(self) -> str:
         """Figure 10/11's table."""
-        from repro.experiments.report import format_table
-
         rows = [["No-Harvesting", f"{self.no_harvesting_p99_ms:.0f}", "-", "-", "-"]]
         for name, v in self.variants.items():
             rows.append([
@@ -435,8 +421,6 @@ class StorageTestbedResult:
 
     def render(self) -> str:
         """Figure 12's table."""
-        from repro.experiments.report import format_table
-
         rows = [["No-Harvesting", f"{self.no_harvesting_p99_ms:.0f}", "-", "-"]]
         for name, v in self.variants.items():
             rows.append([
@@ -589,8 +573,6 @@ class ContinuousResult:
 
     def render(self) -> str:
         """Per-epoch table, one row per (variant, epoch) window."""
-        from repro.experiments.report import format_table
-
         rows = []
         for name, v in self.variants.items():
             for e in v.epochs:
@@ -676,8 +658,6 @@ class FailureStormResult:
 
     def render(self) -> str:
         """The failure-storm table."""
-        from repro.experiments.report import format_table
-
         rows = [
             [variant, f"{rate:g}/day", r.storms, r.reimage_events,
              r.blocks_created, r.blocks_lost, f"{100 * r.lost_fraction:.4f}%"]
@@ -724,8 +704,6 @@ class HeterogeneousFleetResult:
 
     def render(self) -> str:
         """The heterogeneous-fleet table."""
-        from repro.experiments.report import format_table
-
         mix = ", ".join(
             f"{name}:{count}" for name, count in sorted(self.class_counts.items())
         )
@@ -793,8 +771,6 @@ class AntagonistResult:
 
     def render(self) -> str:
         """The antagonist table."""
-        from repro.experiments.report import format_table
-
         rows = [
             [p.variant, f"{p.spike_rate_per_hour:g}/h",
              f"{p.baseline_p99_ms:.0f}", f"{p.average_p99_ms:.0f}",
@@ -850,8 +826,6 @@ class PredictorAblationResult:
 
     def render(self) -> str:
         """The predictor-ablation table."""
-        from repro.experiments.report import format_table
-
         rows = [
             [name, f"{v.average_p99_ms:.0f}", f"{v.average_job_seconds:.0f}",
              v.jobs_completed, v.tasks_killed,

@@ -16,14 +16,13 @@ writes) in deterministic cell order.  The harness can therefore run cells
 serially or across a process pool and produce bit-identical results either
 way.
 
-The runners reproduce the legacy drivers' random-stream fork order exactly,
-so a fixed seed yields the same figures the drivers produced before the
-consolidation.
+The runners keep the random-stream fork order of the original per-figure
+drivers exactly, so a fixed seed yields the same figures it always has.
 """
 
 from __future__ import annotations
 
-from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -52,6 +51,7 @@ from repro.harness.results import (
     VariantStorageResult,
 )
 from repro.harness.spec import ScenarioSpec
+from repro.harness.streaming import MinuteLatencyRecorder
 from repro.jobs.scheduler_variants import ClusterConfig, HarvestingCluster
 from repro.jobs.tpcds import TpcdsWorkloadFactory
 from repro.jobs.workload import WorkloadGenerator
@@ -124,21 +124,6 @@ def _baseline_p99(
         latencies = latency_model.p99_latency_ms_array(utilization, 0.0)
         samples = [float(np.mean(row)) for row in latencies]
     return float(np.mean(samples)) if samples else 0.0
-
-
-def _bucket_mean(times: np.ndarray, matrix: np.ndarray, interval: float) -> np.ndarray:
-    """Bucket matrix rows into fixed ``interval`` windows and average each.
-
-    The column-wise twin of :meth:`TimeSeries.resample_mean` for series that
-    share one time base (the heartbeat grid).  Each bucket is reduced along
-    the contiguous axis so the summation order (numpy's pairwise reduction)
-    matches the per-series 1-D means it replaces bit for bit.
-    """
-    buckets = np.floor(times / interval).astype(int)
-    unique = np.unique(buckets)
-    return np.vstack(
-        [np.ascontiguousarray(matrix[buckets == b].T).mean(axis=1) for b in unique]
-    )
 
 
 def _register(cls: Type["ScenarioRunner"]) -> Type["ScenarioRunner"]:
@@ -936,6 +921,56 @@ _SCHEDULING_VARIANT_MODES = {
 BASELINE = "no-harvesting"
 
 
+def _run_scheduling_variant(
+    name: str,
+    mode: SchedulerMode,
+    tenants: Sequence[PrimaryTenant],
+    arrivals: Sequence[Any],
+    duration: float,
+    cluster_seed: int,
+    latency_seed: int,
+    before_run: Optional[Callable[[HarvestingCluster], None]] = None,
+) -> VariantSchedulingResult:
+    """Run one scheduler variant over an arrival schedule on the testbed.
+
+    Shared by every testbed-style runner: the caller materializes the jobs
+    (from its TPC-DS and workload streams, or from an op plan), so the
+    variant itself consumes only its cluster and latency streams.  The
+    primary p99 is the per-minute fleet-mean sample stream a
+    :class:`~repro.harness.streaming.MinuteLatencyRecorder` folds from the
+    heartbeat rows in one terminal pass.  ``before_run`` hooks controllers
+    onto the cluster's engine before the clock starts.
+    """
+    cluster = HarvestingCluster(
+        tenants, config=ClusterConfig(mode=mode), rng=RandomSource(cluster_seed)
+    )
+    recorder = MinuteLatencyRecorder(
+        latency_rng=RandomSource(latency_seed),
+        reserve_fraction=cluster.config.reserve_cpu_fraction,
+    )
+    cluster.set_series_recorder(recorder)
+    cluster.submit_arrivals(arrivals)
+    if before_run is not None:
+        before_run(cluster)
+    cluster.run(duration)
+
+    latencies = [sample for _, sample in recorder.fold()]
+    return VariantSchedulingResult(
+        variant=name,
+        average_p99_ms=float(np.mean(latencies)) if latencies else 0.0,
+        max_p99_ms=float(np.max(latencies)) if latencies else 0.0,
+        average_job_seconds=cluster.average_job_execution_seconds(),
+        jobs_completed=cluster.completed_job_count(),
+        tasks_killed=cluster.total_tasks_killed(),
+        average_cpu_utilization=cluster.metrics.time_series(
+            "total_utilization"
+        ).mean(),
+        latency_samples=latencies,
+        job_execution_seconds=[r.execution_seconds for r in cluster.results],
+        scheduler_counters=_scheduler_counters(cluster),
+    )
+
+
 @_register
 class SchedulingTestbedRunner(ScenarioRunner):
     """Figures 10/11: No-Harvesting baseline plus the three YARN variants.
@@ -982,14 +1017,27 @@ class SchedulingTestbedRunner(ScenarioRunner):
 
     def run_cell(self, cell: Cell):
         tenants = self.ctx["tenants"]
-        if cell.coord("variant") == BASELINE:
-            duration = self.spec.scale.experiment_hours * 3600.0
+        name = cell.coord("variant")
+        duration = self.spec.scale.experiment_hours * 3600.0
+        if name == BASELINE:
             return _baseline_p99(tenants, duration, RandomSource(cell.seeds[0]))
-        return self._run_variant(
-            cell.coord("variant"),
-            _SCHEDULING_VARIANT_MODES[cell.coord("variant")],
+        cluster_seed, tpcds_seed, workload_seed, latency_seed = cell.seeds
+        factory = TpcdsWorkloadFactory(
+            RandomSource(tpcds_seed), duration_scale=1.0, width_scale=0.35
+        )
+        generator = WorkloadGenerator(
+            factory,
+            self.spec.scale.mean_interarrival_seconds,
+            RandomSource(workload_seed),
+        )
+        return _run_scheduling_variant(
+            name,
+            _SCHEDULING_VARIANT_MODES[name],
             tenants,
-            cell.seeds,
+            generator.arrivals(duration * 0.8),
+            duration,
+            cluster_seed,
+            latency_seed,
         )
 
     def merge(self, cells: Sequence[Cell], partials: Sequence[Any]):
@@ -1011,65 +1059,6 @@ class SchedulingTestbedRunner(ScenarioRunner):
         return SchedulingTestbedResult(
             no_harvesting_p99_ms=baseline_p99, variants=variants
         )
-
-    def _run_variant(
-        self,
-        name: str,
-        mode: SchedulerMode,
-        tenants: Sequence[PrimaryTenant],
-        seeds: Tuple[int, ...],
-    ) -> VariantSchedulingResult:
-        """Run the testbed workload under one scheduler variant."""
-        scale = self.spec.scale
-        duration = scale.experiment_hours * 3600.0
-        cluster_rng, tpcds_rng, workload_rng, latency_rng = (
-            RandomSource(seed) for seed in seeds
-        )
-        cluster = HarvestingCluster(
-            tenants,
-            config=ClusterConfig(mode=mode, record_server_series=True),
-            rng=cluster_rng,
-        )
-        factory = TpcdsWorkloadFactory(tpcds_rng, duration_scale=1.0, width_scale=0.35)
-        generator = WorkloadGenerator(
-            factory, scale.mean_interarrival_seconds, workload_rng
-        )
-        cluster.submit_arrivals(generator.arrivals(duration * 0.8))
-        cluster.run(duration)
-
-        latency_model = LatencyModel(
-            rng=latency_rng,
-            reserve_fraction=cluster.config.reserve_cpu_fraction,
-        )
-        # Evaluate the primary tail latency per minute from the per-server
-        # demand the cluster recorded (as fleet-wide vectors) at every
-        # heartbeat during the run: bucket the heartbeat matrices into
-        # minutes, then one latency-matrix evaluation.
-        latencies: List[float] = []
-        series = cluster.server_series()
-        if len(series.times):
-            secondary = _bucket_mean(series.times, series.secondary_cpu, 60.0)
-            primary = _bucket_mean(series.times, series.primary_cpu, 60.0)
-            per_minute = latency_model.p99_latency_ms_array(
-                np.minimum(1.0, primary), secondary
-            )
-            latencies = [float(np.mean(row)) for row in per_minute]
-
-        utilization_series = cluster.metrics.time_series("total_utilization")
-        job_times = [r.execution_seconds for r in cluster.results]
-        return VariantSchedulingResult(
-            variant=name,
-            average_p99_ms=float(np.mean(latencies)) if latencies else 0.0,
-            max_p99_ms=float(np.max(latencies)) if latencies else 0.0,
-            average_job_seconds=cluster.average_job_execution_seconds(),
-            jobs_completed=cluster.completed_job_count(),
-            tasks_killed=cluster.total_tasks_killed(),
-            average_cpu_utilization=utilization_series.mean(),
-            latency_samples=latencies,
-            job_execution_seconds=job_times,
-            scheduler_counters=_scheduler_counters(cluster),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Figure 12: the storage testbed

@@ -1,8 +1,10 @@
 """The built-in scenarios: one registered spec per evaluation figure.
 
-These mirror the defaults the per-figure CLI subcommands use, at QUICK
-scale, so ``repro run-scenario fig15-durability`` regenerates the shape of
-Figure 15 in seconds.  User code can register additional scenarios with
+Each carries its figure's default parameters at QUICK scale, so
+``repro run-scenario fig15-durability`` (or
+``repro.api.run("fig15-durability")``) regenerates the shape of Figure 15
+in seconds; ``overrides=`` / the CLI flags change scale and parameters per
+run.  User code can register additional scenarios with
 :func:`repro.harness.register_scenario`.
 """
 

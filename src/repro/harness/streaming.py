@@ -1,30 +1,32 @@
-"""Bounded-memory fold-at-boundary epoch aggregation for continuous runs.
+"""The per-minute primary-latency fold, one-shot or streamed per epoch.
 
-The continuous mode used to retain every per-server heartbeat row for the
-whole horizon and evaluate all per-epoch p99 latency in one terminal pass —
-O(horizon x servers) memory and a monolithic end-of-run computation.  The
-:class:`StreamingEpochAggregator` replaces that with a streaming fold: it is
-installed on the cluster as its
-:class:`~repro.jobs.scheduler_variants.SeriesRecorder` *and* hooked into the
-:class:`~repro.harness.traffic.EpochRecorder`, and at every epoch boundary it
+Every harvesting figure's latency number is the same computation: bucket the
+cluster's per-server heartbeat rows into one-minute means, evaluate
+:meth:`~repro.services.latency_model.LatencyModel.p99_latency_ms_array` for
+those minutes, and average each minute's row into one fleet-wide sample.
+:class:`MinuteLatencyRecorder` is that computation, installed on the cluster
+as its :class:`~repro.jobs.scheduler_variants.SeriesRecorder`:
 
-1. buckets the closed window's heartbeat rows into per-minute means (the
-   exact :func:`~repro.harness.runners._bucket_mean` arithmetic, minute by
-   minute),
-2. evaluates :meth:`~repro.services.latency_model.LatencyModel.\
-p99_latency_ms_array` for just those minutes — the jitter draws fill the
-   output row-major, so consecutive per-fold chunks consume the identical
-   draw stream the one-shot full-horizon evaluation did,
-3. emits every :class:`~repro.harness.results.EpochMetrics` whose window can
-   no longer receive samples, and
-4. drops the folded raw rows, carrying only the open partial-minute tail
-   across the boundary.
+* the testbed-style runners (fig10-11, heterogeneous-fleet, antagonist,
+  predictor-ablation) fold the whole run in one terminal :meth:`~\
+MinuteLatencyRecorder.fold` and report the samples directly;
+* the continuous mode installs a :class:`StreamingEpochAggregator`, which is
+  the same recorder also hooked into the
+  :class:`~repro.harness.traffic.EpochRecorder`: at every epoch boundary it
 
-The stream it produces is **bit-identical** to the retired post-hoc pass:
+  1. folds the closed window's complete minutes (the jitter draws fill the
+     output row-major, so consecutive per-fold chunks consume the identical
+     draw stream one terminal fold would),
+  2. emits every :class:`~repro.harness.results.EpochMetrics` whose window
+     can no longer receive samples, and
+  3. keeps only the open partial-minute tail of raw rows across the
+     boundary.
+
+The streamed epoch stream is **bit-identical** to one full-horizon pass:
 same per-minute means (same pairwise-summation order), same jitter stream,
 same window-assignment and clamp semantics, same percentile inputs.
 
-Window-boundary semantics (the previously implicit clamp, now explicit):
+Window-boundary semantics:
 
 * a minute sample belongs to the epoch its minute *starts* in:
   ``index = int(minute_start // epoch_seconds)``;
@@ -35,7 +37,7 @@ Window-boundary semantics (the previously implicit clamp, now explicit):
 * a heartbeat landing exactly on an interior window edge starts a new
   minute and belongs to the *next* epoch, while the boundary's counter
   snapshot (priority-ordered after every same-time event) still includes
-  its effects in the closing window — exactly the post-hoc behavior;
+  its effects in the closing window;
 * with non-integer ``epoch_seconds`` (windows not aligned to the minute
   grid) a straddling minute delays its epochs' finalization until the
   minute itself is complete, one boundary later.
@@ -49,7 +51,7 @@ partial-minute tail plus the open windows' scalar samples — stays O(window).
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -66,78 +68,37 @@ MINUTE_SECONDS = 60.0
 COUNTER_KEYS = ("jobs_submitted", "jobs_completed", "tasks_completed", "tasks_killed")
 
 
-class StreamingEpochAggregator(SeriesRecorder):
-    """Folds heartbeat rows into finalized epochs at window boundaries.
+class MinuteLatencyRecorder(SeriesRecorder):
+    """Buffers heartbeat rows and folds complete minutes into p99 samples.
 
-    Wiring (see ``harness/continuous.py``): the cluster calls
-    :meth:`record` once per heartbeat, the epoch recorder calls
-    :meth:`boundary` with each window-closing counter snapshot, and the
-    runner calls :meth:`finalize` when the horizon ends.  Finalized
-    :class:`EpochMetrics` stream through ``on_epoch`` (when given) the
-    moment their window closes and accumulate in :attr:`finalized`.
+    The cluster calls :meth:`record` once per heartbeat; :meth:`fold` turns
+    the buffered rows of every complete minute into that minute's
+    fleet-mean p99 sample and drops them, so only the open partial-minute
+    tail stays buffered between folds.
 
     Args:
-        latency_rng: the cell's recorded latency stream — consumed in
-            ascending minute order exactly as the one-shot evaluation did.
+        latency_rng: the cell's latency stream — consumed in ascending
+            minute order, whether the rows fold at once or in chunks.
         reserve_fraction: the cluster's reserve CPU fraction (latency-model
             parameter).
-        epochs: number of windows; ``0`` means unbounded (run forever).
-        epoch_seconds: window length in simulated seconds.
-        on_epoch: optional callback invoked with each finalized
-            :class:`EpochMetrics`, in index order.
     """
 
-    def __init__(
-        self,
-        *,
-        latency_rng: RandomSource,
-        reserve_fraction: float,
-        epochs: int,
-        epoch_seconds: float,
-        on_epoch: Optional[Callable[[EpochMetrics], None]] = None,
-    ) -> None:
-        if epoch_seconds <= 0:
-            raise ValueError("epoch_seconds must be positive")
-        if epochs < 0:
-            raise ValueError("epochs must be non-negative (0 = run forever)")
-        self.epochs = int(epochs)
-        self.epoch_seconds = float(epoch_seconds)
-        self.on_epoch = on_epoch
-        self._latency_rng = latency_rng
-        self._reserve_fraction = float(reserve_fraction)
-        #: Created lazily on the first fold with data, mirroring the
-        #: post-hoc pass that only built the model when rows existed.
-        self._latency_model: Optional[LatencyModel] = None
+    def __init__(self, *, latency_rng: RandomSource, reserve_fraction: float) -> None:
+        self._latency_model = LatencyModel(
+            rng=latency_rng, reserve_fraction=reserve_fraction
+        )
 
         # The open tail: heartbeat rows not yet folded, in time order.
-        # Bounded by the partial-minute(s) still receiving rows — this is
-        # the only raw series state that survives a boundary.
         self._tail_times: List[float] = []
         self._tail_secondary: List[np.ndarray] = []
         self._tail_primary: List[np.ndarray] = []
         self._tail_bytes = 0
 
-        #: Folded per-minute fleet-mean latency samples, keyed by epoch
-        #: index; entries are popped as their epoch finalizes.
-        self._samples: Dict[int, List[float]] = {}
-        #: Boundary counter snapshots not yet consumed, keyed by epoch
-        #: index (snapshot k closes epoch k); entries pop as epochs emit.
-        self._boundaries: Dict[int, Dict[str, Any]] = {}
-        self._boundary_count = 0
-        #: Minute-start watermark: no future heartbeat can land in a minute
-        #: starting below this, so windows ending at or before it are closed.
-        self._watermark = 0.0
-        self._previous = {key: 0 for key in COUNTER_KEYS}
-
-        #: Finalized epochs, in index order (the runner's result payload).
-        self.finalized: List[EpochMetrics] = []
         # Observability (outside the fingerprint): peak size of the carried
-        # tail — the bounded-memory claim, measured.
+        # tail — the bounded-memory claim, measured — and the fold count.
         self.peak_tail_rows = 0
         self.peak_tail_bytes = 0
         self.folds = 0
-
-    # -- SeriesRecorder ------------------------------------------------------
 
     def record(
         self, time: float, secondary_cpu: np.ndarray, primary_cpu: np.ndarray
@@ -152,48 +113,22 @@ class StreamingEpochAggregator(SeriesRecorder):
         if self._tail_bytes > self.peak_tail_bytes:
             self.peak_tail_bytes = self._tail_bytes
 
-    # -- boundary / finalize -------------------------------------------------
-
-    def boundary(self, snapshot: Dict[str, Any]) -> None:
-        """One window just closed: fold its complete minutes, emit epochs.
-
-        ``snapshot`` is the boundary's cumulative counter snapshot (time
-        included).  Heartbeats at exactly the boundary time have already
-        been recorded (the boundary event runs at a later priority), and
-        every future row is strictly later, so a minute bucket is complete
-        here iff it ends at or before the boundary.
-        """
-        self._boundaries[self._boundary_count] = snapshot
-        self._boundary_count += 1
-        time = float(snapshot["time"])
-        self._fold(complete_before=time)
-        self._watermark = math.floor(time / MINUTE_SECONDS) * MINUTE_SECONDS
-        self._emit_ready(final=False)
-
-    def finalize(self) -> List[EpochMetrics]:
-        """End of run: fold the remaining tail and emit every open epoch."""
-        self._fold(complete_before=None)
-        self._watermark = math.inf
-        self._emit_ready(final=True)
-        return list(self.finalized)
-
-    # -- the fold ------------------------------------------------------------
-
-    def _fold(self, complete_before: Optional[float]) -> None:
-        """Fold complete minute buckets off the tail into epoch samples.
+    def fold(
+        self, complete_before: Optional[float] = None
+    ) -> List[Tuple[np.float64, float]]:
+        """Fold complete minute buckets off the tail into latency samples.
 
         A bucket ``b`` (rows with times in ``[60b, 60(b+1))``) is complete
         at time ``T`` iff ``60(b+1) <= T``; ``complete_before=None`` folds
-        everything (end of run).  Each bucket reduces exactly as
-        ``_bucket_mean`` did — stack the bucket's rows, transpose to make
-        the reduction axis contiguous, mean — and the latency model
-        evaluates all newly complete minutes in one ascending-minute call,
-        so the jitter stream position after every fold equals the one-shot
-        evaluation's position after the same minutes.
+        everything (end of run).  Each bucket's rows are stacked and
+        transposed so the mean reduces along the contiguous axis, and the
+        latency model evaluates all newly complete minutes in one
+        ascending-minute call.
+
+        Returns ``(minute start, fleet-mean p99 ms)`` per folded minute, in
+        time order.
         """
         times = self._tail_times
-        if not times:
-            return
         cut = len(times)
         if complete_before is not None:
             cut = 0
@@ -203,7 +138,7 @@ class StreamingEpochAggregator(SeriesRecorder):
                     break
                 cut += 1
         if cut == 0:
-            return
+            return []
 
         # Group the folded prefix into its minute buckets (time order means
         # the buckets are ascending runs).
@@ -229,22 +164,9 @@ class StreamingEpochAggregator(SeriesRecorder):
             starts.append(bucket)
             row = end
 
-        if self._latency_model is None:
-            self._latency_model = LatencyModel(
-                rng=self._latency_rng,
-                reserve_fraction=self._reserve_fraction,
-            )
-        secondary = np.vstack(secondary_means)
-        primary = np.vstack(primary_means)
         per_minute = self._latency_model.p99_latency_ms_array(
-            np.minimum(1.0, primary), secondary
+            np.minimum(1.0, np.vstack(primary_means)), np.vstack(secondary_means)
         )
-        for bucket, latency_row in zip(starts, per_minute):
-            start = np.float64(bucket) * MINUTE_SECONDS
-            index = int(start // self.epoch_seconds)
-            if self.epochs:
-                index = min(index, self.epochs - 1)
-            self._samples.setdefault(index, []).append(float(np.mean(latency_row)))
         self.folds += 1
 
         # Drop the folded rows; only the open partial-minute tail survives.
@@ -255,6 +177,95 @@ class StreamingEpochAggregator(SeriesRecorder):
             8 + s.nbytes + p.nbytes
             for s, p in zip(self._tail_secondary, self._tail_primary)
         )
+        return [
+            (np.float64(bucket) * MINUTE_SECONDS, float(np.mean(latency_row)))
+            for bucket, latency_row in zip(starts, per_minute)
+        ]
+
+
+class StreamingEpochAggregator(MinuteLatencyRecorder):
+    """Folds heartbeat rows into finalized epochs at window boundaries.
+
+    Wiring (see ``harness/continuous.py``): the cluster calls
+    :meth:`record` once per heartbeat, the epoch recorder calls
+    :meth:`boundary` with each window-closing counter snapshot, and the
+    runner calls :meth:`finalize` when the horizon ends.  Finalized
+    :class:`EpochMetrics` stream through ``on_epoch`` (when given) the
+    moment their window closes and accumulate in :attr:`finalized`.
+
+    Args:
+        latency_rng, reserve_fraction: as for :class:`MinuteLatencyRecorder`.
+        epochs: number of windows; ``0`` means unbounded (run forever).
+        epoch_seconds: window length in simulated seconds.
+        on_epoch: optional callback invoked with each finalized
+            :class:`EpochMetrics`, in index order.
+    """
+
+    def __init__(
+        self,
+        *,
+        latency_rng: RandomSource,
+        reserve_fraction: float,
+        epochs: int,
+        epoch_seconds: float,
+        on_epoch: Optional[Callable[[EpochMetrics], None]] = None,
+    ) -> None:
+        if epoch_seconds <= 0:
+            raise ValueError("epoch_seconds must be positive")
+        if epochs < 0:
+            raise ValueError("epochs must be non-negative (0 = run forever)")
+        super().__init__(latency_rng=latency_rng, reserve_fraction=reserve_fraction)
+        self.epochs = int(epochs)
+        self.epoch_seconds = float(epoch_seconds)
+        self.on_epoch = on_epoch
+
+        #: Folded per-minute fleet-mean latency samples, keyed by epoch
+        #: index; entries are popped as their epoch finalizes.
+        self._samples: Dict[int, List[float]] = {}
+        #: Boundary counter snapshots not yet consumed, keyed by epoch
+        #: index (snapshot k closes epoch k); entries pop as epochs emit.
+        self._boundaries: Dict[int, Dict[str, Any]] = {}
+        self._boundary_count = 0
+        #: Minute-start watermark: no future heartbeat can land in a minute
+        #: starting below this, so windows ending at or before it are closed.
+        self._watermark = 0.0
+        self._previous = {key: 0 for key in COUNTER_KEYS}
+
+        #: Finalized epochs, in index order (the runner's result payload).
+        self.finalized: List[EpochMetrics] = []
+
+    # -- boundary / finalize -------------------------------------------------
+
+    def boundary(self, snapshot: Dict[str, Any]) -> None:
+        """One window just closed: fold its complete minutes, emit epochs.
+
+        ``snapshot`` is the boundary's cumulative counter snapshot (time
+        included).  Heartbeats at exactly the boundary time have already
+        been recorded (the boundary event runs at a later priority), and
+        every future row is strictly later, so a minute bucket is complete
+        here iff it ends at or before the boundary.
+        """
+        self._boundaries[self._boundary_count] = snapshot
+        self._boundary_count += 1
+        time = float(snapshot["time"])
+        self._assign(self.fold(complete_before=time))
+        self._watermark = math.floor(time / MINUTE_SECONDS) * MINUTE_SECONDS
+        self._emit_ready(final=False)
+
+    def finalize(self) -> List[EpochMetrics]:
+        """End of run: fold the remaining tail and emit every open epoch."""
+        self._assign(self.fold())
+        self._watermark = math.inf
+        self._emit_ready(final=True)
+        return list(self.finalized)
+
+    def _assign(self, samples: List[Tuple[np.float64, float]]) -> None:
+        """File each minute's sample under the epoch its minute starts in."""
+        for start, sample in samples:
+            index = int(start // self.epoch_seconds)
+            if self.epochs:
+                index = min(index, self.epochs - 1)
+            self._samples.setdefault(index, []).append(sample)
 
     # -- emission ------------------------------------------------------------
 

@@ -590,8 +590,7 @@ class EpochRecorder:
         take one last counter snapshot at ``now`` before the aggregator
         flushes.  Returns the full finalized
         :class:`~repro.harness.results.EpochMetrics` stream (empty without
-        an aggregator — the legacy post-hoc path reads :attr:`snapshots`
-        directly).
+        an aggregator; the raw counter snapshots stay in :attr:`snapshots`).
         """
         if self.aggregator is None:
             return []

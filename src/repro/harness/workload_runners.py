@@ -20,9 +20,7 @@ bit-identically.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.cluster.resource_manager import SchedulerMode
 from repro.cluster.reserve_controller import (
@@ -49,13 +47,11 @@ from repro.harness.runners import (
     _SCHEDULING_VARIANT_MODES,
     ScenarioRunner,
     _baseline_p99,
-    _bucket_mean,
     _register,
-    _scheduler_counters,
+    _run_scheduling_variant,
 )
 from repro.harness.spec import ScenarioSpec
 from repro.jobs.scheduler_variants import ClusterConfig, HarvestingCluster
-from repro.services.latency_model import LatencyModel
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.random import ForkSequence, RandomSource
 from repro.traces.matrix import TraceMatrix
@@ -97,63 +93,6 @@ def _workload(spec: ScenarioSpec) -> WorkloadSpec:
         interarrival=Exponential(float(spec.scale.mean_interarrival_seconds))
     )
     return workload_from_param(spec.param("workload"), base=base)
-
-
-def _run_planned_variant(
-    name: str,
-    mode: SchedulerMode,
-    tenants: Sequence[Any],
-    arrivals: Sequence[Any],
-    duration: float,
-    cluster_seed: int,
-    latency_seed: int,
-    before_run: Optional[Callable[[HarvestingCluster], None]] = None,
-) -> VariantSchedulingResult:
-    """Run one scheduler variant over a pre-planned arrival schedule.
-
-    The op-plan twin of ``SchedulingTestbedRunner._run_variant``: the jobs
-    come in materialized (from the plan), so a variant consumes only its
-    cluster and latency streams.  ``before_run`` hooks controllers onto the
-    cluster's engine before the clock starts.
-    """
-    cluster = HarvestingCluster(
-        tenants,
-        config=ClusterConfig(mode=mode, record_server_series=True),
-        rng=RandomSource(cluster_seed),
-    )
-    cluster.submit_arrivals(arrivals)
-    if before_run is not None:
-        before_run(cluster)
-    cluster.run(duration)
-
-    latency_model = LatencyModel(
-        rng=RandomSource(latency_seed),
-        reserve_fraction=cluster.config.reserve_cpu_fraction,
-    )
-    latencies: List[float] = []
-    series = cluster.server_series()
-    if len(series.times):
-        secondary = _bucket_mean(series.times, series.secondary_cpu, 60.0)
-        primary = _bucket_mean(series.times, series.primary_cpu, 60.0)
-        per_minute = latency_model.p99_latency_ms_array(
-            np.minimum(1.0, primary), secondary
-        )
-        latencies = [float(np.mean(row)) for row in per_minute]
-
-    utilization_series = cluster.metrics.time_series("total_utilization")
-    job_times = [r.execution_seconds for r in cluster.results]
-    return VariantSchedulingResult(
-        variant=name,
-        average_p99_ms=float(np.mean(latencies)) if latencies else 0.0,
-        max_p99_ms=float(np.max(latencies)) if latencies else 0.0,
-        average_job_seconds=cluster.average_job_execution_seconds(),
-        jobs_completed=cluster.completed_job_count(),
-        tasks_killed=cluster.total_tasks_killed(),
-        average_cpu_utilization=utilization_series.mean(),
-        latency_samples=latencies,
-        job_execution_seconds=job_times,
-        scheduler_counters=_scheduler_counters(cluster),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +381,7 @@ class HeterogeneousFleetRunner(ScenarioRunner):
             return _baseline_p99(
                 ctx["tenants"], ctx["duration"], RandomSource(cell.seeds[0])
             )
-        return _run_planned_variant(
+        return _run_scheduling_variant(
             variant,
             _SCHEDULING_VARIANT_MODES[variant],
             ctx["tenants"],
@@ -583,7 +522,7 @@ class AntagonistRunner(ScenarioRunner):
             return _baseline_p99(
                 tenants, ctx["duration"], RandomSource(cell.seeds[0])
             )
-        return _run_planned_variant(
+        return _run_scheduling_variant(
             variant,
             _SCHEDULING_VARIANT_MODES[variant],
             tenants,
@@ -717,7 +656,7 @@ class PredictorAblationRunner(ScenarioRunner):
             controller.install(duration)
             controllers.append(controller)
 
-        outcome = _run_planned_variant(
+        outcome = _run_scheduling_variant(
             variant,
             _PREDICTOR_MODES[variant],
             ctx["tenants"],

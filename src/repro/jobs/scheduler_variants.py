@@ -20,7 +20,7 @@ YARN-H/Tez-H   primary-aware, kills   probabilistic by available   Algorithm 1 l
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -41,32 +41,14 @@ from repro.simulation.random import RandomSource
 from repro.traces.datacenter import PrimaryTenant
 
 
-class ServerSeries(NamedTuple):
-    """Per-server heartbeat series recorded as matrices.
-
-    Attributes:
-        times: heartbeat times, shape ``(samples,)``.
-        secondary_cpu: batch-container CPU fraction, ``(samples x servers)``.
-        primary_cpu: primary-tenant CPU fraction, ``(samples x servers)``.
-        server_ids: column order (fleet registration order).
-    """
-
-    times: np.ndarray
-    secondary_cpu: np.ndarray
-    primary_cpu: np.ndarray
-    server_ids: List[str]
-
-
 class SeriesRecorder:
-    """Where per-server heartbeat rows go when series recording is on.
+    """Where per-server heartbeat rows go once a recorder is installed.
 
     The cluster feeds one row per heartbeat to :meth:`record`; what happens
-    to it is the recorder's policy.  The default
-    :class:`RetainAllSeriesRecorder` keeps every row for a terminal
-    analysis pass (the testbed figures); the continuous mode installs a
-    fold-at-boundary recorder instead
-    (:class:`~repro.harness.streaming.StreamingEpochAggregator`) so memory
-    stays bounded over an arbitrarily long horizon.
+    to it is the recorder's policy.  The harness installs
+    :class:`~repro.harness.streaming.MinuteLatencyRecorder` (or its
+    per-epoch :class:`~repro.harness.streaming.StreamingEpochAggregator`),
+    which folds the rows into per-minute primary-latency samples.
     """
 
     def record(
@@ -74,43 +56,6 @@ class SeriesRecorder:
     ) -> None:
         """Ingest one heartbeat row (``primary_cpu`` is already a copy)."""
         raise NotImplementedError
-
-    def series(self, num_servers: int, server_ids: List[str]) -> ServerSeries:
-        """The full recorded matrices, for recorders that retain them."""
-        raise RuntimeError(
-            f"{type(self).__name__} does not retain the full server series"
-        )
-
-
-class RetainAllSeriesRecorder(SeriesRecorder):
-    """Keeps every heartbeat row — O(horizon x servers) memory.
-
-    The policy the testbed figures need: their latency analysis buckets the
-    whole run's matrices in one terminal pass.
-    """
-
-    def __init__(self) -> None:
-        self.times: List[float] = []
-        self.secondary: List[np.ndarray] = []
-        self.primary: List[np.ndarray] = []
-
-    def record(
-        self, time: float, secondary_cpu: np.ndarray, primary_cpu: np.ndarray
-    ) -> None:
-        self.times.append(time)
-        self.secondary.append(secondary_cpu)
-        self.primary.append(primary_cpu)
-
-    def series(self, num_servers: int, server_ids: List[str]) -> ServerSeries:
-        if not self.times:
-            empty = np.zeros((0, num_servers))
-            return ServerSeries(np.zeros(0), empty, empty.copy(), server_ids)
-        return ServerSeries(
-            np.asarray(self.times),
-            np.vstack(self.secondary),
-            np.vstack(self.primary),
-            server_ids,
-        )
 
 
 @dataclass
@@ -124,12 +69,6 @@ class ClusterConfig:
         heartbeat_seconds: NodeManager heartbeat period.
         pump_seconds: how often pending jobs retry unsatisfied requests.
         thresholds: job-length thresholds for Algorithm 1 typing.
-        record_server_series: when True, per-server primary and secondary CPU
-            vectors are recorded at every heartbeat into a retain-all
-            :class:`SeriesRecorder` (needed by the testbed latency analysis;
-            skipped by the large sweeps).  Callers that need a different
-            retention policy install one via
-            :meth:`HarvestingCluster.set_series_recorder`.
     """
 
     mode: SchedulerMode = SchedulerMode.HISTORY
@@ -138,7 +77,6 @@ class ClusterConfig:
     heartbeat_seconds: float = HEARTBEAT_INTERVAL_SECONDS
     pump_seconds: float = 15.0
     thresholds: JobTypeThresholds = JobTypeThresholds()
-    record_server_series: bool = False
 
 
 class HarvestingCluster:
@@ -195,9 +133,7 @@ class HarvestingCluster:
             self.refresh_clustering()
 
         self._executions: List[JobExecution] = []
-        self._series_recorder: Optional[SeriesRecorder] = (
-            RetainAllSeriesRecorder() if self.config.record_server_series else None
-        )
+        self._series_recorder: Optional[SeriesRecorder] = None
 
     @property
     def fleet(self):
@@ -205,28 +141,12 @@ class HarvestingCluster:
         return self.resource_manager.fleet
 
     def set_series_recorder(self, recorder: Optional[SeriesRecorder]) -> None:
-        """Install a heartbeat-series recorder (enables recording when set).
+        """Install a heartbeat-series recorder (``None`` stops recording).
 
-        Replaces whatever ``record_server_series`` installed; pass ``None``
-        to stop recording.  Must be called before :meth:`run` — swapping
-        recorders mid-run would split the series across policies.
+        Must be called before :meth:`run` — swapping recorders mid-run would
+        split the series across policies.
         """
         self._series_recorder = recorder
-
-    def server_series(self) -> ServerSeries:
-        """The recorded per-server heartbeat matrices.
-
-        Empty (zero-row) matrices when no recorder was installed; raises
-        ``RuntimeError`` for recorders (the continuous mode's folding
-        aggregator) that deliberately do not retain the full series.
-        """
-        num_servers = len(self.servers)
-        if self._series_recorder is None:
-            empty = np.zeros((0, num_servers))
-            return ServerSeries(
-                np.zeros(0), empty, empty.copy(), self.fleet.server_ids
-            )
-        return self._series_recorder.series(num_servers, self.fleet.server_ids)
 
     # -- clustering --------------------------------------------------------
 

@@ -8,10 +8,8 @@ configurations in Figures 10 and 12.
 """
 
 from repro.services.latency_model import LatencyModel, LatencyModelConfig
-from repro.services.primary_tenant import PrimaryTenantService
 
 __all__ = [
     "LatencyModel",
     "LatencyModelConfig",
-    "PrimaryTenantService",
 ]

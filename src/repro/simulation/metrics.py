@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -134,22 +134,6 @@ class TimeSeries:
             )
         self._times.append(float(time))
         self._values.append(float(value))
-
-    def extend(self, times: Sequence[float], values: Sequence[float]) -> None:
-        """Record a batch of samples; times must stay non-decreasing."""
-        if len(times) != len(values):
-            raise ValueError(
-                f"times and values must pair up (got {len(times)} vs {len(values)})"
-            )
-        if len(times) == 0:
-            return
-        times = [float(t) for t in times]
-        if any(b < a for a, b in zip(times, times[1:])) or (
-            self._times and times[0] < self._times[-1]
-        ):
-            raise ValueError("time series samples must be non-decreasing")
-        self._times.extend(times)
-        self._values.extend(float(v) for v in values)
 
     @property
     def count(self) -> int:

@@ -36,17 +36,30 @@ def scale_trace(
     power ``factor`` for ``factor < 1`` (which lowers them); the exponent
     form keeps the transform monotonic and saturation-free.
     """
+    return UtilizationTrace(
+        _scaled_values(trace.values, factor, method), trace.pattern, trace.spec
+    )
+
+
+def _scaled_values(
+    values: np.ndarray, factor: float, method: ScalingMethod
+) -> np.ndarray:
+    """The scaled, clipped samples of :func:`scale_trace` as a fresh array.
+
+    The final clip runs in place, so one call allocates one array of the
+    trace's length: the fleet-mean bisection below evaluates this thousands
+    of times, and each extra trace-sized temporary is a heap round trip.
+    """
     if factor <= 0:
         raise ValueError(f"scaling factor must be positive (got {factor})")
-    values = trace.values
     if method is ScalingMethod.LINEAR:
-        scaled = np.clip(values * factor, 0.0, 1.0)
+        scaled = values * factor
     elif method is ScalingMethod.ROOT:
         exponent = 1.0 / factor if factor >= 1.0 else 1.0 / factor
-        scaled = np.clip(np.power(np.clip(values, 0.0, 1.0), exponent), 0.0, 1.0)
+        scaled = np.power(np.clip(values, 0.0, 1.0), exponent)
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unknown scaling method {method}")
-    return UtilizationTrace(scaled, trace.pattern, trace.spec)
+    return np.clip(scaled, 0.0, 1.0, out=scaled)
 
 
 def scale_to_target_mean(
@@ -129,7 +142,7 @@ def fleet_scaling_factor(
 
     def fleet_mean(factor: float) -> float:
         scaled = [
-            scale_trace(trace, factor, method).mean() * weight
+            float(_scaled_values(trace.values, factor, method).mean()) * weight
             for trace, weight in zip(traces, weights)
         ]
         return float(sum(scaled) / total_weight)

@@ -14,7 +14,7 @@ import json
 import pytest
 
 import repro.api as api
-from repro.harness import ExperimentHarness, get_scenario, run_scenario
+from repro.harness import ExperimentHarness, get_scenario
 from repro.harness.config import TINY_SCALE
 from repro.harness.results import result_to_jsonable
 from repro.harness.runners import RUNNERS
@@ -232,7 +232,7 @@ class TestRunResultEnvelope:
         assert document["scenario"] == spec.name
         assert document["kind"] == "durability"
         assert document["seed"] == 5
-        assert document["result"] == result_to_jsonable(run_scenario(spec, seed=5))
+        assert document["result"] == result_to_jsonable(api.run(spec, seed=5).payload)
         # ctx vs cell split: both sides of the run's cost are visible, and
         # neither participates in the fingerprint.
         timings = document["timings"]
@@ -294,6 +294,13 @@ class TestHarnessExecutor:
     def test_run_scenario_accepts_workers(self):
         spec = tiny_spec("fig15-durability", max_tenants=6,
                          servers_per_tenant_limit=2, replication_levels=(3,))
-        a = result_to_jsonable(run_scenario(spec, seed=4))
-        b = result_to_jsonable(run_scenario(spec, seed=4, workers=2))
+        a = result_to_jsonable(api.run(spec, seed=4).payload)
+        b = result_to_jsonable(api.run(spec, seed=4, workers=2).payload)
         assert a == b
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_nonpositive_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ExperimentHarness(tiny_spec("fig16-availability"), workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            api.run("fig16-availability", overrides={"scale": "tiny"}, workers=workers)

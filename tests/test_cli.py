@@ -16,16 +16,7 @@ class TestParser:
             if hasattr(action, "choices") and action.choices
         ]
         commands = set(subactions[0].choices)
-        assert commands == {
-            "characterize",
-            "testbed",
-            "storage-testbed",
-            "sweep",
-            "durability",
-            "availability",
-            "microbench",
-            "run-scenario",
-        }
+        assert commands == {"characterize", "microbench", "run-scenario"}
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
@@ -48,19 +39,17 @@ class TestCommands:
         assert "ms" in out
 
     def test_durability_small(self, capsys):
-        exit_code = main([
-            "durability", "--blocks", "200", "--durability-days", "15",
-        ])
+        exit_code = main(["run-scenario", "fig15-durability", "--scale", "tiny"])
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "HDFS-Stock" in out and "HDFS-H" in out
-        assert "Loss reduction factor" in out
+        assert "Durability (DC-9)" in out
 
     def test_availability_small(self, capsys):
-        exit_code = main(["availability", "--levels", "0.4"])
+        exit_code = main(["run-scenario", "fig16-availability", "--scale", "tiny"])
         assert exit_code == 0
         out = capsys.readouterr().out
-        assert "HDFS-H R3 failed" in out
+        assert "HDFS-H R3" in out
 
     def test_run_scenario_list(self, capsys):
         exit_code = main(["run-scenario", "--list"])
@@ -116,6 +105,29 @@ class TestCommands:
         assert all(
             {"scenario", "kind", "figure", "description"} <= set(e) for e in listed
         )
+
+
+class TestRunScenarioValidation:
+    """Bad executor flags exit with a one-line error before any build."""
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_rejected(self, workers):
+        with pytest.raises(SystemExit, match="--workers must be >= 1"):
+            main(["run-scenario", "fig15-durability", "--workers", workers])
+
+    def test_stop_after_cells_requires_checkpoint_dir(self):
+        with pytest.raises(
+            SystemExit, match="--stop-after-cells requires --checkpoint-dir"
+        ):
+            main(["run-scenario", "fig15-durability", "--stop-after-cells", "1"])
+
+    @pytest.mark.parametrize("cells", ["0", "-2"])
+    def test_nonpositive_stop_after_cells_rejected(self, cells, tmp_path):
+        with pytest.raises(SystemExit, match="--stop-after-cells must be >= 1"):
+            main(
+                ["run-scenario", "fig15-durability", "--stop-after-cells", cells,
+                 "--checkpoint-dir", str(tmp_path)]
+            )
 
 
 class TestWorkloadFlags:

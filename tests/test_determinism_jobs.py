@@ -4,59 +4,41 @@ The cross-``PYTHONHASHSEED`` twin of ``tests/test_determinism_scheduling.py``
 for the paths PR 4 rebuilt: the TaskTable runnable frontier, the batched
 wave scheduling, and the vectorized Algorithm 1 selector all iterate numpy
 rows or insertion-ordered structures — never hash-ordered sets — so the
-fig13 sweep must reproduce bit-identical numbers run over run and across
+fig13 sweep must reproduce a bit-identical fingerprint run over run and across
 processes with different string-hash seeds.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
 
-from repro.experiments.scheduling import run_datacenter_sweep
-from repro.harness.config import TINY_SCALE
+import repro.api as api
 from repro.traces.scaling import ScalingMethod
 
 
-def _fingerprint(result) -> list:
-    return [
-        {
-            "scaling": point.scaling.value,
-            "target": point.target_utilization,
-            "pt_seconds": point.yarn_pt_seconds,
-            "h_seconds": point.yarn_h_seconds,
-            "pt_kills": point.yarn_pt_tasks_killed,
-            "h_kills": point.yarn_h_tasks_killed,
-            "pt_jobs": point.jobs_completed_pt,
-            "h_jobs": point.jobs_completed_h,
-        }
-        for point in result.points
-    ]
-
-
-def _run_sweep():
-    return run_datacenter_sweep(
-        "DC-9",
-        utilization_levels=(0.35,),
-        scalings=(ScalingMethod.LINEAR,),
-        scale=TINY_SCALE,
+def _fingerprint() -> str:
+    """The full RunResult fingerprint of a one-point tiny fig13 sweep."""
+    return api.run(
+        "fig13-dc9-sweep",
+        overrides={
+            "scale": "tiny",
+            "utilization_levels": (0.35,),
+            "scalings": (ScalingMethod.LINEAR,),
+        },
         seed=5,
-    )
+    ).fingerprint()
 
 
 _SUBPROCESS_SNIPPET = """
-import json
-from tests.test_determinism_jobs import _fingerprint, _run_sweep
-print(json.dumps(_fingerprint(_run_sweep())))
+from tests.test_determinism_jobs import _fingerprint
+print(_fingerprint())
 """
 
 
 def test_scheduling_sweep_repeats_bit_identically():
-    first = _fingerprint(_run_sweep())
-    second = _fingerprint(_run_sweep())
-    assert first == second
+    assert _fingerprint() == _fingerprint()
 
 
 def test_scheduling_sweep_stable_across_hash_seeds():
@@ -75,5 +57,5 @@ def test_scheduling_sweep_stable_across_hash_seeds():
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )
         assert completed.returncode == 0, completed.stderr
-        outputs.append(json.loads(completed.stdout))
+        outputs.append(completed.stdout)
     assert outputs[0] == outputs[1]

@@ -5,51 +5,35 @@ pinning a set iteration to sorted order.  The audit of the RM request/kill
 paths (this PR) found the equivalent constructs all pinned already —
 insertion-ordered dicts for the server records, running containers, and DAG
 vertices, plus the explicitly sorted ``topological_levels`` — and these tests
-keep it that way: the scheduling testbed must reproduce bit-identical
-headline numbers run over run, both within a process and across processes
+keep it that way: the scheduling testbed must reproduce a bit-identical
+run fingerprint run over run, both within a process and across processes
 with different hash seeds.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
 
-from repro.experiments.testbed import run_scheduling_testbed
-from repro.harness.config import TINY_SCALE
+import repro.api as api
 
 
-def _fingerprint(result) -> dict:
-    out = {"baseline": result.no_harvesting_p99_ms}
-    for name, variant in result.variants.items():
-        out[name] = {
-            "avg_p99": variant.average_p99_ms,
-            "max_p99": variant.max_p99_ms,
-            "samples": list(variant.latency_samples),
-            "avg_job": variant.average_job_seconds,
-            "jobs": variant.jobs_completed,
-            "kills": variant.tasks_killed,
-            "cpu": variant.average_cpu_utilization,
-            "job_seconds": list(variant.job_execution_seconds),
-        }
-    return out
+def _fingerprint() -> str:
+    """The full RunResult fingerprint of a tiny fig10-11 run."""
+    return api.run(
+        "fig10-11-scheduling-testbed", overrides={"scale": "tiny"}, seed=5
+    ).fingerprint()
 
 
 _SUBPROCESS_SNIPPET = """
-import json, sys
-from repro.experiments.testbed import run_scheduling_testbed
-from repro.harness.config import TINY_SCALE
 from tests.test_determinism_scheduling import _fingerprint
-print(json.dumps(_fingerprint(run_scheduling_testbed(TINY_SCALE, seed=5))))
+print(_fingerprint())
 """
 
 
 def test_scheduling_testbed_repeats_bit_identically():
-    first = _fingerprint(run_scheduling_testbed(TINY_SCALE, seed=5))
-    second = _fingerprint(run_scheduling_testbed(TINY_SCALE, seed=5))
-    assert first == second
+    assert _fingerprint() == _fingerprint()
 
 
 def test_scheduling_testbed_stable_across_hash_seeds():
@@ -68,5 +52,5 @@ def test_scheduling_testbed_stable_across_hash_seeds():
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )
         assert completed.returncode == 0, completed.stderr
-        outputs.append(json.loads(completed.stdout))
+        outputs.append(completed.stdout)
     assert outputs[0] == outputs[1]

@@ -1,7 +1,7 @@
 """Determinism regression for the storage-harvesting stack.
 
 The storage twin of ``tests/test_determinism_scheduling.py``: the durability
-replay and the storage testbed must reproduce bit-identical headline numbers
+replay and the storage testbed must reproduce bit-identical run fingerprints
 run over run, both within a process and across processes launched with
 different ``PYTHONHASHSEED`` values.  The BlockTable refactor pinned every
 hash-order-sensitive iteration (reimage destroy order, re-replication queue
@@ -11,74 +11,32 @@ tests keep it that way.
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
 
-from repro.experiments.durability import run_durability_experiment
-from repro.experiments.testbed import run_storage_testbed
-from repro.harness.config import TINY_SCALE
+import repro.api as api
 
 
-def _durability_fingerprint(result) -> dict:
-    return {
-        f"{variant}-r{replication}": {
-            "created": r.blocks_created,
-            "lost": r.blocks_lost,
-            "reimages": r.reimage_events,
-        }
-        for (variant, replication), r in sorted(result.results.items())
-    }
-
-
-def _storage_testbed_fingerprint(result) -> dict:
-    out = {"baseline": result.no_harvesting_p99_ms}
-    for name, variant in result.variants.items():
-        out[name] = {
-            "avg_p99": variant.average_p99_ms,
-            "max_p99": variant.max_p99_ms,
-            "failed": variant.failed_accesses,
-            "served": variant.served_accesses,
-            "created": variant.blocks_created,
-        }
-    return out
+def _fingerprint(scenario: str) -> str:
+    """The full RunResult fingerprint of a tiny run of ``scenario``."""
+    return api.run(scenario, overrides={"scale": "tiny"}, seed=5).fingerprint()
 
 
 _SUBPROCESS_SNIPPET = """
-import json
-from repro.experiments.durability import run_durability_experiment
-from repro.experiments.testbed import run_storage_testbed
-from repro.harness.config import TINY_SCALE
-from tests.test_determinism_storage import (
-    _durability_fingerprint,
-    _storage_testbed_fingerprint,
-)
-print(json.dumps({
-    "durability": _durability_fingerprint(
-        run_durability_experiment("DC-9", scale=TINY_SCALE, seed=5)
-    ),
-    "storage_testbed": _storage_testbed_fingerprint(
-        run_storage_testbed(TINY_SCALE, seed=5)
-    ),
-}))
+from tests.test_determinism_storage import _fingerprint
+print(_fingerprint("fig15-durability"), _fingerprint("fig12-storage-testbed"))
 """
 
 
 def test_durability_repeats_bit_identically():
-    first = _durability_fingerprint(
-        run_durability_experiment("DC-9", scale=TINY_SCALE, seed=5)
-    )
-    second = _durability_fingerprint(
-        run_durability_experiment("DC-9", scale=TINY_SCALE, seed=5)
-    )
-    assert first == second
+    assert _fingerprint("fig15-durability") == _fingerprint("fig15-durability")
 
 
 def test_storage_testbed_repeats_bit_identically():
-    first = _storage_testbed_fingerprint(run_storage_testbed(TINY_SCALE, seed=5))
-    second = _storage_testbed_fingerprint(run_storage_testbed(TINY_SCALE, seed=5))
-    assert first == second
+    assert _fingerprint("fig12-storage-testbed") == _fingerprint(
+        "fig12-storage-testbed"
+    )
 
 
 def test_storage_stack_stable_across_hash_seeds():
@@ -97,5 +55,5 @@ def test_storage_stack_stable_across_hash_seeds():
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )
         assert completed.returncode == 0, completed.stderr
-        outputs.append(json.loads(completed.stdout))
+        outputs.append(completed.stdout)
     assert outputs[0] == outputs[1]

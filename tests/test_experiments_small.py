@@ -1,25 +1,25 @@
-"""Integration tests for the experiment drivers at tiny scale.
+"""Integration tests for every figure scenario and the microbenchmarks.
 
-These exercise every driver end to end with very small workloads; the shape
-assertions proper live in the benchmark suite, which runs at QUICK scale.
+These run each registered figure scenario end to end through
+:func:`repro.api.run` with very small workloads; the shape assertions
+proper live in the benchmark suite, which runs at BENCH scale.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.availability import run_availability_experiment
-from repro.experiments.config import TINY_SCALE, ExperimentScale
-from repro.experiments.durability import run_durability_experiment
+import repro.api as api
 from repro.experiments.microbench import run_microbenchmarks
-from repro.experiments.scheduling import run_datacenter_sweep
-from repro.experiments.testbed import (
-    build_testbed_tenants,
-    run_scheduling_testbed,
-    run_storage_testbed,
-)
+from repro.harness.builders import build_testbed_tenants
+from repro.harness.config import TINY_SCALE, ExperimentScale
 from repro.simulation.random import RandomSource
 from repro.traces.scaling import ScalingMethod
+
+
+def run_tiny(scenario: str, seed: int = 3, **overrides):
+    """A registered scenario's payload at tiny scale."""
+    return api.run(scenario, overrides={"scale": "tiny", **overrides}, seed=seed).payload
 
 
 class TestScaleValidation:
@@ -48,7 +48,7 @@ class TestTestbedBuild:
 
 class TestSchedulingTestbed:
     def test_runs_and_produces_all_variants(self):
-        result = run_scheduling_testbed(TINY_SCALE, seed=3)
+        result = run_tiny("fig10-11-scheduling-testbed")
         assert set(result.variants) == {"YARN-Stock", "YARN-PT", "YARN-H"}
         assert result.no_harvesting_p99_ms > 0
         for variant in result.variants.values():
@@ -59,7 +59,7 @@ class TestSchedulingTestbed:
 
 class TestStorageTestbed:
     def test_runs_and_counts_accesses(self):
-        result = run_storage_testbed(TINY_SCALE, seed=3)
+        result = run_tiny("fig12-storage-testbed")
         assert set(result.variants) == {"HDFS-Stock", "HDFS-PT", "HDFS-H"}
         for variant in result.variants.values():
             assert variant.served_accesses + variant.failed_accesses > 0
@@ -67,19 +67,17 @@ class TestStorageTestbed:
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            run_storage_testbed(TINY_SCALE, accesses_per_minute=0)
+            run_tiny("fig12-storage-testbed", accesses_per_minute=0)
         with pytest.raises(ValueError):
-            run_storage_testbed(TINY_SCALE, utilization_target=1.5)
+            run_tiny("fig12-storage-testbed", utilization_target=1.5)
 
 
 class TestSchedulingSweep:
     def test_single_point_sweep(self):
-        sweep = run_datacenter_sweep(
-            "DC-9",
+        sweep = run_tiny(
+            "fig13-dc9-sweep",
             utilization_levels=(0.3,),
             scalings=(ScalingMethod.LINEAR,),
-            scale=TINY_SCALE,
-            seed=3,
             max_tenants=8,
             servers_per_tenant_limit=2,
         )
@@ -92,17 +90,13 @@ class TestSchedulingSweep:
 
     def test_unknown_datacenter_rejected(self):
         with pytest.raises(ValueError):
-            run_datacenter_sweep("DC-99", scale=TINY_SCALE)
+            run_tiny("fig13-dc9-sweep", datacenter="DC-99")
 
 
 class TestDurability:
     def test_runs_for_both_replication_levels(self):
-        result = run_durability_experiment(
-            "DC-9",
-            scale=TINY_SCALE,
-            seed=3,
-            max_tenants=12,
-            servers_per_tenant_limit=2,
+        result = run_tiny(
+            "fig15-durability", max_tenants=12, servers_per_tenant_limit=2
         )
         for replication in (3, 4):
             stock = result.result("HDFS-Stock", replication)
@@ -116,17 +110,15 @@ class TestDurability:
 
     def test_unknown_datacenter_rejected(self):
         with pytest.raises(ValueError):
-            run_durability_experiment("DC-99", scale=TINY_SCALE)
+            run_tiny("fig15-durability", datacenter="DC-99")
 
 
 class TestAvailability:
     def test_runs_and_reports_fractions(self):
-        result = run_availability_experiment(
-            "DC-9",
+        result = run_tiny(
+            "fig16-availability",
             utilization_levels=(0.4, 0.7),
             replication_levels=(3,),
-            scale=TINY_SCALE,
-            seed=3,
             accesses_per_point=200,
             max_tenants=12,
             servers_per_tenant_limit=2,
@@ -139,7 +131,7 @@ class TestAvailability:
 
     def test_invalid_accesses_rejected(self):
         with pytest.raises(ValueError):
-            run_availability_experiment(scale=TINY_SCALE, accesses_per_point=0)
+            run_tiny("fig16-availability", accesses_per_point=0)
 
 
 class TestMicrobench:

@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.config import TINY_SCALE
+import repro.api as api
 from repro.harness import (
     ExperimentHarness,
     ScenarioSpec,
     get_scenario,
     iter_scenarios,
     register_scenario,
-    run_scenario,
     scenario_names,
 )
+from repro.harness.config import TINY_SCALE
 from repro.harness.results import (
     AvailabilityResult,
     DurabilityResult,
@@ -78,6 +78,8 @@ class TestRegistry:
 
 
 class TestRunScenario:
+    """Specs run through the one entry point, :func:`repro.api.run`."""
+
     def test_run_by_registered_name_shape(self):
         # The registered fig15 spec at QUICK scale is too slow for a unit
         # test, so run a scaled-down copy through the same entry point.
@@ -87,7 +89,7 @@ class TestRunScenario:
             max_tenants=12,
             servers_per_tenant_limit=2,
         )
-        result = run_scenario(spec, seed=3)
+        result = api.run(spec, seed=3).payload
         assert isinstance(result, DurabilityResult)
         assert set(result.results) == {
             ("HDFS-Stock", 3),
@@ -97,7 +99,7 @@ class TestRunScenario:
         }
 
     def test_availability_spec_round_trip(self):
-        result = run_scenario(tiny_availability_spec(), seed=3)
+        result = api.run(tiny_availability_spec(), seed=3).payload
         assert isinstance(result, AvailabilityResult)
         assert len(result.points) == 2 * 2  # 2 utilizations x 2 variants
 
@@ -110,15 +112,13 @@ class TestRunScenario:
             servers_per_tenant_limit=2,
             scale=TINY_SCALE,
         )
-        result = run_scenario(spec, seed=3)
+        result = api.run(spec, seed=3).payload
         assert isinstance(result, SchedulingSweepResult)
         assert len(result.points) == 1
 
     def test_invalid_scenario_params_surface(self):
         with pytest.raises(ValueError):
-            run_scenario(
-                tiny_availability_spec(params={"accesses_per_point": 0}), seed=3
-            )
+            api.run(tiny_availability_spec(params={"accesses_per_point": 0}), seed=3)
 
 
 class TestDeterminism:

@@ -95,12 +95,14 @@ class TestVariantComparison:
             cluster.run(0.0)
 
     def test_server_series_recorded_when_enabled(self, small_tenants):
-        cluster = build_cluster(
-            small_tenants, SchedulerMode.PRIMARY_AWARE, record_server_series=True
-        )
+        from test_streaming import RetainAllRecorder
+
+        cluster = build_cluster(small_tenants, SchedulerMode.PRIMARY_AWARE)
+        recorder = RetainAllRecorder()
+        cluster.set_series_recorder(recorder)
         cluster.run(60.0)
-        series = cluster.server_series()
-        assert len(series.times) > 0
-        assert series.secondary_cpu.shape == (len(series.times), len(cluster.servers))
-        assert series.primary_cpu.shape == series.secondary_cpu.shape
-        assert series.server_ids == list(cluster.servers)
+        times, secondary, primary = recorder.series()
+        assert len(times) > 0
+        assert secondary.shape == (len(times), len(cluster.servers))
+        assert primary.shape == secondary.shape
+        assert cluster.fleet.server_ids == list(cluster.servers)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 import repro
-from repro.experiments.report import format_float, format_percentages, format_table
+from repro.harness.report import format_float, format_percentages, format_table
 
 
 class TestFormatTable:

@@ -1,4 +1,4 @@
-"""Tests for the primary-tenant latency model and service wrapper."""
+"""Tests for the primary-tenant latency model."""
 
 from __future__ import annotations
 
@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.services.latency_model import LatencyModel, LatencyModelConfig
-from repro.services.primary_tenant import PrimaryTenantService
 from repro.simulation.random import RandomSource
-from repro.traces.utilization import UtilizationPattern, UtilizationTrace
 
 
 class TestLatencyModelConfig:
@@ -78,31 +76,6 @@ class TestLatencyModel:
         assert 0.0 < latency <= model.config.max_latency_ms
 
 
-class TestPrimaryTenantService:
-    def make_service(self, utilization: float = 0.4) -> PrimaryTenantService:
-        trace = UtilizationTrace(
-            np.full(100, utilization), UtilizationPattern.CONSTANT
-        )
-        return PrimaryTenantService(
-            "s0", trace, LatencyModel(rng=RandomSource(8))
-        )
-
-    def test_observe_records_time_series(self):
-        service = self.make_service()
-        service.observe(60.0, 0.0)
-        service.observe(120.0, 0.5)
-        assert service.latency_series.count == 2
-        assert service.average_p99_ms() > 0.0
-        assert service.max_p99_ms() >= service.average_p99_ms()
-
-    def test_traffic_scale_amplifies_utilization(self):
-        trace = UtilizationTrace(np.full(10, 0.4), UtilizationPattern.CONSTANT)
-        scaled = PrimaryTenantService("s", trace, traffic_scale=2.0)
-        assert scaled.utilization_at(0.0) == pytest.approx(0.8)
-        with pytest.raises(ValueError):
-            PrimaryTenantService("s", trace, traffic_scale=0.0)
-
-
 class TestLatencyModelArray:
     def test_matches_scalar_stream_exactly(self):
         scalar_model = LatencyModel(rng=RandomSource(11))
@@ -144,38 +117,3 @@ class TestLatencyModelArray:
         with pytest.raises(ValueError):
             model.p99_latency_ms_array(np.array([0.5]), -0.1)
 
-
-class TestPrimaryTenantServiceBatch:
-    def build(self, traffic_scale: float = 1.0) -> PrimaryTenantService:
-        trace = UtilizationTrace(
-            np.array([0.2, 0.6, 0.9, 0.4]), UtilizationPattern.PERIODIC
-        )
-        return PrimaryTenantService(
-            "srv", trace, LatencyModel(rng=RandomSource(21)), traffic_scale
-        )
-
-    def test_utilization_batch_matches_scalar(self):
-        service = self.build(traffic_scale=1.3)
-        times = [0.0, 60.0, 120.0, 360.0, 480.0, 13.0 * 120.0]
-        batch = service.utilization_at_batch(times)
-        assert batch.tolist() == [service.utilization_at(t) for t in times]
-
-    def test_utilization_batch_rejects_negative_times(self):
-        with pytest.raises(ValueError):
-            self.build().utilization_at_batch([-1.0])
-
-    def test_observe_batch_matches_scalar_observe(self):
-        batch_service = self.build()
-        scalar_service = PrimaryTenantService(
-            "srv", batch_service.trace, LatencyModel(rng=RandomSource(21))
-        )
-        times = np.array([60.0, 120.0, 180.0, 240.0])
-        secondary = np.array([0.0, 0.1, 0.3, 0.2])
-        batch = batch_service.observe_batch(times, secondary)
-        scalar = [
-            scalar_service.observe(float(t), float(s))
-            for t, s in zip(times, secondary)
-        ]
-        assert batch.tolist() == scalar
-        assert batch_service.latency_series.count == 4
-        assert batch_service.average_p99_ms() == scalar_service.average_p99_ms()

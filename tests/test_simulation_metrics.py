@@ -128,26 +128,3 @@ class TestMetricRegistry:
         assert snapshot["dist.latency.mean"] == 5.0
         assert snapshot["series.util.count"] == 1.0
 
-
-class TestTimeSeriesExtend:
-    def test_extend_matches_repeated_add(self):
-        a, b = TimeSeries("a"), TimeSeries("b")
-        times = [0.0, 1.0, 1.0, 3.5]
-        values = [0.1, 0.2, 0.3, 0.4]
-        for t, v in zip(times, values):
-            a.add(t, v)
-        b.extend(times, values)
-        assert a.times.tolist() == b.times.tolist()
-        assert a.values.tolist() == b.values.tolist()
-
-    def test_extend_validates(self):
-        series = TimeSeries("s")
-        with pytest.raises(ValueError):
-            series.extend([0.0, 1.0], [0.5])
-        with pytest.raises(ValueError):
-            series.extend([2.0, 1.0], [0.5, 0.5])
-        series.add(5.0, 1.0)
-        with pytest.raises(ValueError):
-            series.extend([4.0], [0.5])
-        series.extend([], [])
-        assert series.count == 1

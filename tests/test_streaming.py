@@ -1,15 +1,16 @@
-"""Suite for the fold-at-boundary streaming epoch aggregation.
+"""Suite for the per-minute latency fold, one-shot and streamed per epoch.
 
 Three contracts:
 
-1. **Bit-exactness** — the streamed epoch stream equals the retired
-   full-horizon post-hoc evaluation (replicated here as the oracle) for
-   both traffic kinds, serially and on a process pool, including the
-   explicit window-boundary semantics the post-hoc pass only implied
-   (last-epoch clamp, non-integer ``epoch_seconds``, a heartbeat landing
-   exactly on a window edge).
+1. **Bit-exactness** — both uses of the fold equal a full-horizon post-hoc
+   evaluation over a retain-all series (replicated here as the oracle):
+   the testbed's terminal fold for every scheduling variant, and the
+   streamed epoch stream for both traffic kinds, serially and on a process
+   pool, including the explicit window-boundary semantics (last-epoch
+   clamp, non-integer ``epoch_seconds``, a heartbeat landing exactly on a
+   window edge).
 2. **Bounded memory** — peak retained series bytes are flat as the horizon
-   grows 4x (the retain-all recorder, by contrast, grows linearly).
+   grows 4x (a retain-all recorder, by contrast, grows linearly).
 3. **Run-forever** — ``epochs=0`` streams windows up to ``max_sim_seconds``,
    emits incrementally via ``on_epoch`` / ``--emit-epochs``, and a paused
    run resumes fingerprint-identically.
@@ -25,20 +26,21 @@ import numpy as np
 import pytest
 
 import repro.api as api
-from repro.cli import build_parser, cmd_run_scenario
+from repro.cli import build_parser, cmd_scenario
 from repro.harness.continuous import _run_continuous_variant
 from repro.harness.harness import _build_runner
 from repro.harness.results import epoch_record
-from repro.harness.runners import _bucket_mean
+from repro.harness.runners import _SCHEDULING_VARIANT_MODES
 from repro.harness.snapshot import CheckpointPause
 from repro.harness.streaming import StreamingEpochAggregator
 from repro.harness.traffic import EpochRecorder
 from repro.jobs.scheduler_variants import (
     ClusterConfig,
     HarvestingCluster,
-    RetainAllSeriesRecorder,
+    SeriesRecorder,
 )
 from repro.jobs.tpcds import TpcdsWorkloadFactory
+from repro.jobs.workload import WorkloadGenerator
 from repro.harness.traffic import parse_traffic
 from repro.services.latency_model import LatencyModel
 from repro.simulation.random import RandomSource
@@ -49,44 +51,95 @@ EPOCH_SECONDS = 300.0
 
 
 # ---------------------------------------------------------------------------
-# The oracle: the retired post-hoc evaluation, verbatim
+# The oracle: a retain-all series evaluated in one post-hoc pass
 # ---------------------------------------------------------------------------
 
 
+class RetainAllRecorder(SeriesRecorder):
+    """Keeps every heartbeat row — O(horizon x servers) memory."""
+
+    def __init__(self) -> None:
+        self.times: List[float] = []
+        self.secondary: List[np.ndarray] = []
+        self.primary: List[np.ndarray] = []
+
+    def record(self, time, secondary_cpu, primary_cpu) -> None:
+        self.times.append(time)
+        self.secondary.append(secondary_cpu)
+        self.primary.append(primary_cpu)
+
+    def series(self):
+        """``(times, secondary, primary)`` as ``(samples,)`` and
+        ``(samples x servers)`` arrays."""
+        return (
+            np.asarray(self.times),
+            np.vstack(self.secondary),
+            np.vstack(self.primary),
+        )
+
+
+def _bucket_mean(times: np.ndarray, matrix: np.ndarray, interval: float) -> np.ndarray:
+    """Bucket matrix rows into fixed ``interval`` windows and average each.
+
+    Each bucket is reduced along the contiguous axis so the summation order
+    (numpy's pairwise reduction) matches a per-series 1-D mean bit for bit.
+    """
+    buckets = np.floor(times / interval).astype(int)
+    unique = np.unique(buckets)
+    return np.vstack(
+        [np.ascontiguousarray(matrix[buckets == b].T).mean(axis=1) for b in unique]
+    )
+
+
+def posthoc_minute_samples(
+    recorder: RetainAllRecorder, latency_rng: RandomSource, reserve_fraction: float
+):
+    """``(minute starts, fleet-mean p99 per minute)`` over the whole series."""
+    if not recorder.times:
+        return np.zeros(0), []
+    times, secondary_cpu, primary_cpu = recorder.series()
+    latency_model = LatencyModel(rng=latency_rng, reserve_fraction=reserve_fraction)
+    minute_starts = np.unique(np.floor(times / 60.0).astype(int)) * 60.0
+    secondary = _bucket_mean(times, secondary_cpu, 60.0)
+    primary = _bucket_mean(times, primary_cpu, 60.0)
+    per_minute = latency_model.p99_latency_ms_array(
+        np.minimum(1.0, primary), secondary
+    )
+    return minute_starts, [float(np.mean(row)) for row in per_minute]
+
+
 def posthoc_epoch_p99(
-    cluster: HarvestingCluster,
+    recorder: RetainAllRecorder,
     latency_rng: RandomSource,
+    reserve_fraction: float,
     epochs: int,
     epoch_seconds: float,
 ) -> List[float]:
-    """The pre-streaming full-horizon pass over a retain-all series."""
+    """The per-epoch p99 of the post-hoc minute samples."""
     per_epoch: List[List[float]] = [[] for _ in range(epochs)]
-    series = cluster.server_series()
-    if len(series.times):
-        latency_model = LatencyModel(
-            rng=latency_rng,
-            reserve_fraction=cluster.config.reserve_cpu_fraction,
-        )
-        buckets = np.floor(series.times / 60.0).astype(int)
-        minute_starts = np.unique(buckets) * 60.0
-        secondary = _bucket_mean(series.times, series.secondary_cpu, 60.0)
-        primary = _bucket_mean(series.times, series.primary_cpu, 60.0)
-        per_minute = latency_model.p99_latency_ms_array(
-            np.minimum(1.0, primary), secondary
-        )
-        for start, row in zip(minute_starts, per_minute):
-            index = min(int(start // epoch_seconds), epochs - 1)
-            per_epoch[index].append(float(np.mean(row)))
+    starts, samples = posthoc_minute_samples(recorder, latency_rng, reserve_fraction)
+    for start, sample in zip(starts, samples):
+        per_epoch[min(int(start // epoch_seconds), epochs - 1)].append(sample)
     return [
         float(np.percentile(np.asarray(samples), 99.0)) if samples else 0.0
         for samples in per_epoch
     ]
 
 
-def posthoc_variant_p99(spec, seed: int, variant: str) -> List[float]:
-    """Replay one cell with a retain-all recorder and evaluate post hoc."""
-    from repro.harness.runners import _SCHEDULING_VARIANT_MODES
+def retain_all_cluster(tenants, variant: str, cluster_rng: RandomSource):
+    """A variant's cluster with a :class:`RetainAllRecorder` installed."""
+    cluster = HarvestingCluster(
+        tenants,
+        config=ClusterConfig(mode=_SCHEDULING_VARIANT_MODES[variant]),
+        rng=cluster_rng,
+    )
+    recorder = RetainAllRecorder()
+    cluster.set_series_recorder(recorder)
+    return cluster, recorder
 
+
+def posthoc_variant_p99(spec, seed: int, variant: str) -> List[float]:
+    """Replay one continuous cell with a retain-all recorder, post hoc."""
     runner = _build_runner(spec, seed)
     cell = next(c for c in runner.cells() if c.coord("variant") == variant)
     cluster_rng, tpcds_rng, traffic_rng, latency_rng = (
@@ -95,25 +148,56 @@ def posthoc_variant_p99(spec, seed: int, variant: str) -> List[float]:
     epochs = int(spec.param("epochs"))
     epoch_seconds = float(spec.param("epoch_seconds"))
     horizon = epochs * epoch_seconds
-    cluster = HarvestingCluster(
-        runner.ctx["tenants"],
-        config=ClusterConfig(
-            mode=_SCHEDULING_VARIANT_MODES[variant], record_server_series=True
-        ),
-        rng=cluster_rng,
-    )
+    cluster, series = retain_all_cluster(runner.ctx["tenants"], variant, cluster_rng)
     factory = TpcdsWorkloadFactory(tpcds_rng, duration_scale=1.0, width_scale=0.35)
     driver = parse_traffic(str(spec.param("traffic")))
     driver.attach(cluster, factory, horizon, traffic_rng)
     recorder = EpochRecorder(cluster, driver, epoch_seconds, epochs)
     recorder.install()
     cluster.run(horizon)
-    return posthoc_epoch_p99(cluster, latency_rng, epochs, epoch_seconds)
+    return posthoc_epoch_p99(
+        series,
+        latency_rng,
+        cluster.config.reserve_cpu_fraction,
+        epochs,
+        epoch_seconds,
+    )
+
+
+def posthoc_testbed_samples(spec, seed: int, variant: str) -> List[float]:
+    """Replay one scheduling-testbed cell with a retain-all recorder."""
+    runner = _build_runner(spec, seed)
+    cell = next(c for c in runner.cells() if c.coord("variant") == variant)
+    cluster_rng, tpcds_rng, workload_rng, latency_rng = (
+        RandomSource(s) for s in cell.seeds
+    )
+    duration = spec.scale.experiment_hours * 3600.0
+    cluster, series = retain_all_cluster(runner.ctx["tenants"], variant, cluster_rng)
+    factory = TpcdsWorkloadFactory(tpcds_rng, duration_scale=1.0, width_scale=0.35)
+    generator = WorkloadGenerator(
+        factory, spec.scale.mean_interarrival_seconds, workload_rng
+    )
+    cluster.submit_arrivals(generator.arrivals(duration * 0.8))
+    cluster.run(duration)
+    _, samples = posthoc_minute_samples(
+        series, latency_rng, cluster.config.reserve_cpu_fraction
+    )
+    return samples
 
 
 # ---------------------------------------------------------------------------
 # Streaming == post-hoc, end to end
 # ---------------------------------------------------------------------------
+
+
+class TestTestbedFoldMatchesPostHoc:
+    def test_scheduling_testbed_samples_equal_oracle(self):
+        spec = api.resolve("fig10-11-scheduling-testbed", {"scale": "tiny"})
+        result = api.run(spec, seed=11)
+        for variant, outcome in result.payload.variants.items():
+            oracle = posthoc_testbed_samples(spec, 11, variant)
+            assert oracle, variant
+            assert outcome.latency_samples == oracle, variant
 
 
 STREAM_CASES = [
@@ -374,7 +458,7 @@ class TestBoundedMemory:
             if isinstance(recorder, StreamingEpochAggregator):
                 recorder.finalize()
             else:
-                rows = recorder.series(self.SERVERS, [])
+                rows = recorder.series()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -391,8 +475,8 @@ class TestBoundedMemory:
         assert long <= short * 1.10, (short, long)
 
     def test_retain_all_grows_linearly_for_contrast(self):
-        short = self._traced_peak(RetainAllSeriesRecorder, horizon=4 * 300.0)
-        long = self._traced_peak(RetainAllSeriesRecorder, horizon=16 * 300.0)
+        short = self._traced_peak(RetainAllRecorder, horizon=4 * 300.0)
+        long = self._traced_peak(RetainAllRecorder, horizon=16 * 300.0)
         assert long >= short * 2.0, (short, long)
 
     def test_real_run_tail_is_flat_across_4x_horizon(self):
@@ -520,19 +604,19 @@ class TestCliValidation:
             ["run-scenario", "continuous-open", "--scale", "tiny"] + argv
         )
         with pytest.raises(SystemExit, match=message):
-            cmd_run_scenario(args)
+            cmd_scenario(args)
 
     def test_rejects_continuous_flags_on_figure_kinds(self, tmp_path):
         parser = build_parser()
-        args = parser.parse_args(
-            [
-                "run-scenario",
-                "fig13-dc9-sweep",
-                "--scale",
-                "tiny",
-                "--emit-epochs",
-                str(tmp_path / "x.jsonl"),
-            ]
-        )
-        with pytest.raises(SystemExit, match="continuous scenarios"):
-            cmd_run_scenario(args)
+        for flags in (
+            ["--emit-epochs", str(tmp_path / "x.jsonl")],
+            ["--traffic", "open:rate=0.005"],
+            ["--epochs", "3"],
+            ["--epoch-seconds", "300"],
+        ):
+            args = parser.parse_args(
+                ["run-scenario", "fig12-storage-testbed", "--scale", "tiny"]
+                + flags
+            )
+            with pytest.raises(SystemExit, match="continuous scenarios"):
+                cmd_scenario(args)

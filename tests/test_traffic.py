@@ -30,7 +30,7 @@ from repro.harness.traffic import (
     RateSchedule,
     parse_traffic,
 )
-from repro.jobs.scheduler_variants import ClusterConfig, HarvestingCluster
+from repro.jobs.scheduler_variants import HarvestingCluster
 from repro.jobs.tpcds import TpcdsWorkloadFactory
 from repro.simulation.random import RandomSource
 
@@ -192,11 +192,7 @@ class TestClosedLoopOracle:
         replica of its forked child stream."""
         users, think, horizon, traffic_seed = 3, 120.0, 900.0, 1234
         tenants = build_testbed_tenants(TINY_SCALE, RandomSource(3))
-        cluster = HarvestingCluster(
-            tenants,
-            config=ClusterConfig(record_server_series=False),
-            rng=RandomSource(7),
-        )
+        cluster = HarvestingCluster(tenants, rng=RandomSource(7))
         factory = TpcdsWorkloadFactory(
             RandomSource(11), duration_scale=1.0, width_scale=0.35
         )

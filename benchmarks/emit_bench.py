@@ -228,7 +228,6 @@ def snapshot_section(seed: int, scale_name: str) -> dict:
 
     from repro.harness.runners import RUNNERS
     from repro.harness.snapshot import serialize_snapshot, snapshot_runner
-    from repro.simulation.metrics import MetricRegistry
     from repro.simulation.random import RandomSource
 
     spec = api.resolve(
@@ -239,7 +238,7 @@ def snapshot_section(seed: int, scale_name: str) -> dict:
     fast_cells = api.cells_from_spec(spec, seed=seed)
     spec_only_seconds = time.perf_counter() - started
 
-    runner = RUNNERS[spec.kind](spec, RandomSource(seed), MetricRegistry())
+    runner = RUNNERS[spec.kind](spec, RandomSource(seed))
     started = time.perf_counter()
     full_cells = runner.cells()
     full_build_seconds = time.perf_counter() - started

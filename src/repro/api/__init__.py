@@ -7,7 +7,7 @@ touching the CLI:
 * :func:`run` executes any scenario — registered name or explicit
   :class:`~repro.harness.spec.ScenarioSpec` — serially or across a process
   pool (``workers=N``), and returns a uniform :class:`RunResult` envelope
-  whose payload, metrics, and :meth:`~RunResult.fingerprint` are
+  whose payload, telemetry, and :meth:`~RunResult.fingerprint` are
   bit-identical regardless of worker count;
 * :func:`sweep` manufactures derived specs over a ``{field: values}``
   cross-product, so user-defined scenario grids need no new runner code;
@@ -85,7 +85,6 @@ from repro.harness.traffic import (
     TrafficDriver,
     parse_traffic,
 )
-from repro.simulation.metrics import MetricRegistry
 
 __all__ = [
     "Cell",
@@ -163,7 +162,6 @@ def run(
     overrides: Optional[Mapping[str, Any]] = None,
     workers: int = 1,
     seed: Optional[int] = None,
-    metrics: Optional[MetricRegistry] = None,
     checkpoint: Optional[Union[str, Path]] = None,
     resume: bool = False,
     stop_after_cells: Optional[int] = None,
@@ -171,6 +169,10 @@ def run(
     cell_callback: Optional[Any] = None,
 ) -> RunResult:
     """Execute one scenario and return its :class:`RunResult` envelope.
+
+    The envelope's ``payload`` — the kind's result dataclass — is the run's
+    only record: every number the figure plots, plus the non-fingerprinted
+    fields that :meth:`RunResult.to_jsonable` lists under ``telemetry``.
 
     Args:
         scenario: a registered scenario name or an explicit spec.
@@ -180,7 +182,6 @@ def run(
             bit-identical results — parallel partials are reassembled in
             deterministic cell order.
         seed: run-time seed override (defaults to the spec's seed).
-        metrics: registry to collect into (a fresh one by default).
         checkpoint: directory to record run progress in (the serialized
             context snapshot plus one file per completed cell).
         resume: restore the context and completed cells from ``checkpoint``
@@ -201,7 +202,6 @@ def run(
     harness = ExperimentHarness(
         spec,
         seed=seed,
-        metrics=metrics,
         workers=workers,
         checkpoint_dir=checkpoint,
         resume=resume,
@@ -221,7 +221,6 @@ def run(
         wall_clock_seconds=elapsed,
         workers=harness.workers,
         cell_timings=list(harness.cell_timings),
-        metrics=harness.metrics,
         ctx_seconds=harness.ctx_seconds,
         snapshot_seconds=harness.snapshot_seconds,
         worker_restore_seconds=list(harness.worker_restore_seconds),

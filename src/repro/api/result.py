@@ -8,7 +8,8 @@ per-cell timings the executor recorded, and exposes the uniform protocol
 every consumer speaks:
 
 * :meth:`to_jsonable` — the exact JSON document ``repro run-scenario
-  --json`` prints (deterministic except for ``wall_clock_seconds``);
+  --json`` prints (deterministic except for ``wall_clock_seconds`` and the
+  ``timings`` section);
 * :meth:`fingerprint` — a digest of the deterministic part, so "two runs
   produced bit-identical results" is one string comparison regardless of
   kind, worker count, or process;
@@ -21,12 +22,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.harness.cells import CellTiming
-from repro.harness.results import result_to_jsonable
+from repro.harness.results import result_telemetry, result_to_jsonable
 from repro.harness.spec import ScenarioSpec
-from repro.simulation.metrics import MetricRegistry
 
 
 @dataclass
@@ -43,7 +43,6 @@ class RunResult:
         workers: how many worker processes executed the cell grid (1 =
             serial; results are bit-identical either way).
         cell_timings: wall-clock per executed cell, in cell order.
-        metrics: the harness registry holding the run's metric streams.
         ctx_seconds: time spent preparing (or restoring) the shared context
             before any cell ran.
         snapshot_seconds: time spent serializing the prepared context (0.0
@@ -61,7 +60,6 @@ class RunResult:
     wall_clock_seconds: float
     workers: int = 1
     cell_timings: List[CellTiming] = field(default_factory=list)
-    metrics: Optional[MetricRegistry] = None
     ctx_seconds: float = 0.0
     snapshot_seconds: float = 0.0
     worker_restore_seconds: List[float] = field(default_factory=list)
@@ -77,13 +75,15 @@ class RunResult:
         execution (``cell_seconds``) and records the snapshot economics
         (serialize once, restore per worker).
 
-        Runs that tick the scheduler hot-path cache counters
-        (``waves_coalesced`` / ``frontier_cache_hits``) also carry a
-        ``scheduler_counters`` section — deterministic observability that,
-        like the timing fields, stays outside :meth:`fingerprint` so
-        historical fingerprints are unchanged by its presence.
+        The ``telemetry`` section holds the payload's non-fingerprinted
+        fields (see :func:`~repro.harness.results.result_telemetry`),
+        nested as in ``result``: the scheduler hot-path counters
+        (``waves_coalesced`` / ``frontier_cache_hits``) of sweep points and
+        testbed-style variants, and the streaming-fold peaks of continuous
+        variants.  It is deterministic, but like the timings it stays
+        outside :meth:`fingerprint`.
         """
-        doc = {
+        return {
             "scenario": self.scenario,
             "kind": self.kind,
             "seed": self.seed,
@@ -98,16 +98,8 @@ class RunResult:
                 "resumed_cells": self.resumed_cells,
             },
             "result": result_to_jsonable(self.payload),
+            "telemetry": result_telemetry(self.payload),
         }
-        if self.metrics is not None:
-            counters = {
-                name: counter.value
-                for name, counter in sorted(self.metrics.counters.items())
-                if name.startswith("scheduler.")
-            }
-            if counters:
-                doc["scheduler_counters"] = counters
-        return doc
 
     def fingerprint(self) -> str:
         """SHA-256 over the deterministic part of :meth:`to_jsonable`.
@@ -117,12 +109,12 @@ class RunResult:
         simulation itself diverged.  For ``continuous`` runs the digested
         document embeds the full per-variant epoch stream, so the
         fingerprint certifies every window of the horizon, not just a
-        terminal summary.
+        terminal summary.  Everything but ``wall_clock_seconds``,
+        ``timings`` and ``telemetry`` is digested.
         """
         data = self.to_jsonable()
-        data.pop("wall_clock_seconds")
-        data.pop("timings", None)
-        data.pop("scheduler_counters", None)
+        for key in ("wall_clock_seconds", "timings", "telemetry"):
+            data.pop(key)
         canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 

@@ -3,7 +3,7 @@
 Every figure in the evaluation is one simulator instantiated under a
 different scenario.  This package factors the pipeline every driver used to
 hand-roll — fleet build, trace scaling, grid clustering, variant loop,
-metric collection — into three pieces:
+result assembly — into three pieces:
 
 * :class:`~repro.harness.spec.ScenarioSpec` — a declarative description of a
   scenario (datacenter, scale, tenant trimming, utilization levels, policy
@@ -13,8 +13,8 @@ metric collection — into three pieces:
 * :class:`~repro.harness.harness.ExperimentHarness` — builds the datacenter
   once per scenario, forks seeded random streams per variant, drives all
   time-stepped logic through :class:`repro.simulation.engine.SimulationEngine`,
-  and emits headline numbers through a
-  :class:`repro.simulation.metrics.MetricRegistry`;
+  and returns the kind's result dataclass (:mod:`repro.harness.results`),
+  the run's only record;
 * the per-kind runners in :mod:`repro.harness.runners`, which share the
   fleet/scaling/NameNode builders in :mod:`repro.harness.builders` and the
   vectorized :class:`repro.traces.matrix.TraceMatrix` substrate.

@@ -14,7 +14,6 @@ from typing import List, Optional, Sequence
 
 from repro.core.grid import TenantPlacementStats
 from repro.harness.config import ExperimentScale
-from repro.simulation.metrics import MetricRegistry
 from repro.simulation.random import RandomSource
 from repro.storage.datanode import DataNode
 from repro.storage.namenode import NameNode
@@ -121,7 +120,6 @@ def build_namenode(
     rng: RandomSource,
     primary_aware: Optional[bool] = None,
     trace_matrix: Optional[TraceMatrix] = None,
-    metrics: Optional[MetricRegistry] = None,
 ) -> NameNode:
     """Assemble the NameNode + DataNodes for one HDFS variant.
 
@@ -149,7 +147,6 @@ def build_namenode(
         default_replication=replication,
         rng=rng.fork("namenode"),
         trace_matrix=trace_matrix,
-        metrics=metrics,
     )
 
 

@@ -79,6 +79,7 @@ class ContinuousRunner(ScenarioRunner):
     """
 
     kind = "continuous"
+    VARIANTS = tuple(_SCHEDULING_VARIANT_MODES)
     SHARED_FORK_LABELS = ("testbed-dc9",)
 
     #: Optional live-emission hook, called as ``on_epoch(variant, metrics)``
@@ -109,9 +110,6 @@ class ContinuousRunner(ScenarioRunner):
                 )
             )
         return cells
-
-    def _enumerate_cells(self) -> List[Cell]:
-        return self._grid_cells(self.spec, self.fork_seed)
 
     # -- execution ----------------------------------------------------------
 
@@ -145,20 +143,9 @@ class ContinuousRunner(ScenarioRunner):
         epoch_seconds = float(
             self.spec.param("epoch_seconds", DEFAULT_EPOCH_SECONDS)
         )
-        variants: Dict[str, VariantContinuousResult] = {}
-        for outcome in partials:
-            variants[outcome.variant] = outcome
-            p99 = self.metrics.distribution(
-                f"continuous.{outcome.variant}.p99_ms"
-            )
-            for epoch in outcome.epochs:
-                p99.add(epoch.p99_primary_ms)
-            self.metrics.counter(
-                f"continuous.{outcome.variant}.jobs_completed"
-            ).increment(outcome.jobs_completed)
-            self.metrics.counter(
-                f"continuous.{outcome.variant}.tasks_killed"
-            ).increment(outcome.tasks_killed)
+        variants: Dict[str, VariantContinuousResult] = {
+            outcome.variant: outcome for outcome in partials
+        }
         if not epochs:
             # Run-forever: the window count is whatever the horizon produced
             # (identical across variants — boundaries are time-driven).

@@ -40,7 +40,6 @@ from repro.harness.snapshot import (
     snapshot_runner,
 )
 from repro.harness.spec import ScenarioSpec, get_scenario
-from repro.simulation.metrics import MetricRegistry
 from repro.simulation.random import RandomSource
 
 #: Per-process cache of the restored runner, keyed by snapshot digest; a
@@ -49,15 +48,11 @@ from repro.simulation.random import RandomSource
 _WORKER_STATE: dict = {}
 
 
-def _build_runner(
-    spec: ScenarioSpec, seed: int, metrics: Optional[MetricRegistry] = None
-) -> ScenarioRunner:
+def _build_runner(spec: ScenarioSpec, seed: int) -> ScenarioRunner:
     runner_cls = RUNNERS.get(spec.kind)
     if runner_cls is None:
         raise ValueError(f"no runner registered for kind {spec.kind!r}")
-    return runner_cls(
-        spec, RandomSource(seed), metrics if metrics is not None else MetricRegistry()
-    )
+    return runner_cls(spec, RandomSource(seed))
 
 
 def cells_from_spec(
@@ -122,15 +117,14 @@ def _worker_run_cell(index: int) -> Tuple[int, Any, float, float]:
 class ExperimentHarness:
     """Runs one :class:`ScenarioSpec` end to end.
 
-    The harness owns the run's seed-derived random stream and its
-    :class:`MetricRegistry`; the scenario's runner builds the fleet once,
-    declares one cell per independent grid point (each with forked streams),
-    and the harness executes the cells — serially, or on a spawn-based
-    process pool when ``workers > 1`` — before the runner merges the partial
-    results in cell order.  After ``run()`` the registry holds the
-    scenario's headline numbers and :attr:`cell_timings` the per-cell
-    wall-clock, so two runs with the same spec and seed produce identical
-    snapshots regardless of worker count.
+    The harness owns the run's seed-derived random stream; the scenario's
+    runner builds the fleet once, declares one cell per independent grid
+    point (each with forked streams), and the harness executes the cells —
+    serially, or on a spawn-based process pool when ``workers > 1`` —
+    before the runner merges the partial results in cell order into the
+    kind's result dataclass, which ``run()`` returns.  Two runs with the
+    same spec and seed return identical results regardless of worker
+    count; :attr:`cell_timings` holds the per-cell wall-clock.
 
     With a ``checkpoint_dir`` the run persists its prepared context and each
     completed cell; ``resume=True`` restores the context from the checkpoint
@@ -151,7 +145,6 @@ class ExperimentHarness:
         self,
         spec: ScenarioSpec,
         seed: Optional[int] = None,
-        metrics: Optional[MetricRegistry] = None,
         workers: int = 1,
         checkpoint_dir: Optional[Union[str, Path]] = None,
         resume: bool = False,
@@ -161,7 +154,6 @@ class ExperimentHarness:
     ) -> None:
         self.spec = spec
         self.seed = spec.seed if seed is None else int(seed)
-        self.metrics = metrics if metrics is not None else MetricRegistry()
         self.workers = int(workers)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1 (got {workers})")
@@ -211,12 +203,12 @@ class ExperimentHarness:
                     f"{snapshot.spec.name!r} (seed {snapshot.seed}); this run "
                     f"is {self.spec.name!r} (seed {self.seed})"
                 )
-            runner = restore_runner(snapshot, self.metrics)
+            runner = restore_runner(snapshot)
             done = checkpoint.completed_cells()
             self.resumed_cells = len(done)
             resumed = True
         else:
-            runner = _build_runner(self.spec, self.seed, self.metrics)
+            runner = _build_runner(self.spec, self.seed)
         if self.runner_setup is not None:
             self.runner_setup(runner)
         cells = runner.cells()

@@ -196,8 +196,8 @@ class SchedulingSweepPoint:
     yarn_h_tasks_killed: int
     jobs_completed_pt: int
     jobs_completed_h: int
-    #: Per-variant hot-path cache counters, excluded from the fingerprinted
-    #: JSON (see ``result_to_jsonable``).
+    #: Per-variant hot-path cache counters: telemetry, outside the
+    #: fingerprinted JSON (see ``result_telemetry``).
     scheduler_counters: Dict[str, Dict[str, int]] = field(
         default_factory=dict, metadata={"jsonable": False}
     )
@@ -332,8 +332,8 @@ class VariantSchedulingResult:
     average_cpu_utilization: float
     latency_samples: List[float] = field(default_factory=list)
     job_execution_seconds: List[float] = field(default_factory=list)
-    #: Hot-path cache counters (waves_coalesced / frontier_cache_hits),
-    #: excluded from the fingerprinted JSON (see ``result_to_jsonable``).
+    #: Hot-path cache counters (waves_coalesced / frontier_cache_hits):
+    #: telemetry, outside the fingerprinted JSON (see ``result_telemetry``).
     scheduler_counters: Dict[str, int] = field(
         default_factory=dict, metadata={"jsonable": False}
     )
@@ -505,9 +505,9 @@ class VariantContinuousResult:
 
     variant: str
     epochs: List["EpochMetrics"]
-    #: Streaming-fold observability (excluded from the JSON payload and
-    #: therefore from the fingerprint): peak raw heartbeat rows/bytes the
-    #: aggregator held at once, and how many fold passes ran.
+    #: Streaming-fold telemetry (outside the JSON payload and therefore the
+    #: fingerprint; see ``result_telemetry``): peak raw heartbeat rows/bytes
+    #: the aggregator held at once, and how many fold passes ran.
     peak_tail_rows: int = field(default=0, metadata={"jsonable": False})
     peak_tail_bytes: int = field(default=0, metadata={"jsonable": False})
     series_folds: int = field(default=0, metadata={"jsonable": False})
@@ -857,10 +857,9 @@ def result_to_jsonable(value):
     import enum
 
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        # Fields marked ``metadata={"jsonable": False}`` are observability
-        # side-channels (e.g. scheduler counters): carried on the payload
-        # and surfaced elsewhere in the run document, but excluded here so
-        # the fingerprinted result JSON is unchanged by their presence.
+        # Fields marked ``metadata={"jsonable": False}`` are telemetry
+        # (see ``result_telemetry``): carried on the payload but excluded
+        # here, so the fingerprinted result JSON never sees them.
         return {
             f.name: result_to_jsonable(getattr(value, f.name))
             for f in dataclasses.fields(value)
@@ -869,14 +868,7 @@ def result_to_jsonable(value):
     if isinstance(value, enum.Enum):
         return result_to_jsonable(value.value)
     if isinstance(value, dict):
-        out = {}
-        for key, item in value.items():
-            if isinstance(key, tuple):
-                key = "-".join(str(result_to_jsonable(part)) for part in key)
-            elif not isinstance(key, str):
-                key = str(result_to_jsonable(key))
-            out[key] = result_to_jsonable(item)
-        return out
+        return {_json_key(key): result_to_jsonable(item) for key, item in value.items()}
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, np.generic):
@@ -884,3 +876,42 @@ def result_to_jsonable(value):
     if isinstance(value, (list, tuple)):
         return [result_to_jsonable(item) for item in value]
     return value
+
+
+def _json_key(key) -> str:
+    """A dict key as a JSON object key (tuples dash-joined)."""
+    if isinstance(key, tuple):
+        return "-".join(str(result_to_jsonable(part)) for part in key)
+    return key if isinstance(key, str) else str(result_to_jsonable(key))
+
+
+def result_telemetry(value):
+    """The telemetry a result carries: the complement of ``result_to_jsonable``.
+
+    The same walk, keeping only the fields marked
+    ``metadata={"jsonable": False}`` (scheduler counters, streaming-fold
+    peaks) at the position they hold in the payload.  Branches holding none
+    come back empty and are dropped; a list keeps every position once any
+    element holds some, so indices still line up with the payload's.
+    """
+    import dataclasses
+
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        out = {}
+        for f in dataclasses.fields(value):
+            item = getattr(value, f.name)
+            if not f.metadata.get("jsonable", True):
+                out[f.name] = result_to_jsonable(item)
+            elif (nested := result_telemetry(item)):
+                out[f.name] = nested
+        return out
+    if isinstance(value, dict):
+        out = {}
+        for key, item in value.items():
+            if (nested := result_telemetry(item)):
+                out[_json_key(key)] = nested
+        return out
+    if isinstance(value, (list, tuple)):
+        nested = [result_telemetry(item) for item in value]
+        return nested if any(nested) else {}
+    return {}

@@ -3,16 +3,16 @@
 Each runner executes one scenario kind over the shared pipeline: build the
 datacenter once, trim and scale the tenants, fork a seeded random stream per
 policy variant, drive every time-stepped piece through
-:class:`~repro.simulation.engine.SimulationEngine`, and record headline
-numbers in the harness :class:`~repro.simulation.metrics.MetricRegistry`.
+:class:`~repro.simulation.engine.SimulationEngine`, and return the kind's
+result dataclass — the run's only record of what it measured.
 
 Since the ``repro.api`` redesign every runner declares its work as a **cell
 grid** (:meth:`ScenarioRunner.cells`): shared setup runs once, then each
 independent grid cell — one (variant, replication) pair, one (utilization,
 scaling) sweep point — carries the child seed(s) its forked streams resolved
 to and executes through a pure :meth:`ScenarioRunner.run_cell`, with
-:meth:`ScenarioRunner.merge` reassembling partial results (and the metric
-writes) in deterministic cell order.  The harness can therefore run cells
+:meth:`ScenarioRunner.merge` reassembling partial results in deterministic
+cell order.  The harness can therefore run cells
 serially or across a process pool and produce bit-identical results either
 way.
 
@@ -22,7 +22,18 @@ drivers exactly, so a fixed seed yields the same figures it always has.
 
 from __future__ import annotations
 
-from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence, Tuple, Type
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+)
 
 import numpy as np
 
@@ -57,7 +68,6 @@ from repro.jobs.tpcds import TpcdsWorkloadFactory
 from repro.jobs.workload import WorkloadGenerator
 from repro.services.latency_model import LatencyModel
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.metrics import MetricRegistry
 from repro.simulation.random import ForkSequence, RandomSource
 from repro.storage.namenode import AccessResult, NameNode
 from repro.traces.datacenter import Datacenter, PrimaryTenant
@@ -87,6 +97,9 @@ SIMULATION_INTERARRIVAL_SECONDS = 200.0
 #: simulated time, matching the race the durability experiment measures.
 REIMAGE_PRIORITY = 0
 REPLICATION_PRIORITY = 1
+
+#: The HDFS variants the storage kinds run.
+HDFS_VARIANTS = ("HDFS-Stock", "HDFS-PT", "HDFS-H")
 
 RUNNERS: Dict[str, Type["ScenarioRunner"]] = {}
 
@@ -134,25 +147,29 @@ def _register(cls: Type["ScenarioRunner"]) -> Type["ScenarioRunner"]:
 class ScenarioRunner:
     """Base class: one scenario kind, one cell-grid decomposition.
 
-    Subclasses implement three hooks:
+    Subclasses implement these hooks:
 
     * ``_prepare()`` — the shared setup every cell needs (fleet build, trace
       scaling, reimage schedules), consuming the runner's stream in exactly
       the order the serial drivers did;
-    * ``_enumerate_cells()`` — the grid, forking one child stream per cell
-      (in the serial loop order) and recording the child seeds on the cells;
+    * ``_grid_cells(spec, fork_seed)`` — the grid loops, forking one child
+      stream per cell (in the serial loop order) and recording the child
+      seeds on the cells;
     * ``run_cell(cell)`` — execute one cell *purely*: no access to
-      ``self.rng`` or ``self.metrics``, randomness only from
-      ``RandomSource(cell.seeds[i])``, so a cell computes the same partial
-      result in any process;
-    * ``merge(cells, partials)`` — reassemble partial results (and perform
-      every metric write) in cell order.
+      ``self.rng``, randomness only from ``RandomSource(cell.seeds[i])``,
+      so a cell computes the same partial result in any process;
+    * ``merge(cells, partials)`` — reassemble partial results in cell order
+      into the kind's result dataclass, the only record of the run.
 
     ``run()`` composes them serially; the harness uses the same hooks to
     execute cells on a process pool with bit-identical output.
     """
 
     kind: ClassVar[str] = ""
+
+    #: The variant names the kind runs.  A spec naming any other fails in
+    #: ``cells()`` / ``cells_from_spec()``, before any context is built.
+    VARIANTS: ClassVar[Tuple[str, ...]] = ()
 
     #: Fork labels ``_prepare`` consumes off the runner stream, in order.
     #: Child-seed derivation is pure arithmetic, so replaying these labels
@@ -161,12 +178,9 @@ class ScenarioRunner:
     #: path.  ``None`` disables the fast path for the kind.
     SHARED_FORK_LABELS: ClassVar[Optional[Tuple[str, ...]]] = None
 
-    def __init__(
-        self, spec: ScenarioSpec, rng: RandomSource, metrics: MetricRegistry
-    ) -> None:
+    def __init__(self, spec: ScenarioSpec, rng: RandomSource) -> None:
         self.spec = spec
         self.rng = rng
-        self.metrics = metrics
         self._ctx: Optional[Dict[str, Any]] = None
         self._cells: Optional[List[Cell]] = None
 
@@ -175,6 +189,7 @@ class ScenarioRunner:
     def cells(self) -> List[Cell]:
         """The scenario's cell grid (shared setup runs on first call)."""
         if self._cells is None:
+            self.check_spec(self.spec)
             self._ctx = self._prepare()
             self._cells = self._enumerate_cells()
         return self._cells
@@ -186,13 +201,23 @@ class ScenarioRunner:
         assert self._ctx is not None
         return self._ctx
 
+    @classmethod
+    def check_spec(cls, spec: ScenarioSpec) -> None:
+        """Reject a spec the kind cannot run (raises ``ValueError``)."""
+        unknown = [name for name in spec.variants if name not in cls.VARIANTS]
+        if unknown:
+            raise ValueError(
+                f"unknown {cls.kind} variant(s) {', '.join(map(repr, unknown))}; "
+                f"expected {', '.join(cls.VARIANTS) or 'none'}"
+            )
+
     def _prepare(self) -> Dict[str, Any]:
         """Build the state every cell shares; consumes shared stream forks."""
         raise NotImplementedError
 
     def _enumerate_cells(self) -> List[Cell]:
         """Enumerate the grid, forking one child stream per cell."""
-        raise NotImplementedError
+        return self._grid_cells(self.spec, self.fork_seed)
 
     def run_cell(self, cell: Cell) -> Any:
         """Execute one cell purely; returns a picklable partial result."""
@@ -201,10 +226,6 @@ class ScenarioRunner:
     def merge(self, cells: Sequence[Cell], partials: Sequence[Any]) -> Any:
         """Assemble partial results (in cell order) into the kind result."""
         raise NotImplementedError
-
-    def _after_restore(self) -> None:
-        """Hook for snapshot restores: re-bind context pieces that must
-        reference live run state (default: nothing to re-bind)."""
 
     def run(self) -> Any:
         """Execute the scenario serially and return its result dataclass."""
@@ -224,6 +245,7 @@ class ScenarioRunner:
         enumerates, at zero fleet-build cost.  Returns ``None`` when the
         kind cannot enumerate without context.
         """
+        cls.check_spec(spec)
         if cls.SHARED_FORK_LABELS is None:
             return None
         forks = ForkSequence(seed)
@@ -312,6 +334,55 @@ def _reimage_schedule(
     return events
 
 
+def _replay_reimages(
+    namenode: NameNode,
+    rng: RandomSource,
+    server_ids: Sequence[str],
+    num_blocks: int,
+    reimages: Iterable[Tuple[float, str]],
+    duration: float,
+    *,
+    event_name: str,
+) -> Tuple[int, int]:
+    """Create blocks, then replay a reimage schedule against re-replication.
+
+    The durability and failure-storm cells share this: one batched creator
+    draw off ``rng`` (stream-identical to per-block ``rng.choice``) feeds
+    the NameNode's batched creation path, then every ``(time, server_id)``
+    reimage up to ``duration`` (the schedule is time-ordered) fires at
+    :data:`REIMAGE_PRIORITY`, ahead of the periodic re-replication round at
+    the same instant.  Returns ``(blocks created, reimages replayed)``;
+    losses are read off ``namenode``.
+    """
+    creators = [
+        server_ids[int(i)]
+        for i in rng.generator.integers(0, len(server_ids), size=num_blocks)
+    ]
+    created = sum(1 for block_id in namenode.create_blocks(0.0, creators) if block_id)
+
+    engine = SimulationEngine()
+    replayed = 0
+    for time, server_id in reimages:
+        if time > duration:
+            break
+        replayed += 1
+        engine.schedule_at(
+            time,
+            lambda e, server_id=server_id: namenode.handle_reimage(server_id, e.now),
+            priority=REIMAGE_PRIORITY,
+            name=event_name,
+        )
+    engine.schedule_periodic(
+        REPLICATION_PERIOD_SECONDS,
+        lambda e: namenode.run_replication(e.now),
+        priority=REPLICATION_PRIORITY,
+        name="re-replication",
+        until=duration,
+    )
+    engine.run_until(duration)
+    return created, replayed
+
+
 @_register
 class DurabilityRunner(ScenarioRunner):
     """Figure 15: replay a reimage history against each HDFS variant.
@@ -321,6 +392,7 @@ class DurabilityRunner(ScenarioRunner):
     """
 
     kind = "durability"
+    VARIANTS = HDFS_VARIANTS
     SHARED_FORK_LABELS = ("fleet", "reimages")
 
     def _prepare(self) -> Dict[str, Any]:
@@ -362,19 +434,30 @@ class DurabilityRunner(ScenarioRunner):
                 )
         return cells
 
-    def _enumerate_cells(self) -> List[Cell]:
-        return self._grid_cells(self.spec, self.fork_seed)
-
     def run_cell(self, cell: Cell) -> VariantDurabilityResult:
         ctx = self.ctx
-        return self._run_variant(
-            cell.coord("variant"),
-            cell.coord("replication"),
-            ctx["tenants"],
-            ctx["reimages"],
+        variant = cell.coord("variant")
+        replication = cell.coord("replication")
+        tenants = ctx["tenants"]
+        rng = RandomSource(cell.seeds[0])
+        namenode = build_namenode(
+            variant, tenants, replication, rng, trace_matrix=ctx["matrix"]
+        )
+        created, replayed = _replay_reimages(
+            namenode,
+            rng,
+            [s.server_id for t in tenants for s in t.servers],
+            self.spec.scale.num_blocks,
+            ((event.time, event.server_id) for event in ctx["reimages"]),
             ctx["duration"],
-            RandomSource(cell.seeds[0]),
-            ctx["matrix"],
+            event_name="reimage",
+        )
+        return VariantDurabilityResult(
+            variant=variant,
+            replication=replication,
+            blocks_created=created,
+            blocks_lost=len(namenode.lost_blocks()),
+            reimage_events=replayed,
         )
 
     def merge(
@@ -382,80 +465,9 @@ class DurabilityRunner(ScenarioRunner):
         cells: Sequence[Cell],
         partials: Sequence[VariantDurabilityResult],
     ) -> DurabilityResult:
-        result = DurabilityResult(self.spec.datacenter)
-        for cell, outcome in zip(cells, partials):
-            variant = cell.coord("variant")
-            replication = cell.coord("replication")
-            result.results[(variant, replication)] = outcome
-            prefix = f"durability.{variant}.r{replication}"
-            self.metrics.counter(f"{prefix}.blocks_created").increment(
-                outcome.blocks_created
-            )
-            self.metrics.counter(f"{prefix}.blocks_lost").increment(
-                outcome.blocks_lost
-            )
-            self.metrics.counter(f"{prefix}.reimage_events").increment(
-                outcome.reimage_events
-            )
-        return result
-
-    def _run_variant(
-        self,
-        variant: str,
-        replication: int,
-        tenants: Sequence[PrimaryTenant],
-        reimages: Sequence[ReimageEvent],
-        duration: float,
-        rng: RandomSource,
-        matrix: TraceMatrix,
-    ) -> VariantDurabilityResult:
-        """Create blocks up front, then replay the schedule through the engine."""
-        namenode = build_namenode(
-            variant, tenants, replication, rng, trace_matrix=matrix
-        )
-        all_servers = [s.server_id for t in tenants for s in t.servers]
-
-        # One batched creator draw (stream-identical to per-block
-        # ``rng.choice``) feeding the NameNode's batched creation path.
-        creators = [
-            all_servers[int(i)]
-            for i in rng.generator.integers(
-                0, len(all_servers), size=self.spec.scale.num_blocks
-            )
-        ]
-        created = sum(
-            1 for block_id in namenode.create_blocks(0.0, creators) if block_id
-        )
-
-        engine = SimulationEngine()
-        replayed = 0
-        for event in reimages:
-            if event.time > duration:
-                break
-            replayed += 1
-            engine.schedule_at(
-                event.time,
-                lambda e, server_id=event.server_id: namenode.handle_reimage(
-                    server_id, e.now
-                ),
-                priority=REIMAGE_PRIORITY,
-                name="reimage",
-            )
-        engine.schedule_periodic(
-            REPLICATION_PERIOD_SECONDS,
-            lambda e: namenode.run_replication(e.now),
-            priority=REPLICATION_PRIORITY,
-            name="re-replication",
-            until=duration,
-        )
-        engine.run_until(duration)
-
-        return VariantDurabilityResult(
-            variant=variant,
-            replication=replication,
-            blocks_created=created,
-            blocks_lost=len(namenode.lost_blocks()),
-            reimage_events=replayed,
+        return DurabilityResult(
+            self.spec.datacenter,
+            results={(o.variant, o.replication): o for o in partials},
         )
 
 
@@ -473,13 +485,12 @@ class AvailabilityRunner(ScenarioRunner):
     """
 
     kind = "availability"
+    VARIANTS = HDFS_VARIANTS
     SHARED_FORK_LABELS = ("fleet",)
 
-    def _prepare(self) -> Dict[str, Any]:
-        spec = self.spec
-        accesses_per_point = int(spec.param("accesses_per_point", 2000))
-        if accesses_per_point <= 0:
-            raise ValueError("accesses_per_point must be positive")
+    @classmethod
+    def check_spec(cls, spec: ScenarioSpec) -> None:
+        super().check_spec(spec)
         if len(spec.scalings) != 1:
             # AvailabilityResult reports one scaling method per run; sweep
             # both by registering one scenario per method.
@@ -487,6 +498,12 @@ class AvailabilityRunner(ScenarioRunner):
                 "availability scenarios take exactly one scaling method "
                 f"(got {len(spec.scalings)})"
             )
+
+    def _prepare(self) -> Dict[str, Any]:
+        spec = self.spec
+        accesses_per_point = int(spec.param("accesses_per_point", 2000))
+        if accesses_per_point <= 0:
+            raise ValueError("accesses_per_point must be positive")
         scaling = spec.scalings[0]
         datacenter = self.build_fleet()
         trimmed = trimmed_tenants(
@@ -531,9 +548,6 @@ class AvailabilityRunner(ScenarioRunner):
                     )
         return cells
 
-    def _enumerate_cells(self) -> List[Cell]:
-        return self._grid_cells(self.spec, self.fork_seed)
-
     def run_cell(self, cell: Cell) -> AvailabilityPoint:
         ctx = self.ctx
         target = cell.coord("target_utilization")
@@ -554,16 +568,9 @@ class AvailabilityRunner(ScenarioRunner):
     def merge(
         self, cells: Sequence[Cell], partials: Sequence[AvailabilityPoint]
     ) -> AvailabilityResult:
-        result = AvailabilityResult(self.spec.datacenter, self.ctx["scaling"])
-        for point in partials:
-            result.points.append(point)
-            prefix = (
-                f"availability.{point.variant}.r{point.replication}"
-                f".u{point.target_utilization}"
-            )
-            self.metrics.counter(f"{prefix}.accesses").increment(point.accesses)
-            self.metrics.counter(f"{prefix}.failed").increment(point.failed_accesses)
-        return result
+        return AvailabilityResult(
+            self.spec.datacenter, self.ctx["scaling"], points=list(partials)
+        )
 
     def _run_point(
         self,
@@ -638,7 +645,7 @@ class AvailabilityRunner(ScenarioRunner):
 
 
 #: Hot-path cache counters ticked by the RM/AM fast paths; snapshot into the
-#: run payload so ``--json`` output can surface them without touching the
+#: result as telemetry, which ``--json`` output lists outside the
 #: fingerprinted result document.
 _SCHEDULER_COUNTER_NAMES = ("waves_coalesced", "frontier_cache_hits")
 
@@ -742,27 +749,7 @@ class SchedulingSweepRunner(ScenarioRunner):
     def merge(
         self, cells: Sequence[Cell], partials: Sequence[SchedulingSweepPoint]
     ) -> SchedulingSweepResult:
-        spec = self.spec
-        result = SchedulingSweepResult(spec.datacenter)
-        for point in partials:
-            result.points.append(point)
-            prefix = (
-                f"sweep.{spec.datacenter}.{point.scaling.value}"
-                f".u{point.target_utilization}"
-            )
-            self.metrics.distribution(f"{prefix}.yarn_pt_seconds").add(
-                point.yarn_pt_seconds
-            )
-            self.metrics.distribution(f"{prefix}.yarn_h_seconds").add(
-                point.yarn_h_seconds
-            )
-            self.metrics.distribution(f"{prefix}.improvement").add(point.improvement)
-            for variant, counters in point.scheduler_counters.items():
-                for name, value in counters.items():
-                    self.metrics.counter(
-                        f"scheduler.{prefix}.{variant}.{name}"
-                    ).increment(value)
-        return result
+        return SchedulingSweepResult(self.spec.datacenter, points=list(partials))
 
     def _run_variant(
         self,
@@ -859,9 +846,7 @@ class FleetImprovementRunner(ScenarioRunner):
             # run's effective seed (self.rng.seed carries any run-time
             # override), so per-datacenter results are independent of the
             # fleet iteration order.
-            runner = SchedulingSweepRunner(
-                sweep_spec, RandomSource(self.rng.seed), self.metrics
-            )
+            runner = SchedulingSweepRunner(sweep_spec, RandomSource(self.rng.seed))
             sub_cells = runner.cells()
             subs.append((name, runner, sub_cells))
             flat.extend((runner, sub_cell) for sub_cell in sub_cells)
@@ -884,14 +869,6 @@ class FleetImprovementRunner(ScenarioRunner):
     def run_cell(self, cell: Cell) -> SchedulingSweepPoint:
         runner, sub_cell = self.ctx["flat"][cell.index]
         return runner.run_cell(sub_cell)
-
-    def _after_restore(self) -> None:
-        # The snapshotted sub-runners carry a pickled copy of the original
-        # registry; point them at this run's registry so the merge writes
-        # its metrics where the harness reads them.
-        assert self._ctx is not None
-        for _, runner, _ in self._ctx["subs"]:
-            runner.metrics = self.metrics
 
     def merge(
         self, cells: Sequence[Cell], partials: Sequence[SchedulingSweepPoint]
@@ -919,6 +896,34 @@ _SCHEDULING_VARIANT_MODES = {
 
 #: Marks the testbed runners' No-Harvesting baseline cell.
 BASELINE = "no-harvesting"
+
+
+def _baseline_cell(fork_seed: Any) -> Cell:
+    """The testbed grids' first cell: the No-Harvesting baseline."""
+    return Cell(
+        index=0,
+        key=BASELINE,
+        seeds=(fork_seed("latency-baseline"),),
+        coords={"variant": BASELINE},
+    )
+
+
+def _baseline_or_variant(
+    cell: Cell,
+    tenants: Sequence[PrimaryTenant],
+    duration: float,
+    run_variant: Callable[[str], Any],
+) -> Any:
+    """Run one testbed cell: the baseline p99, or ``run_variant(name)``."""
+    variant = cell.coord("variant")
+    if variant == BASELINE:
+        return _baseline_p99(tenants, duration, RandomSource(cell.seeds[0]))
+    return run_variant(variant)
+
+
+def _split_baseline(partials: Sequence[Any]) -> Tuple[float, Dict[str, Any]]:
+    """A baseline-first grid's partials: (baseline p99, variants by name)."""
+    return float(partials[0]), {outcome.variant: outcome for outcome in partials[1:]}
 
 
 def _run_scheduling_variant(
@@ -981,6 +986,7 @@ class SchedulingTestbedRunner(ScenarioRunner):
     """
 
     kind = "scheduling_testbed"
+    VARIANTS = tuple(_SCHEDULING_VARIANT_MODES)
     SHARED_FORK_LABELS = ("testbed-dc9",)
 
     def _prepare(self) -> Dict[str, Any]:
@@ -988,14 +994,7 @@ class SchedulingTestbedRunner(ScenarioRunner):
 
     @classmethod
     def _grid_cells(cls, spec: ScenarioSpec, fork_seed: Any) -> List[Cell]:
-        cells = [
-            Cell(
-                index=0,
-                key=BASELINE,
-                seeds=(fork_seed("latency-baseline"),),
-                coords={"variant": BASELINE},
-            )
-        ]
+        cells = [_baseline_cell(fork_seed)]
         for name in spec.variants:
             cells.append(
                 Cell(
@@ -1012,53 +1011,38 @@ class SchedulingTestbedRunner(ScenarioRunner):
             )
         return cells
 
-    def _enumerate_cells(self) -> List[Cell]:
-        return self._grid_cells(self.spec, self.fork_seed)
-
     def run_cell(self, cell: Cell):
         tenants = self.ctx["tenants"]
-        name = cell.coord("variant")
         duration = self.spec.scale.experiment_hours * 3600.0
-        if name == BASELINE:
-            return _baseline_p99(tenants, duration, RandomSource(cell.seeds[0]))
-        cluster_seed, tpcds_seed, workload_seed, latency_seed = cell.seeds
-        factory = TpcdsWorkloadFactory(
-            RandomSource(tpcds_seed), duration_scale=1.0, width_scale=0.35
-        )
-        generator = WorkloadGenerator(
-            factory,
-            self.spec.scale.mean_interarrival_seconds,
-            RandomSource(workload_seed),
-        )
-        return _run_scheduling_variant(
-            name,
-            _SCHEDULING_VARIANT_MODES[name],
-            tenants,
-            generator.arrivals(duration * 0.8),
-            duration,
-            cluster_seed,
-            latency_seed,
-        )
+
+        def run_variant(name: str) -> VariantSchedulingResult:
+            cluster_seed, tpcds_seed, workload_seed, latency_seed = cell.seeds
+            factory = TpcdsWorkloadFactory(
+                RandomSource(tpcds_seed), duration_scale=1.0, width_scale=0.35
+            )
+            generator = WorkloadGenerator(
+                factory,
+                self.spec.scale.mean_interarrival_seconds,
+                RandomSource(workload_seed),
+            )
+            return _run_scheduling_variant(
+                name,
+                _SCHEDULING_VARIANT_MODES[name],
+                tenants,
+                generator.arrivals(duration * 0.8),
+                duration,
+                cluster_seed,
+                latency_seed,
+            )
+
+        return _baseline_or_variant(cell, tenants, duration, run_variant)
 
     def merge(self, cells: Sequence[Cell], partials: Sequence[Any]):
-        baseline_p99 = float(partials[0])
-        self.metrics.distribution("testbed.no_harvesting.p99_ms").add(baseline_p99)
-        variants: Dict[str, VariantSchedulingResult] = {}
-        for outcome in partials[1:]:
-            variants[outcome.variant] = outcome
-            self.metrics.distribution(f"testbed.{outcome.variant}.p99_ms").add(
-                outcome.average_p99_ms
-            )
-            self.metrics.counter(f"testbed.{outcome.variant}.tasks_killed").increment(
-                outcome.tasks_killed
-            )
-            for name, value in outcome.scheduler_counters.items():
-                self.metrics.counter(
-                    f"scheduler.testbed.{outcome.variant}.{name}"
-                ).increment(value)
+        baseline_p99, variants = _split_baseline(partials)
         return SchedulingTestbedResult(
             no_harvesting_p99_ms=baseline_p99, variants=variants
         )
+
 
 # ---------------------------------------------------------------------------
 # Figure 12: the storage testbed
@@ -1081,6 +1065,7 @@ class StorageTestbedRunner(ScenarioRunner):
     """
 
     kind = "storage_testbed"
+    VARIANTS = HDFS_VARIANTS
     SHARED_FORK_LABELS = ("testbed-dc9",)
 
     def _prepare(self) -> Dict[str, Any]:
@@ -1122,14 +1107,7 @@ class StorageTestbedRunner(ScenarioRunner):
 
     @classmethod
     def _grid_cells(cls, spec: ScenarioSpec, fork_seed: Any) -> List[Cell]:
-        cells = [
-            Cell(
-                index=0,
-                key=BASELINE,
-                seeds=(fork_seed("latency-baseline"),),
-                coords={"variant": BASELINE},
-            )
-        ]
+        cells = [_baseline_cell(fork_seed)]
         for variant in spec.variants:
             cells.append(
                 Cell(
@@ -1141,51 +1119,29 @@ class StorageTestbedRunner(ScenarioRunner):
             )
         return cells
 
-    def _enumerate_cells(self) -> List[Cell]:
-        return self._grid_cells(self.spec, self.fork_seed)
-
     def run_cell(self, cell: Cell):
         ctx = self.ctx
-        if cell.coord("variant") == BASELINE:
-            return _baseline_p99(
-                ctx["tenants"], ctx["duration"], RandomSource(cell.seeds[0])
-            )
-        return self._run_variant(
-            cell.coord("variant"),
+        return _baseline_or_variant(
+            cell,
             ctx["tenants"],
             ctx["duration"],
-            ctx["accesses_per_minute"],
-            RandomSource(cell.seeds[0]),
-            ctx["skew"],
+            lambda variant: self._run_variant(variant, RandomSource(cell.seeds[0])),
         )
 
     def merge(self, cells: Sequence[Cell], partials: Sequence[Any]):
-        baseline_p99 = float(partials[0])
-        self.metrics.distribution("storage_testbed.no_harvesting.p99_ms").add(
-            baseline_p99
-        )
-        results: Dict[str, VariantStorageResult] = {}
-        for outcome in partials[1:]:
-            results[outcome.variant] = outcome
-            self.metrics.distribution(
-                f"storage_testbed.{outcome.variant}.p99_ms"
-            ).add(outcome.average_p99_ms)
-            self.metrics.counter(f"storage_testbed.{outcome.variant}.failed").increment(
-                outcome.failed_accesses
-            )
+        baseline_p99, variants = _split_baseline(partials)
         return StorageTestbedResult(
-            no_harvesting_p99_ms=baseline_p99, variants=results
+            no_harvesting_p99_ms=baseline_p99, variants=variants
         )
 
     def _run_variant(
-        self,
-        variant: str,
-        tenants: Sequence[PrimaryTenant],
-        duration: float,
-        accesses_per_minute: int,
-        variant_rng: RandomSource,
-        skew=None,
+        self, variant: str, variant_rng: RandomSource
     ) -> VariantStorageResult:
+        ctx = self.ctx
+        tenants: Sequence[PrimaryTenant] = ctx["tenants"]
+        duration: float = ctx["duration"]
+        accesses_per_minute: int = ctx["accesses_per_minute"]
+        skew = ctx["skew"]
         trace_matrix = TraceMatrix(tenants)
         namenode = build_namenode(
             variant, tenants, 3, variant_rng, trace_matrix=trace_matrix

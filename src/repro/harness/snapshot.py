@@ -33,11 +33,10 @@ import os
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Tuple, Union
 
 from repro.harness.cells import Cell, CellTiming
 from repro.harness.spec import ScenarioSpec
-from repro.simulation.metrics import MetricRegistry
 from repro.simulation.random import RandomSource
 
 #: Leading bytes of every serialized snapshot.
@@ -138,9 +137,7 @@ def snapshot_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def restore_runner(
-    snapshot: ContextSnapshot, metrics: Optional[MetricRegistry] = None
-) -> Any:
+def restore_runner(snapshot: ContextSnapshot) -> Any:
     """A runner positioned exactly where the snapshotted one was.
 
     ``_prepare`` is *not* called: the restored runner serves ``run_cell``
@@ -153,14 +150,9 @@ def restore_runner(
     runner_cls = RUNNERS.get(snapshot.kind)
     if runner_cls is None:
         raise SnapshotError(f"no runner registered for kind {snapshot.kind!r}")
-    runner = runner_cls(
-        snapshot.spec,
-        RandomSource.from_state(snapshot.rng_state),
-        metrics if metrics is not None else MetricRegistry(),
-    )
+    runner = runner_cls(snapshot.spec, RandomSource.from_state(snapshot.rng_state))
     runner._ctx = snapshot.ctx
     runner._cells = list(snapshot.cells)
-    runner._after_restore()
     return runner
 
 

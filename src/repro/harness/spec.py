@@ -77,6 +77,16 @@ class ScenarioSpec:
                 f"unknown scenario kind {self.kind!r}; expected one of "
                 f"{', '.join(SCENARIO_KINDS)}"
             )
+        # Each value names grid cells and result keys; a repeat would run
+        # twice and keep one.
+        grids = ("variants", "replication_levels", "utilization_levels", "scalings")
+        for grid in grids:
+            values = getattr(self, grid)
+            if len(set(values)) != len(values):
+                raise ValueError(
+                    f"scenario {self.name!r} lists a value twice in {grid}: "
+                    f"{tuple(values)}"
+                )
 
     def param(self, key: str, default: Any = None) -> Any:
         """A kind-specific parameter, with a default."""

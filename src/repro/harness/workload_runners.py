@@ -37,22 +37,21 @@ from repro.harness.results import (
     PredictorAblationResult,
     PredictorVariantResult,
     StormVariantResult,
-    VariantSchedulingResult,
 )
 from repro.harness.runners import (
     BASELINE,
-    REIMAGE_PRIORITY,
-    REPLICATION_PERIOD_SECONDS,
-    REPLICATION_PRIORITY,
+    HDFS_VARIANTS,
     _SCHEDULING_VARIANT_MODES,
     ScenarioRunner,
-    _baseline_p99,
+    _baseline_cell,
+    _baseline_or_variant,
     _register,
+    _replay_reimages,
     _run_scheduling_variant,
+    _split_baseline,
 )
 from repro.harness.spec import ScenarioSpec
 from repro.jobs.scheduler_variants import ClusterConfig, HarvestingCluster
-from repro.simulation.engine import SimulationEngine
 from repro.simulation.random import ForkSequence, RandomSource
 from repro.traces.matrix import TraceMatrix
 from repro.workload.distributions import Exponential, parse_distribution
@@ -100,8 +99,19 @@ def _workload(spec: ScenarioSpec) -> WorkloadSpec:
 # ---------------------------------------------------------------------------
 
 
+def _rates(
+    spec: ScenarioSpec, key: str, default: Tuple[float, ...]
+) -> Tuple[float, ...]:
+    """A rate grid param; rates name their op streams, so each must be unique."""
+    rates = tuple(float(r) for r in spec.param(key, default))
+    labels = [f"{rate:g}" for rate in rates]
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"{key} lists a rate twice: {', '.join(labels)}")
+    return rates
+
+
 def _storm_rates(spec: ScenarioSpec) -> Tuple[float, ...]:
-    return tuple(float(r) for r in spec.param("storm_rates_per_day", (0.5, 2.0)))
+    return _rates(spec, "storm_rates_per_day", (0.5, 2.0))
 
 
 @_register
@@ -114,7 +124,19 @@ class FailureStormRunner(ScenarioRunner):
     """
 
     kind = "failure_storm"
+    VARIANTS = HDFS_VARIANTS
     SHARED_FORK_LABELS = ("fleet", "workload-plan")
+
+    @classmethod
+    def check_spec(cls, spec: ScenarioSpec) -> None:
+        super().check_spec(spec)
+        _storm_rates(spec)
+        if len(spec.replication_levels) != 1:
+            # FailureStormResult reports one replication factor per run.
+            raise ValueError(
+                "failure_storm scenarios take exactly one replication level "
+                f"(got {len(spec.replication_levels)})"
+            )
 
     def _prepare(self) -> Dict[str, Any]:
         spec = self.spec
@@ -166,94 +188,55 @@ class FailureStormRunner(ScenarioRunner):
                 )
         return cells
 
-    def _enumerate_cells(self) -> List[Cell]:
-        return self._grid_cells(self.spec, self.fork_seed)
-
     def run_cell(self, cell: Cell) -> StormVariantResult:
         ctx = self.ctx
         variant = cell.coord("variant")
         rate = cell.coord("storm_rate")
-        replication = self.spec.replication_levels[0]
         rng = RandomSource(cell.seeds[0])
-        tenants = ctx["tenants"]
         server_ids: List[str] = ctx["server_ids"]
-        duration: float = ctx["duration"]
-
         namenode = build_namenode(
-            variant, tenants, replication, rng, trace_matrix=ctx["matrix"]
+            variant,
+            ctx["tenants"],
+            self.spec.replication_levels[0],
+            rng,
+            trace_matrix=ctx["matrix"],
         )
-        creators = [
-            server_ids[int(i)]
-            for i in rng.generator.integers(
-                0, len(server_ids), size=self.spec.scale.num_blocks
-            )
+        # A trace recorded against a larger fleet reimages servers that
+        # don't exist here; those reimages are moot.
+        in_fleet = [
+            op
+            for op in ops_in_stream(ctx["ops"], f"storm-{rate:g}")
+            if int(op["server_index"]) < len(server_ids)
         ]
-        created = sum(
-            1 for block_id in namenode.create_blocks(0.0, creators) if block_id
+        created, replayed = _replay_reimages(
+            namenode,
+            rng,
+            server_ids,
+            self.spec.scale.num_blocks,
+            (
+                (float(op["time"]), server_ids[int(op["server_index"])])
+                for op in in_fleet
+            ),
+            ctx["duration"],
+            event_name="storm-reimage",
         )
-
-        engine = SimulationEngine()
-        replayed = 0
-        storms: set = set()
-        for op in ops_in_stream(ctx["ops"], f"storm-{rate:g}"):
-            time = float(op["time"])
-            if time > duration:
-                break
-            index = int(op["server_index"])
-            if index >= len(server_ids):
-                # A trace recorded against a larger fleet: the extra
-                # servers don't exist here, their reimages are moot.
-                continue
-            replayed += 1
-            storms.add(int(op["storm"]))
-            engine.schedule_at(
-                time,
-                lambda e, server_id=server_ids[index]: namenode.handle_reimage(
-                    server_id, e.now
-                ),
-                priority=REIMAGE_PRIORITY,
-                name="storm-reimage",
-            )
-        engine.schedule_periodic(
-            REPLICATION_PERIOD_SECONDS,
-            lambda e: namenode.run_replication(e.now),
-            priority=REPLICATION_PRIORITY,
-            name="re-replication",
-            until=duration,
-        )
-        engine.run_until(duration)
-
         return StormVariantResult(
             variant=variant,
             storm_rate_per_day=rate,
             blocks_created=created,
             blocks_lost=len(namenode.lost_blocks()),
             reimage_events=replayed,
-            storms=len(storms),
+            storms=len({int(op["storm"]) for op in in_fleet[:replayed]}),
         )
 
     def merge(
         self, cells: Sequence[Cell], partials: Sequence[StormVariantResult]
     ) -> FailureStormResult:
-        result = FailureStormResult(
-            self.spec.datacenter, self.spec.replication_levels[0]
+        return FailureStormResult(
+            self.spec.datacenter,
+            self.spec.replication_levels[0],
+            results={(o.variant, o.storm_rate_per_day): o for o in partials},
         )
-        for outcome in partials:
-            result.results[(outcome.variant, outcome.storm_rate_per_day)] = outcome
-            prefix = (
-                f"failure_storm.{outcome.variant}.s{outcome.storm_rate_per_day:g}"
-            )
-            self.metrics.counter(f"{prefix}.blocks_created").increment(
-                outcome.blocks_created
-            )
-            self.metrics.counter(f"{prefix}.blocks_lost").increment(
-                outcome.blocks_lost
-            )
-            self.metrics.counter(f"{prefix}.reimage_events").increment(
-                outcome.reimage_events
-            )
-            self.metrics.counter(f"{prefix}.storms").increment(outcome.storms)
-        return result
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +269,7 @@ class HeterogeneousFleetRunner(ScenarioRunner):
     """
 
     kind = "heterogeneous_fleet"
+    VARIANTS = tuple(_SCHEDULING_VARIANT_MODES)
     SHARED_FORK_LABELS = ("testbed-dc9", "workload-plan")
 
     def _prepare(self) -> Dict[str, Any]:
@@ -349,14 +333,7 @@ class HeterogeneousFleetRunner(ScenarioRunner):
 
     @classmethod
     def _grid_cells(cls, spec: ScenarioSpec, fork_seed: Any) -> List[Cell]:
-        cells = [
-            Cell(
-                index=0,
-                key=BASELINE,
-                seeds=(fork_seed("latency-baseline"),),
-                coords={"variant": BASELINE},
-            )
-        ]
+        cells = [_baseline_cell(fork_seed)]
         for name in spec.variants:
             cells.append(
                 Cell(
@@ -371,45 +348,27 @@ class HeterogeneousFleetRunner(ScenarioRunner):
             )
         return cells
 
-    def _enumerate_cells(self) -> List[Cell]:
-        return self._grid_cells(self.spec, self.fork_seed)
-
     def run_cell(self, cell: Cell):
         ctx = self.ctx
-        variant = cell.coord("variant")
-        if variant == BASELINE:
-            return _baseline_p99(
-                ctx["tenants"], ctx["duration"], RandomSource(cell.seeds[0])
-            )
-        return _run_scheduling_variant(
-            variant,
-            _SCHEDULING_VARIANT_MODES[variant],
+        return _baseline_or_variant(
+            cell,
             ctx["tenants"],
-            arrivals_from_ops(ctx["ops"]),
             ctx["duration"],
-            cell.seeds[0],
-            cell.seeds[1],
+            lambda variant: _run_scheduling_variant(
+                variant,
+                _SCHEDULING_VARIANT_MODES[variant],
+                ctx["tenants"],
+                arrivals_from_ops(ctx["ops"]),
+                ctx["duration"],
+                cell.seeds[0],
+                cell.seeds[1],
+            ),
         )
 
     def merge(
         self, cells: Sequence[Cell], partials: Sequence[Any]
     ) -> HeterogeneousFleetResult:
-        baseline_p99 = float(partials[0])
-        self.metrics.distribution("heterogeneous.no_harvesting.p99_ms").add(
-            baseline_p99
-        )
-        variants: Dict[str, VariantSchedulingResult] = {}
-        for outcome in partials[1:]:
-            variants[outcome.variant] = outcome
-            self.metrics.distribution(
-                f"heterogeneous.{outcome.variant}.p99_ms"
-            ).add(outcome.average_p99_ms)
-            self.metrics.counter(
-                f"heterogeneous.{outcome.variant}.tasks_killed"
-            ).increment(outcome.tasks_killed)
-            self.metrics.counter(
-                f"heterogeneous.{outcome.variant}.jobs_completed"
-            ).increment(outcome.jobs_completed)
+        baseline_p99, variants = _split_baseline(partials)
         return HeterogeneousFleetResult(
             no_harvesting_p99_ms=baseline_p99,
             class_counts=self.ctx["class_counts"],
@@ -424,7 +383,7 @@ class HeterogeneousFleetRunner(ScenarioRunner):
 
 
 def _spike_rates(spec: ScenarioSpec) -> Tuple[float, ...]:
-    return tuple(float(r) for r in spec.param("spike_rates_per_hour", (2.0, 6.0)))
+    return _rates(spec, "spike_rates_per_hour", (2.0, 6.0))
 
 
 @_register
@@ -438,7 +397,13 @@ class AntagonistRunner(ScenarioRunner):
     """
 
     kind = "antagonist"
+    VARIANTS = tuple(_SCHEDULING_VARIANT_MODES)
     SHARED_FORK_LABELS = ("testbed-dc9", "workload-plan")
+
+    @classmethod
+    def check_spec(cls, spec: ScenarioSpec) -> None:
+        super().check_spec(spec)
+        _spike_rates(spec)
 
     def _prepare(self) -> Dict[str, Any]:
         spec = self.spec
@@ -510,26 +475,24 @@ class AntagonistRunner(ScenarioRunner):
                 )
         return cells
 
-    def _enumerate_cells(self) -> List[Cell]:
-        return self._grid_cells(self.spec, self.fork_seed)
-
     def run_cell(self, cell: Cell):
         ctx = self.ctx
         variant = cell.coord("variant")
         rate = cell.coord("spike_rate")
         tenants = apply_spikes(ctx["tenants"], ctx["ops"], f"spike-{rate:g}")
-        if variant == BASELINE:
-            return _baseline_p99(
-                tenants, ctx["duration"], RandomSource(cell.seeds[0])
-            )
-        return _run_scheduling_variant(
-            variant,
-            _SCHEDULING_VARIANT_MODES[variant],
+        return _baseline_or_variant(
+            cell,
             tenants,
-            arrivals_from_ops(ctx["ops"]),
             ctx["duration"],
-            cell.seeds[0],
-            cell.seeds[1],
+            lambda variant: _run_scheduling_variant(
+                variant,
+                _SCHEDULING_VARIANT_MODES[variant],
+                tenants,
+                arrivals_from_ops(ctx["ops"]),
+                ctx["duration"],
+                cell.seeds[0],
+                cell.seeds[1],
+            ),
         )
 
     def merge(
@@ -541,9 +504,6 @@ class AntagonistRunner(ScenarioRunner):
             rate = cell.coord("spike_rate")
             if cell.coord("variant") == BASELINE:
                 baselines[rate] = float(outcome)
-                self.metrics.distribution(
-                    f"antagonist.no_harvesting.a{rate:g}.p99_ms"
-                ).add(float(outcome))
                 continue
             point = AntagonistPoint(
                 variant=outcome.variant,
@@ -555,14 +515,6 @@ class AntagonistRunner(ScenarioRunner):
                 tasks_killed=outcome.tasks_killed,
             )
             result.points.append(point)
-            prefix = f"antagonist.{point.variant}.a{rate:g}"
-            self.metrics.distribution(f"{prefix}.p99_ms").add(point.average_p99_ms)
-            self.metrics.counter(f"{prefix}.tasks_killed").increment(
-                point.tasks_killed
-            )
-            self.metrics.counter(f"{prefix}.jobs_completed").increment(
-                point.jobs_completed
-            )
         return result
 
 
@@ -589,6 +541,7 @@ class PredictorAblationRunner(ScenarioRunner):
     """
 
     kind = "predictor_ablation"
+    VARIANTS = tuple(_PREDICTOR_MODES)
     SHARED_FORK_LABELS = ("testbed-dc9", "workload-plan")
 
     def _prepare(self) -> Dict[str, Any]:
@@ -628,9 +581,6 @@ class PredictorAblationRunner(ScenarioRunner):
                 )
             )
         return cells
-
-    def _enumerate_cells(self) -> List[Cell]:
-        return self._grid_cells(self.spec, self.fork_seed)
 
     def run_cell(self, cell: Cell) -> PredictorVariantResult:
         ctx = self.ctx
@@ -689,20 +639,6 @@ class PredictorAblationRunner(ScenarioRunner):
     def merge(
         self, cells: Sequence[Cell], partials: Sequence[PredictorVariantResult]
     ) -> PredictorAblationResult:
-        result = PredictorAblationResult()
-        for outcome in partials:
-            result.variants[outcome.variant] = outcome
-            prefix = f"predictor.{outcome.variant}"
-            self.metrics.distribution(f"{prefix}.p99_ms").add(
-                outcome.average_p99_ms
-            )
-            self.metrics.counter(f"{prefix}.tasks_killed").increment(
-                outcome.tasks_killed
-            )
-            self.metrics.distribution(f"{prefix}.reserve_fraction").add(
-                outcome.final_reserve_fraction
-            )
-            self.metrics.counter(f"{prefix}.reserve_adjustments").increment(
-                outcome.reserve_adjustments
-            )
-        return result
+        return PredictorAblationResult(
+            variants={outcome.variant: outcome for outcome in partials}
+        )

@@ -2,7 +2,7 @@
 
 The core contract under test is *bit-exact executor equivalence*: for every
 scenario kind, running the cell grid across a spawn process pool must
-produce exactly the payload, metrics, and fingerprint the serial run
+produce exactly the payload, telemetry, and fingerprint the serial run
 produces, because partial results are reassembled in deterministic cell
 order and every cell draws only from its recorded child seeds.
 """
@@ -20,7 +20,6 @@ from repro.harness.results import result_to_jsonable
 from repro.harness.runners import RUNNERS
 from repro.harness.spec import ScenarioSpec
 from repro.simulation.random import RandomSource
-from repro.simulation.metrics import MetricRegistry
 
 
 def tiny_spec(name: str, **overrides) -> ScenarioSpec:
@@ -81,7 +80,7 @@ class TestParallelEquivalence:
         assert result_to_jsonable(serial.payload) == result_to_jsonable(
             parallel.payload
         )
-        assert serial.metrics.snapshot() == parallel.metrics.snapshot()
+        assert serial.to_jsonable()["telemetry"] == parallel.to_jsonable()["telemetry"]
         # One timing per cell, reassembled in cell order.
         assert [t.index for t in parallel.cell_timings] == list(
             range(len(parallel.cell_timings))
@@ -104,7 +103,7 @@ class TestCellGrids:
     """Cell enumeration must mirror the serial loops' nesting order."""
 
     def build_runner(self, spec, seed=3):
-        return RUNNERS[spec.kind](spec, RandomSource(seed), MetricRegistry())
+        return RUNNERS[spec.kind](spec, RandomSource(seed))
 
     def test_durability_grid_is_replication_major(self):
         spec = tiny_spec("fig15-durability", max_tenants=6,
@@ -218,6 +217,12 @@ class TestSweepBuilder:
             api.sweep("fig15-durability", {"name": ["a", "b"]})
 
 
+@pytest.fixture(scope="module")
+def tiny_fig13():
+    """One tiny fig13 run: its sweep points carry scheduler telemetry."""
+    return api.run("fig13-dc9-sweep", overrides={"scale": "tiny"})
+
+
 class TestRunResultEnvelope:
     def test_to_jsonable_matches_legacy_json_document(self):
         """The envelope emits exactly what ``run-scenario --json`` printed."""
@@ -227,8 +232,9 @@ class TestRunResultEnvelope:
         document = json.loads(json.dumps(result.to_jsonable()))
         assert set(document) == {
             "scenario", "kind", "seed", "wall_clock_seconds", "timings",
-            "result",
+            "result", "telemetry",
         }
+        assert document["telemetry"] == {}  # durability carries none
         assert document["scenario"] == spec.name
         assert document["kind"] == "durability"
         assert document["seed"] == 5
@@ -249,6 +255,29 @@ class TestRunResultEnvelope:
         third = api.run(spec, seed=6)
         assert first.fingerprint() == second.fingerprint()
         assert first.fingerprint() != third.fingerprint()
+
+    def test_telemetry_is_outside_the_fingerprint(self, tiny_fig13):
+        before = tiny_fig13.fingerprint()
+        telemetry = tiny_fig13.to_jsonable()["telemetry"]
+        tiny_fig13.payload.points[0].scheduler_counters["yarn_h"][
+            "waves_coalesced"
+        ] += 1
+        try:
+            assert tiny_fig13.to_jsonable()["telemetry"] != telemetry
+            assert tiny_fig13.fingerprint() == before
+        finally:
+            tiny_fig13.payload.points[0].scheduler_counters["yarn_h"][
+                "waves_coalesced"
+            ] -= 1
+
+    def test_sweep_telemetry_counts_coalesced_waves(self, tiny_fig13):
+        points = tiny_fig13.to_jsonable()["telemetry"]["points"]
+        assert len(points) == len(tiny_fig13.payload.points)
+        assert sum(
+            counters["waves_coalesced"]
+            for point in points
+            for counters in point["scheduler_counters"].values()
+        ) > 0
 
     def test_headline_and_render_delegate_to_payload(self):
         spec = tiny_spec("fig15-durability", max_tenants=6,

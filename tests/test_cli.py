@@ -219,7 +219,7 @@ class TestWorkloadFlags:
             assert exit_code == 0
             payload = json.loads(capsys.readouterr().out)
             # Timing and provenance fields legitimately differ per run.
-            for key in ("wall_clock_seconds", "timings", "scheduler_counters"):
+            for key in ("wall_clock_seconds", "timings", "telemetry"):
                 payload.pop(key, None)
             return payload
 

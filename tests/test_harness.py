@@ -18,8 +18,12 @@ from repro.harness.results import (
     AvailabilityResult,
     DurabilityResult,
     SchedulingSweepResult,
+    result_telemetry,
+    result_to_jsonable,
 )
+from repro.harness.runners import RUNNERS
 from repro.simulation.engine import SimulationEngine
+from repro.traces.scaling import ScalingMethod
 
 
 def tiny_availability_spec(**overrides) -> ScenarioSpec:
@@ -69,6 +73,19 @@ class TestRegistry:
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):
             ScenarioSpec(name="", kind="durability")
+
+    @pytest.mark.parametrize(
+        "grid,values",
+        [
+            ("variants", ("HDFS-Stock", "HDFS-Stock")),
+            ("replication_levels", (3, 3)),
+            ("utilization_levels", (0.3, 0.3)),
+            ("scalings", (ScalingMethod.LINEAR, ScalingMethod.LINEAR)),
+        ],
+    )
+    def test_duplicate_grid_values_rejected(self, grid, values):
+        with pytest.raises(ValueError, match=f"twice in {grid}"):
+            get_scenario("fig16-availability").with_overrides(**{grid: values})
 
     def test_with_overrides_returns_modified_copy(self):
         spec = get_scenario("fig15-durability")
@@ -120,17 +137,47 @@ class TestRunScenario:
         with pytest.raises(ValueError):
             api.run(tiny_availability_spec(params={"accesses_per_point": 0}), seed=3)
 
+    @pytest.mark.parametrize(
+        "name,overrides,match",
+        [
+            ("failure-storm", {"storm_rates_per_day": (2.0, 2.0)}, "rate twice"),
+            ("antagonist", {"spike_rates_per_hour": (2.0, 2.0)}, "rate twice"),
+            ("failure-storm", {"replication_levels": (2, 3)}, "one replication"),
+            ("fig15-durability", {"variants": ("HDFS-Bogus",)}, "'HDFS-Bogus'"),
+            (
+                "fig10-11-scheduling-testbed",
+                {"variants": ("YARN-Stock", "YARN-Bogus")},
+                "'YARN-Bogus'",
+            ),
+            ("predictor-ablation", {"variants": ("YARN-H", "YARN-PT")}, "'YARN-PT'"),
+            ("fig13-dc9-sweep", {"variants": ("YARN-H",)}, "expected none"),
+        ],
+    )
+    def test_unrunnable_specs_fail_before_the_build(
+        self, monkeypatch, name, overrides, match
+    ):
+        spec = api.resolve(name, {"scale": "tiny", **overrides})
+        runner_cls = RUNNERS[spec.kind]
+
+        def no_build(self):
+            raise AssertionError("the context build ran for an unrunnable spec")
+
+        monkeypatch.setattr(runner_cls, "_prepare", no_build)
+        with pytest.raises(ValueError, match=match):
+            api.cells_from_spec(spec)
+        with pytest.raises(ValueError, match=match):
+            api.run(spec, workers=2)
+
 
 class TestDeterminism:
     """A fixed seed must reproduce identical results and metric snapshots."""
 
     def test_two_harness_runs_produce_identical_metrics(self):
         spec = tiny_availability_spec()
-        first = ExperimentHarness(spec, seed=5)
-        second = ExperimentHarness(spec, seed=5)
-        result_a = first.run()
-        result_b = second.run()
-        assert first.metrics.snapshot() == second.metrics.snapshot()
+        result_a = ExperimentHarness(spec, seed=5).run()
+        result_b = ExperimentHarness(spec, seed=5).run()
+        assert result_to_jsonable(result_a) == result_to_jsonable(result_b)
+        assert result_telemetry(result_a) == result_telemetry(result_b)
         assert [
             (p.variant, p.replication, p.target_utilization, p.failed_accesses)
             for p in result_a.points
@@ -141,13 +188,12 @@ class TestDeterminism:
 
     def test_different_seeds_change_the_metrics(self):
         spec = tiny_availability_spec()
-        first = ExperimentHarness(spec, seed=5)
-        second = ExperimentHarness(spec, seed=6)
-        first.run()
-        second.run()
-        # The counter names are identical; at least the sampled access times
-        # (and typically the failure counts) differ.
-        assert set(first.metrics.snapshot()) == set(second.metrics.snapshot())
+        first = api.run(spec, seed=5)
+        second = api.run(spec, seed=6)
+        # Same grid, but the sampled accesses (and so the failure counts)
+        # differ, and the fingerprint sees it.
+        assert len(first.payload.points) == len(second.payload.points)
+        assert first.fingerprint() != second.fingerprint()
 
     def test_durability_runs_reproduce_block_loss_exactly(self):
         spec = ScenarioSpec(
@@ -159,17 +205,17 @@ class TestDeterminism:
             servers_per_tenant_limit=2,
             scale=TINY_SCALE,
         )
-        harness_a = ExperimentHarness(spec, seed=11)
-        harness_b = ExperimentHarness(spec, seed=11)
-        result_a = harness_a.run()
-        result_b = harness_b.run()
+        run_a = api.run(spec, seed=11)
+        run_b = api.run(spec, seed=11)
+        result_a = run_a.payload
+        result_b = run_b.payload
         for key, outcome in result_a.results.items():
             twin = result_b.results[key]
             assert (outcome.blocks_created, outcome.blocks_lost) == (
                 twin.blocks_created,
                 twin.blocks_lost,
             )
-        assert harness_a.metrics.snapshot() == harness_b.metrics.snapshot()
+        assert run_a.to_jsonable()["telemetry"] == run_b.to_jsonable()["telemetry"]
 
 
 class TestEngineOrderingPin:

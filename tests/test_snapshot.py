@@ -36,12 +36,11 @@ from repro.harness import (
     snapshot_runner,
 )
 from repro.harness.config import TINY_SCALE
-from repro.harness.results import result_to_jsonable
+from repro.harness.results import result_telemetry, result_to_jsonable
 from repro.harness.runners import RUNNERS
 from repro.harness.spec import ScenarioSpec
 from repro.jobs.dag import JobDag, Vertex
 from repro.jobs.task_table import COMPLETED, KILLED, TaskTable
-from repro.simulation.metrics import MetricRegistry
 from repro.simulation.random import ForkSequence, RandomSource, child_seed
 from repro.storage.block_table import BlockTable
 from repro.cluster.node_manager import NodeManager
@@ -313,7 +312,7 @@ class TestSnapshotEnvelope:
             deserialize_snapshot(b"NOTASNAP" + b"\x00" * 16)
         spec = tiny_spec("fig15-durability", max_tenants=6,
                          servers_per_tenant_limit=2, replication_levels=(3,))
-        runner = RUNNERS[spec.kind](spec, RandomSource(7), MetricRegistry())
+        runner = RUNNERS[spec.kind](spec, RandomSource(7))
         data = bytearray(serialize_snapshot(snapshot_runner(runner)))
         data[6] = 0xFF  # corrupt the version bytes
         with pytest.raises(SnapshotError):
@@ -330,18 +329,17 @@ class TestRestoredRunParity:
     @pytest.mark.parametrize("name,overrides", KIND_CASES, ids=KIND_IDS)
     def test_restore_then_run_matches_straight_line(self, name, overrides):
         spec = tiny_spec(name, **overrides)
-        straight = ExperimentHarness(spec, seed=7)
-        reference = result_to_jsonable(straight.run())
+        straight_result = ExperimentHarness(spec, seed=7).run()
+        reference = result_to_jsonable(straight_result)
 
-        runner = RUNNERS[spec.kind](spec, RandomSource(7), MetricRegistry())
+        runner = RUNNERS[spec.kind](spec, RandomSource(7))
         data = serialize_snapshot(snapshot_runner(runner))
         restored = restore_runner(deserialize_snapshot(data))
         cells = restored.cells()
         partials = [restored.run_cell(cell) for cell in cells]
         merged = restored.merge(cells, partials)
         assert result_to_jsonable(merged) == reference
-        # Restored metrics land in the restored runner's live registry.
-        assert restored.metrics.snapshot() == straight.metrics.snapshot()
+        assert result_telemetry(merged) == result_telemetry(straight_result)
 
 
 class TestCellsFromSpec:
@@ -351,7 +349,7 @@ class TestCellsFromSpec:
     def test_spec_only_cells_match_full_build(self, name, overrides):
         spec = tiny_spec(name, **overrides)
         fast = cells_from_spec(spec, seed=7)
-        full = RUNNERS[spec.kind](spec, RandomSource(7), MetricRegistry()).cells()
+        full = RUNNERS[spec.kind](spec, RandomSource(7)).cells()
         assert [(c.index, c.key, c.seeds, c.coords) for c in fast] == [
             (c.index, c.key, c.seeds, c.coords) for c in full
         ]
@@ -386,7 +384,9 @@ class TestCheckpointResume:
         resumed = api.run(spec, seed=7, checkpoint=ckpt, resume=True, workers=2)
         assert resumed.fingerprint() == reference.fingerprint()
         assert resumed.resumed_cells == 2
-        assert resumed.metrics.snapshot() == reference.metrics.snapshot()
+        assert (
+            resumed.to_jsonable()["telemetry"] == reference.to_jsonable()["telemetry"]
+        )
         # All cells report a timing, resumed ones included.
         assert len(resumed.cell_timings) == len(reference.cell_timings)
 

@@ -232,7 +232,7 @@ class TestEpochStream:
         serial = api.run(spec, seed=7)
         parallel = api.run(spec, seed=7, workers=2)
         assert serial.fingerprint() == parallel.fingerprint()
-        assert serial.metrics.snapshot() == parallel.metrics.snapshot()
+        assert serial.to_jsonable()["telemetry"] == parallel.to_jsonable()["telemetry"]
 
     def test_epoch_windows_are_contiguous_and_consistent(self):
         result = api.run(tiny_continuous("continuous-open"), seed=7)

@@ -9,7 +9,7 @@ minute:
 * checkpoint/resume: a CLI run paused after 3 of fig13's cells (exit code
   3) resumes on a 2-worker pool to the straight-line fingerprint;
 * continuous mode: the epoch-stream fingerprint holds at ``workers=2``;
-  with ``--epochs-json PATH`` the serial headline is written there;
+  the serial per-epoch headline is written to ``EPOCHS_JSON``;
 * long horizon: a 32-epoch CLI run's ``--emit-epochs`` JSONL stream
   reconstructs its JSON payload exactly, and the streaming fold's retained
   bytes stay flat from 8 to 32 epochs;
@@ -23,15 +23,16 @@ stdin heredoc) because the spawn pool re-imports ``__main__`` from its path.
 
 from __future__ import annotations
 
-import argparse
 import json
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Optional
 
 from repro.api import TINY_SCALE, run, run_continuous
+
+#: Where the continuous smoke writes its serial per-epoch headline.
+EPOCHS_JSON = Path("/tmp/continuous-epochs.json")
 
 
 def cli(*args: str, expect: int = 0) -> str:
@@ -78,7 +79,7 @@ def check_resume(work: Path) -> None:
     print("checkpoint/resume fingerprint", resumed.fingerprint())
 
 
-def check_continuous(epochs_json: Optional[Path]) -> None:
+def check_continuous() -> None:
     knobs = dict(
         traffic="open:rate=0.005,profile=diurnal,period=1800,amplitude=0.5",
         epochs=3,
@@ -92,10 +93,7 @@ def check_continuous(epochs_json: Optional[Path]) -> None:
     )
     variants = serial.headline()["variants"]
     assert all(len(v["epochs"]) == 3 for v in variants.values()), variants
-    if epochs_json is not None:
-        epochs_json.write_text(
-            json.dumps(serial.headline(), indent=2, sort_keys=True)
-        )
+    EPOCHS_JSON.write_text(json.dumps(serial.headline(), indent=2, sort_keys=True))
     print("continuous-open tiny fingerprint", serial.fingerprint())
 
 
@@ -164,18 +162,11 @@ def check_run_forever(work: Path) -> None:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--epochs-json",
-        type=Path,
-        help="also write the continuous smoke's per-epoch headline here",
-    )
-    args = parser.parse_args()
     check_fig13_parity()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         check_resume(work)
-        check_continuous(args.epochs_json)
+        check_continuous()
         check_long_horizon(work)
         check_run_forever(work)
 

@@ -908,17 +908,11 @@ def _baseline_cell(fork_seed: Any) -> Cell:
     )
 
 
-def _baseline_or_variant(
-    cell: Cell,
-    tenants: Sequence[PrimaryTenant],
-    duration: float,
-    run_variant: Callable[[str], Any],
-) -> Any:
-    """Run one testbed cell: the baseline p99, or ``run_variant(name)``."""
-    variant = cell.coord("variant")
-    if variant == BASELINE:
-        return _baseline_p99(tenants, duration, RandomSource(cell.seeds[0]))
-    return run_variant(variant)
+def _baseline_p99_of(
+    cell: Cell, tenants: Sequence[PrimaryTenant], duration: float
+) -> float:
+    """Run the baseline cell of a testbed grid: its No-Harvesting p99."""
+    return _baseline_p99(tenants, duration, RandomSource(cell.seeds[0]))
 
 
 def _split_baseline(partials: Sequence[Any]) -> Tuple[float, Dict[str, Any]]:
@@ -1013,29 +1007,28 @@ class SchedulingTestbedRunner(ScenarioRunner):
 
     def run_cell(self, cell: Cell):
         tenants = self.ctx["tenants"]
+        name = cell.coord("variant")
         duration = self.spec.scale.experiment_hours * 3600.0
-
-        def run_variant(name: str) -> VariantSchedulingResult:
-            cluster_seed, tpcds_seed, workload_seed, latency_seed = cell.seeds
-            factory = TpcdsWorkloadFactory(
-                RandomSource(tpcds_seed), duration_scale=1.0, width_scale=0.35
-            )
-            generator = WorkloadGenerator(
-                factory,
-                self.spec.scale.mean_interarrival_seconds,
-                RandomSource(workload_seed),
-            )
-            return _run_scheduling_variant(
-                name,
-                _SCHEDULING_VARIANT_MODES[name],
-                tenants,
-                generator.arrivals(duration * 0.8),
-                duration,
-                cluster_seed,
-                latency_seed,
-            )
-
-        return _baseline_or_variant(cell, tenants, duration, run_variant)
+        if name == BASELINE:
+            return _baseline_p99_of(cell, tenants, duration)
+        cluster_seed, tpcds_seed, workload_seed, latency_seed = cell.seeds
+        factory = TpcdsWorkloadFactory(
+            RandomSource(tpcds_seed), duration_scale=1.0, width_scale=0.35
+        )
+        generator = WorkloadGenerator(
+            factory,
+            self.spec.scale.mean_interarrival_seconds,
+            RandomSource(workload_seed),
+        )
+        return _run_scheduling_variant(
+            name,
+            _SCHEDULING_VARIANT_MODES[name],
+            tenants,
+            generator.arrivals(duration * 0.8),
+            duration,
+            cluster_seed,
+            latency_seed,
+        )
 
     def merge(self, cells: Sequence[Cell], partials: Sequence[Any]):
         baseline_p99, variants = _split_baseline(partials)
@@ -1121,11 +1114,15 @@ class StorageTestbedRunner(ScenarioRunner):
 
     def run_cell(self, cell: Cell):
         ctx = self.ctx
-        return _baseline_or_variant(
-            cell,
+        if cell.coord("variant") == BASELINE:
+            return _baseline_p99_of(cell, ctx["tenants"], ctx["duration"])
+        return self._run_variant(
+            cell.coord("variant"),
             ctx["tenants"],
             ctx["duration"],
-            lambda variant: self._run_variant(variant, RandomSource(cell.seeds[0])),
+            ctx["accesses_per_minute"],
+            RandomSource(cell.seeds[0]),
+            ctx["skew"],
         )
 
     def merge(self, cells: Sequence[Cell], partials: Sequence[Any]):
@@ -1135,13 +1132,14 @@ class StorageTestbedRunner(ScenarioRunner):
         )
 
     def _run_variant(
-        self, variant: str, variant_rng: RandomSource
+        self,
+        variant: str,
+        tenants: Sequence[PrimaryTenant],
+        duration: float,
+        accesses_per_minute: int,
+        variant_rng: RandomSource,
+        skew=None,
     ) -> VariantStorageResult:
-        ctx = self.ctx
-        tenants: Sequence[PrimaryTenant] = ctx["tenants"]
-        duration: float = ctx["duration"]
-        accesses_per_minute: int = ctx["accesses_per_minute"]
-        skew = ctx["skew"]
         trace_matrix = TraceMatrix(tenants)
         namenode = build_namenode(
             variant, tenants, 3, variant_rng, trace_matrix=trace_matrix

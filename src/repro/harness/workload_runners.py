@@ -44,7 +44,7 @@ from repro.harness.runners import (
     _SCHEDULING_VARIANT_MODES,
     ScenarioRunner,
     _baseline_cell,
-    _baseline_or_variant,
+    _baseline_p99_of,
     _register,
     _replay_reimages,
     _run_scheduling_variant,
@@ -350,19 +350,17 @@ class HeterogeneousFleetRunner(ScenarioRunner):
 
     def run_cell(self, cell: Cell):
         ctx = self.ctx
-        return _baseline_or_variant(
-            cell,
+        variant = cell.coord("variant")
+        if variant == BASELINE:
+            return _baseline_p99_of(cell, ctx["tenants"], ctx["duration"])
+        return _run_scheduling_variant(
+            variant,
+            _SCHEDULING_VARIANT_MODES[variant],
             ctx["tenants"],
+            arrivals_from_ops(ctx["ops"]),
             ctx["duration"],
-            lambda variant: _run_scheduling_variant(
-                variant,
-                _SCHEDULING_VARIANT_MODES[variant],
-                ctx["tenants"],
-                arrivals_from_ops(ctx["ops"]),
-                ctx["duration"],
-                cell.seeds[0],
-                cell.seeds[1],
-            ),
+            cell.seeds[0],
+            cell.seeds[1],
         )
 
     def merge(
@@ -480,19 +478,16 @@ class AntagonistRunner(ScenarioRunner):
         variant = cell.coord("variant")
         rate = cell.coord("spike_rate")
         tenants = apply_spikes(ctx["tenants"], ctx["ops"], f"spike-{rate:g}")
-        return _baseline_or_variant(
-            cell,
+        if variant == BASELINE:
+            return _baseline_p99_of(cell, tenants, ctx["duration"])
+        return _run_scheduling_variant(
+            variant,
+            _SCHEDULING_VARIANT_MODES[variant],
             tenants,
+            arrivals_from_ops(ctx["ops"]),
             ctx["duration"],
-            lambda variant: _run_scheduling_variant(
-                variant,
-                _SCHEDULING_VARIANT_MODES[variant],
-                tenants,
-                arrivals_from_ops(ctx["ops"]),
-                ctx["duration"],
-                cell.seeds[0],
-                cell.seeds[1],
-            ),
+            cell.seeds[0],
+            cell.seeds[1],
         )
 
     def merge(

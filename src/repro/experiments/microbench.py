@@ -120,9 +120,7 @@ def run_microbenchmarks(
     }
     start = time.perf_counter()
     for index in range(placement_iterations):
-        stock_policy.choose_servers(
-            3, servers[index % len(servers)], datanodes, 0.25
-        )
+        stock_policy.choose_servers(3, servers[index % len(servers)], datanodes)
     stock_placement_ms = (time.perf_counter() - start) * 1000.0 / placement_iterations
 
     return MicrobenchResult(

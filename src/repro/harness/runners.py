@@ -456,7 +456,7 @@ class DurabilityRunner(ScenarioRunner):
             variant=variant,
             replication=replication,
             blocks_created=created,
-            blocks_lost=len(namenode.lost_blocks()),
+            blocks_lost=namenode.lost_block_count(),
             reimage_events=replayed,
         )
 
@@ -1156,15 +1156,14 @@ class StorageTestbedRunner(ScenarioRunner):
         def minute_step(engine: SimulationEngine) -> None:
             minute = engine.now
             creator = variant_rng.choice(all_servers).server_id
-            created = namenode.create_block(minute, creating_server_id=creator)
-            if created.block is not None:
+            if namenode.create_blocks(minute, [creator])[0] is not None:
                 counts["created"] += 1
             # Background re-replication restores replicas that could not be
             # placed while their candidate servers were busy.
             namenode.run_replication(minute)
 
-            # The whole minute's accesses as one effectful batch over the
-            # block table: counters plus the per-server io-load scatter.
+            # The whole minute's accesses as one batch over the block
+            # table: served/failed counts plus the per-server io load.
             # The NameNode's server columns follow the same tenant-major
             # order as ``all_servers``, so the io vector feeds the latency
             # matrix directly.

@@ -87,6 +87,15 @@ class ScenarioSpec:
                     f"scenario {self.name!r} lists a value twice in {grid}: "
                     f"{tuple(values)}"
                 )
+        # A level is a replica count: the block table stores it as an int,
+        # so 2.5 would silently run as 2, and 0 or -1 would only fail
+        # inside a cell, after the context build.
+        for level in self.replication_levels:
+            if isinstance(level, bool) or not isinstance(level, int) or level <= 0:
+                raise ValueError(
+                    f"scenario {self.name!r} has replication level {level!r}; "
+                    "each must be a positive int"
+                )
 
     def param(self, key: str, default: Any = None) -> Any:
         """A kind-specific parameter, with a default."""

@@ -68,6 +68,7 @@ from repro.workload.synthetic import (
     plan_storm_reimages,
     plan_tenant_arrivals,
 )
+from repro.workload.trace import TraceError
 
 
 def _plan_forks(runner: ScenarioRunner) -> ForkSequence:
@@ -165,12 +166,18 @@ class FailureStormRunner(ScenarioRunner):
                 )
             return ops
 
+        ops = materialize_plan(spec, self.kind, builder)
+        for op in ops:
+            # Python indexing would wrap a negative index onto the last
+            # servers; a replayed trace with one is malformed.
+            if int(op["server_index"]) < 0:
+                raise TraceError(f"storm op has a negative server_index: {op}")
         return {
             "tenants": tenants,
             "server_ids": server_ids,
             "duration": duration,
             "matrix": TraceMatrix(tenants),
-            "ops": materialize_plan(spec, self.kind, builder),
+            "ops": ops,
         }
 
     @classmethod
@@ -224,7 +231,7 @@ class FailureStormRunner(ScenarioRunner):
             variant=variant,
             storm_rate_per_day=rate,
             blocks_created=created,
-            blocks_lost=len(namenode.lost_blocks()),
+            blocks_lost=namenode.lost_block_count(),
             reimage_events=replayed,
             storms=len({int(op["storm"]) for op in in_fleet[:replayed]}),
         )

@@ -30,9 +30,9 @@ order, and everything downstream (per-request container draws against
 draw for draw (see ``tests/test_jobs_task_table.py`` for the scalar oracle).
 
 :class:`TaskView` objects are thin write-through views over the rows,
-mirroring ``BlockView`` / ``ServerRecord``: the ``state`` / ``attempts``
-attributes read and write the arrays, and every state transition keeps the
-counters and the readiness frontier in sync.
+mirroring ``ServerRecord``: the ``state`` / ``attempts`` attributes read
+and write the arrays, and every state transition keeps the counters and
+the readiness frontier in sync.
 
 The runnable frontier itself is cached between state transitions: the
 overwhelmingly common pump tick touches no task state, so

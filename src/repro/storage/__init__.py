@@ -13,10 +13,14 @@ Durability is threatened by disk reimages (which destroy all replicas on a
 server) and availability by primary-tenant load spikes (which make replicas
 temporarily inaccessible); the NameNode re-creates lost replicas at a bounded
 rate, mirroring the real system's 30 blocks/hour/server limit.
+
+All storage state is the NameNode's: its :class:`BlockTable` and per-server
+used-space column.  :class:`DataNode` only configures a server, and
+:class:`Block` is the scalar reference model the table is tested against.
 """
 
-from repro.storage.block import Block, BlockLike, BlockReplica, BlockView, ReplicaState
-from repro.storage.block_table import BlockNamespace, BlockTable
+from repro.storage.block import Block, BlockReplica, ReplicaState
+from repro.storage.block_table import BlockTable
 from repro.storage.datanode import DataNode
 from repro.storage.namenode import AccessBatch, AccessResult, NameNode
 from repro.storage.placement_policies import (
@@ -29,10 +33,7 @@ from repro.storage.replication import ReplicationManager
 
 __all__ = [
     "Block",
-    "BlockLike",
     "BlockReplica",
-    "BlockView",
-    "BlockNamespace",
     "BlockTable",
     "ReplicaState",
     "DataNode",

@@ -6,41 +6,20 @@ the high-durability experiments).  A block is *lost* when every replica has
 been destroyed before re-replication could restore the count; it is
 *unavailable* when every surviving replica currently sits on a busy server.
 
-Two per-object representations share the same API:
-
-* :class:`Block` — a standalone dataclass holding its own replica dict, for
-  direct construction in tests and small tools;
-* :class:`BlockView` — a thin, live view over one row of the columnar
-  :class:`~repro.storage.block_table.BlockTable`, which is what the
-  NameNode's hot paths operate on.  Reads always reflect the current row
-  state; mutations write through to the arrays.
+:class:`Block` and :class:`BlockReplica` are the scalar, per-object model:
+the reference the columnar :class:`~repro.storage.block_table.BlockTable`
+(which is what the NameNode runs on) is tested against, and a convenient
+form for small tools.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Protocol
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.storage.block_table import BlockTable
+from typing import Dict, List
 
 #: Default block size used by the modelled deployment.
 DEFAULT_BLOCK_SIZE_GB = 0.25
-
-
-class BlockLike(Protocol):
-    """What per-server bookkeeping needs from a block: an id and a size.
-
-    Satisfied by both :class:`Block` and :class:`BlockView`, so DataNodes
-    work with standalone blocks and columnar rows alike.
-    """
-
-    @property
-    def block_id(self) -> str: ...
-
-    @property
-    def size_gb(self) -> float: ...
 
 
 class ReplicaState(str, enum.Enum):
@@ -147,123 +126,3 @@ class Block:
     def tenants_with_healthy_replicas(self) -> List[str]:
         """Primary tenants currently holding an intact replica."""
         return [r.tenant_id for r in self.healthy_replicas()]
-
-
-class BlockView:
-    """Live, Block-compatible view over one :class:`BlockTable` row.
-
-    Supports the full :class:`Block` API; reads come straight from the
-    table's columns and mutations write through, so a view handed out at
-    creation time keeps reflecting reimages and recoveries.  ``replicas``
-    and ``healthy_replicas()`` materialize :class:`BlockReplica` snapshots
-    on demand (in replica slot order, which mirrors the scalar dict's
-    insertion order); mutating those snapshots does not write back — use
-    :meth:`add_replica` / :meth:`destroy_replica_on`.
-    """
-
-    __slots__ = ("_table", "_row")
-
-    def __init__(self, table: "BlockTable", row: int) -> None:
-        self._table = table
-        self._row = row
-
-    @property
-    def row(self) -> int:
-        """The table row this view wraps."""
-        return self._row
-
-    @property
-    def block_id(self) -> str:
-        """Unique block identifier."""
-        return self._table.id_of(self._row)
-
-    @property
-    def size_gb(self) -> float:
-        """Block size in gigabytes."""
-        return float(self._table.size_gb[self._row])
-
-    @property
-    def target_replication(self) -> int:
-        """Desired number of healthy replicas."""
-        return int(self._table.target_replication[self._row])
-
-    @property
-    def lost(self) -> bool:
-        """Whether every replica has been destroyed (sticky)."""
-        return bool(self._table.lost[self._row])
-
-    @property
-    def replicas(self) -> Dict[str, BlockReplica]:
-        """Replica snapshots keyed by server id, in slot (insertion) order."""
-        table = self._table
-        row = self._row
-        out: Dict[str, BlockReplica] = {}
-        for slot in range(int(table.slots_used[row])):
-            server = int(table.replica_servers[row, slot])
-            out[table.server_ids[server]] = BlockReplica(
-                server_id=table.server_ids[server],
-                tenant_id=table.tenant_of_server[server],
-                state=(
-                    ReplicaState.HEALTHY
-                    if table.replica_healthy[row, slot]
-                    else ReplicaState.DESTROYED
-                ),
-                created_time=float(table.replica_created[row, slot]),
-            )
-        return out
-
-    def add_replica(self, replica: BlockReplica) -> None:
-        """Attach a new replica (writes through to the table)."""
-        server_index = self._table.index_of_server[replica.server_id]
-        self._table.add_replica(self._row, server_index, replica.created_time)
-
-    def healthy_replicas(self) -> List[BlockReplica]:
-        """Replicas that are still intact (snapshots, slot order)."""
-        return [r for r in self.replicas.values() if r.healthy]
-
-    @property
-    def healthy_count(self) -> int:
-        """Number of intact replicas."""
-        return int(self._table.healthy_count[self._row])
-
-    @property
-    def missing_replicas(self) -> int:
-        """How many replicas re-replication still needs to restore."""
-        return self._table.missing_of(self._row)
-
-    def destroy_replica_on(self, server_id: str, time: float) -> bool:
-        """Destroy the replica on ``server_id`` if one exists (write-through)."""
-        server_index = self._table.index_of_server.get(server_id)
-        if server_index is None:
-            return False
-        return self._table.destroy_replica(self._row, server_index)
-
-    def servers_with_healthy_replicas(self) -> List[str]:
-        """Servers currently holding an intact replica, slot order."""
-        return [
-            self._table.server_ids[i]
-            for i in self._table.healthy_servers_of(self._row)
-        ]
-
-    def tenants_with_healthy_replicas(self) -> List[str]:
-        """Primary tenants currently holding an intact replica, slot order."""
-        return [
-            self._table.tenant_of_server[i]
-            for i in self._table.healthy_servers_of(self._row)
-        ]
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BlockView)
-            and other._table is self._table
-            and other._row == self._row
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self._table), self._row))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BlockView({self.block_id!r}, healthy={self.healthy_count}, "
-            f"lost={self.lost})"
-        )

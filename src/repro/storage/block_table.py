@@ -1,10 +1,9 @@
 """Array-backed substrate for the storage-harvesting stack.
 
-The storage objects — :class:`~repro.storage.block.Block`, its replicas, and
-the per-server :class:`~repro.storage.datanode.DataNode` bookkeeping — are
-pleasant to reason about but cost one Python call per replica per creation,
-access, reimage, and recovery pick.  At paper scale (4M blocks) those loops
-dominate the fig12/fig15/fig16 experiments.
+Per-object blocks (:class:`~repro.storage.block.Block` and its replicas)
+are pleasant to reason about but cost one Python call per replica per
+creation, access, reimage, and recovery pick.  At paper scale (4M blocks)
+those loops dominate the fig12/fig15/fig16 experiments.
 
 A :class:`BlockTable` stacks the per-block state into numpy columns (one row
 per created block, in creation order):
@@ -13,9 +12,12 @@ per created block, in creation order):
   ``lost`` flag,
 * a ``(blocks x slots)`` matrix of replica server indices (slot order is
   replica insertion order, mirroring the ``Block.replicas`` dict) plus the
-  matching liveness mask and creation times,
-* an access counter per block and an accumulated io-load column per server,
-  scattered into by the batched access path.
+  matching liveness mask,
+* per server, the set of rows holding a healthy replica there — the
+  NameNode's answer to "what does a reimage of this disk destroy?".
+
+Together with the NameNode's per-server used-space column it is the only
+record of where replicas live; DataNodes hold configuration only.
 
 The companion of :class:`repro.cluster.fleet_state.FleetState` (the compute
 substrate) and :class:`repro.traces.matrix.TraceMatrix` (the utilization
@@ -31,19 +33,16 @@ exactly: a replica destroyed by a reimage keeps its slot (so later healthy
 listings preserve the dict-insertion order the scalar path produced), a
 replica re-added on a server whose old replica was destroyed reuses that
 slot (dict overwrite keeps the key position), and ``lost`` is set exactly
-when the last healthy replica dies and never cleared.  The per-object
-:class:`~repro.storage.block.BlockView` API remains as a thin view over the
-rows, so a fixed seed produces bit-identical fig12/fig15/fig16 results
-through either the scalar or the columnar path.
+when the last healthy replica dies and never cleared.  A fixed seed
+therefore produces the same fig12/fig15/fig16 results as the scalar path
+(``tests/test_storage_block_table.py`` keeps that path as the oracle).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
-
-from repro.storage.block import BlockView
 
 #: Initial replica-slot width; grown on demand (doubling) when a block
 #: collects more distinct replica servers than any block before it.
@@ -59,17 +58,13 @@ class BlockTable:
     def __init__(
         self,
         server_ids: Sequence[str],
-        tenant_of_server: Sequence[str],
         replica_slots: int = DEFAULT_REPLICA_SLOTS,
     ) -> None:
-        if len(server_ids) != len(tenant_of_server):
-            raise ValueError("server_ids and tenant_of_server must align")
         if not server_ids:
             raise ValueError("a BlockTable needs at least one server")
         if replica_slots <= 0:
             raise ValueError("replica_slots must be positive")
         self.server_ids: List[str] = list(server_ids)
-        self.tenant_of_server: List[str] = list(tenant_of_server)
         self.index_of_server: Dict[str, int] = {
             sid: i for i, sid in enumerate(self.server_ids)
         }
@@ -92,93 +87,16 @@ class BlockTable:
         capacity = INITIAL_ROW_CAPACITY
         self._ids: List[str] = []
         self._row_of: Dict[str, int] = {}
-        self._views: List[Optional[BlockView]] = []
+        #: Per server index, the rows holding a healthy replica there.
+        self._rows_on_server: List[Set[int]] = [set() for _ in self.server_ids]
 
         self._size_gb = np.zeros(capacity)
         self._target = np.zeros(capacity, dtype=np.int64)
         self._healthy_count = np.zeros(capacity, dtype=np.int64)
         self._lost = np.zeros(capacity, dtype=bool)
-        self._access_count = np.zeros(capacity, dtype=np.int64)
         self._slots_used = np.zeros(capacity, dtype=np.int64)
         self._replica_servers = np.full((capacity, replica_slots), -1, dtype=np.int64)
         self._replica_healthy = np.zeros((capacity, replica_slots), dtype=bool)
-        self._replica_created = np.zeros((capacity, replica_slots))
-
-        #: Accumulated secondary-I/O fraction per server, scattered into by
-        #: the batched access path (one 0.05 increment per served access).
-        self.io_load = np.zeros(len(self.server_ids))
-
-    # -- serialized form -----------------------------------------------------
-
-    def to_arrays(self) -> Dict[str, object]:
-        """The table as plain arrays/lists — its canonical serialized form.
-
-        Columns are trimmed to the used prefix; :meth:`from_arrays` rebuilds
-        an exact equivalent (same rows, same slot order, same io load), with
-        the per-row :class:`BlockView` cache lazily repopulated.
-        """
-        n = self._n
-        return {
-            "version": 1,
-            "server_ids": list(self.server_ids),
-            "tenant_of_server": list(self.tenant_of_server),
-            "block_ids": list(self._ids),
-            "size_gb": np.array(self._size_gb[:n]),
-            "target": np.array(self._target[:n]),
-            "healthy_count": np.array(self._healthy_count[:n]),
-            "lost": np.array(self._lost[:n]),
-            "access_count": np.array(self._access_count[:n]),
-            "slots_used": np.array(self._slots_used[:n]),
-            "replica_servers": np.array(self._replica_servers[:n]),
-            "replica_healthy": np.array(self._replica_healthy[:n]),
-            "replica_created": np.array(self._replica_created[:n]),
-            "io_load": np.array(self.io_load),
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: Dict[str, object]) -> "BlockTable":
-        """Rebuild a table from :meth:`to_arrays` output."""
-        replica_servers = np.asarray(arrays["replica_servers"], dtype=np.int64)
-        slots = replica_servers.shape[1] if replica_servers.ndim == 2 else 0
-        table = cls(
-            [str(s) for s in arrays["server_ids"]],  # type: ignore[union-attr]
-            [str(t) for t in arrays["tenant_of_server"]],  # type: ignore[union-attr]
-            replica_slots=max(1, slots),
-        )
-        block_ids = [str(b) for b in arrays["block_ids"]]  # type: ignore[union-attr]
-        n = len(block_ids)
-        capacity = max(n, INITIAL_ROW_CAPACITY)
-        table._n = n
-        table._ids = block_ids
-        table._row_of = {bid: i for i, bid in enumerate(block_ids)}
-        table._views = [None] * n
-
-        def column(name: str, dtype: type) -> np.ndarray:
-            fresh = np.zeros(capacity, dtype=dtype)
-            fresh[:n] = np.asarray(arrays[name], dtype=dtype)
-            return fresh
-
-        table._size_gb = column("size_gb", float)
-        table._target = column("target", np.int64)
-        table._healthy_count = column("healthy_count", np.int64)
-        table._lost = column("lost", bool)
-        table._access_count = column("access_count", np.int64)
-        table._slots_used = column("slots_used", np.int64)
-        table._replica_servers = np.full(
-            (capacity, max(1, slots)), -1, dtype=np.int64
-        )
-        table._replica_healthy = np.zeros((capacity, max(1, slots)), dtype=bool)
-        table._replica_created = np.zeros((capacity, max(1, slots)))
-        if n and slots:
-            table._replica_servers[:n, :slots] = replica_servers
-            table._replica_healthy[:n, :slots] = np.asarray(
-                arrays["replica_healthy"], dtype=bool
-            )
-            table._replica_created[:n, :slots] = np.asarray(
-                arrays["replica_created"], dtype=float
-            )
-        table.io_load = np.array(arrays["io_load"], dtype=float)
-        return table
 
     # -- shape ---------------------------------------------------------------
 
@@ -218,11 +136,6 @@ class BlockTable:
         return self._lost[: self._n]
 
     @property
-    def access_count(self) -> np.ndarray:
-        """Per-block number of recorded accesses."""
-        return self._access_count[: self._n]
-
-    @property
     def slots_used(self) -> np.ndarray:
         """Per-block number of occupied replica slots (healthy or not)."""
         return self._slots_used[: self._n]
@@ -237,17 +150,7 @@ class BlockTable:
         """``(blocks x slots)`` liveness mask matching ``replica_servers``."""
         return self._replica_healthy[: self._n]
 
-    @property
-    def replica_created(self) -> np.ndarray:
-        """``(blocks x slots)`` creation times matching ``replica_servers``."""
-        return self._replica_created[: self._n]
-
     # -- id mapping ----------------------------------------------------------
-
-    @property
-    def block_ids(self) -> List[str]:
-        """Block ids in creation (row) order."""
-        return list(self._ids)
 
     def id_of(self, row: int) -> str:
         """The block id stored in ``row``."""
@@ -273,14 +176,6 @@ class BlockTable:
         """Row index of a block id, or ``None`` when unknown."""
         return self._row_of.get(block_id)
 
-    def view(self, row: int) -> BlockView:
-        """The (cached) per-object view over ``row``."""
-        view = self._views[row]
-        if view is None:
-            view = BlockView(self, row)
-            self._views[row] = view
-        return view
-
     # -- growth --------------------------------------------------------------
 
     def _grow_rows(self) -> None:
@@ -296,7 +191,6 @@ class BlockTable:
         self._target = grown(self._target)
         self._healthy_count = grown(self._healthy_count)
         self._lost = grown(self._lost)
-        self._access_count = grown(self._access_count)
         self._slots_used = grown(self._slots_used)
         servers = np.full((capacity, slots), -1, dtype=np.int64)
         servers[: self._n] = self._replica_servers[: self._n]
@@ -304,9 +198,6 @@ class BlockTable:
         healthy = np.zeros((capacity, slots), dtype=bool)
         healthy[: self._n] = self._replica_healthy[: self._n]
         self._replica_healthy = healthy
-        created = np.zeros((capacity, slots))
-        created[: self._n] = self._replica_created[: self._n]
-        self._replica_created = created
 
     def _grow_slots(self) -> None:
         capacity, slots = self._replica_servers.shape
@@ -316,9 +207,6 @@ class BlockTable:
         )
         self._replica_healthy = np.hstack(
             [self._replica_healthy, np.zeros((capacity, extra), dtype=bool)]
-        )
-        self._replica_created = np.hstack(
-            [self._replica_created, np.zeros((capacity, extra))]
         )
 
     # -- mutations -----------------------------------------------------------
@@ -337,12 +225,11 @@ class BlockTable:
         self._n += 1
         self._ids.append(block_id)
         self._row_of[block_id] = row
-        self._views.append(None)
         self._size_gb[row] = size_gb
         self._target[row] = target_replication
         return row
 
-    def add_replica(self, row: int, server_index: int, time: float) -> None:
+    def add_replica(self, row: int, server_index: int) -> None:
         """Attach a replica of block ``row`` on ``server_index``.
 
         Mirrors ``Block.add_replica``: a server holds at most one healthy
@@ -368,15 +255,14 @@ class BlockTable:
                     f"{self.server_ids[server_index]}"
                 )
             self._replica_healthy[row, slot] = True
-            self._replica_created[row, slot] = time
         else:
             if used == self._replica_servers.shape[1]:
                 self._grow_slots()
             self._replica_servers[row, used] = server_index
             self._replica_healthy[row, used] = True
-            self._replica_created[row, used] = time
             self._slots_used[row] = used + 1
         self._healthy_count[row] += 1
+        self._rows_on_server[server_index].add(row)
 
     def destroy_replica(self, row: int, server_index: int) -> bool:
         """Destroy the replica of block ``row`` on ``server_index`` if healthy.
@@ -395,21 +281,18 @@ class BlockTable:
                 if not self._replica_healthy[row, slot]:
                     return False
                 self._replica_healthy[row, slot] = False
+                self._rows_on_server[server_index].discard(row)
                 self._healthy_count[row] -= 1
                 if self._healthy_count[row] == 0:
                     self._lost[row] = True
                 return True
         return False
 
-    def record_access(self, row: int) -> None:
-        """Bump the access counter of one row."""
-        self._access_count[row] += 1
+    # -- queries -------------------------------------------------------------
 
-    def record_accesses(self, rows: np.ndarray) -> None:
-        """Bump the access counter of every row in ``rows`` (with repeats)."""
-        np.add.at(self._access_count, rows, 1)
-
-    # -- row queries ---------------------------------------------------------
+    def rows_on(self, server_index: int) -> Set[int]:
+        """Rows holding a healthy replica on ``server_index`` (live set)."""
+        return self._rows_on_server[server_index]
 
     def healthy_servers_of(self, row: int) -> np.ndarray:
         """Server indices holding a healthy replica of ``row``, slot order."""
@@ -427,38 +310,3 @@ class BlockTable:
     def missing_of(self, row: int) -> int:
         """How many replicas re-replication still needs to restore."""
         return max(0, int(self._target[row]) - int(self._healthy_count[row]))
-
-    def lost_rows(self) -> np.ndarray:
-        """Rows whose every replica has been destroyed, in creation order."""
-        return np.flatnonzero(self.lost)
-
-    def under_replicated_rows(self) -> np.ndarray:
-        """Rows below target replication but not lost, in creation order."""
-        return np.flatnonzero(
-            ~self.lost & (self.healthy_count < self.target_replication)
-        )
-
-
-class BlockNamespace(Mapping[str, BlockView]):
-    """Dict-like, read-through view over a BlockTable (``NameNode.blocks``).
-
-    Iteration follows creation order, exactly like the ``Dict[str, Block]``
-    it replaced; values are live :class:`BlockView` objects.
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: BlockTable) -> None:
-        self._table = table
-
-    def __getitem__(self, block_id: str) -> BlockView:
-        return self._table.view(self._table.row_of(block_id))
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._table.block_ids)
-
-    def __len__(self) -> int:
-        return self._table.num_blocks
-
-    def __contains__(self, block_id: object) -> bool:
-        return isinstance(block_id, str) and self._table.get_row(block_id) is not None

@@ -1,11 +1,10 @@
-"""The Data Node: per-server replica storage and access gating.
+"""The Data Node: one server's storage configuration and access gating.
 
 Each shared server runs a DataNode that stores block replicas on the disk
-space its primary tenant allows.  It tracks only what is per-server — the
-set of stored block ids and the space they consume — and accepts any
-:class:`~repro.storage.block.BlockLike` (a standalone ``Block`` or a
-columnar ``BlockView``), staying in sync with the NameNode's BlockTable
-through the same store/reimage calls that mutate the table.
+space its primary tenant allows.  Where replicas live and how much space
+they use is the NameNode's record (its :class:`~repro.storage.block_table
+.BlockTable` and per-server columns); the DataNode only describes the
+server — its quota and whether its primary tenant is busy.
 
 The primary-tenant-aware DataNode (DN-H / DN-PT) denies data accesses
 whenever serving them would consume the server's CPU reserve — i.e. when the
@@ -16,10 +15,8 @@ listing it as a replica source or placement target (Section 5.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Set
+from dataclasses import dataclass
 
-from repro.storage.block import BlockLike
 from repro.traces.datacenter import PrimaryTenant, Server
 
 
@@ -41,8 +38,6 @@ class DataNode:
     tenant: PrimaryTenant
     primary_aware: bool = True
     busy_threshold: float = 2.0 / 3.0
-    _stored_blocks: Set[str] = field(default_factory=set)
-    _used_space_gb: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.busy_threshold <= 1.0:
@@ -58,78 +53,10 @@ class DataNode:
         """The hosting server's primary tenant."""
         return self.tenant.tenant_id
 
-    # -- capacity ----------------------------------------------------------
-
     @property
     def capacity_gb(self) -> float:
         """Disk space the primary tenant allows the file system to use."""
         return self.server.harvestable_disk_gb
-
-    @property
-    def used_space_gb(self) -> float:
-        """Space currently consumed by stored replicas."""
-        return self._used_space_gb
-
-    @property
-    def free_space_gb(self) -> float:
-        """Remaining harvestable space."""
-        return max(0.0, self.capacity_gb - self._used_space_gb)
-
-    def has_space_for(self, size_gb: float) -> bool:
-        """Whether a replica of ``size_gb`` fits (goal G1: never exceed the quota)."""
-        return size_gb <= self.free_space_gb + 1e-9
-
-    # -- replica storage ------------------------------------------------------
-
-    @property
-    def stored_block_ids(self) -> Set[str]:
-        """Blocks with a replica on this DataNode."""
-        return set(self._stored_blocks)
-
-    def store_replica(self, block: BlockLike) -> None:
-        """Account for a new replica of ``block`` on this server."""
-        self.store_replica_id(block.block_id, block.size_gb)
-
-    def store_replica_id(self, block_id: str, size_gb: float) -> None:
-        """``store_replica`` for callers that track block state columnarly.
-
-        Same checks and accounting, minus the per-attribute hops through a
-        block object — the NameNode's BlockTable paths call this once per
-        stored replica.
-        """
-        if block_id in self._stored_blocks:
-            raise ValueError(
-                f"server {self.server_id} already stores block {block_id}"
-            )
-        # ``has_space_for`` inlined (this runs once per stored replica).
-        free = self.server.harvestable_disk_gb - self._used_space_gb
-        if free < 0.0:
-            free = 0.0
-        if size_gb > free + 1e-9:
-            raise ValueError(
-                f"server {self.server_id} has no space for block {block_id}"
-            )
-        self._stored_blocks.add(block_id)
-        self._used_space_gb += size_gb
-
-    def remove_replica(self, block: BlockLike) -> None:
-        """Release the space of a replica (after loss or deletion)."""
-        if block.block_id in self._stored_blocks:
-            self._stored_blocks.discard(block.block_id)
-            self._used_space_gb = max(0.0, self._used_space_gb - block.size_gb)
-
-    def reimage(self) -> Set[str]:
-        """Wipe the disk: every stored replica is destroyed.
-
-        Returns the ids of the blocks that lost a replica; the NameNode uses
-        them to queue re-replication.
-        """
-        lost = set(self._stored_blocks)
-        self._stored_blocks.clear()
-        self._used_space_gb = 0.0
-        return lost
-
-    # -- availability ------------------------------------------------------------
 
     def is_busy(self, time: float) -> bool:
         """Whether the DataNode currently denies secondary accesses.

@@ -12,29 +12,26 @@ Three awareness levels match the paper's HDFS variants:
 * ``HDFS-PT`` — ``primary_aware=True`` with :class:`StockPlacementPolicy`;
 * ``HDFS-H`` — ``primary_aware=True`` with :class:`HistoryPlacementPolicy`.
 
-All block state lives in a columnar :class:`~repro.storage.block_table
-.BlockTable` (one numpy row per block); the hot paths — creation, batched
-access checking, reimage replay, and recovery candidate picks — run as mask
-reductions over it, while :attr:`blocks` hands out per-object
-:class:`~repro.storage.block.BlockView` wrappers that read and write the
-same arrays.  Every array expression reproduces the scalar arithmetic and
-random-draw ordering of the per-object path it replaced, so fixed seeds
-yield bit-identical experiment results
-(see ``tests/test_storage_block_table.py``).
+All storage state lives here: a columnar :class:`~repro.storage.block_table
+.BlockTable` (one numpy row per block, plus each server's set of rows) and
+per-server columns for capacity and used space.  DataNodes only configure a
+server.  The hot paths — creation, batched access checking, reimage replay,
+and recovery candidate picks — run as mask reductions over these columns.
+Every array expression reproduces the scalar arithmetic and random-draw
+ordering of the per-object path it replaced, so fixed seeds yield
+bit-identical experiment results (see ``tests/test_storage_block_table.py``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.simulation.metrics import MetricRegistry
 from repro.simulation.random import RandomSource
-from repro.storage.block import BlockView
-from repro.storage.block_table import BlockNamespace, BlockTable
+from repro.storage.block_table import BlockTable
 from repro.storage.datanode import DataNode
 from repro.storage.placement_policies import PlacementContext, PlacementPolicy
 from repro.storage.replication import ReplicationManager
@@ -47,23 +44,6 @@ class AccessResult(str, enum.Enum):
     SERVED = "served"
     UNAVAILABLE = "unavailable"
     LOST = "lost"
-
-
-@dataclass
-class CreateResult:
-    """Outcome of a block creation."""
-
-    block: Optional[BlockView]
-    placed_replicas: int
-    requested_replicas: int
-
-    @property
-    def fully_replicated(self) -> bool:
-        """Whether the desired replication level was achieved at creation."""
-        return (
-            self.block is not None
-            and self.placed_replicas >= self.requested_replicas
-        )
 
 
 @dataclass
@@ -95,7 +75,6 @@ class NameNode:
         primary_aware: bool = True,
         default_replication: int = 3,
         rng: Optional[RandomSource] = None,
-        metrics: Optional[MetricRegistry] = None,
         replication_manager: Optional[ReplicationManager] = None,
         trace_matrix: Optional[TraceMatrix] = None,
     ) -> None:
@@ -108,7 +87,6 @@ class NameNode:
             raise ValueError("default_replication must be positive")
         self._default_replication = default_replication
         self._rng = rng or RandomSource(0)
-        self.metrics = metrics or MetricRegistry()
         self._replication = replication_manager or ReplicationManager()
         self._block_counter = 0
         #: Cached count of servers with free space, invalidated whenever
@@ -122,17 +100,14 @@ class NameNode:
         Busy checks and space filtering run once per block creation, recovery
         candidate pick, and access; evaluating them per DataNode in Python
         dominates the storage experiments.  The NameNode therefore keeps a
-        per-server view — tenant trace row, busy threshold, capacity, and a
-        mirror of used space — as flat numpy arrays, updated on the same
-        mutations that update the DataNodes themselves, and a
+        per-server view — tenant trace row, busy threshold, capacity, and
+        used space (the only record of it) — as flat numpy arrays, and a
         :class:`BlockTable` holding one row per block.
         """
         dns = list(self._datanodes.values())
-        self._datanode_list: List[DataNode] = dns
-        self._server_ids: List[str] = [dn.server_id for dn in dns]
-        self._index_of_server: Dict[str, int] = {
-            sid: i for i, sid in enumerate(self._server_ids)
-        }
+        self._table = BlockTable([dn.server_id for dn in dns])
+        self._server_ids = self._table.server_ids
+        self._index_of_server = self._table.index_of_server
         if trace_matrix is None:
             tenants, seen = [], set()
             for dn in dns:
@@ -148,19 +123,10 @@ class NameNode:
         self._server_aware = np.array([dn.primary_aware for dn in dns], dtype=bool)
         self._server_thresholds = np.array([dn.busy_threshold for dn in dns])
         self._server_capacity = np.array([dn.capacity_gb for dn in dns])
-        self._server_used = np.array([dn.used_space_gb for dn in dns])
-        self._table = BlockTable(
-            self._server_ids, [dn.tenant_id for dn in dns]
-        )
-        self._namespace = BlockNamespace(self._table)
+        self._server_used = np.zeros(len(dns))
         self._placement_context = PlacementContext.build(
             self._server_ids, [dn.server.rack for dn in dns]
         )
-
-    @property
-    def trace_matrix(self) -> TraceMatrix:
-        """The vectorized utilization view over the DataNodes' tenants."""
-        return self._matrix
 
     @property
     def block_table(self) -> BlockTable:
@@ -172,54 +138,16 @@ class NameNode:
         """Server ids in column order (the order io-load vectors use)."""
         return list(self._server_ids)
 
-    # -- namespace ----------------------------------------------------------
-
-    @property
-    def blocks(self) -> Mapping[str, BlockView]:
-        """All blocks ever created, keyed by id (live views, creation order)."""
-        return self._namespace
-
     @property
     def datanodes(self) -> Dict[str, DataNode]:
         """All registered DataNodes keyed by server id."""
         return self._datanodes
 
-    def lost_blocks(self) -> List[BlockView]:
-        """Blocks whose every replica has been destroyed."""
-        return [self._table.view(int(row)) for row in self._table.lost_rows()]
-
-    def under_replicated_blocks(self) -> List[BlockView]:
-        """Blocks below their target replication but not lost."""
-        return [
-            self._table.view(int(row))
-            for row in self._table.under_replicated_rows()
-        ]
+    def lost_block_count(self) -> int:
+        """Number of blocks whose every replica has been destroyed."""
+        return int(self._table.lost.sum())
 
     # -- block creation ----------------------------------------------------------
-
-    def create_block(
-        self,
-        time: float,
-        replication: Optional[int] = None,
-        creating_server_id: Optional[str] = None,
-        size_gb: float = 0.25,
-    ) -> CreateResult:
-        """Create a block and place its replicas via the placement policy.
-
-        Busy servers are excluded from the candidate set when primary-aware
-        (the NameNode stops using busy DataNodes as destinations).
-        """
-        replication = replication or self._default_replication
-        block_ids = self.create_blocks(
-            time, [creating_server_id], replication=replication, size_gb=size_gb
-        )
-        block_id = block_ids[0]
-        if block_id is None:
-            return CreateResult(None, 0, replication)
-        row = self._table.row_of(block_id)
-        return CreateResult(
-            self._table.view(row), self._table.healthy_count_of(row), replication
-        )
 
     def create_blocks(
         self,
@@ -230,12 +158,11 @@ class NameNode:
     ) -> List[Optional[str]]:
         """Create one block per entry of ``creating_server_ids``, batched.
 
-        The one creation path (:meth:`create_block` is a batch of one):
-        busy servers (when primary-aware) and servers without space are
-        excluded up front in one vectorized pass — the busy mask is a pure
-        function of ``time``, so it is computed once and the exclusion mask
-        is refreshed scalar-wise as replicas land — and the metric counters
-        and re-replication enqueues are applied in one batch at the end.
+        The one creation path: busy servers (when primary-aware) and servers
+        without space are excluded up front in one vectorized pass — the
+        busy mask is a pure function of ``time``, so it is computed once and
+        the exclusion mask is refreshed scalar-wise as replicas land — and
+        the re-replication enqueues are applied in one batch at the end.
         Returns the id of each created block (``None`` where placement
         found no candidates).
         """
@@ -252,34 +179,29 @@ class NameNode:
         excluded_mask = ~self._space_mask(size_gb)
         if busy is not None:
             excluded_mask |= busy
-        exclude_ids: Optional[List[str]] = None
         candidates: Optional[np.ndarray] = None
         results: List[Optional[str]] = []
         pending: List[str] = []
-        created = failed = 0
         for creating_server_id in creating_server_ids:
             self._block_counter += 1
             block_id = f"block-{self._block_counter}"
             if candidates is None:
                 candidates = np.flatnonzero(~excluded_mask)
-                exclude_ids = [
-                    self._server_ids[i] for i in np.flatnonzero(excluded_mask)
-                ]
-            chosen = self._choose_placement(
+            # ``candidates`` keeps its identity while the mask is unchanged,
+            # which is what the policies key their pool caches on.
+            chosen = self._policy.choose_server_indices(
                 replication,
-                creating_server_id,
-                size_gb,
+                self._index_of_server.get(creating_server_id),
                 excluded_mask,
-                exclude_ids,
+                self._placement_context,
                 candidates,
             )
             if not chosen:
-                failed += 1
                 results.append(None)
                 continue
             row = self._table.append(block_id, size_gb, replication)
             for server_index in chosen:
-                self._store_replica_at(row, server_index, time)
+                self._place_replica(row, server_index)
                 free = float(
                     self._server_capacity[server_index]
                     - self._server_used[server_index]
@@ -289,69 +211,28 @@ class NameNode:
                 )
                 if bool(excluded_mask[server_index]) != now_excluded:
                     excluded_mask[server_index] = now_excluded
-                    exclude_ids = None
                     candidates = None
-            created += 1
             if self._table.healthy_count_of(row) < replication:
                 pending.append(block_id)
             results.append(block_id)
-        if created:
-            self.metrics.counter("blocks_created").increment(created)
-        if failed:
-            self.metrics.counter("block_creations_failed").increment(failed)
         self._replication.enqueue_many(pending)
         return results
 
-    def _choose_placement(
-        self,
-        replication: int,
-        creating_server_id: Optional[str],
-        size_gb: float,
-        excluded_mask: np.ndarray,
-        exclude_ids: Optional[List[str]] = None,
-        candidates: Optional[np.ndarray] = None,
-    ) -> List[int]:
-        """Replica destinations as server indices, via the policy.
+    def _place_replica(self, row: int, server_index: int) -> None:
+        """Place a replica of ``row`` on ``server_index`` and charge its space.
 
-        Policies exposing the vectorized ``choose_server_indices`` entry
-        point (the stock rule) receive the exclusion mask directly; the
-        grid-based history policy keeps the id-based interface, fed from the
-        same mask (``exclude_ids`` / ``candidates`` let batch callers reuse
-        materialized forms of it while the mask is unchanged).
+        Goal G1: a server never holds more than its primary tenant allows.
         """
-        fast = getattr(self._policy, "choose_server_indices", None)
-        if fast is not None:
-            creating_index = (
-                self._index_of_server.get(creating_server_id)
-                if creating_server_id is not None
-                else None
-            )
-            return fast(
-                replication,
-                creating_index,
-                excluded_mask,
-                self._placement_context,
-                candidates,
-            )
-        if exclude_ids is None:
-            exclude_ids = [self._server_ids[i] for i in np.flatnonzero(excluded_mask)]
-        chosen = self._policy.choose_servers(
-            replication,
-            creating_server_id,
-            self._datanodes,
-            size_gb,
-            exclude=exclude_ids,
-            space_prefiltered=True,
-        )
-        return [self._index_of_server[sid] for sid in chosen]
-
-    def _store_replica_at(self, row: int, server_index: int, time: float) -> None:
         size_gb = self._table.size_of(row)
-        datanode = self._datanode_list[server_index]
-        datanode.store_replica_id(self._table.id_of(row), size_gb)
+        free = self._server_capacity[server_index] - self._server_used[server_index]
+        if size_gb > max(0.0, free) + 1e-9:
+            raise ValueError(
+                f"server {self._server_ids[server_index]} has no space for "
+                f"block {self._table.id_of(row)}"
+            )
+        self._table.add_replica(row, server_index)
         self._server_used[server_index] += size_gb
         self._healthy_server_count = None
-        self._table.add_replica(row, server_index, time)
 
     def _busy_mask(self, time: float) -> np.ndarray:
         """Per-server busy flags, evaluated as one trace-matrix gather."""
@@ -359,7 +240,7 @@ class NameNode:
         return self._server_aware & (util > self._server_thresholds)
 
     def _space_mask(self, size_gb: float) -> np.ndarray:
-        """Per-server flags for ``DataNode.has_space_for(size_gb)``."""
+        """Per-server flags: a replica of ``size_gb`` fits in the free space."""
         free = np.maximum(0.0, self._server_capacity - self._server_used)
         return size_gb <= free + 1e-9
 
@@ -377,25 +258,19 @@ class NameNode:
         row = self._table.get_row(block_id)
         if row is None:
             raise KeyError(f"unknown block {block_id}")
-        self._table.record_access(row)
         if self._table.lost[row]:
-            self.metrics.counter("accesses_lost_block").increment()
             return AccessResult.LOST
 
         healthy = self._table.healthy_servers_of(row)
         if not len(healthy):
-            self.metrics.counter("accesses_lost_block").increment()
             return AccessResult.LOST
 
         if not self._primary_aware:
-            self.metrics.counter("accesses_served").increment()
             return AccessResult.SERVED
 
         busy = self._busy_mask(time)
         if not busy[healthy].all():
-            self.metrics.counter("accesses_served").increment()
             return AccessResult.SERVED
-        self.metrics.counter("accesses_failed").increment()
         return AccessResult.UNAVAILABLE
 
     #: Integer codes used by :meth:`check_accesses`, index-aligned with the
@@ -410,10 +285,9 @@ class NameNode:
         """Evaluate a whole batch of accesses as numpy mask reductions.
 
         Semantically identical to calling :meth:`access_block` for each
-        ``(block_ids[i], times[i])`` pair — including the metric counters —
-        but the per-replica busy checks collapse into one ``(accesses x
-        replicas)`` trace-matrix lookup over the block table's replica
-        columns.  Returns an ``int8`` array whose values index
+        ``(block_ids[i], times[i])`` pair, but the per-replica busy checks
+        collapse into one ``(accesses x replicas)`` trace-matrix lookup over
+        the block table's replica columns.  Returns an ``int8`` array whose values index
         :data:`ACCESS_CODES` (0 = served, 1 = unavailable, 2 = lost).
         """
         times = np.asarray(times, dtype=float)
@@ -430,7 +304,6 @@ class NameNode:
             if row is None:
                 raise KeyError(f"unknown block {block_id}")
             rows[i] = row
-        self._table.record_accesses(rows)
 
         # (accesses x slots) server-index matrix straight from the table's
         # replica columns; destroyed or empty slots are masked out.
@@ -452,13 +325,7 @@ class NameNode:
             available = valid & ~busy
             served = available.any(axis=1) & ~lost
             codes[~served & ~lost] = 1
-            self.metrics.counter("accesses_failed").increment(
-                int((~served & ~lost).sum())
-            )
         codes[served] = 0
-        self.metrics.counter("accesses_served").increment(int(served.sum()))
-        if lost.any():
-            self.metrics.counter("accesses_lost_block").increment(int(lost.sum()))
         return codes
 
     def access_blocks(
@@ -475,9 +342,9 @@ class NameNode:
         block (by default uniform over every block ever created, in creation
         order) and — when served — one replica to read from, consuming
         ``rng`` exactly as the per-access scalar loop did
-        (``choice(block_ids)`` then ``choice(candidate_servers)``).  Access
-        counters are bumped per block, and each served access scatters
-        ``io_per_access`` onto the serving server's io-load column.
+        (``choice(block_ids)`` then ``choice(candidate_servers)``).  Each
+        served access adds ``io_per_access`` to the serving server's entry
+        of the returned io-load vector.
         Primary-aware NameNodes only read from non-busy replicas and fail
         the access when all are busy; oblivious ones read from any healthy
         replica (the interference cost is the latency model's problem).
@@ -497,7 +364,6 @@ class NameNode:
         served = failed = lost = 0
         for _ in range(count):
             row = rng.integer(0, n) if sampler is None else sampler.index(rng, n)
-            table.record_access(row)
             healthy = table.healthy_servers_of(row)
             if not len(healthy):
                 lost += 1
@@ -512,13 +378,6 @@ class NameNode:
             served += 1
             target = int(pool[rng.integer(0, len(pool))])
             io_load[target] += io_per_access
-        if served:
-            self.metrics.counter("accesses_served").increment(served)
-        if failed:
-            self.metrics.counter("accesses_failed").increment(failed)
-        if lost:
-            self.metrics.counter("accesses_lost_block").increment(lost)
-        table.io_load += io_load
         return AccessBatch(served, failed, lost, io_load)
 
     # -- reimages and recovery -------------------------------------------------------
@@ -528,34 +387,26 @@ class NameNode:
 
         Returns the ids of blocks that became lost as a result.
         """
-        datanode = self._datanodes.get(server_id)
-        if datanode is None:
+        server_index = self._index_of_server.get(server_id)
+        if server_index is None:
             return []
-        affected = datanode.reimage()
-        server_index = self._index_of_server[server_id]
         self._server_used[server_index] = 0.0
         self._healthy_server_count = None
         table = self._table
         newly_lost: List[str] = []
-        # The DataNode reports its wiped replicas as a set; iterate in sorted
-        # order so the re-replication queue (and every random draw downstream
-        # of it) does not depend on the process's string-hash seed.
-        for block_id in sorted(affected):
-            row = table.get_row(block_id)
-            if row is None:
-                continue
-            was_lost = table.is_lost(row)
+        # Walk the server's replicas in lexicographic block-id order
+        # (``block-10`` before ``block-2``), not row order: the
+        # re-replication queue, and every random draw downstream of it,
+        # follows this order, and the committed fingerprints pin it.
+        # ``sorted`` also copies the live row set the destroys shrink.
+        for row in sorted(table.rows_on(server_index), key=table.id_of):
+            block_id = table.id_of(row)
             table.destroy_replica(row, server_index)
-            now_lost = table.is_lost(row)
-            if now_lost and not was_lost:
+            if table.is_lost(row):
                 newly_lost.append(block_id)
                 self._replication.discard(block_id)
-            elif not now_lost:
+            else:
                 self._replication.enqueue(block_id)
-        if newly_lost:
-            self.metrics.counter("blocks_lost").increment(len(newly_lost))
-        if affected:
-            self.metrics.counter("reimages_processed").increment()
         return newly_lost
 
     def run_replication(self, time: float) -> int:
@@ -628,7 +479,7 @@ class NameNode:
                     if position <= index:
                         index += 1
                 target = int(candidates[index])
-                self._store_replica_at(row, target, time)
+                self._place_replica(row, target)
                 restored += 1
                 missing -= 1
                 # The store consumed space on ``target``: refresh its bit in
@@ -649,18 +500,4 @@ class NameNode:
                             cached_viable.tolist(),
                             np.cumsum(cached_viable[order]).tolist(),
                         )
-        if restored:
-            self.metrics.counter("replicas_restored").increment(restored)
         return restored
-
-    # -- statistics -------------------------------------------------------------------
-
-    def lost_block_fraction(self) -> float:
-        """Fraction of created blocks that have been lost."""
-        if not self._table.num_blocks:
-            return 0.0
-        return int(self._table.lost.sum()) / self._table.num_blocks
-
-    def total_used_space_gb(self) -> float:
-        """Space consumed across all DataNodes."""
-        return sum(dn.used_space_gb for dn in self._datanodes.values())

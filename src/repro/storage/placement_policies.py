@@ -10,6 +10,11 @@ Three policies mirror the paper's systems:
 * :class:`HistoryPlacementPolicy` — Algorithm 2: the two-dimensional grid
   clustering plus the row/column/environment diversity constraints,
   delegating to :class:`repro.core.placement.ReplicaPlacer`.
+
+The NameNode calls :meth:`~PlacementPolicy.choose_server_indices` over
+server indices and an exclusion mask; each policy's id-based
+``choose_servers`` is the scalar reference that entry point is tested
+against.
 """
 
 from __future__ import annotations
@@ -55,21 +60,20 @@ class PlacementContext:
 class PlacementPolicy(Protocol):
     """Interface the NameNode uses to pick replica destinations."""
 
-    def choose_servers(
+    def choose_server_indices(
         self,
         replication: int,
-        creating_server_id: Optional[str],
-        datanodes: Dict[str, DataNode],
-        block_size_gb: float,
-        exclude: Sequence[str] = (),
-        space_prefiltered: bool = False,
-    ) -> List[str]:
-        """Return up to ``replication`` distinct server ids for a new block.
+        creating_index: Optional[int],
+        excluded_mask: np.ndarray,
+        context: PlacementContext,
+        candidates: Optional[np.ndarray] = None,
+    ) -> List[int]:
+        """Return up to ``replication`` distinct server indices for a block.
 
-        ``space_prefiltered`` tells the policy that ``exclude`` already
-        contains every server without room for the block (the NameNode
-        computes that in one vectorized pass), so the per-DataNode space
-        scan can be skipped.
+        ``excluded_mask`` flags every server that cannot take a replica
+        (busy, or without room for the block); ``candidates``, when given,
+        is ``np.flatnonzero(~excluded_mask)`` and keeps its identity while
+        the mask is unchanged.
         """
         ...
 
@@ -181,22 +185,20 @@ class StockPlacementPolicy:
         replication: int,
         creating_server_id: Optional[str],
         datanodes: Dict[str, DataNode],
-        block_size_gb: float,
         exclude: Sequence[str] = (),
-        space_prefiltered: bool = False,
     ) -> List[str]:
-        """Pick servers with the rack-aware stock rule."""
+        """Pick servers with the rack-aware stock rule, over server ids.
+
+        The scalar reference for :meth:`choose_server_indices`; servers
+        without room for the block belong in ``exclude``.
+        """
         if replication <= 0:
             raise ValueError("replication must be positive")
         excluded = set(exclude)
-        # Candidates carry (server_id, rack) alongside the DataNode so the
-        # inner filters below stay free of per-DataNode property calls; this
-        # runs once per block creation.
         candidates = [
             (sid, dn.server.rack)
             for sid, dn in datanodes.items()
             if sid not in excluded
-            and (space_prefiltered or dn.has_space_for(block_size_gb))
         ]
         if not candidates:
             return []
@@ -212,12 +214,8 @@ class StockPlacementPolicy:
 
         # Replica 1: the creating server when possible, otherwise random.
         first: Optional[tuple] = None
-        if creating_server_id is not None and creating_server_id in datanodes:
-            local = datanodes[creating_server_id]
-            if creating_server_id not in excluded and (
-                space_prefiltered or local.has_space_for(block_size_gb)
-            ):
-                first = (creating_server_id, local.server.rack)
+        if creating_server_id in datanodes and creating_server_id not in excluded:
+            first = (creating_server_id, datanodes[creating_server_id].server.rack)
         if first is None:
             first = pick(candidates)
         if first is None:
@@ -376,26 +374,21 @@ class HistoryPlacementPolicy:
         self,
         replication: int,
         creating_server_id: Optional[str],
-        datanodes: Dict[str, DataNode],
-        block_size_gb: float,
         exclude: Sequence[str] = (),
-        space_prefiltered: bool = False,
     ) -> List[str]:
-        """Pick servers with Algorithm 2; falls back to nothing when unclustered."""
+        """Pick servers with Algorithm 2, over server ids.
+
+        The scalar reference for :meth:`choose_server_indices`.  Servers
+        that are busy or out of space belong in ``exclude``: the placer must
+        know them up front so it can pick alternatives that still satisfy
+        the diversity constraints.
+        """
         if self._placer is None:
             raise RuntimeError(
                 "HistoryPlacementPolicy.update_clustering must run before placement"
             )
-        # Servers that are busy or out of space cannot receive a replica; the
-        # placer must know this up front so it can pick alternatives that
-        # still satisfy the diversity constraints.
-        excluded = set(exclude)
-        if not space_prefiltered:
-            for server_id, datanode in datanodes.items():
-                if not datanode.has_space_for(block_size_gb):
-                    excluded.add(server_id)
         decision = self._placer.place_block(
-            replication, creating_server_id, excluded_servers=excluded
+            replication, creating_server_id, excluded_servers=set(exclude)
         )
         return list(decision.server_ids)
 

@@ -151,22 +151,27 @@ class TestRunScenario:
             ),
             ("predictor-ablation", {"variants": ("YARN-H", "YARN-PT")}, "'YARN-PT'"),
             ("fig13-dc9-sweep", {"variants": ("YARN-H",)}, "expected none"),
+            ("fig15-durability", {"replication_levels": (2.5,)}, "positive int"),
+            ("fig15-durability", {"replication_levels": (0,)}, "positive int"),
+            ("fig15-durability", {"replication_levels": (-1,)}, "positive int"),
+            ("fig15-durability", {"replication_levels": (True,)}, "positive int"),
+            ("failure-storm", {"replication_levels": ("3",)}, "positive int"),
         ],
     )
     def test_unrunnable_specs_fail_before_the_build(
         self, monkeypatch, name, overrides, match
     ):
-        spec = api.resolve(name, {"scale": "tiny", **overrides})
-        runner_cls = RUNNERS[spec.kind]
+        overrides = {"scale": "tiny", **overrides}
+        runner_cls = RUNNERS[get_scenario(name).kind]
 
         def no_build(self):
             raise AssertionError("the context build ran for an unrunnable spec")
 
         monkeypatch.setattr(runner_cls, "_prepare", no_build)
         with pytest.raises(ValueError, match=match):
-            api.cells_from_spec(spec)
+            api.cells_from_spec(api.resolve(name, overrides))
         with pytest.raises(ValueError, match=match):
-            api.run(spec, workers=2)
+            api.run(name, overrides=overrides, workers=2)
 
 
 class TestDeterminism:

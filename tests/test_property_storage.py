@@ -75,30 +75,37 @@ def build_namenode(
 
 
 def check_invariants(namenode: NameNode) -> None:
-    """Invariants that must hold after any event sequence."""
-    # 1. No DataNode ever exceeds its harvestable space quota.
-    for datanode in namenode.datanodes.values():
-        assert datanode.used_space_gb <= datanode.capacity_gb + 1e-9
-    # 2. DataNode space accounting matches the healthy replicas it stores.
-    stored_count = {server_id: 0 for server_id in namenode.datanodes}
-    for block in namenode.blocks.values():
-        for replica in block.healthy_replicas():
-            stored_count[replica.server_id] += 1
-    for server_id, datanode in namenode.datanodes.items():
-        assert len(datanode.stored_block_ids) == stored_count[server_id]
-    # 3. A block is lost exactly when it has no healthy replica.
-    for block in namenode.blocks.values():
-        if block.lost:
-            assert block.healthy_count == 0
-        else:
-            assert block.healthy_count >= 1
-    # 4. No block ever exceeds its target replication.
-    for block in namenode.blocks.values():
-        assert block.healthy_count <= block.target_replication
-    # 5. A server holds at most one replica of any block.
-    for block in namenode.blocks.values():
-        healthy_servers = block.servers_with_healthy_replicas()
-        assert len(healthy_servers) == len(set(healthy_servers))
+    """Conservation invariants that must hold after any event sequence.
+
+    The NameNode's block table and per-server used-space column are the
+    only storage record, so every check recounts one from the other.
+    """
+    table = namenode.block_table
+    n = table.num_blocks
+    servers = table.replica_servers
+    healthy = table.replica_healthy
+    capacity = namenode._server_capacity
+    used = namenode._server_used
+    for index in range(table.num_servers):
+        holds = (servers == index) & healthy
+        rows = set(np.flatnonzero(holds.any(axis=1)).tolist())
+        # 1. The per-server row index matches a recount of the replica columns.
+        assert table.rows_on(index) == rows
+        # 2. Used space is exactly the summed size of the healthy replicas,
+        #    and never exceeds the quota (goal G1).
+        assert used[index] == pytest.approx(float(table.size_gb[sorted(rows)].sum()))
+        assert used[index] <= capacity[index] + 1e-9
+    for row in range(n):
+        count = int(healthy[row].sum())
+        # 3. The healthy count matches the healthy slots; a block is lost
+        #    exactly when that count is 0.
+        assert table.healthy_count_of(row) == count
+        assert table.is_lost(row) == (count == 0)
+        # 4. No block ever exceeds its target replication.
+        assert count <= int(table.target_replication[row])
+        # 5. A server holds at most one replica of any block.
+        live = table.healthy_servers_of(row).tolist()
+        assert len(live) == len(set(live))
 
 
 @st.composite
@@ -133,11 +140,9 @@ class TestStorageInvariants:
         for kind, time in events:
             time = float(time)
             if kind == "create":
-                outcome = namenode.create_block(
-                    time, creating_server_id=rng.choice(server_ids)
-                )
-                if outcome.block is not None:
-                    block_ids.append(outcome.block.block_id)
+                (block_id,) = namenode.create_blocks(time, [rng.choice(server_ids)])
+                if block_id is not None:
+                    block_ids.append(block_id)
             elif kind == "reimage":
                 namenode.handle_reimage(rng.choice(server_ids), time)
             elif kind == "recover":
@@ -155,7 +160,7 @@ class TestStorageInvariants:
         rng = RandomSource(3)
         servers = sorted(namenode.datanodes)
         for _ in range(40):
-            namenode.create_block(0.0, creating_server_id=rng.choice(servers))
+            namenode.create_blocks(0.0, [rng.choice(servers)])
         # Reimage two thirds of the servers at nearly the same time.
         for server_id in servers[: 2 * len(servers) // 3]:
             namenode.handle_reimage(server_id, 100.0)
@@ -164,9 +169,10 @@ class TestStorageInvariants:
         for hour in range(1, 20):
             namenode.run_replication(100.0 + hour * 3600.0)
         check_invariants(namenode)
-        for block in namenode.blocks.values():
-            if not block.lost:
-                assert block.missing_replicas == 0
+        table = namenode.block_table
+        for row in range(table.num_blocks):
+            if not table.is_lost(row):
+                assert table.missing_of(row) == 0
 
     def test_creation_storm_respects_quotas(self):
         """Filling the file system never overflows any server's quota."""
@@ -175,8 +181,10 @@ class TestStorageInvariants:
         )
         rng = RandomSource(5)
         servers = sorted(namenode.datanodes)
-        for _ in range(500):
-            namenode.create_block(0.0, creating_server_id=rng.choice(servers))
+        created = [
+            namenode.create_blocks(0.0, [rng.choice(servers)])[0]
+            for _ in range(500)
+        ]
         check_invariants(namenode)
         # Eventually creations fail rather than over-commit space.
-        assert namenode.metrics.counter_value("block_creations_failed") > 0
+        assert None in created

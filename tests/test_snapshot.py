@@ -6,8 +6,9 @@ Three layers of the contract, bottom-up:
   stream continues draw-for-draw and fork-for-fork, and
   :class:`~repro.simulation.random.ForkSequence` replays fork seeds with no
   generator at all (the spec-only cell enumeration fast path);
-* each columnar substrate round-trips through its ``to_arrays`` /
-  ``from_arrays`` form with every column, cache, and derived counter intact;
+* each snapshotted columnar substrate (TraceMatrix, TaskTable, FleetState)
+  round-trips through its ``to_arrays`` / ``from_arrays`` form with every
+  column, cache, and derived counter intact;
 * a runner restored from a serialized :class:`ContextSnapshot` — in this
   process or via the checkpoint directory — produces results bit-identical
   to the straight-line serial run, for every scenario kind.
@@ -42,7 +43,6 @@ from repro.harness.spec import ScenarioSpec
 from repro.jobs.dag import JobDag, Vertex
 from repro.jobs.task_table import COMPLETED, KILLED, TaskTable
 from repro.simulation.random import ForkSequence, RandomSource, child_seed
-from repro.storage.block_table import BlockTable
 from repro.cluster.node_manager import NodeManager
 from repro.cluster.resource_manager import ResourceManager, SchedulerMode
 from repro.cluster.server import SimulatedServer
@@ -200,38 +200,6 @@ class TestTraceMatrixRoundTrip:
         matrix = TraceMatrix([make_tenant("a", [0.1, 0.9, 0.5, 0.3])])
         restored = pickle.loads(pickle.dumps(matrix))
         assert_arrays_equal(matrix.to_arrays(), restored.to_arrays())
-
-
-class TestBlockTableRoundTrip:
-    def build_table(self) -> BlockTable:
-        servers = [f"s{i}" for i in range(6)]
-        tenants = [f"t{i % 2}" for i in range(6)]
-        table = BlockTable(servers, tenants, replica_slots=2)
-        rng = RandomSource(5)
-        for i in range(40):
-            row = table.append(f"blk-{i}", 1.0 + i * 0.25, 3)
-            for server in rng.sample(range(6), 3):
-                table.add_replica(row, int(server), float(i))
-        # Exercise the sticky-lost / slot-reuse paths before serializing.
-        for row in range(0, 40, 7):
-            for server in list(table.holders_of(row)):
-                table.destroy_replica(row, int(server))
-        table.record_accesses(np.arange(0, 40, 3))
-        return table
-
-    def test_arrays_round_trip(self):
-        table = self.build_table()
-        restored = BlockTable.from_arrays(table.to_arrays())
-        assert_arrays_equal(table.to_arrays(), restored.to_arrays())
-        assert restored.num_blocks == table.num_blocks
-        assert np.array_equal(restored.lost_rows(), table.lost_rows())
-        assert np.array_equal(
-            restored.under_replicated_rows(), table.under_replicated_rows()
-        )
-        # Views and mutation keep working on the restored table.
-        row = restored.row_of("blk-1")
-        assert restored.view(row).block_id == "blk-1"
-        restored.add_replica(row, 0, 99.0)
 
 
 class TestTaskTableRoundTrip:

@@ -1,12 +1,20 @@
-"""Tests for blocks, replicas, and the per-server DataNode."""
+"""Tests for blocks, replicas, and the per-server DataNode.
+
+A DataNode only configures its server; the space its replicas use is the
+NameNode's record, so the DataNode storage checks drive a one-server
+NameNode.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.simulation.random import RandomSource
 from repro.storage.block import Block, BlockReplica
 from repro.storage.datanode import DataNode
+from repro.storage.namenode import NameNode
+from repro.storage.placement_policies import StockPlacementPolicy
 from repro.traces.datacenter import PrimaryTenant, Server
 from repro.traces.utilization import UtilizationPattern, UtilizationTrace
 
@@ -28,6 +36,19 @@ def make_datanode(
     server = Server("s0", "t", disk_gb=disk * 2, harvestable_disk_gb=disk)
     tenant.servers.append(server)
     return DataNode(server=server, tenant=tenant, primary_aware=primary_aware)
+
+
+def make_namenode(disk: float = 10.0) -> NameNode:
+    """A NameNode over one DataNode, storing single-replica blocks."""
+    return NameNode(
+        [make_datanode(disk=disk)],
+        StockPlacementPolicy(RandomSource(1)),
+        default_replication=1,
+    )
+
+
+def used_gb(namenode: NameNode) -> float:
+    return float(namenode._server_used[0])
 
 
 class TestBlock:
@@ -73,38 +94,45 @@ class TestBlock:
 
 class TestDataNode:
     def test_space_accounting(self):
-        datanode = make_datanode(disk=1.0)
-        block = Block("b1", size_gb=0.25)
-        datanode.store_replica(block)
-        assert datanode.used_space_gb == pytest.approx(0.25)
-        assert datanode.free_space_gb == pytest.approx(0.75)
-        datanode.remove_replica(block)
-        assert datanode.used_space_gb == 0.0
+        namenode = make_namenode(disk=1.0)
+        assert namenode.create_blocks(0.0, [None], size_gb=0.25) == ["block-1"]
+        assert used_gb(namenode) == pytest.approx(0.25)
+        assert namenode.datanodes["s0"].capacity_gb == 1.0
+        namenode.handle_reimage("s0", 1.0)
+        assert used_gb(namenode) == 0.0
 
     def test_quota_never_exceeded(self):
         """Goal G1: never use more space than the primary tenant allows."""
-        datanode = make_datanode(disk=0.5)
-        datanode.store_replica(Block("b1", size_gb=0.25))
-        datanode.store_replica(Block("b2", size_gb=0.25))
-        with pytest.raises(ValueError):
-            datanode.store_replica(Block("b3", size_gb=0.25))
+        namenode = make_namenode(disk=0.5)
+        assert namenode.create_blocks(0.0, [None] * 3, size_gb=0.25) == [
+            "block-1",
+            "block-2",
+            None,
+        ]
+        assert used_gb(namenode) == pytest.approx(0.5)
+        # Storing past the quota directly is refused, not over-committed.
+        row = namenode.block_table.append("extra", 0.25, 1)
+        with pytest.raises(ValueError, match="no space"):
+            namenode._place_replica(row, 0)
+        assert used_gb(namenode) == pytest.approx(0.5)
 
     def test_duplicate_replica_rejected(self):
-        datanode = make_datanode()
-        block = Block("b1", size_gb=0.25)
-        datanode.store_replica(block)
-        with pytest.raises(ValueError):
-            datanode.store_replica(block)
+        namenode = make_namenode()
+        (block_id,) = namenode.create_blocks(0.0, [None])
+        with pytest.raises(ValueError, match="already has a replica"):
+            namenode._place_replica(namenode.block_table.row_of(block_id), 0)
+        assert used_gb(namenode) == pytest.approx(0.25)
 
     def test_reimage_clears_everything(self):
-        datanode = make_datanode()
-        blocks = [Block(f"b{i}", size_gb=0.25) for i in range(3)]
-        for block in blocks:
-            datanode.store_replica(block)
-        lost = datanode.reimage()
-        assert lost == {"b0", "b1", "b2"}
-        assert datanode.used_space_gb == 0.0
-        assert datanode.stored_block_ids == set()
+        namenode = make_namenode()
+        namenode.create_blocks(0.0, [None] * 3)
+        table = namenode.block_table
+        assert table.rows_on(0) == {0, 1, 2}
+        lost = namenode.handle_reimage("s0", 1.0)
+        assert lost == ["block-1", "block-2", "block-3"]
+        assert used_gb(namenode) == 0.0
+        assert table.rows_on(0) == set()
+        assert table.healthy_count.tolist() == [0, 0, 0]
 
     def test_busy_above_threshold(self):
         busy = make_datanode(utilization=0.8)

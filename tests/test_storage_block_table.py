@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.simulation.random import RandomSource
-from repro.storage.block import Block, BlockReplica, BlockView
+from repro.storage.block import Block, BlockReplica
 from repro.storage.block_table import BlockTable
 from repro.storage.datanode import DataNode
 from repro.storage.namenode import AccessResult, NameNode
@@ -75,7 +75,11 @@ def build_namenode(seed: int = 1, primary_aware: bool = True) -> NameNode:
 
 
 class ScalarNameNode:
-    """The pre-BlockTable NameNode logic, kept as the equivalence oracle."""
+    """The pre-BlockTable NameNode logic, kept as the equivalence oracle.
+
+    It keeps its own per-server bookkeeping (stored block ids and used
+    space), the way the DataNodes once did.
+    """
 
     def __init__(self, datanodes, policy, primary_aware=True, replication=3, rng=None):
         self.datanodes = {dn.server_id: dn for dn in datanodes}
@@ -86,6 +90,14 @@ class ScalarNameNode:
         self.blocks: dict[str, Block] = {}
         self.counter = 0
         self.manager = ReplicationManager()
+        self.stored: dict[str, set[str]] = {sid: set() for sid in self.datanodes}
+        self.used: dict[str, float] = {sid: 0.0 for sid in self.datanodes}
+
+    def free_gb(self, server_id):
+        return max(0.0, self.datanodes[server_id].capacity_gb - self.used[server_id])
+
+    def has_space_for(self, server_id, size_gb):
+        return size_gb <= self.free_gb(server_id) + 1e-9
 
     def create_block(self, time, creating_server_id=None, size_gb=0.25):
         self.counter += 1
@@ -97,16 +109,14 @@ class ScalarNameNode:
         exclude = [
             sid
             for sid, dn in self.datanodes.items()
-            if not dn.has_space_for(size_gb)
+            if not self.has_space_for(sid, size_gb)
             or (self.primary_aware and dn.is_busy(time))
         ]
         chosen = self.policy.choose_servers(
             self.default_replication,
             creating_server_id,
             self.datanodes,
-            size_gb,
             exclude=exclude,
-            space_prefiltered=True,
         )
         if not chosen:
             return None
@@ -118,12 +128,14 @@ class ScalarNameNode:
         return block
 
     def _store(self, block, server_id, time):
-        datanode = self.datanodes[server_id]
-        datanode.store_replica(block)
+        assert block.block_id not in self.stored[server_id]
+        assert self.has_space_for(server_id, block.size_gb)
+        self.stored[server_id].add(block.block_id)
+        self.used[server_id] += block.size_gb
         block.add_replica(
             BlockReplica(
                 server_id=server_id,
-                tenant_id=datanode.tenant_id,
+                tenant_id=self.datanodes[server_id].tenant_id,
                 created_time=time,
             )
         )
@@ -142,10 +154,11 @@ class ScalarNameNode:
         return AccessResult.UNAVAILABLE
 
     def handle_reimage(self, server_id, time):
-        datanode = self.datanodes.get(server_id)
-        if datanode is None:
+        if server_id not in self.datanodes:
             return []
-        affected = datanode.reimage()
+        affected = self.stored[server_id]
+        self.stored[server_id] = set()
+        self.used[server_id] = 0.0
         newly_lost = []
         for block_id in sorted(affected):
             block = self.blocks.get(block_id)
@@ -161,9 +174,7 @@ class ScalarNameNode:
         return newly_lost
 
     def run_replication(self, time):
-        healthy_servers = sum(
-            1 for dn in self.datanodes.values() if dn.free_space_gb > 0
-        )
+        healthy_servers = sum(1 for sid in self.datanodes if self.free_gb(sid) > 0)
         drained = self.manager.drain(time, healthy_servers)
         restored = 0
         for block_id in drained:
@@ -184,7 +195,7 @@ class ScalarNameNode:
         candidates = sorted(
             sid
             for sid, dn in self.datanodes.items()
-            if dn.has_space_for(block.size_gb)
+            if self.has_space_for(sid, block.size_gb)
             and not (self.primary_aware and dn.is_busy(time))
             and sid not in holders
         )
@@ -205,9 +216,26 @@ def twin_pair(seed=1, primary_aware=True):
     return namenode, scalar
 
 
-def layout_of(block) -> list[tuple[str, bool]]:
-    """(server, healthy) per replica, in insertion order."""
+def layout_of(namenode, block_id) -> list[tuple[str, bool]]:
+    """(server, healthy) per replica slot of a table row, in slot order."""
+    table = namenode.block_table
+    row = table.row_of(block_id)
+    return [
+        (table.server_ids[int(server)], bool(healthy))
+        for server, healthy in zip(
+            table.holders_of(row), table.replica_healthy[row]
+        )
+    ]
+
+
+def scalar_layout(block) -> list[tuple[str, bool]]:
+    """(server, healthy) per replica of a scalar block, in insertion order."""
     return [(r.server_id, r.healthy) for r in block.replicas.values()]
+
+
+def block_ids_of(namenode) -> list[str]:
+    table = namenode.block_table
+    return [table.id_of(row) for row in range(table.num_blocks)]
 
 
 class TestCreationEquivalence:
@@ -218,17 +246,15 @@ class TestCreationEquivalence:
         twin_creator_rng = RandomSource(7)
         for i in range(60):
             time = float(i * 37)
-            created = namenode.create_block(
-                time, creating_server_id=creator_rng.choice(servers)
-            )
+            (created,) = namenode.create_blocks(time, [creator_rng.choice(servers)])
             expected = scalar.create_block(
                 time, creating_server_id=twin_creator_rng.choice(servers)
             )
             if expected is None:
-                assert created.block is None
+                assert created is None
                 continue
-            assert created.block is not None
-            assert layout_of(created.block) == layout_of(expected)
+            assert created is not None
+            assert layout_of(namenode, created) == scalar_layout(expected)
 
     def test_batched_create_matches_scalar_loop(self):
         namenode, scalar = twin_pair()
@@ -248,7 +274,7 @@ class TestCreationEquivalence:
         for block_id, expected in zip(
             [i for i in ids if i is not None], scalar.blocks.values()
         ):
-            assert layout_of(namenode.blocks[block_id]) == layout_of(expected)
+            assert layout_of(namenode, block_id) == scalar_layout(expected)
         # The under-replicated queue matches, in order.
         assert namenode._replication._pending == scalar.manager._pending
 
@@ -257,7 +283,7 @@ class TestCreationEquivalence:
         outcomes = []
         expected = []
         for i in range(500):
-            outcomes.append(namenode.create_block(0.0).block is not None)
+            outcomes.append(namenode.create_blocks(0.0, [None])[0] is not None)
             expected.append(scalar.create_block(0.0) is not None)
         assert outcomes == expected
         assert not outcomes[-1]  # the 8 GB quota fills well before 500 blocks
@@ -269,7 +295,7 @@ class TestReimageReplicationEquivalence:
         rng = RandomSource(seed)
         twin = RandomSource(seed)
         for i in range(40):
-            namenode.create_block(0.0, creating_server_id=rng.choice(servers))
+            namenode.create_blocks(0.0, [rng.choice(servers)])
             scalar.create_block(0.0, creating_server_id=twin.choice(servers))
         # Reimage a burst of servers, then let recovery run for hours.
         for step, victim in enumerate(servers[:8]):
@@ -283,19 +309,20 @@ class TestReimageReplicationEquivalence:
     def test_recovery_draws_and_layouts_match(self):
         namenode, scalar = twin_pair()
         self.drive(namenode, scalar)
-        assert list(namenode.blocks) == list(scalar.blocks)
+        table = namenode.block_table
+        assert block_ids_of(namenode) == list(scalar.blocks)
         for block_id, expected in scalar.blocks.items():
-            assert layout_of(namenode.blocks[block_id]) == layout_of(expected)
-            assert namenode.blocks[block_id].lost == expected.lost
-        assert [b.block_id for b in namenode.lost_blocks()] == [
-            b.block_id for b in scalar.blocks.values() if b.lost
-        ]
+            assert layout_of(namenode, block_id) == scalar_layout(expected)
+            assert table.is_lost(table.row_of(block_id)) == expected.lost
+        assert namenode.lost_block_count() == sum(
+            b.lost for b in scalar.blocks.values()
+        )
 
     def test_oblivious_variant_matches_too(self):
         namenode, scalar = twin_pair(seed=9, primary_aware=False)
         self.drive(namenode, scalar, seed=13)
         for block_id, expected in scalar.blocks.items():
-            assert layout_of(namenode.blocks[block_id]) == layout_of(expected)
+            assert layout_of(namenode, block_id) == scalar_layout(expected)
 
     def test_requeue_order_is_lexicographic_not_numeric(self):
         """The kill/re-replication ordering edge case: ``block-10`` sorts
@@ -306,11 +333,12 @@ class TestReimageReplicationEquivalence:
         rng = RandomSource(3)
         twin = RandomSource(3)
         for _ in range(12):  # ids block-1 .. block-12 cross the 9->10 divide
-            namenode.create_block(0.0, creating_server_id=rng.choice(servers))
+            namenode.create_blocks(0.0, [rng.choice(servers)])
             scalar.create_block(0.0, creating_server_id=twin.choice(servers))
+        table = namenode.block_table
         victim = max(
             namenode.datanodes,
-            key=lambda sid: len(namenode.datanodes[sid].stored_block_ids),
+            key=lambda sid: len(table.rows_on(table.index_of_server[sid])),
         )
         namenode.handle_reimage(victim, 50.0)
         scalar.handle_reimage(victim, 50.0)
@@ -359,7 +387,7 @@ class TestAccessBatchEquivalence:
         rng = RandomSource(2)
         twin = RandomSource(2)
         for _ in range(25):
-            namenode.create_block(0.0, creating_server_id=rng.choice(servers))
+            namenode.create_blocks(0.0, [rng.choice(servers)])
             scalar.create_block(0.0, creating_server_id=twin.choice(servers))
         namenode.handle_reimage(servers[0], 10.0)
         scalar.handle_reimage(servers[0], 10.0)
@@ -379,49 +407,48 @@ class TestAccessBatchEquivalence:
 
     def test_access_counters_accumulate(self):
         namenode = build_namenode()
-        namenode.create_block(0.0)
-        namenode.access_blocks(0.0, 10, RandomSource(1))
-        table = namenode.block_table
-        assert int(table.access_count.sum()) == 10
-        assert float(table.io_load.sum()) > 0.0
+        namenode.create_blocks(0.0, [None])
+        batch = namenode.access_blocks(0.0, 10, RandomSource(1), io_per_access=0.5)
+        assert batch.served + batch.failed + batch.lost == 10
+        assert batch.served > 0
+        assert float(batch.io_load.sum()) == pytest.approx(0.5 * batch.served)
 
 
 class TestBlockTableUnit:
     def build(self):
-        return BlockTable(["s-a", "s-b", "s-c"], ["t1", "t1", "t2"])
+        return BlockTable(["s-a", "s-b", "s-c"])
 
     def test_slot_reuse_preserves_insertion_order(self):
         table = self.build()
         row = table.append("b1", 0.25, 3)
-        table.add_replica(row, 0, 0.0)
-        table.add_replica(row, 1, 0.0)
+        table.add_replica(row, 0)
+        table.add_replica(row, 1)
         table.destroy_replica(row, 0)
         # Re-adding on the destroyed server keeps its original slot position,
         # like a dict overwrite keeps the key position.
-        table.add_replica(row, 0, 5.0)
+        table.add_replica(row, 0)
         assert table.healthy_servers_of(row).tolist() == [0, 1]
-        assert float(table.replica_created[row, 0]) == 5.0
 
     def test_add_replica_rejects_healthy_duplicate(self):
         table = self.build()
         row = table.append("b1", 0.25, 3)
-        table.add_replica(row, 0, 0.0)
+        table.add_replica(row, 0)
         with pytest.raises(ValueError):
-            table.add_replica(row, 0, 1.0)
+            table.add_replica(row, 0)
 
     def test_lost_flag_is_sticky(self):
         table = self.build()
         row = table.append("b1", 0.25, 2)
-        table.add_replica(row, 0, 0.0)
+        table.add_replica(row, 0)
         assert table.destroy_replica(row, 0)
         assert table.is_lost(row)
-        table.add_replica(row, 1, 1.0)
+        table.add_replica(row, 1)
         assert table.is_lost(row)  # lost blocks stay lost
 
     def test_destroy_missing_replica_is_noop(self):
         table = self.build()
         row = table.append("b1", 0.25, 2)
-        table.add_replica(row, 0, 0.0)
+        table.add_replica(row, 0)
         assert not table.destroy_replica(row, 2)
         assert table.destroy_replica(row, 0)
         assert not table.destroy_replica(row, 0)
@@ -431,27 +458,29 @@ class TestBlockTableUnit:
         for i in range(1100):  # crosses the initial row capacity
             table.append(f"b{i}", 0.25, 2)
         assert table.num_blocks == 1100
-        big = BlockTable([f"s{i}" for i in range(10)], ["t"] * 10)
+        big = BlockTable([f"s{i}" for i in range(10)])
         row = big.append("wide", 0.25, 10)
         for server in range(10):  # crosses the initial slot width
-            big.add_replica(row, server, 0.0)
+            big.add_replica(row, server)
         assert big.healthy_servers_of(row).tolist() == list(range(10))
 
-    def test_views_are_live_and_compare_by_row(self):
+    def test_rows_on_tracks_healthy_replicas(self):
         table = self.build()
-        row = table.append("b1", 0.25, 2)
-        table.add_replica(row, 0, 0.0)
-        view = table.view(row)
-        assert isinstance(view, BlockView)
-        assert view.healthy_count == 1
-        table.add_replica(row, 1, 1.0)
-        assert view.healthy_count == 2  # live, not a snapshot
-        assert view == table.view(row)
-        assert view.replicas["s-b"].tenant_id == "t1"
-        assert view.servers_with_healthy_replicas() == ["s-a", "s-b"]
+        first = table.append("b1", 0.25, 2)
+        second = table.append("b2", 0.25, 2)
+        table.add_replica(first, 0)
+        table.add_replica(second, 0)
+        table.add_replica(second, 1)
+        assert table.rows_on(0) == {first, second}
+        assert table.rows_on(1) == {second}
+        table.destroy_replica(second, 0)
+        assert table.rows_on(0) == {first}
+        table.add_replica(second, 0)  # slot reuse re-enters the index
+        assert table.rows_on(0) == {first, second}
+        assert table.rows_on(2) == set()
 
     def test_sorted_server_order_is_lexicographic(self):
-        table = BlockTable(["s-10", "s-2", "s-1"], ["t", "t", "t"])
+        table = BlockTable(["s-10", "s-2", "s-1"])
         ordered = [table.server_ids[i] for i in table.sorted_server_order]
         assert ordered == ["s-1", "s-10", "s-2"]
         ranks = table.sorted_server_rank
@@ -461,16 +490,13 @@ class TestBlockTableUnit:
 class TestNamespace:
     def test_mapping_behaviour(self):
         namenode = build_namenode()
-        first = namenode.create_block(0.0).block
-        second = namenode.create_block(0.0).block
-        blocks = namenode.blocks
-        assert len(blocks) == 2
-        assert list(blocks) == [first.block_id, second.block_id]
-        assert blocks[first.block_id] == first
-        assert first.block_id in blocks
-        assert "missing" not in blocks
-        assert blocks.get("missing") is None
-        assert [b.block_id for b in blocks.values()] == [
-            first.block_id,
-            second.block_id,
-        ]
+        first, second = namenode.create_blocks(0.0, [None, None])
+        table = namenode.block_table
+        assert len(table) == 2
+        assert block_ids_of(namenode) == [first, second]
+        assert table.row_of(second) == 1
+        assert table.get_row("missing") is None
+        with pytest.raises(KeyError):
+            table.row_of("missing")
+        with pytest.raises(ValueError, match="already exists"):
+            table.append(first, 0.25, 3)

@@ -87,37 +87,51 @@ def build_cluster(
 UTILIZATIONS = {f"t{i}": 0.1 + 0.05 * i for i in range(9)}
 
 
+def create(namenode: NameNode, time: float = 0.0, creator: str | None = None):
+    """Create one block; its id, or ``None`` when placement failed."""
+    return namenode.create_blocks(time, [creator])[0]
+
+
+def healthy_servers(namenode: NameNode, block_id: str) -> list[str]:
+    table = namenode.block_table
+    return [
+        table.server_ids[i] for i in table.healthy_servers_of(table.row_of(block_id))
+    ]
+
+
+def healthy_count(namenode: NameNode, block_id: str) -> int:
+    table = namenode.block_table
+    return table.healthy_count_of(table.row_of(block_id))
+
+
 class TestCreation:
     def test_block_created_with_full_replication(self):
         namenode, tenants = build_cluster(UTILIZATIONS)
-        creator = tenants[0].servers[0].server_id
-        result = namenode.create_block(0.0, creating_server_id=creator)
-        assert result.fully_replicated
-        assert result.block is not None
-        assert result.block.healthy_count == 3
+        block_id = create(namenode, creator=tenants[0].servers[0].server_id)
+        assert block_id is not None
+        assert healthy_count(namenode, block_id) == 3
+        assert namenode._replication._pending == []
 
     def test_stock_placement_uses_creating_server(self):
         namenode, tenants = build_cluster(UTILIZATIONS)
         creator = tenants[0].servers[0].server_id
-        result = namenode.create_block(0.0, creating_server_id=creator)
-        assert creator in result.block.servers_with_healthy_replicas()
+        block_id = create(namenode, creator=creator)
+        assert creator in healthy_servers(namenode, block_id)
 
     def test_history_placement_spreads_over_tenants(self):
         namenode, tenants = build_cluster(UTILIZATIONS, policy="history")
-        result = namenode.create_block(
-            0.0, creating_server_id=tenants[0].servers[0].server_id
-        )
-        assert result.block is not None
-        assert len(set(result.block.tenants_with_healthy_replicas())) == 3
+        block_id = create(namenode, creator=tenants[0].servers[0].server_id)
+        assert block_id is not None
+        tenant_of = {s.server_id: t.tenant_id for t in tenants for s in t.servers}
+        assert len({tenant_of[s] for s in healthy_servers(namenode, block_id)}) == 3
 
     def test_creation_fails_when_no_space(self):
         namenode, tenants = build_cluster({"t0": 0.1}, servers_per_tenant=1)
         # Fill the single server (16 GB harvestable, 0.25 GB blocks).
         for _ in range(64):
-            namenode.create_block(0.0)
-        result = namenode.create_block(0.0)
-        assert result.block is None
-        assert namenode.metrics.counter_value("block_creations_failed") == 1
+            assert create(namenode) is not None
+        assert create(namenode) is None
+        assert namenode.block_table.num_blocks == 64
 
     def test_invalid_replication_rejected(self):
         with pytest.raises(ValueError):
@@ -131,8 +145,8 @@ class TestCreation:
 class TestAccess:
     def test_access_served_when_replicas_idle(self):
         namenode, _ = build_cluster(UTILIZATIONS)
-        block = namenode.create_block(0.0).block
-        assert namenode.access_block(block.block_id, 0.0) is AccessResult.SERVED
+        block_id = create(namenode)
+        assert namenode.access_block(block_id, 0.0) is AccessResult.SERVED
 
     def test_access_unavailable_when_all_replicas_busy(self):
         namenode, _ = build_cluster({f"t{i}": 0.9 for i in range(4)})
@@ -141,16 +155,15 @@ class TestAccess:
         namenode_idle, _ = build_cluster(
             {f"t{i}": 0.9 for i in range(4)}, primary_aware=False
         )
-        block = namenode_idle.create_block(0.0).block
-        assert namenode_idle.access_block(block.block_id, 0.0) is AccessResult.SERVED
+        block_id = create(namenode_idle)
+        assert namenode_idle.access_block(block_id, 0.0) is AccessResult.SERVED
 
         # Same layout but primary-aware: all replicas busy -> unavailable.
         namenode_aware, _ = build_cluster({f"t{i}": 0.9 for i in range(4)})
-        # Place ignoring busyness by creating through the internal API.
-        created = namenode_aware.create_block(0.0)
-        if created.block is None or created.block.healthy_count == 0:
+        created = create(namenode_aware)
+        if created is None or healthy_count(namenode_aware, created) == 0:
             pytest.skip("no replicas could be placed in this configuration")
-        outcome = namenode_aware.access_block(created.block.block_id, 0.0)
+        outcome = namenode_aware.access_block(created, 0.0)
         assert outcome is AccessResult.UNAVAILABLE
 
     def test_unknown_block_raises(self):
@@ -160,44 +173,44 @@ class TestAccess:
 
     def test_lost_block_reported(self):
         namenode, tenants = build_cluster(UTILIZATIONS)
-        block = namenode.create_block(0.0).block
-        for server_id in list(block.servers_with_healthy_replicas()):
+        block_id = create(namenode)
+        for server_id in healthy_servers(namenode, block_id):
             namenode.handle_reimage(server_id, 1.0)
-        assert namenode.access_block(block.block_id, 2.0) is AccessResult.LOST
+        assert namenode.access_block(block_id, 2.0) is AccessResult.LOST
 
 
 class TestReimageAndRecovery:
     def test_reimage_destroys_replicas_and_queues_recovery(self):
         namenode, _ = build_cluster(UTILIZATIONS)
-        block = namenode.create_block(0.0).block
-        victim = block.servers_with_healthy_replicas()[0]
+        block_id = create(namenode)
+        victim = healthy_servers(namenode, block_id)[0]
         lost = namenode.handle_reimage(victim, 10.0)
         assert lost == []
-        assert block.healthy_count == 2
-        assert namenode.under_replicated_blocks() == [block]
+        assert healthy_count(namenode, block_id) == 2
+        assert namenode._replication._pending == [block_id]
 
     def test_recovery_restores_replication(self):
         namenode, _ = build_cluster(UTILIZATIONS)
-        block = namenode.create_block(0.0).block
-        victim = block.servers_with_healthy_replicas()[0]
+        block_id = create(namenode)
+        victim = healthy_servers(namenode, block_id)[0]
         namenode.handle_reimage(victim, 10.0)
         restored = namenode.run_replication(10.0 + 3600.0)
         assert restored >= 1
-        assert block.healthy_count == 3
-        assert namenode.under_replicated_blocks() == []
+        assert healthy_count(namenode, block_id) == 3
+        assert namenode._replication._pending == []
 
     def test_simultaneous_reimage_of_all_replicas_loses_block(self):
         namenode, _ = build_cluster(UTILIZATIONS)
-        block = namenode.create_block(0.0).block
+        block_id = create(namenode)
         newly_lost = []
-        for server_id in list(block.servers_with_healthy_replicas()):
+        for server_id in healthy_servers(namenode, block_id):
             newly_lost.extend(namenode.handle_reimage(server_id, 10.0))
-        assert block.block_id in newly_lost
-        assert namenode.lost_blocks() == [block]
-        assert namenode.lost_block_fraction() == pytest.approx(1.0)
+        assert newly_lost == [block_id]
+        assert namenode.lost_block_count() == 1
         # Lost blocks are not recovered.
         namenode.run_replication(20_000.0)
-        assert block.lost
+        assert namenode.block_table.is_lost(0)
+        assert healthy_count(namenode, block_id) == 0
 
     def test_reimage_of_unknown_server_is_noop(self):
         namenode, _ = build_cluster(UTILIZATIONS)
@@ -205,5 +218,10 @@ class TestReimageAndRecovery:
 
     def test_used_space_tracks_replicas(self):
         namenode, _ = build_cluster(UTILIZATIONS)
-        namenode.create_block(0.0)
-        assert namenode.total_used_space_gb() == pytest.approx(3 * 0.25)
+        block_id = create(namenode)
+        used = namenode._server_used
+        assert float(used.sum()) == pytest.approx(3 * 0.25)
+        victim = healthy_servers(namenode, block_id)[0]
+        namenode.handle_reimage(victim, 1.0)
+        assert float(used.sum()) == pytest.approx(2 * 0.25)
+        assert float(used[namenode.block_table.index_of_server[victim]]) == 0.0

@@ -66,7 +66,7 @@ class TestStockPolicy:
         datanodes, tenants = build_datanodes()
         policy = StockPlacementPolicy(RandomSource(1))
         creator = tenants[0].servers[0].server_id
-        chosen = policy.choose_servers(3, creator, datanodes, 0.25)
+        chosen = policy.choose_servers(3, creator, datanodes)
         assert len(chosen) == 3
         assert len(set(chosen)) == 3
         assert chosen[0] == creator
@@ -85,7 +85,7 @@ class TestStockPolicy:
         counts = 0
         trials = 30
         for _ in range(trials):
-            chosen = policy.choose_servers(3, creator, datanodes, 0.25)
+            chosen = policy.choose_servers(3, creator, datanodes)
             if datanodes[chosen[1]].server.rack == creator_rack:
                 counts += 1
         assert counts > trials * 0.8
@@ -94,7 +94,7 @@ class TestStockPolicy:
         datanodes, tenants = build_datanodes()
         policy = StockPlacementPolicy(RandomSource(3))
         creator = tenants[0].servers[0].server_id
-        chosen = policy.choose_servers(3, creator, datanodes, 0.25)
+        chosen = policy.choose_servers(3, creator, datanodes)
         racks = [datanodes[s].server.rack for s in chosen]
         assert len(set(racks)) >= 2
 
@@ -102,21 +102,21 @@ class TestStockPolicy:
         datanodes, tenants = build_datanodes()
         policy = StockPlacementPolicy(RandomSource(4))
         excluded = list(datanodes)[:13]
-        chosen = policy.choose_servers(3, None, datanodes, 0.25, exclude=excluded)
+        chosen = policy.choose_servers(3, None, datanodes, exclude=excluded)
         assert not set(chosen) & set(excluded)
 
     def test_no_candidates_returns_empty(self):
         datanodes, _ = build_datanodes(num_tenants=1, servers_per_tenant=1)
         policy = StockPlacementPolicy(RandomSource(5))
         chosen = policy.choose_servers(
-            3, None, datanodes, 0.25, exclude=list(datanodes)
+            3, None, datanodes, exclude=list(datanodes)
         )
         assert chosen == []
 
     def test_replication_validated(self):
         datanodes, _ = build_datanodes()
         with pytest.raises(ValueError):
-            StockPlacementPolicy().choose_servers(0, None, datanodes, 0.25)
+            StockPlacementPolicy().choose_servers(0, None, datanodes)
 
 
 class TestHistoryPolicy:
@@ -124,13 +124,13 @@ class TestHistoryPolicy:
         datanodes, _ = build_datanodes()
         policy = HistoryPlacementPolicy(rng=RandomSource(1))
         with pytest.raises(RuntimeError):
-            policy.choose_servers(3, None, datanodes, 0.25)
+            policy.choose_servers(3, None)
 
     def test_places_three_replicas_in_distinct_environments(self):
         datanodes, tenants = build_datanodes()
         policy = HistoryPlacementPolicy(rng=RandomSource(1))
         policy.update_clustering(placement_stats(tenants))
-        chosen = policy.choose_servers(3, None, datanodes, 0.25)
+        chosen = policy.choose_servers(3, None)
         assert len(chosen) == 3
         environments = {datanodes[s].tenant.environment for s in chosen}
         assert len(environments) == 3
@@ -141,7 +141,7 @@ class TestHistoryPolicy:
         policy.update_clustering(placement_stats(tenants))
         excluded = [s.server_id for s in tenants[0].servers]
         for _ in range(10):
-            chosen = policy.choose_servers(3, None, datanodes, 0.25, exclude=excluded)
+            chosen = policy.choose_servers(3, None, exclude=excluded)
             assert not set(chosen) & set(excluded)
 
     def test_grid_accessible_after_update(self):
@@ -157,7 +157,7 @@ class TestHistoryPolicy:
         policy = HistoryPlacementPolicy(rng=RandomSource(1))
         stats = placement_stats(tenants)
         policy.update_clustering(stats)
-        chosen = policy.choose_servers(3, None, datanodes, 0.25)
+        chosen = policy.choose_servers(3, None)
         assert chosen
         used_before = {
             t.tenant_id: policy._placer.space_used_gb(t.tenant_id) for t in tenants
@@ -172,7 +172,7 @@ class TestHistoryPolicy:
         datanodes, tenants = build_datanodes()
         policy = HistoryPlacementPolicy(rng=RandomSource(1))
         policy.update_clustering(placement_stats(tenants))
-        chosen = policy.choose_servers(3, None, datanodes, 0.25)
+        chosen = policy.choose_servers(3, None)
         tenant_id = datanodes[chosen[0]].tenant_id
         before = policy._placer.space_used_gb(tenant_id)
         policy.release_space(tenant_id, 0.25)

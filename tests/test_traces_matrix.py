@@ -148,11 +148,7 @@ class TestNameNodeBatchAccess:
         namenode = self.build_namenode(
             {"idle": 0.1, "busy": 0.95, "medium": 0.4, "other": 0.2}
         )
-        block_ids = []
-        for _ in range(20):
-            created = namenode.create_block(0.0)
-            if created.block is not None:
-                block_ids.append(created.block.block_id)
+        block_ids = [b for b in namenode.create_blocks(0.0, [None] * 20) if b]
         assert block_ids
 
         rng = RandomSource(7)
@@ -164,36 +160,13 @@ class TestNameNodeBatchAccess:
         batch = [NameNode.ACCESS_CODES[c] for c in codes]
         assert batch == scalar
 
-    def test_batch_counts_metrics_like_scalar(self):
-        scalar_nn = self.build_namenode({"idle": 0.1, "busy": 0.95})
-        batch_nn = self.build_namenode({"idle": 0.1, "busy": 0.95})
-        blocks_scalar, blocks_batch = [], []
-        for _ in range(10):
-            a = scalar_nn.create_block(0.0)
-            b = batch_nn.create_block(0.0)
-            if a.block is not None:
-                blocks_scalar.append(a.block.block_id)
-            if b.block is not None:
-                blocks_batch.append(b.block.block_id)
-        assert blocks_scalar == blocks_batch
-
-        times = np.linspace(0.0, 400.0, 50)
-        sampled = [blocks_scalar[i % len(blocks_scalar)] for i in range(50)]
-        for b, t in zip(sampled, times):
-            scalar_nn.access_block(b, t)
-        batch_nn.check_accesses(sampled, times)
-        for counter in ("accesses_served", "accesses_failed", "accesses_lost_block"):
-            assert scalar_nn.metrics.counter_value(
-                counter
-            ) == batch_nn.metrics.counter_value(counter)
-
     def test_lost_blocks_reported(self):
         namenode = self.build_namenode({"idle": 0.1, "other": 0.2})
-        created = namenode.create_block(0.0)
-        block = created.block
-        for server_id in list(block.servers_with_healthy_replicas()):
-            namenode.handle_reimage(server_id, 1.0)
-        codes = namenode.check_accesses([block.block_id, block.block_id], [2.0, 3.0])
+        (block_id,) = namenode.create_blocks(0.0, [None])
+        table = namenode.block_table
+        for server in table.healthy_servers_of(table.row_of(block_id)).tolist():
+            namenode.handle_reimage(table.server_ids[server], 1.0)
+        codes = namenode.check_accesses([block_id, block_id], [2.0, 3.0])
         assert [NameNode.ACCESS_CODES[c] for c in codes] == [
             AccessResult.LOST,
             AccessResult.LOST,

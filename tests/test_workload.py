@@ -619,3 +619,18 @@ class TestEndToEndReplay:
         header = read_trace_header(path)
         assert header["kind"] == "failure_storm"
         assert header["ops"] > 0
+
+    def test_negative_server_index_in_replayed_storm_rejected(self, tmp_path):
+        """A negative index would wrap onto the fleet's last servers."""
+        path = tmp_path / "storm.jsonl"
+        base = get_scenario("failure-storm").with_overrides(scale=TINY_SCALE)
+        api.run(
+            base.with_overrides(params={**base.params, "record_trace": str(path)}),
+            seed=0,
+        )
+        header, ops = read_trace(path)
+        ops[0]["server_index"] = -1
+        write_trace(path, {k: v for k, v in header.items() if k != "record"}, ops)
+        replay = base.with_overrides(params={**base.params, "replay_trace": str(path)})
+        with pytest.raises(TraceError, match="negative server_index"):
+            api.run(replay, seed=0)

@@ -174,6 +174,13 @@ def cmd_scenario(args: argparse.Namespace) -> str:
             parse_skew(args.skew)
         except ValueError as error:
             raise SystemExit(f"error: {error}") from None
+    if args.traffic:
+        from repro.harness.traffic import parse_traffic
+
+        try:
+            parse_traffic(args.traffic)
+        except ValueError as error:
+            raise SystemExit(f"error: {error}") from None
     if args.record_trace and args.replay_trace:
         raise SystemExit("error: cannot record and replay a trace in the same run")
     if args.replay_trace:

@@ -10,12 +10,15 @@ This package models that protocol with three scheduler variants:
   youngest-first when the reserve is violated, but schedules without history.
 * **H** (history) — PT plus the clustering-service node labels and the
   Algorithm 1 class selection implemented in :mod:`repro.core`.
+
+All per-server state — capacity, reserve, running containers, the RM's view
+of available resources, class labels — lives in one
+:class:`~repro.cluster.fleet_state.FleetState`; the NodeManager heartbeat
+and reserve enforcement are its batch :meth:`~FleetState.refresh`.
 """
 
 from repro.cluster.resources import Resource
-from repro.cluster.reserve import ResourceReserve
-from repro.cluster.server import SimulatedServer, Container, ContainerState
-from repro.cluster.node_manager import NodeManager, Heartbeat
+from repro.cluster.server import Container, ContainerState
 from repro.cluster.fleet_state import FleetState
 from repro.cluster.resource_manager import (
     ContainerRequest,
@@ -25,12 +28,8 @@ from repro.cluster.resource_manager import (
 
 __all__ = [
     "Resource",
-    "ResourceReserve",
-    "SimulatedServer",
     "Container",
     "ContainerState",
-    "NodeManager",
-    "Heartbeat",
     "FleetState",
     "ContainerRequest",
     "ResourceManager",

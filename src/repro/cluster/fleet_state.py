@@ -1,66 +1,77 @@
-"""Array-backed substrate for the compute-harvesting scheduler stack.
+"""The compute-harvesting scheduler's per-server state, as numpy columns.
 
-The scheduler objects — :class:`~repro.cluster.server.SimulatedServer`,
-:class:`~repro.cluster.node_manager.NodeManager`, and the Resource Manager's
-per-server records — are pleasant to reason about but cost one Python call
-per server per heartbeat and per container request.  At datacenter scale
-those loops dominate the fig13/fig14 sweeps and the scheduling testbed.
-
-A :class:`FleetState` stacks the per-server state into numpy columns (one row
-per registered server, in registration order):
+In YARN-H (Section 5.3) the Resource Manager's view of free capacity and the
+NodeManagers' reserve enforcement are one protocol over one set of servers.
+A :class:`FleetState` is that protocol's only state: one row per server, in
+the cluster's order, with
 
 * capacity and reserve (cores / memory GB),
-* resources allocated to running containers (maintained incrementally by
-  hooks the servers call on launch / complete / kill),
+* the running containers (one insertion-ordered dict per row) and the
+  resources they hold (allocated columns and running count),
 * the RM's heartbeat view of available resources,
-* the primary-aware flag and the utilization-class label,
-* the owning tenant's utilization-trace row, for batch trace gathers.
+* the utilization-class label,
+* the owning tenant's row in a :class:`~repro.traces.matrix.TraceMatrix`,
+  so every server's primary utilization is one gather.
 
-With those columns, a full heartbeat round is one trace gather plus a
-handful of elementwise array operations; container placement is a boolean
-mask intersection plus one weighted draw; and the Algorithm 1 class
-statistics are masked reductions.
+A heartbeat round is one trace gather plus a handful of elementwise array
+operations; container placement is a boolean mask intersection plus one
+weighted draw; and the Algorithm 1 class statistics are masked reductions.
 
-The companion of :class:`repro.traces.matrix.TraceMatrix` (the storage-side
-substrate): TraceMatrix answers "which servers are busy?", FleetState
-answers "where can this container run?".
+The companion of :class:`~repro.storage.block_table.BlockTable` (the storage
+side): TraceMatrix answers "which servers are busy?", FleetState answers
+"where can this container run?".
 
-Equivalence contract
---------------------
+Arithmetic contract
+-------------------
 
-Every array expression mirrors the scalar :class:`Resource` arithmetic
-operation for operation — including the per-dimension ``max(0, a - b)``
-clamping of ``Resource.__sub__`` and the *order* of those clampings — so a
-fixed seed produces bit-identical schedules through either path.  The
-allocated columns are maintained incrementally, which matches the scalar
-recomputation exactly as long as container allocations sit on a 1/256
-binary grid (the shipped workloads use 1 core / 2 GB containers); the first
-allocation seen off that grid flips a guard that recomputes the columns
-from the servers on every refresh, so fractional containers can never
-drift the RM view.  Reserve kill decisions run through the vectorized
-:meth:`FleetState._batch_reclaim` sweep on the exact grid — prefix-sum
-arithmetic there is provably equal to the scalar per-kill re-sums — and
-fall back to the scalar :meth:`SimulatedServer.reclaim_reserve` walk the
-moment the grid guard trips, so reserve enforcement never depends on
-possibly-drifted incremental sums.
+Every array expression follows the per-server :class:`Resource` arithmetic
+of the modelled NodeManager operation for operation — the rounded-up
+primary usage, the per-dimension ``max(0, a - b)`` clamp of
+``Resource.__sub__`` and the *order* of those clampings — so a fixed seed
+schedules bit-identically to the scalar per-server reference the tests keep
+(``tests/scalar_cluster.py``).  The allocated columns are maintained
+incrementally, which equals the in-order re-sum of a row's containers as
+long as allocations sit on a 1/256 binary grid (the shipped workloads use
+1 core / 2 GB containers).  Off-grid allocations can only come from outside
+the program — a replayed workload trace may carry ``"cores": 0.1`` — and the
+first such launch flips a guard: from then on every refresh re-sums the
+allocated columns from the containers, and reserve kills take the per-row
+walk of :meth:`FleetState._reclaim_row`, which re-sums after every kill,
+instead of the prefix-sum sweep of :meth:`FleetState._batch_reclaim`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.resources import Resource
-from repro.traces.utilization import SAMPLE_INTERVAL_SECONDS
+from repro.cluster.server import Container
+from repro.traces.datacenter import PrimaryTenant, Server
+from repro.traces.matrix import TraceMatrix
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cluster.node_manager import NodeManager
-    from repro.cluster.server import Container, SimulatedServer
+
+def _check_fractions(cpu_fraction: float, memory_fraction: float) -> None:
+    if not 0.0 <= cpu_fraction < 1.0:
+        raise ValueError(f"cpu_fraction must be in [0, 1) (got {cpu_fraction})")
+    if not 0.0 <= memory_fraction < 1.0:
+        raise ValueError(f"memory_fraction must be in [0, 1) (got {memory_fraction})")
 
 
 class FleetState:
-    """Numpy columns over every server registered with a Resource Manager."""
+    """Numpy columns over every server of a harvesting cluster.
+
+    Args:
+        rows: the cluster's ``(server, owning tenant)`` pairs, in row order.
+        cpu_fraction: fraction of each server's cores held in reserve.
+        memory_fraction: fraction of each server's memory held in reserve.
+        primary_aware: whether the NodeManagers account for the primary
+            tenant (every variant but Stock): aware servers publish the
+            harvestable room and kill containers when the primary bursts
+            into the reserve; oblivious ones publish capacity minus
+            allocations and never kill.
+    """
 
     #: Epsilon of ``Resource.fits_within``; every fit comparison — the batch
     #: :meth:`fits_mask` and the RM wave loop's incremental single-row
@@ -68,36 +79,52 @@ class FleetState:
     #: per-request scheduling.
     FIT_EPSILON = 1e-9
 
-    def __init__(self) -> None:
-        self._node_managers: List["NodeManager"] = []
-        self._servers: List["SimulatedServer"] = []
-        self._ids: List[str] = []
-        self._labels: List[Optional[str]] = []
+    def __init__(
+        self,
+        rows: Sequence[Tuple[Server, PrimaryTenant]],
+        cpu_fraction: float,
+        memory_fraction: float,
+        primary_aware: bool,
+    ) -> None:
+        _check_fractions(cpu_fraction, memory_fraction)
+        self.primary_aware = primary_aware
+        self._ids: List[str] = [server.server_id for server, _ in rows]
+        self._tenant_ids: List[str] = [tenant.tenant_id for _, tenant in rows]
         self._index_of: Dict[str, int] = {}
-        self._dirty = True
+        for index, server_id in enumerate(self._ids):
+            if server_id in self._index_of:
+                raise ValueError(f"server {server_id} already registered")
+            self._index_of[server_id] = index
+        self._labels: List[Optional[str]] = [None] * len(rows)
 
-        # Built columns (valid when not dirty).
-        self.capacity_cores = np.zeros(0)
-        self.capacity_memory = np.zeros(0)
-        self.reserve_cores = np.zeros(0)
-        self.reserve_memory = np.zeros(0)
-        self.allocated_cores = np.zeros(0)
-        self.allocated_memory = np.zeros(0)
-        self.available_cores = np.zeros(0)
-        self.available_memory = np.zeros(0)
-        self.running_containers = np.zeros(0, dtype=np.int64)
-        self.primary_aware = np.zeros(0, dtype=bool)
-        self.last_heartbeat = np.zeros(0)
+        self.capacity_cores = np.array([float(s.cores) for s, _ in rows])
+        self.capacity_memory = np.array([float(s.memory_gb) for s, _ in rows])
+        self.reserve_cores = self.capacity_cores * cpu_fraction
+        self.reserve_memory = self.capacity_memory * memory_fraction
+        self.allocated_cores = np.zeros(len(rows))
+        self.allocated_memory = np.zeros(len(rows))
+        self.available_cores = np.zeros(len(rows))
+        self.available_memory = np.zeros(len(rows))
+        self.running_containers = np.zeros(len(rows), dtype=np.int64)
+        # Container id -> container, in launch order, per row.
+        self._running: List[Dict[int, Container]] = [{} for _ in rows]
 
-        # Trace substrate: one row per distinct tenant, one row index per
-        # server.  Servers whose utilization cannot be gathered from a trace
-        # (override installed, or no trace attached) fall back to the scalar
-        # call; the set is usually empty.
-        self._trace_values = np.zeros((0, 0))
-        self._trace_lengths = np.zeros(0, dtype=np.int64)
-        self._server_row = np.zeros(0, dtype=np.int64)
-        self._fallback: set[int] = set()
-        self._override_indices: set[int] = set()
+        # One TraceMatrix row per distinct tenant, in first-seen order.
+        tenants: Dict[str, PrimaryTenant] = {}
+        for _, tenant in rows:
+            if tenant.trace is None:
+                raise ValueError(f"tenant {tenant.tenant_id} has no utilization trace")
+            tenants.setdefault(tenant.tenant_id, tenant)
+        # An empty fleet has no trace to read (TraceMatrix needs a tenant);
+        # it never kills and reports zero utilization.
+        self._traces: Optional[TraceMatrix] = None
+        self._trace_rows = np.zeros(0, dtype=np.int64)
+        if tenants:
+            self._traces = TraceMatrix(list(tenants.values()))
+            self._trace_rows = np.array(
+                [self._traces.row_of_tenant(t) for t in self._tenant_ids],
+                dtype=np.int64,
+            )
 
         self._label_masks: Dict[Optional[str], np.ndarray] = {}
         # Combined (multi-label) masks, keyed order-independently: the mask
@@ -106,141 +133,28 @@ class FleetState:
         self._combined_label_masks: Dict[frozenset, np.ndarray] = {}
         self._cached_util_time: Optional[float] = None
         self._cached_util: Optional[np.ndarray] = None
-        self._any_aware = False
-        self._all_aware = True
-        # Kill-path guard: once any allocation delta is not exactly
-        # representable on the 1/256 binary grid, incremental maintenance of
-        # the allocated columns can drift from the scalar recomputation, so
-        # every refresh recomputes them from the servers instead.
+        # Off-grid guard (see the module docstring): set by the first launch
+        # whose allocation is not exactly representable on the 1/256 grid.
         self._inexact_allocations = False
 
-    # -- serialized form ----------------------------------------------------
-
-    def to_arrays(self) -> Dict[str, object]:
-        """The fleet's column image — its canonical serialized form.
-
-        Builds the columns first so the image is complete.  Unlike the other
-        substrates, a FleetState is a *view* over live server / NodeManager
-        objects; the image captures every column (including the trace
-        substrate and the RM heartbeat view) but not the object graph, so
-        :meth:`from_arrays` yields a detached, read-only fleet: batch
-        queries (``fits_mask``, ``label_mask``, ``secondary_cpu_fraction``,
-        trace gathers) answer exactly like the original, while membership
-        mutation and the heartbeat/reclaim paths need the live objects the
-        image does not carry.
-        """
-        self.ensure_built()
-        return {
-            "version": 1,
-            "server_ids": list(self._ids),
-            "labels": list(self._labels),
-            "capacity_cores": np.array(self.capacity_cores),
-            "capacity_memory": np.array(self.capacity_memory),
-            "reserve_cores": np.array(self.reserve_cores),
-            "reserve_memory": np.array(self.reserve_memory),
-            "allocated_cores": np.array(self.allocated_cores),
-            "allocated_memory": np.array(self.allocated_memory),
-            "available_cores": np.array(self.available_cores),
-            "available_memory": np.array(self.available_memory),
-            "running_containers": np.array(self.running_containers),
-            "primary_aware": np.array(self.primary_aware),
-            "last_heartbeat": np.array(self.last_heartbeat),
-            "trace_values": np.array(self._trace_values),
-            "trace_lengths": np.array(self._trace_lengths),
-            "server_row": np.array(self._server_row),
-            "fallback": np.array(sorted(self._fallback), dtype=np.int64),
-            "override_indices": np.array(
-                sorted(self._override_indices), dtype=np.int64
-            ),
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: Dict[str, object]) -> "FleetState":
-        """A detached fleet restored from :meth:`to_arrays` output.
-
-        See :meth:`to_arrays` for what "detached" means; the columns and
-        the query caches behave exactly like the original's.
-        """
-        fleet = cls.__new__(cls)
-        fleet._node_managers = []
-        fleet._servers = []
-        fleet._ids = [str(s) for s in arrays["server_ids"]]  # type: ignore[union-attr]
-        fleet._labels = [
-            None if label is None else str(label)
-            for label in arrays["labels"]  # type: ignore[union-attr]
-        ]
-        fleet._index_of = {sid: i for i, sid in enumerate(fleet._ids)}
-        for name in (
-            "capacity_cores",
-            "capacity_memory",
-            "reserve_cores",
-            "reserve_memory",
-            "allocated_cores",
-            "allocated_memory",
-            "available_cores",
-            "available_memory",
-            "last_heartbeat",
-        ):
-            setattr(fleet, name, np.array(arrays[name], dtype=float))
-        fleet.running_containers = np.array(
-            arrays["running_containers"], dtype=np.int64
-        )
-        fleet.primary_aware = np.array(arrays["primary_aware"], dtype=bool)
-        fleet._trace_values = np.array(arrays["trace_values"], dtype=float)
-        fleet._trace_lengths = np.array(arrays["trace_lengths"], dtype=np.int64)
-        fleet._server_row = np.array(arrays["server_row"], dtype=np.int64)
-        fleet._fallback = {int(i) for i in np.asarray(arrays["fallback"])}
-        fleet._override_indices = {
-            int(i) for i in np.asarray(arrays["override_indices"])
-        }
-        fleet._label_masks = {}
-        fleet._combined_label_masks = {}
-        fleet._cached_util_time = None
-        fleet._cached_util = None
-        fleet._any_aware = bool(fleet.primary_aware.any())
-        fleet._all_aware = bool(fleet.primary_aware.all())
-        fleet._inexact_allocations = False
-        # The image is complete; ensure_built() must not rebuild from the
-        # (absent) server objects.
-        fleet._dirty = False
-        return fleet
-
-    # -- membership ---------------------------------------------------------
-
-    def add(self, node_manager: "NodeManager", label: Optional[str]) -> int:
-        """Register one NodeManager's server; returns its row index."""
-        server = node_manager.server
-        if server.server_id in self._index_of:
-            raise ValueError(f"server {server.server_id} already registered")
-        index = len(self._ids)
-        self._node_managers.append(node_manager)
-        self._servers.append(server)
-        self._ids.append(server.server_id)
-        self._labels.append(label)
-        self._index_of[server.server_id] = index
-        server._attach_fleet(self, index)
-        self._dirty = True
-        return index
+    # -- rows ---------------------------------------------------------------
 
     def __len__(self) -> int:
         return len(self._ids)
 
     @property
     def server_ids(self) -> List[str]:
-        """Server ids in registration (row) order."""
+        """Server ids in row order."""
         return list(self._ids)
+
+    @property
+    def tenant_ids(self) -> List[str]:
+        """Each row's owning tenant id, in row order."""
+        return list(self._tenant_ids)
 
     def index_of(self, server_id: str) -> int:
         """Row index of a server id; raises ``KeyError`` when unknown."""
         return self._index_of[server_id]
-
-    def server_at(self, index: int) -> "SimulatedServer":
-        """The simulated server in row ``index``."""
-        return self._servers[index]
-
-    def node_manager_at(self, index: int) -> "NodeManager":
-        """The NodeManager in row ``index``."""
-        return self._node_managers[index]
 
     def set_label(self, index: int, label: Optional[str]) -> None:
         """Update one server's utilization-class label."""
@@ -257,173 +171,95 @@ class FleetState:
         """Re-size every server's protection reserve to the given fractions.
 
         The online reserve controllers (predictor-ablation scenarios) call
-        this each control tick: both views of the reserve — the per-server
-        :class:`~repro.cluster.reserve.ResourceReserve` objects the scalar
-        fallbacks read and the vectorized enforcement columns — are updated
-        together so the batched and scalar reclaim paths keep agreeing.
+        this each control tick; the next heartbeat enforces the new size.
         """
-        from repro.cluster.reserve import ResourceReserve
+        _check_fractions(cpu_fraction, memory_fraction)
+        self.reserve_cores = self.capacity_cores * cpu_fraction
+        self.reserve_memory = self.capacity_memory * memory_fraction
 
-        self.ensure_built()
-        for index, server in enumerate(self._servers):
-            server.reserve = ResourceReserve.from_fractions(
-                server.capacity, cpu_fraction, memory_fraction
-            )
-            self.reserve_cores[index] = server.reserve.reserve.cores
-            self.reserve_memory[index] = server.reserve.reserve.memory_gb
+    # -- containers ---------------------------------------------------------
 
-    # -- array (re)construction --------------------------------------------
+    def launch(
+        self,
+        index: int,
+        task_id: str,
+        job_id: str,
+        allocation: Resource,
+        time: float,
+    ) -> Container:
+        """Start a container on row ``index`` and deduct it from the RM view.
 
-    def ensure_built(self) -> None:
-        """Build (or grow) the columns after membership changes.
-
-        Rows are append-only, so rebuilding preserves the live heartbeat
-        view (available / last_heartbeat) of the existing prefix; the
-        allocation columns are recomputed from every server's containers,
-        which also covers allocation changes that happened while the arrays
-        were dirty (hooks are dropped in that window by design).
+        The RM-view deduction mirrors ``available - allocation`` (clamped at
+        zero per dimension by ``Resource.__sub__``).
         """
-        if not self._dirty:
-            return
-        old = len(self.capacity_cores)
-        n = len(self._servers)
-
-        def grown(column: np.ndarray, dtype=float) -> np.ndarray:
-            fresh = np.zeros(n, dtype=dtype)
-            fresh[:old] = column[:old]
-            return fresh
-
-        self.available_cores = grown(self.available_cores)
-        self.available_memory = grown(self.available_memory)
-        self.last_heartbeat = grown(self.last_heartbeat)
-
-        self.capacity_cores = np.array([s.capacity.cores for s in self._servers])
-        self.capacity_memory = np.array([s.capacity.memory_gb for s in self._servers])
-        self.reserve_cores = np.array([s.reserve.reserve.cores for s in self._servers])
-        self.reserve_memory = np.array(
-            [s.reserve.reserve.memory_gb for s in self._servers]
-        )
-        self.primary_aware = np.array(
-            [nm.primary_aware for nm in self._node_managers], dtype=bool
-        )
-        self.allocated_cores = np.zeros(n)
-        self.allocated_memory = np.zeros(n)
-        self.running_containers = np.zeros(n, dtype=np.int64)
-        for index, server in enumerate(self._servers):
-            allocated = server.allocated()
-            self.allocated_cores[index] = allocated.cores
-            self.allocated_memory[index] = allocated.memory_gb
-            self.running_containers[index] = len(server.running_containers)
-
-        self._build_trace_rows()
-        self._label_masks.clear()
-        self._combined_label_masks.clear()
-        # Awareness is fixed per NodeManager, so the refresh-path reductions
-        # over the aware mask are constants between membership changes.
-        self._any_aware = bool(self.primary_aware.any())
-        self._all_aware = bool(self.primary_aware.all())
-        self._invalidate_utilization_cache()
-        self._dirty = False
-
-    def _build_trace_rows(self) -> None:
-        """Stack each distinct tenant's trace; map servers to their rows."""
-        row_of_tenant: Dict[str, int] = {}
-        traces: List[np.ndarray] = []
-        server_rows = np.zeros(len(self._servers), dtype=np.int64)
-        self._fallback = set()
-        for index, server in enumerate(self._servers):
-            trace = server.tenant.trace
-            if trace is None:
-                self._fallback.add(index)
-                continue
-            tenant_id = server.tenant_id
-            row = row_of_tenant.get(tenant_id)
-            if row is None:
-                row = len(traces)
-                row_of_tenant[tenant_id] = row
-                traces.append(trace.values)
-            server_rows[index] = row
-        self._fallback |= self._override_indices
-
-        if traces:
-            lengths = np.array([len(v) for v in traces], dtype=np.int64)
-            values = np.zeros((len(traces), int(lengths.max())))
-            for row, series in enumerate(traces):
-                values[row, : len(series)] = series
-        else:
-            lengths = np.ones(1, dtype=np.int64)
-            values = np.zeros((1, 1))
-        self._trace_values = values
-        self._trace_lengths = lengths
-        self._server_row = server_rows
-
-    # -- server hooks -------------------------------------------------------
-
-    def _on_allocation_change(
-        self, index: int, cores: float, memory_gb: float, containers: int
-    ) -> None:
-        """A server launched (+) or released (-) a container's allocation."""
+        cores = allocation.cores
+        memory_gb = allocation.memory_gb
         if not self._inexact_allocations and not (
             (cores * 256.0).is_integer() and (memory_gb * 256.0).is_integer()
         ):
-            # Fractional allocations (e.g. 0.1-core containers) are not
-            # exact under repeated float adds/subtracts; flip to
-            # recompute-on-refresh so the RM view never drifts from the
-            # scalar per-server sums.
             self._inexact_allocations = True
-        if self._dirty:
-            # Arrays not built yet; ensure_built() recomputes from scratch.
-            return
+        container = Container(task_id, job_id, allocation, self._ids[index], time)
+        self._running[index][container.container_id] = container
         self.allocated_cores[index] += cores
         self.allocated_memory[index] += memory_gb
-        self.running_containers[index] += containers
+        self.running_containers[index] += 1
+        self.available_cores[index] = max(0.0, self.available_cores[index] - cores)
+        self.available_memory[index] = max(
+            0.0, self.available_memory[index] - memory_gb
+        )
+        return container
 
-    def _on_override_change(self, index: int, has_override: bool) -> None:
-        """A server installed or removed a utilization override."""
-        if has_override:
-            self._override_indices.add(index)
-            self._fallback.add(index)
-        else:
-            self._override_indices.discard(index)
-            if not self._dirty and self._servers[index].tenant.trace is not None:
-                self._fallback.discard(index)
-        self._invalidate_utilization_cache()
+    def complete(self, container: Container, time: float) -> None:
+        """Finish a running container and return its resources to the RM view."""
+        index = self._index_of[container.server_id]
+        container.finish(time)
+        self._drop(index, container)
+        self.available_cores[index] += container.allocation.cores
+        self.available_memory[index] += container.allocation.memory_gb
 
-    def _invalidate_utilization_cache(self) -> None:
-        self._cached_util_time = None
-        self._cached_util = None
+    def _kill(self, index: int, container: Container, time: float) -> None:
+        container.kill(time)
+        self._drop(index, container)
+
+    def _drop(self, index: int, container: Container) -> None:
+        del self._running[index][container.container_id]
+        self.allocated_cores[index] -= container.allocation.cores
+        self.allocated_memory[index] -= container.allocation.memory_gb
+        self.running_containers[index] -= 1
+
+    def _row_sums(self, index: int) -> Tuple[float, float]:
+        """Fresh in-order re-sum of a row's running allocations."""
+        cores = memory_gb = 0.0
+        for container in self._running[index].values():
+            cores += container.allocation.cores
+            memory_gb += container.allocation.memory_gb
+        return cores, memory_gb
 
     def _recompute_allocations(self) -> None:
-        """Rebuild the allocated columns from the scalar per-server sums.
+        """Rebuild the allocated columns from fresh per-row re-sums.
 
-        The refresh-time fallback for fleets that have seen allocations off
-        the binary grid (see :meth:`_on_allocation_change`); incremental
-        maintenance resumes from the recomputed values.
+        The refresh-time path for fleets that have seen off-grid allocations;
+        incremental maintenance resumes from the recomputed values.
         """
-        for index, server in enumerate(self._servers):
-            allocated = server.allocated()
-            self.allocated_cores[index] = allocated.cores
-            self.allocated_memory[index] = allocated.memory_gb
-            self.running_containers[index] = len(server.running_containers)
+        for index in range(len(self._ids)):
+            cores, memory_gb = self._row_sums(index)
+            self.allocated_cores[index] = cores
+            self.allocated_memory[index] = memory_gb
 
     # -- batch queries ------------------------------------------------------
 
     def primary_utilization(self, time: float) -> np.ndarray:
         """Every server's primary-tenant utilization at ``time`` (one gather).
 
-        Each value is exactly what ``server.primary_utilization(time)``
-        returns: a raw trace lookup (each trace wrapping at its own length)
-        for trace-driven servers, the clamped override for overridden ones.
+        Each value is the owning tenant's raw trace lookup, each trace
+        wrapping at its own length, exactly as ``tenant.utilization_at``.
         """
-        self.ensure_built()
         if self._cached_util_time == time and self._cached_util is not None:
             return self._cached_util
-        if time < 0:
-            raise ValueError(f"time must be non-negative (got {time})")
-        column = int(time // SAMPLE_INTERVAL_SECONDS) % self._trace_lengths
-        util = self._trace_values[self._server_row, column[self._server_row]]
-        for index in self._fallback:
-            util[index] = self._servers[index].primary_utilization(time)
+        if self._traces is None:
+            util = np.zeros(0)
+        else:
+            util = self._traces.utilization_at(time)[self._trace_rows]
         # The cached array is handed out by reference; freeze it so a caller
         # mutation cannot poison later same-timestamp queries.
         util.flags.writeable = False
@@ -433,13 +269,11 @@ class FleetState:
 
     def total_utilization(self, time: float) -> np.ndarray:
         """Per-server combined primary + secondary CPU utilization."""
-        self.ensure_built()
         primary = self.primary_utilization(time)
         return np.minimum(1.0, primary + self.allocated_cores / self.capacity_cores)
 
     def secondary_cpu_fraction(self) -> np.ndarray:
         """Per-server CPU fraction allocated to batch containers."""
-        self.ensure_built()
         return self.allocated_cores / self.capacity_cores
 
     def label_mask(self, labels: Sequence[str]) -> np.ndarray:
@@ -450,7 +284,6 @@ class FleetState:
         entry.  The returned array is frozen; callers combine it with
         ``&``/indexing and must not mutate it.
         """
-        self.ensure_built()
         key = frozenset(labels)
         cached = self._combined_label_masks.get(key)
         if cached is None:
@@ -473,7 +306,6 @@ class FleetState:
 
         Mirrors ``Resource.fits_within`` including its epsilon.
         """
-        self.ensure_built()
         epsilon = self.FIT_EPSILON
         return (cores <= self.available_cores + epsilon) & (
             memory_gb <= self.available_memory + epsilon
@@ -481,80 +313,81 @@ class FleetState:
 
     # -- heartbeats ---------------------------------------------------------
 
-    def refresh(self, time: float) -> List["Container"]:
-        """One batch heartbeat round; returns the containers killed.
+    def refresh(self, time: float) -> List[Container]:
+        """One heartbeat round over every server; returns the containers killed.
 
-        Equivalent to calling ``NodeManager.heartbeat(time)`` on every server
-        in registration order: enforce the reserve where the primary tenant
-        burst into it (youngest containers die first, batched across the
-        violators — see :meth:`_batch_reclaim`), then publish each server's
-        available resources to the RM view.
+        Aware servers first enforce the reserve where the primary tenant
+        burst into it (youngest containers die first; kills are reported row
+        by row), then every server publishes its available resources to the
+        RM view.
         """
-        self.ensure_built()
-        if len(self._servers) == 0:
+        if not self._ids:
             return []
         if self._inexact_allocations:
             self._recompute_allocations()
-        aware = self.primary_aware
-        killed: List["Container"] = []
-        if self._any_aware:
-            util = self.primary_utilization(time)
-            # Resource arithmetic, vectorized: ceil(primary usage), then
-            # capacity - (ceil + reserve) with the per-dimension max(0, .)
-            # clamp of Resource.__sub__.
-            ceil_cores = np.ceil(util * self.capacity_cores)
-            ceil_memory = np.ceil(util * self.capacity_memory * 0.5)
-            harvest_cores = np.maximum(
-                0.0, self.capacity_cores - (ceil_cores + self.reserve_cores)
-            )
-            harvest_memory = np.maximum(
-                0.0, self.capacity_memory - (ceil_memory + self.reserve_memory)
-            )
-            # Reserve violations: allocated intrudes past the harvestable
-            # room (Resource.is_zero tolerance).
-            violated = aware & (self.running_containers > 0) & (
-                (self.allocated_cores - harvest_cores > 1e-12)
-                | (self.allocated_memory - harvest_memory > 1e-12)
-            )
-            if violated.any():
-                violator_rows = np.flatnonzero(violated)
-                if self._inexact_allocations:
-                    # Off the 1/256 grid the incremental column sums may not
-                    # equal the scalar fresh re-sums a kill loop performs,
-                    # so the decisions fall back to the per-server scalar
-                    # youngest-first walk.
-                    for index in violator_rows:
-                        killed.extend(
-                            self._node_managers[index].enforce_reserve(time)
-                        )
-                else:
-                    killed.extend(
-                        self._batch_reclaim(
-                            violator_rows, harvest_cores, harvest_memory, time
-                        )
-                    )
-            available_cores = np.maximum(0.0, harvest_cores - self.allocated_cores)
-            available_memory = np.maximum(0.0, harvest_memory - self.allocated_memory)
-        else:
-            available_cores = np.zeros(len(self._servers))
-            available_memory = np.zeros(len(self._servers))
-        if self._all_aware:
-            # Homogeneous awareness (every real variant): the where() below
-            # would select the aware column everywhere.
-            self.available_cores = available_cores
-            self.available_memory = available_memory
-        else:
-            oblivious_cores = np.maximum(
+        killed: List[Container] = []
+        if not self.primary_aware:
+            self.available_cores = np.maximum(
                 0.0, self.capacity_cores - self.allocated_cores
             )
-            oblivious_memory = np.maximum(
+            self.available_memory = np.maximum(
                 0.0, self.capacity_memory - self.allocated_memory
             )
-            self.available_cores = np.where(aware, available_cores, oblivious_cores)
-            self.available_memory = np.where(
-                aware, available_memory, oblivious_memory
-            )
-        self.last_heartbeat.fill(time)
+            return killed
+        util = self.primary_utilization(time)
+        # Resource arithmetic, vectorized: ceil(primary usage), then
+        # capacity - (ceil + reserve) with the per-dimension max(0, .)
+        # clamp of Resource.__sub__.
+        ceil_cores = np.ceil(util * self.capacity_cores)
+        ceil_memory = np.ceil(util * self.capacity_memory * 0.5)
+        harvest_cores = np.maximum(
+            0.0, self.capacity_cores - (ceil_cores + self.reserve_cores)
+        )
+        harvest_memory = np.maximum(
+            0.0, self.capacity_memory - (ceil_memory + self.reserve_memory)
+        )
+        # Reserve violations: allocated intrudes past the harvestable room
+        # (Resource.is_zero tolerance).
+        violated = (self.running_containers > 0) & (
+            (self.allocated_cores - harvest_cores > 1e-12)
+            | (self.allocated_memory - harvest_memory > 1e-12)
+        )
+        if violated.any():
+            rows = np.flatnonzero(violated)
+            if self._inexact_allocations:
+                for index in rows:
+                    killed.extend(
+                        self._reclaim_row(
+                            index, harvest_cores[index], harvest_memory[index], time
+                        )
+                    )
+            else:
+                killed.extend(
+                    self._batch_reclaim(rows, harvest_cores, harvest_memory, time)
+                )
+        self.available_cores = np.maximum(0.0, harvest_cores - self.allocated_cores)
+        self.available_memory = np.maximum(0.0, harvest_memory - self.allocated_memory)
+        return killed
+
+    def _reclaim_row(
+        self, index: int, harvest_cores: float, harvest_memory: float, time: float
+    ) -> List[Container]:
+        """Youngest-first kills on one row until its reserve is restored.
+
+        The off-grid path: after each kill the remaining allocations are
+        re-summed fresh, so the stop test never reads incremental sums.
+        ``sorted(..., reverse=True)`` keeps launch order among start-time
+        ties.
+        """
+        killed: List[Container] = []
+        for container in sorted(
+            self._running[index].values(), key=lambda c: c.start_time, reverse=True
+        ):
+            cores, memory_gb = self._row_sums(index)
+            if cores - harvest_cores <= 1e-12 and memory_gb - harvest_memory <= 1e-12:
+                break
+            self._kill(index, container, time)
+            killed.append(container)
         return killed
 
     def _batch_reclaim(
@@ -563,35 +396,30 @@ class FleetState:
         harvest_cores: np.ndarray,
         harvest_memory: np.ndarray,
         time: float,
-    ) -> List["Container"]:
+    ) -> List[Container]:
         """Youngest-first reserve kills for every violating row, in one sweep.
 
-        Replaces the per-violator scalar walk of
-        :meth:`SimulatedServer.reclaim_reserve` with one vectorized pass:
-        sort every violator's running containers youngest-first (one stable
-        ``lexsort`` keyed by server row then descending start time — ties
-        keep insertion order, exactly like ``sorted(..., reverse=True)``),
-        take per-server prefix sums of the victims' allocations, and kill
-        the shortest prefix whose removal clears the violation.
+        The on-grid equivalent of :meth:`_reclaim_row` for all violators at
+        once: sort every violator's running containers youngest-first (one
+        stable ``lexsort`` keyed by row then descending start time — ties
+        keep launch order, exactly like ``sorted(..., reverse=True)``), take
+        per-row prefix sums of the victims' allocations, and kill the
+        shortest prefix whose removal clears the violation.
 
-        The stop condition mirrors ``ResourceReserve.violated`` +
-        ``Resource.is_zero``: after killing a prefix, the remaining
-        allocation must sit within the harvestable room to a 1e-12
-        tolerance on both dimensions.  On the 1/256 allocation grid the
-        prefix-sum arithmetic is exact, so "total minus killed prefix"
-        equals the scalar path's fresh per-kill re-sum bit for bit; fleets
-        that saw off-grid allocations never reach this path (refresh falls
-        back to the scalar walk).  Kills are applied and reported server by
-        server in row order, so the kill list and every downstream
-        ``resolve_kills`` / callback ordering are unchanged.
+        The stop condition is the per-row walk's: after killing a prefix,
+        the remaining allocation must sit within the harvestable room to a
+        1e-12 tolerance on both dimensions.  On the 1/256 allocation grid
+        the prefix-sum arithmetic is exact, so "total minus killed prefix"
+        equals the walk's fresh per-kill re-sum bit for bit.  Kills are
+        applied and reported row by row in row order.
         """
         keep_rows: List[int] = []
-        running_lists: List[List["Container"]] = []
+        running_lists: List[List[Container]] = []
         for index in rows:
-            running = self._servers[index].running_containers
+            running = self._running[index]
             if running:
                 keep_rows.append(int(index))
-                running_lists.append(running)
+                running_lists.append(list(running.values()))
         if not keep_rows:
             return []
         counts = np.array([len(r) for r in running_lists], dtype=np.int64)
@@ -600,7 +428,7 @@ class FleetState:
         start_times = np.empty(total)
         victim_cores = np.empty(total)
         victim_memory = np.empty(total)
-        flat: List["Container"] = []
+        flat: List[Container] = []
         i = 0
         for running in running_lists:
             for container in running:
@@ -633,48 +461,23 @@ class FleetState:
         kill_counts = np.where(
             first_cleared < bounds[1:], first_cleared - bounds[:-1] + 1, counts
         )
-        killed: List["Container"] = []
+        killed: List[Container] = []
         for s, index in enumerate(keep_rows):
             start = int(bounds[s])
-            victims = [flat[order[t]] for t in range(start, start + int(kill_counts[s]))]
-            self._servers[index].kill_containers(victims, time)
-            self._node_managers[index].notify_kills(victims)
-            killed.extend(victims)
+            for t in range(start, start + int(kill_counts[s])):
+                victim = flat[order[t]]
+                self._kill(index, victim, time)
+                killed.append(victim)
         return killed
 
     # -- placement ----------------------------------------------------------
 
-    def consume(self, index: int, allocation: Resource) -> None:
-        """Deduct a placed allocation from the RM's available view.
-
-        Mirrors the scalar ``record.available - allocation`` (clamped at
-        zero per dimension by ``Resource.__sub__``).
-        """
-        self.available_cores[index] = max(
-            0.0, self.available_cores[index] - allocation.cores
-        )
-        self.available_memory[index] = max(
-            0.0, self.available_memory[index] - allocation.memory_gb
-        )
-
-    def release(self, index: int, allocation: Resource) -> None:
-        """Return a completed allocation to the RM's available view."""
-        self.available_cores[index] += allocation.cores
-        self.available_memory[index] += allocation.memory_gb
-
-    def available_of(self, index: int) -> Resource:
-        """The RM-view available resources of one row, as a Resource."""
-        self.ensure_built()
-        return Resource(
-            float(self.available_cores[index]), float(self.available_memory[index])
-        )
-
     def draw_proportional(self, candidates: np.ndarray, rng) -> int:
         """Pick a candidate row with probability proportional to free cores.
 
-        ``candidates`` is an ascending array of row indices (registration
-        order), so the weight vector matches the scalar candidate list and
-        the draw consumes the random stream identically.
+        ``candidates`` is an ascending array of row indices, so the weight
+        vector follows row order and the draw consumes the random stream
+        identically to a per-server candidate list.
         """
         weights = np.maximum(1e-9, self.available_cores[candidates])
         return int(candidates[rng.weighted_index(weights)])

@@ -15,12 +15,10 @@ Three modes mirror the paper's baselines:
 * ``PRIMARY_AWARE`` — YARN-PT: primary-aware NodeManagers, no labels.
 * ``HISTORY`` — YARN-H: primary-aware NodeManagers plus class labels.
 
-Internally the RM's per-server state lives in a
+The RM's per-server state is its
 :class:`~repro.cluster.fleet_state.FleetState`: heartbeat processing is one
 batched trace gather plus a reserve-violation mask, and container placement
-is a boolean mask intersection feeding one weighted draw.  The per-server
-:class:`ServerRecord` objects remain as thin views over those arrays, so the
-scalar API (and, for a fixed seed, the exact outputs) are unchanged.
+is a boolean mask intersection feeding one weighted draw per request.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.cluster.fleet_state import FleetState
-from repro.cluster.node_manager import NodeManager
 from repro.cluster.resources import Resource
 from repro.cluster.server import Container
 from repro.simulation.metrics import MetricRegistry
@@ -64,49 +61,20 @@ class ContainerRequest:
     node_labels: List[str] = field(default_factory=list)
 
 
-class ServerRecord:
-    """RM-side view of one server, backed by the FleetState row."""
-
-    __slots__ = ("node_manager", "_fleet", "_index")
-
-    def __init__(
-        self, node_manager: NodeManager, fleet: FleetState, index: int
-    ) -> None:
-        self.node_manager = node_manager
-        self._fleet = fleet
-        self._index = index
-
-    @property
-    def index(self) -> int:
-        """This server's row in the fleet arrays."""
-        return self._index
-
-    @property
-    def label(self) -> Optional[str]:
-        """The server's current utilization-class label."""
-        return self._fleet.label_of(self._index)
-
-    @label.setter
-    def label(self, value: Optional[str]) -> None:
-        self._fleet.set_label(self._index, value)
-
-    @property
-    def available(self) -> Resource:
-        """Available resources as of the last heartbeat / placement."""
-        return self._fleet.available_of(self._index)
-
-    @property
-    def last_heartbeat(self) -> float:
-        """Simulation time of the last processed heartbeat."""
-        self._fleet.ensure_built()
-        return float(self._fleet.last_heartbeat[self._index])
-
-
 class ResourceManager:
-    """Cluster-wide container scheduler with pluggable awareness level."""
+    """Cluster-wide container scheduler with pluggable awareness level.
+
+    Args:
+        fleet: the cluster's servers; every variant but Stock builds it
+            primary-aware.
+        mode: which scheduler variant to behave as.
+        rng: the placement draw stream.
+        metrics: where the placement fast path ticks ``waves_coalesced``.
+    """
 
     def __init__(
         self,
+        fleet: FleetState,
         mode: SchedulerMode = SchedulerMode.HISTORY,
         rng: Optional[RandomSource] = None,
         metrics: Optional[MetricRegistry] = None,
@@ -114,14 +82,13 @@ class ResourceManager:
         self.mode = mode
         self._rng = rng or RandomSource(0)
         self.metrics = metrics or MetricRegistry()
-        self._fleet = FleetState()
-        self._servers: Dict[str, ServerRecord] = {}
+        self._fleet = fleet
         # Request shapes (allocation, labels) that the current cluster state
         # provably cannot place: a wave that left requests unsatisfied ran
         # out of candidates, and placements only ever consume availability,
         # so the shape stays unplaceable until something returns capacity or
         # changes the view — any heartbeat refresh (which also carries the
-        # kills), completion, label change, or registration clears the set.
+        # kills), completion, or label change clears the set.
         self._exhausted: set = set()
         # Lazily bound hot-path counter (created on first coalesced wave,
         # exactly as metrics.counter() would).
@@ -129,43 +96,13 @@ class ResourceManager:
 
     @property
     def fleet(self) -> FleetState:
-        """The array substrate backing this RM's per-server state."""
+        """The per-server state this RM schedules over."""
         return self._fleet
-
-    # -- membership -----------------------------------------------------------
-
-    def register_node(
-        self, node_manager: NodeManager, label: Optional[str] = None
-    ) -> None:
-        """Add a NodeManager to the cluster, optionally with its class label."""
-        if node_manager.server_id in self._servers:
-            raise ValueError(f"server {node_manager.server_id} already registered")
-        index = self._fleet.add(
-            node_manager, label if self.mode is SchedulerMode.HISTORY else None
-        )
-        self._servers[node_manager.server_id] = ServerRecord(
-            node_manager, self._fleet, index
-        )
-        self._exhausted.clear()
 
     def set_label(self, server_id: str, label: Optional[str]) -> None:
         """Update a server's utilization-class label (after re-clustering)."""
-        self._record(server_id).label = label
+        self._fleet.set_label(self._fleet.index_of(server_id), label)
         self._exhausted.clear()
-
-    @property
-    def server_ids(self) -> List[str]:
-        """All registered servers."""
-        return sorted(self._servers)
-
-    def node_manager(self, server_id: str) -> NodeManager:
-        """The NodeManager of a registered server."""
-        return self._record(server_id).node_manager
-
-    def _record(self, server_id: str) -> ServerRecord:
-        if server_id not in self._servers:
-            raise KeyError(f"unknown server {server_id}")
-        return self._servers[server_id]
 
     # -- heartbeats -----------------------------------------------------------
 
@@ -174,61 +111,33 @@ class ResourceManager:
 
         The RM's view of available resources is refreshed from the heartbeats,
         exactly as the real systems piggyback utilization on the existing
-        heartbeat protocol — here as one batch refresh over the fleet arrays
-        instead of a per-NodeManager call loop.
+        heartbeat protocol — here as one batch refresh over the fleet.
         """
         killed = self._fleet.refresh(time)
         self._exhausted.clear()
-        if killed:
-            self.metrics.counter("containers_killed").increment(len(killed))
         return killed
 
     # -- utilization visibility -------------------------------------------------
 
-    def average_primary_utilization(self, time: float) -> float:
-        """Mean primary-tenant CPU utilization across the cluster."""
-        if not self._servers:
-            return 0.0
-        # One vectorized gather; the reduction stays a sequential Python sum
-        # so the result is bit-identical to the per-record loop it replaces.
-        values = self._fleet.primary_utilization(time)
-        return sum(values.tolist()) / len(self._servers)
-
     def average_total_utilization(self, time: float) -> float:
         """Mean combined (primary + secondary) CPU utilization."""
-        if not self._servers:
+        if not len(self._fleet):
             return 0.0
+        # The reduction stays a sequential Python sum over row order.
         values = self._fleet.total_utilization(time)
-        return sum(values.tolist()) / len(self._servers)
-
-    def current_class_utilization(self, label: str, time: float) -> float:
-        """Mean total (primary + secondary) utilization of the ``label`` servers.
-
-        This is the "current utilization" Algorithm 1's headroom uses: the
-        class's servers may already be loaded with batch containers, and that
-        load counts against the room left for a new job.
-        """
-        return self.class_statistics([label], time)[0][1]
-
-    def class_capacity_cores(self, label: str) -> float:
-        """Total core capacity of the servers carrying ``label``."""
-        mask = self._fleet.label_mask([label])
-        self._fleet.ensure_built()
-        return sum(self._fleet.capacity_cores[mask].tolist())
+        return sum(values.tolist()) / len(self._fleet)
 
     def class_statistics(
         self, labels: Sequence[str], time: float
     ) -> List[tuple]:
         """Per-label ``(capacity cores, current utilization)``, batched.
 
-        The one home of the per-label reductions
-        (:meth:`current_class_utilization` is a batch of one;
-        :meth:`class_capacity_cores` supplies the capacity sum): one
-        ``total_utilization`` evaluation feeds every label, and the
-        reductions stay sequential sums over the masked values in row
-        order for scalar-path bit-parity.
+        The current utilization is Algorithm 1's: the mean total (primary +
+        secondary) utilization of the label's servers, since batch load
+        already on them counts against the room left for a new job.  One
+        ``total_utilization`` evaluation feeds every label, and both
+        reductions are sequential sums over the masked values in row order.
         """
-        self._fleet.ensure_built()
         values: Optional[np.ndarray] = None
         statistics: List[tuple] = []
         for label in labels:
@@ -241,7 +150,7 @@ class ResourceManager:
                 values = self._fleet.total_utilization(time)
             statistics.append(
                 (
-                    self.class_capacity_cores(label),
+                    sum(self._fleet.capacity_cores[mask].tolist()),
                     sum(values[mask].tolist()) / count,
                 )
             )
@@ -249,34 +158,16 @@ class ResourceManager:
 
     # -- scheduling -------------------------------------------------------------
 
-    @staticmethod
-    def _request_shape(allocation: Resource, node_labels: Sequence[str]) -> tuple:
-        """The exhaustion-set key of a request shape."""
-        return (allocation.cores, allocation.memory_gb, tuple(node_labels))
-
-    def capacity_exhausted(
-        self, allocation: Resource, node_labels: Sequence[str]
-    ) -> bool:
+    def shape_exhausted(self, shape: tuple) -> bool:
         """Whether a wave of this shape is known to be unplaceable right now.
 
-        True only between a ``schedule_wave`` that left requests of this
-        exact (allocation, labels) shape unsatisfied and the next event that
-        could return capacity or change eligibility (heartbeat refresh,
-        kill, completion, label change, registration).  Starved pump waves
-        use it to skip rebuilding their request lists entirely: a skipped
-        wave would have drawn nothing and placed nothing, so skipping is
-        draw-invisible.  It is, deliberately, *not* counter-invisible:
-        skipped waves no longer bump ``requests_unsatisfied``, so that
-        counter now tallies waves that reached the RM rather than every
-        starved retry tick.
-        """
-        return self._request_shape(allocation, node_labels) in self._exhausted
-
-    def shape_exhausted(self, shape: tuple) -> bool:
-        """:meth:`capacity_exhausted` for a pre-built shape key.
-
-        The Application Master caches each execution's shape tuple, so the
-        per-pump starvation check is one set lookup with no tuple rebuild.
+        ``shape`` is ``(cores, memory_gb, tuple(node_labels))``.  True only
+        between a wave that left requests of this exact shape unsatisfied
+        and the next event that could return capacity or change eligibility
+        (heartbeat refresh, kill, completion, label change).  Starved pump
+        waves use it to skip rebuilding their request lists entirely: a
+        skipped wave would have drawn nothing and placed nothing, so
+        skipping is draw-invisible.
         """
         return shape in self._exhausted
 
@@ -293,70 +184,19 @@ class ResourceManager:
                 return fits & labelled
         return fits
 
-    def schedule(self, request: ContainerRequest, time: float) -> Optional[Container]:
-        """Try to place a container for ``request``; None when nothing fits.
-
-        The destination is drawn with probability proportional to available
-        cores (the paper's probabilistic load balancing); Stock mode keeps
-        YARN's default most-available-first choice.
-        """
-        return self.schedule_wave([request], time)[0]
-
-    def schedule_wave(
-        self, requests: Sequence[ContainerRequest], time: float
-    ) -> List[Optional[Container]]:
-        """Place a whole wave of requests; one entry per request, in order.
-
-        Every request of a wave must carry the same allocation and node
-        labels (an Application Master's runnable wave does).  A batch of
-        one — see :class:`WaveBatch` for the placement mechanics and the
-        equivalence argument.
-        """
-        return WaveBatch(self, time).schedule(requests)
-
     def begin_batch(self, time: float) -> "WaveBatch":
-        """A mask-coalescing scheduling context for one pump tick."""
-        return WaveBatch(self, time)
+        """A mask-coalescing scheduling context for one pump tick.
 
-    def schedule_waves(
-        self, waves: Sequence[Sequence[ContainerRequest]], time: float
-    ) -> List[List[Optional[Container]]]:
-        """Place a batch of pre-collected uniform waves, one result list each.
-
-        The eager-collection convenience over :meth:`begin_batch`: waves are
-        placed wave-major, request-minor — exactly the order sequential
-        ``schedule_wave`` calls produced — and a wave whose ``(allocation,
-        labels)`` shape starved earlier in the same batch is skipped
-        outright, returning all-``None`` without touching the random stream
-        or the ``requests_unsatisfied`` counter.  That skip mirrors the
-        Application Master's sequential bookkeeping: the starving wave put
-        the shape in the exhaustion set, so a sequential pump loop would
-        never have submitted the later wave.
+        Placement draws each destination with probability proportional to
+        available cores (the paper's probabilistic load balancing); Stock
+        mode keeps YARN's default most-available-first choice.
         """
-        batch = self.begin_batch(time)
-        starved: set = set()
-        results: List[List[Optional[Container]]] = []
-        for requests in waves:
-            shape = None
-            if requests:
-                first = requests[0]
-                shape = self._request_shape(first.allocation, first.node_labels)
-                if shape in starved:
-                    results.append([None] * len(requests))
-                    continue
-            placed = batch.schedule(requests)
-            results.append(placed)
-            if shape is not None and any(c is None for c in placed):
-                starved.add(shape)
-        return results
+        return WaveBatch(self, time)
 
     def complete(self, container: Container, time: float) -> None:
         """Mark a container completed and release its resources on the RM view."""
-        record = self._record(container.server_id)
-        record.node_manager.server.complete_container(container.container_id, time)
-        self._fleet.release(record.index, container.allocation)
+        self._fleet.complete(container, time)
         self._exhausted.clear()
-        self.metrics.counter("containers_completed").increment()
 
 
 class _ShapeEntry:
@@ -386,10 +226,10 @@ class WaveBatch:
     execution — and between them nothing touches the fleet's availability
     view (launch bookkeeping schedules engine events and writes task
     tables; only placements consume capacity, and completions arrive as
-    separate engine events).  The candidate mask of
-    :meth:`ResourceManager.schedule_wave` is therefore invariant *across*
-    wave boundaries too, not just within a wave, and the batch keeps one
-    maintained mask per ``(allocation, labels)`` shape it has seen:
+    separate engine events).  A wave's candidate mask is therefore
+    invariant *across* wave boundaries too, not just within a wave, and the
+    batch keeps one maintained mask per ``(allocation, labels)`` shape it
+    has seen:
 
     * a freshly built mask is ``fits_now & labelled`` (labels are static
       within a tick);
@@ -408,10 +248,9 @@ class WaveBatch:
     (``waves_coalesced`` counts these reuses; on a tiny fig13 sweep this
     turns ~130k mask builds into a few thousand).  Every placement draws
     from the random stream individually, in submission order, and each
-    wave ticks the ``containers_launched`` / ``requests_unsatisfied``
-    counters and the exhaustion set exactly as a standalone
-    ``schedule_wave`` call would — a fixed seed schedules bit-identically
-    through a batch and through sequential calls.
+    wave updates the exhaustion set exactly as a wave scheduled in a batch
+    of its own would — a fixed seed schedules bit-identically through one
+    batch and through one batch per wave.
     """
 
     __slots__ = (
@@ -438,10 +277,9 @@ class WaveBatch:
         self._log: List[int] = []
         # A batch lives within one engine event, so the fleet's availability
         # arrays are stable object references for its whole lifetime
-        # (consume mutates in place; only heartbeat refresh / membership
-        # changes replace them, and both happen in other events).
+        # (launches mutate them in place; only a heartbeat refresh replaces
+        # them, and it happens in another event).
         fleet = rm._fleet
-        fleet.ensure_built()
         self._fleet = fleet
         self._avail_cores = fleet.available_cores
         self._avail_memory = fleet.available_memory
@@ -477,7 +315,7 @@ class WaveBatch:
                     or request.node_labels != first.node_labels
                 ):
                     raise ValueError(
-                        "schedule_wave requires a uniform wave: every request "
+                        "a wave must be uniform: every request "
                         "must carry the same allocation and node_labels"
                     )
         fleet = self._fleet
@@ -520,25 +358,22 @@ class WaveBatch:
             )
             self._entries[key] = entry
         stock = self._stock
-        launched = unsatisfied = 0
+        unsatisfied = False
         for request in requests:
             candidates = entry.candidates
             if candidates is None:
                 candidates = entry.candidates = entry.mask.nonzero()[0]
             if len(candidates) == 0:
-                unsatisfied += 1
+                unsatisfied = True
                 results.append(None)
                 continue
             if stock:
                 chosen = fleet.most_available(candidates)
             else:
                 chosen = fleet.draw_proportional(candidates, rm._rng)
-            server = fleet.server_at(chosen)
-            container = server.launch_container(
-                request.task_id, request.job_id, request.allocation, self._time
+            container = fleet.launch(
+                chosen, request.task_id, request.job_id, request.allocation, self._time
             )
-            fleet.consume(chosen, request.allocation)
-            launched += 1
             results.append(container)
             log.append(chosen)
             # The chosen server is the only one whose availability moved;
@@ -551,16 +386,11 @@ class WaveBatch:
                 entry.mask[chosen] = False
                 entry.candidates = None
         entry.seen = len(log)
-        if launched:
-            rm.metrics.counter("containers_launched").increment(launched)
         if unsatisfied:
             # Candidate bits are only ever cleared within a batch, so an
             # unsatisfied request means the shape ended with zero
             # candidates — remember that until capacity can return.  The
-            # exhaustion set keeps the exact (ordered) label tuple so the
-            # skip semantics of capacity_exhausted() are unchanged.
-            rm._exhausted.add(
-                rm._request_shape(first.allocation, first.node_labels)
-            )
-            rm.metrics.counter("requests_unsatisfied").increment(unsatisfied)
+            # exhaustion set keys on the exact (ordered) label tuple, the
+            # shape the Application Master checks with shape_exhausted().
+            rm._exhausted.add((cores, memory_gb, tuple(first.node_labels)))
         return results

@@ -1,9 +1,8 @@
-"""The simulated shared server: primary tenant plus batch containers.
+"""Batch containers: the unit of work the harvesting scheduler places.
 
-Each server runs its primary tenant (whose CPU usage is driven by the
-tenant's utilization trace) and any number of batch containers.  The server
-tracks allocations, exposes the harvesting view of its capacity, and applies
-container kills when the primary tenant needs its reserve back.
+A container runs one task on one server.  Its lifecycle (running, then
+completed or killed) is all it keeps; which containers run where, and the
+resources they hold, live in :class:`~repro.cluster.fleet_state.FleetState`.
 """
 
 from __future__ import annotations
@@ -11,11 +10,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Optional
 
-from repro.cluster.reserve import ResourceReserve
 from repro.cluster.resources import Resource
-from repro.traces.datacenter import PrimaryTenant, Server
 
 
 class ContainerState(str, enum.Enum):
@@ -53,11 +50,6 @@ class Container:
     state: ContainerState = ContainerState.RUNNING
     end_time: Optional[float] = None
 
-    @property
-    def age(self) -> float:
-        """Seconds since the container started (requires a clock to compare)."""
-        return self.start_time
-
     def finish(self, time: float) -> None:
         """Mark the container as completed at ``time``."""
         if self.state is not ContainerState.RUNNING:
@@ -71,202 +63,3 @@ class Container:
             raise ValueError(f"container {self.container_id} is not running")
         self.state = ContainerState.KILLED
         self.end_time = time
-
-
-class SimulatedServer:
-    """One shared server: capacity, primary usage, and running containers.
-
-    A server can be *attached* to a :class:`~repro.cluster.fleet_state.FleetState`
-    (the Resource Manager does this at registration).  The object keeps its
-    full scalar API; the attachment only mirrors allocation changes into the
-    fleet's arrays so the batched heartbeat/placement paths stay in sync.
-    """
-
-    def __init__(
-        self,
-        server: Server,
-        tenant: PrimaryTenant,
-        reserve: Optional[ResourceReserve] = None,
-    ) -> None:
-        self._server = server
-        self._tenant = tenant
-        self.capacity = Resource(float(server.cores), float(server.memory_gb))
-        self.reserve = reserve or ResourceReserve.from_fractions(self.capacity)
-        self._containers: Dict[int, Container] = {}
-        # Insertion-ordered index of the containers still running, so the
-        # hot queries (allocated sums, reclaim scans) touch only live
-        # containers instead of the server's whole container history.
-        # Python dicts preserve insertion order under deletion, so iterating
-        # this index reproduces the order of filtering the full history.
-        self._running: Dict[int, Container] = {}
-        self._utilization_override: Optional[Callable[[float], float]] = None
-        self._fleet = None
-        self._fleet_index = -1
-
-    def _attach_fleet(self, fleet, index: int) -> None:
-        """Mirror this server's allocation changes into ``fleet``'s arrays."""
-        self._fleet = fleet
-        self._fleet_index = index
-        if self._utilization_override is not None:
-            fleet._on_override_change(index, True)
-
-    def _notify_fleet(self, allocation: Resource, containers: int) -> None:
-        if self._fleet is not None:
-            sign = float(containers)
-            self._fleet._on_allocation_change(
-                self._fleet_index,
-                sign * allocation.cores,
-                sign * allocation.memory_gb,
-                containers,
-            )
-
-    # -- identity ----------------------------------------------------------
-
-    @property
-    def server_id(self) -> str:
-        """Physical server id."""
-        return self._server.server_id
-
-    @property
-    def tenant_id(self) -> str:
-        """Owning primary tenant id."""
-        return self._tenant.tenant_id
-
-    @property
-    def tenant(self) -> PrimaryTenant:
-        """The owning primary tenant."""
-        return self._tenant
-
-    @property
-    def rack(self) -> str:
-        """Physical rack."""
-        return self._server.rack
-
-    # -- primary tenant ------------------------------------------------------
-
-    def set_utilization_override(
-        self, override: Optional[Callable[[float], float]]
-    ) -> None:
-        """Replace the trace-driven utilization with a custom function.
-
-        Used by the testbed experiments to replay scaled traces without
-        mutating the tenant objects.
-        """
-        self._utilization_override = override
-        if self._fleet is not None:
-            self._fleet._on_override_change(self._fleet_index, override is not None)
-
-    def primary_utilization(self, time: float) -> float:
-        """Primary tenant CPU utilization fraction at simulation time."""
-        if self._utilization_override is not None:
-            return float(min(1.0, max(0.0, self._utilization_override(time))))
-        return self._tenant.utilization_at(time)
-
-    def primary_usage(self, time: float) -> Resource:
-        """Primary tenant resource usage at simulation time.
-
-        Memory usage is modelled as proportional to CPU usage; the policies
-        under study are CPU-driven, as in the paper.
-        """
-        utilization = self.primary_utilization(time)
-        return Resource(
-            cores=utilization * self.capacity.cores,
-            memory_gb=utilization * self.capacity.memory_gb * 0.5,
-        )
-
-    # -- containers -----------------------------------------------------------
-
-    @property
-    def running_containers(self) -> List[Container]:
-        """Containers currently running on this server."""
-        return [
-            c for c in self._running.values() if c.state is ContainerState.RUNNING
-        ]
-
-    def allocated(self) -> Resource:
-        """Total resources allocated to running containers."""
-        total = Resource.zero()
-        for container in self.running_containers:
-            total = total + container.allocation
-        return total
-
-    def available_for_harvesting(self, time: float) -> Resource:
-        """Resources a new container could be granted right now."""
-        return self.reserve.harvestable(
-            self.capacity, self.primary_usage(time)
-        ) - self.allocated()
-
-    def can_host(self, request: Resource, time: float) -> bool:
-        """Whether a container of size ``request`` fits right now."""
-        return request.fits_within(self.available_for_harvesting(time))
-
-    def launch_container(
-        self, task_id: str, job_id: str, allocation: Resource, time: float
-    ) -> Container:
-        """Start a container; the caller must have checked :meth:`can_host`."""
-        container = Container(
-            task_id=task_id,
-            job_id=job_id,
-            allocation=allocation,
-            server_id=self.server_id,
-            start_time=time,
-        )
-        self._containers[container.container_id] = container
-        self._running[container.container_id] = container
-        self._notify_fleet(allocation, +1)
-        return container
-
-    def complete_container(self, container_id: int, time: float) -> Container:
-        """Mark a container as finished and free its resources."""
-        container = self._containers[container_id]
-        container.finish(time)
-        self._running.pop(container_id, None)
-        self._notify_fleet(container.allocation, -1)
-        return container
-
-    def kill_containers(self, containers: List[Container], time: float) -> None:
-        """Apply an already-decided kill list (the batched reclaim path).
-
-        Each kill mirrors one step of :meth:`reclaim_reserve`: mark the
-        container killed, drop it from the running index, and return its
-        allocation through the fleet hook.  The caller is responsible for
-        having picked the containers youngest-first.
-        """
-        for container in containers:
-            self._kill_container(container, time)
-
-    def _kill_container(self, container: Container, time: float) -> None:
-        container.kill(time)
-        self._running.pop(container.container_id, None)
-        self._notify_fleet(container.allocation, -1)
-
-    def reclaim_reserve(self, time: float) -> List[Container]:
-        """Kill containers, youngest first, until the reserve is restored.
-
-        Returns the killed containers.  This is what NM-H does when it detects
-        that the primary tenant has burst into the reserve (Section 5.3).
-        """
-        killed: List[Container] = []
-        violation = self.reserve.violated(
-            self.capacity, self.primary_usage(time), self.allocated()
-        )
-        if violation.is_zero():
-            return killed
-        # Youngest-to-oldest: most recently started containers die first.
-        for container in sorted(
-            self.running_containers, key=lambda c: c.start_time, reverse=True
-        ):
-            if violation.is_zero():
-                break
-            self._kill_container(container, time)
-            killed.append(container)
-            violation = self.reserve.violated(
-                self.capacity, self.primary_usage(time), self.allocated()
-            )
-        return killed
-
-    def total_cpu_utilization(self, time: float) -> float:
-        """Combined primary + secondary CPU utilization fraction."""
-        primary = self.primary_utilization(time)
-        secondary = self.allocated().cores / self.capacity.cores
-        return min(1.0, primary + secondary)

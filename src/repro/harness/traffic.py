@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.simulation.random import RandomSource
+from repro.workload.distributions import parse_finite
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.harness.streaming import StreamingEpochAggregator
@@ -415,11 +416,9 @@ def _pop_float(fields: Dict[str, str], key: str, spec: str, default=None) -> Any
         return default
     raw = fields.pop(key)
     try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(
-            f"bad traffic spec {spec!r}: {key}={raw!r} is not a number"
-        ) from None
+        return parse_finite(key, raw)
+    except ValueError as error:
+        raise ValueError(f"bad traffic spec {spec!r}: {error}") from None
 
 
 def parse_traffic(spec: str) -> TrafficDriver:

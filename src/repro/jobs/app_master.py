@@ -197,17 +197,12 @@ class ApplicationMaster:
         """Request a container for every currently runnable task.
 
         The whole runnable wave goes to the RM as one batch; the RM draws
-        one placement per request in wave order, so the random stream is
-        consumed exactly as it was by the per-task ``schedule`` calls.
-        Tasks the wave could not place stay pending and retry on the next
-        pump.  A starved wave whose (allocation, labels) shape the RM knows
-        to be unplaceable is skipped before the runnable frontier is even
-        rebuilt: the wave would have drawn nothing and placed nothing, so
-        the skip is draw-invisible (results and placement streams are
-        bit-identical) and saves the per-wave mask scan and request-list
-        construction.  The one observable difference is bookkeeping: the
-        RM's ``requests_unsatisfied`` counter no longer ticks for waves
-        that never reach it.
+        one placement per request in wave order.  Tasks the wave could not
+        place stay pending and retry on the next pump.  A starved wave whose
+        (allocation, labels) shape the RM knows to be unplaceable is skipped
+        before the runnable frontier is even rebuilt: the wave would have
+        drawn nothing and placed nothing, so the skip is draw-invisible and
+        saves the per-wave mask scan and request-list construction.
         """
         collected = self._collect_wave(execution)
         if collected is None:
@@ -241,7 +236,7 @@ class ApplicationMaster:
             return
         self._owner.pop(container.container_id, None)
         if container.state is ContainerState.KILLED:
-            # The kill was already handled by handle_kills; nothing to do.
+            # The kill was already handled by resolve_kills; nothing to do.
             return
         self._rm.complete(container, self._engine.now)
         task.state = TaskState.COMPLETED
@@ -251,47 +246,30 @@ class ApplicationMaster:
         else:
             self._schedule_runnable(execution)
 
-    def _mark_killed(self, execution: JobExecution, container: Container) -> bool:
+    def _mark_killed(self, execution: JobExecution, container: Container) -> None:
         """Return a killed container's task to the runnable pool."""
         task = execution.running.pop(container.container_id, None)
         if task is None:
-            return False
+            return
         self._owner.pop(container.container_id, None)
         task.state = TaskState.KILLED
         execution.tasks_killed += 1
         self.metrics.counter("tasks_killed").increment()
-        return True
-
-    def handle_kills(self, execution: JobExecution, killed: List[Container]) -> None:
-        """React to containers killed by NodeManagers replenishing the reserve.
-
-        Killed tasks go back to the runnable pool and are re-requested, which
-        is exactly the re-execution cost that inflates YARN-PT's job times.
-        """
-        for container in killed:
-            self._mark_killed(execution, container)
-        if killed and not execution.finished:
-            self._schedule_runnable(execution)
 
     def resolve_kills(self, killed: List[Container]) -> None:
-        """Mark every killed container's task via the container->execution index.
+        """Return every killed container's task to its job's runnable pool.
 
-        One dict lookup per killed container replaces the old broadcast that
-        offered every live execution every killed container.  Marking a task
-        killed only mutates its own execution's state, so resolving all
-        kills up front and retrying container requests afterwards (the
-        cluster pumps each execution in submission order) consumes the
-        placement stream exactly as the per-execution fan-out did.
+        Reserve kills (the NodeManagers replenishing the reserve) reach the
+        owning execution through the container->execution index, one dict
+        lookup each; kills of containers no execution owns are ignored.
+        The caller re-requests containers afterwards (the cluster pumps
+        every execution in submission order) — the re-execution cost that
+        inflates YARN-PT's job times.
         """
         for container in killed:
             execution = self._owner.get(container.container_id)
             if execution is not None:
                 self._mark_killed(execution, container)
-
-    def pump(self, execution: JobExecution) -> None:
-        """Periodic retry of unsatisfied container requests."""
-        if not execution.finished:
-            self._schedule_runnable(execution)
 
     def _collect_wave(
         self, execution: JobExecution
@@ -359,16 +337,15 @@ class ApplicationMaster:
         return wave, requests
 
     def pump_all(self, executions: Sequence[JobExecution]) -> None:
-        """Pump every execution's retry wave through one coalesced RM batch.
+        """Periodic retry: every execution's unsatisfied requests, in order.
 
-        Step-for-step identical to calling :meth:`pump` on each execution
-        in order — every early-out, starvation skip, placement draw, and
-        launch happens at the same point of the sequence — except that the
-        waves share one :class:`~repro.cluster.resource_manager.WaveBatch`,
-        which reuses the candidate mask across consecutive same-shape waves
-        instead of rebuilding it per execution (launches never touch the
-        fleet's availability view, so the mask stays valid across the
-        boundary; see ``WaveBatch`` for the argument).
+        Step-for-step identical to retrying each execution in its own RM
+        batch — every early-out, starvation skip, placement draw, and launch
+        happens at the same point of the sequence — except that the waves
+        share one :class:`~repro.cluster.resource_manager.WaveBatch`, which
+        reuses the candidate mask across consecutive same-shape waves
+        instead of rebuilding it per execution (see ``WaveBatch`` for the
+        argument).
         """
         batch = None
         for execution in executions:
@@ -400,7 +377,5 @@ class ApplicationMaster:
             selected_classes=self._node_labels(execution),
         )
         self._results.append(result)
-        self.metrics.distribution("job_execution_seconds").add(result.execution_seconds)
-        self.metrics.counter("jobs_completed").increment()
         if self.on_job_finished is not None:
             self.on_job_finished(execution, result)

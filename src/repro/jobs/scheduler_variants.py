@@ -1,10 +1,13 @@
 """End-to-end compute-harvesting cluster assembled from the building blocks.
 
 A :class:`HarvestingCluster` wires together the servers of a datacenter (or a
-scaled-down sample of them), per-server NodeManagers, a ResourceManager of
-one of the three variants, the clustering service, the Algorithm 1 class
-selector, and one ApplicationMaster per submitted job.  It is the object the
-testbed and datacenter-scale experiments drive.
+scaled-down sample of them) as one
+:class:`~repro.cluster.fleet_state.FleetState`, a ResourceManager of one of
+the three variants, the clustering service, the Algorithm 1 class selector,
+and the ApplicationMaster that drives every submitted job.  It is the object
+the testbed and datacenter-scale experiments drive.  The NodeManager side
+of the protocol — heartbeats every ``HEARTBEAT_INTERVAL_SECONDS`` and
+youngest-first reserve kills — is the fleet's batch refresh.
 
 Variant summary (Section 6.1 baselines):
 
@@ -20,15 +23,12 @@ YARN-H/Tez-H   primary-aware, kills   probabilistic by available   Algorithm 1 l
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.cluster.node_manager import HEARTBEAT_INTERVAL_SECONDS, NodeManager
+from repro.cluster.fleet_state import FleetState
 from repro.cluster.resource_manager import ResourceManager, SchedulerMode
-from repro.cluster.reserve import ResourceReserve
-from repro.cluster.resources import Resource
-from repro.cluster.server import SimulatedServer
 from repro.core.class_selection import ClassCapacity, ClassSelection, ClassSelector
 from repro.core.clustering import ClusteringService
 from repro.core.job_types import JobHistory, JobType, JobTypeThresholds
@@ -39,6 +39,9 @@ from repro.simulation.engine import SimulationEngine
 from repro.simulation.metrics import MetricRegistry
 from repro.simulation.random import RandomSource
 from repro.traces.datacenter import PrimaryTenant
+
+#: Heartbeat period used by the modelled systems.
+HEARTBEAT_INTERVAL_SECONDS = 3.0
 
 
 class SeriesRecorder:
@@ -96,23 +99,24 @@ class HarvestingCluster:
         self.metrics = MetricRegistry()
         self._tenants = {t.tenant_id: t for t in tenants}
 
-        self.servers: Dict[str, SimulatedServer] = {}
+        rows = []
         for tenant in tenants:
             tenant_servers = tenant.servers
             if servers_per_tenant_limit is not None:
                 tenant_servers = tenant_servers[:servers_per_tenant_limit]
-            for server in tenant_servers:
-                capacity = Resource(float(server.cores), float(server.memory_gb))
-                reserve = ResourceReserve.from_fractions(
-                    capacity,
-                    self.config.reserve_cpu_fraction,
-                    self.config.reserve_memory_fraction,
-                )
-                simulated = SimulatedServer(server, tenant, reserve)
-                self.servers[server.server_id] = simulated
+            rows.extend((server, tenant) for server in tenant_servers)
+        fleet = FleetState(
+            rows,
+            self.config.reserve_cpu_fraction,
+            self.config.reserve_memory_fraction,
+            primary_aware=self.config.mode is not SchedulerMode.STOCK,
+        )
 
         self.resource_manager = ResourceManager(
-            mode=self.config.mode, rng=self._rng.fork("rm"), metrics=self.metrics
+            fleet,
+            mode=self.config.mode,
+            rng=self._rng.fork("rm"),
+            metrics=self.metrics,
         )
         self.clustering = ClusteringService(rng=self._rng.fork("clustering"))
         self.selector = ClassSelector(
@@ -124,11 +128,6 @@ class HarvestingCluster:
             self.engine, self.resource_manager, self.history, self.metrics
         )
 
-        primary_aware = self.config.mode is not SchedulerMode.STOCK
-        for server in self.servers.values():
-            node_manager = NodeManager(server, primary_aware=primary_aware)
-            self.resource_manager.register_node(node_manager)
-
         if self.config.mode is SchedulerMode.HISTORY:
             self.refresh_clustering()
 
@@ -136,8 +135,8 @@ class HarvestingCluster:
         self._series_recorder: Optional[SeriesRecorder] = None
 
     @property
-    def fleet(self):
-        """The array substrate the cluster's scheduler runs on."""
+    def fleet(self) -> FleetState:
+        """The per-server state the cluster's scheduler runs on."""
         return self.resource_manager.fleet
 
     def set_series_recorder(self, recorder: Optional[SeriesRecorder]) -> None:
@@ -153,9 +152,10 @@ class HarvestingCluster:
     def refresh_clustering(self) -> None:
         """(Re)run the clustering service and re-label every server."""
         self.clustering.update(self._tenants.values())
-        for server in self.servers.values():
-            label = self.clustering.class_of_tenant(server.tenant_id)
-            self.resource_manager.set_label(server.server_id, label)
+        fleet = self.fleet
+        for server_id, tenant_id in zip(fleet.server_ids, fleet.tenant_ids):
+            label = self.clustering.class_of_tenant(tenant_id)
+            self.resource_manager.set_label(server_id, label)
 
     def class_capacities(self, time: float) -> List[ClassCapacity]:
         """Per-class capacity view built from current heartbeat information.
@@ -212,9 +212,9 @@ class HarvestingCluster:
     def _prune_finished(self) -> None:
         """Drop finished executions from the periodic loops.
 
-        ``pump`` and ``handle_kills`` are no-ops on finished executions, so
-        pruning is behavior-identical — it just stops the loops from
-        growing with every completed job over a long run.
+        Finished executions never request containers, so pruning is
+        behavior-identical — it just stops the loops from growing with
+        every completed job over a long run.
         """
         self._executions = [e for e in self._executions if not e.finished]
 
@@ -224,23 +224,18 @@ class HarvestingCluster:
             self._prune_finished()
             # Resolve each killed container straight to its owning execution
             # (one dict lookup each), then give every execution its retry
-            # pump in submission order — the same order the old
-            # per-execution ``handle_kills`` fan-out scheduled in, minus the
-            # executions x kills broadcast.  The pumps go to the RM as one
-            # coalesced batch (see ``ApplicationMaster.pump_all``).
+            # pump in submission order, as one coalesced RM batch (see
+            # ``ApplicationMaster.pump_all``).
             self.app_master.resolve_kills(killed)
             self.app_master.pump_all(self._executions)
-        self.metrics.time_series("primary_utilization").add(
-            engine.now, self.resource_manager.average_primary_utilization(engine.now)
-        )
         self.metrics.time_series("total_utilization").add(
             engine.now, self.resource_manager.average_total_utilization(engine.now)
         )
         # Per-server view of primary demand and batch allocation, used by the
         # testbed experiments to evaluate the primary tail-latency model at
         # every point of the run rather than only at its end.  Both vectors
-        # are read straight from the fleet arrays (the refresh above already
-        # gathered this heartbeat's utilization).
+        # are read straight from the fleet arrays (the utilization gather
+        # above is cached for this heartbeat's time).
         if self._series_recorder is not None:
             fleet = self.fleet
             self._series_recorder.record(

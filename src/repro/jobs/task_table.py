@@ -29,10 +29,9 @@ order, and everything downstream (per-request container draws against
 :class:`~repro.cluster.fleet_state.FleetState`) consumes the random stream
 draw for draw (see ``tests/test_jobs_task_table.py`` for the scalar oracle).
 
-:class:`TaskView` objects are thin write-through views over the rows,
-mirroring ``ServerRecord``: the ``state`` / ``attempts`` attributes read
-and write the arrays, and every state transition keeps the counters and
-the readiness frontier in sync.
+:class:`TaskView` objects are thin write-through views over the rows: the
+``state`` / ``attempts`` attributes read and write the arrays, and every
+state transition keeps the counters and the readiness frontier in sync.
 
 The runnable frontier itself is cached between state transitions: the
 overwhelmingly common pump tick touches no task state, so

@@ -20,6 +20,7 @@ the compact-string parsers the CLI exposes
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import ClassVar, Dict, Tuple, Type
@@ -323,6 +324,21 @@ def make_skew(name: str, **params) -> SkewSampler:
         raise ValueError(f"bad parameters for skew {name!r}: {error}") from None
 
 
+def parse_finite(key: str, raw: str) -> float:
+    """The number of a compact ``key=raw`` field; NaN and infinities rejected.
+
+    A non-finite parameter would otherwise pass every ``<= 0``-style domain
+    check and, e.g., stall an arrival loop whose exit test NaN never meets.
+    """
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"{key}={raw} is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{key}={raw} is not a finite number")
+    return value
+
+
 def _parse_params(body: str, context: str) -> Dict[str, float]:
     params: Dict[str, float] = {}
     for item in filter(None, body.split(",")):
@@ -332,11 +348,9 @@ def _parse_params(body: str, context: str) -> Dict[str, float]:
                 f"bad {context} parameter {item!r}: expected key=value"
             )
         try:
-            params[key.strip()] = float(raw)
-        except ValueError:
-            raise ValueError(
-                f"bad {context} parameter {item!r}: {raw!r} is not a number"
-            ) from None
+            params[key.strip()] = parse_finite(key.strip(), raw)
+        except ValueError as error:
+            raise ValueError(f"bad {context} parameter {item!r}: {error}") from None
     return params
 
 

@@ -37,6 +37,7 @@ from repro.workload.distributions import (
     UniformSkew,
     distribution_from_dict,
     parse_distribution,
+    parse_finite,
     parse_skew,
     skew_from_dict,
 )
@@ -252,11 +253,9 @@ def _parse_shares(body: str) -> Tuple[Tuple[str, float], ...]:
                 f"bad share {item!r}: expected pattern:share (e.g. periodic:13)"
             )
         try:
-            shares.append((pattern.strip(), float(raw)))
-        except ValueError:
-            raise ValueError(
-                f"bad share {item!r}: {raw!r} is not a number"
-            ) from None
+            shares.append((pattern.strip(), parse_finite(pattern.strip(), raw)))
+        except ValueError as error:
+            raise ValueError(f"bad share {item!r}: {error}") from None
     return tuple(shares)
 
 
@@ -288,11 +287,9 @@ def parse_workload(text: str, base: Optional[WorkloadSpec] = None) -> WorkloadSp
             mix = replace(mix, utilization_process=value.strip())
         elif key == "tenant_arrivals_per_hour":
             try:
-                rate = float(value)
-            except ValueError:
-                raise ValueError(
-                    f"bad workload field {item!r}: {value!r} is not a number"
-                ) from None
+                rate = parse_finite(key, value)
+            except ValueError as error:
+                raise ValueError(f"bad workload field {item!r}: {error}") from None
             mix = replace(mix, tenant_arrivals_per_hour=rate)
         elif key == "arrival_mean":
             mix = replace(mix, arrival_mean_utilization=parse_distribution(value))

@@ -47,6 +47,19 @@ def write_trace(path: Union[str, Path], meta: Dict[str, object],
     tmp.replace(path)
 
 
+def _parse_record(line: str, where: str) -> Dict[str, object]:
+    """One JSON record; ``NaN``/``Infinity`` (which ``json`` accepts but JSON
+    does not have) raise a :class:`TraceError` prefixed with ``where``."""
+
+    def reject(constant: str) -> float:
+        raise TraceError(f"{where}: {constant} is not a finite number")
+
+    try:
+        return json.loads(line, parse_constant=reject)
+    except json.JSONDecodeError as error:
+        raise TraceError(f"{where}: {error}") from None
+
+
 def read_trace(path: Union[str, Path]) -> Tuple[Dict[str, object],
                                                 List[Dict[str, object]]]:
     """Load ``(header, ops)`` from a trace file, validating the envelope."""
@@ -60,12 +73,7 @@ def read_trace(path: Union[str, Path]) -> Tuple[Dict[str, object],
             line = line.strip()
             if not line:
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
-                raise TraceError(
-                    f"bad trace line {number} in {path}: {error}"
-                ) from None
+            record = _parse_record(line, f"bad trace line {number} in {path}")
             if number == 1:
                 if record.get("record") != "header":
                     raise TraceError(
@@ -100,10 +108,7 @@ def read_trace_header(path: Union[str, Path]) -> Dict[str, object]:
         first = handle.readline().strip()
     if not first:
         raise TraceError(f"trace {path} is empty")
-    try:
-        record = json.loads(first)
-    except json.JSONDecodeError as error:
-        raise TraceError(f"bad trace header in {path}: {error}") from None
+    record = _parse_record(first, f"bad trace header (line 1) in {path}")
     if record.get("record") != "header":
         raise TraceError(f"trace {path} must start with a header record")
     version = record.get("version")

@@ -2,53 +2,27 @@
 
 Mirrors ``tests/test_traces_matrix.py`` on the compute side: every batched
 fleet operation (heartbeat refresh, reserve-kill selection, proportional
-placement, label filtering) is checked against the legacy per-object path it
-replaced, using twin clusters driven through identical random streams.
+placement, label filtering) is checked against the per-server reference of
+``tests/scalar_cluster.py``, with the twins driven through identical
+launches and random streams.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-
-from repro.cluster.node_manager import NodeManager
-from repro.cluster.resource_manager import (
-    ContainerRequest,
-    ResourceManager,
-    SchedulerMode,
+from scalar_cluster import (
+    LegacyScalarScheduler,
+    ScalarServer,
+    build_fleet,
+    build_rm,
+    make_row,
+    place,
+    scalar_heartbeats,
 )
+
+from repro.cluster.resource_manager import ContainerRequest, SchedulerMode
 from repro.cluster.resources import Resource
-from repro.cluster.server import SimulatedServer
-from repro.simulation.random import RandomSource
 from repro.traces.datacenter import PrimaryTenant, Server
-from repro.traces.utilization import UtilizationPattern, UtilizationTrace
-
-
-def make_simulated_server(
-    server_id: str, values, tenant_id: str | None = None
-) -> SimulatedServer:
-    tenant_id = tenant_id or f"tenant-{server_id}"
-    tenant = PrimaryTenant(
-        tenant_id=tenant_id,
-        environment=f"env-{tenant_id}",
-        machine_function="mf",
-        trace=UtilizationTrace(
-            np.asarray(values, dtype=float), UtilizationPattern.CONSTANT
-        ),
-        pattern=UtilizationPattern.CONSTANT,
-    )
-    server = Server(server_id, tenant_id, cores=12, memory_gb=32.0)
-    tenant.servers.append(server)
-    return SimulatedServer(server, tenant)
-
-
-def twin_servers(profiles: dict[str, list[float]], n: int = 2):
-    """Two identical server sets: one for the fleet, one for the scalar path."""
-    return (
-        [make_simulated_server(sid, values) for sid, values in profiles.items()],
-        [make_simulated_server(sid, values) for sid, values in profiles.items()],
-    )
-
 
 PROFILES = {
     "idle": [0.1, 0.1, 0.2, 0.1],
@@ -58,170 +32,113 @@ PROFILES = {
 }
 
 
-def build_rm(servers, mode=SchedulerMode.PRIMARY_AWARE, labels=None, seed=1):
-    rm = ResourceManager(mode=mode, rng=RandomSource(seed))
-    for sim in servers:
-        rm.register_node(
-            NodeManager(sim, primary_aware=mode is not SchedulerMode.STOCK),
-            label=(labels or {}).get(sim.server_id),
-        )
-    return rm
+def rows_of(profiles: dict) -> list:
+    return [make_row(sid, values) for sid, values in profiles.items()]
 
 
-def scalar_heartbeats(node_managers, time):
-    """The legacy per-NodeManager heartbeat loop (pre-FleetState RM path)."""
-    availables, killed = {}, []
-    for nm in node_managers:
-        heartbeat = nm.heartbeat(time)
-        availables[nm.server_id] = heartbeat.available
-        killed.extend(heartbeat.killed_containers)
-    return availables, killed
+def twins(profiles: dict):
+    """Fleet rows plus per-server scalar twins over the same tenants."""
+    rows = rows_of(profiles)
+    return rows, [ScalarServer(row) for row in rows]
+
+
+def launch_on(rm, server_id, task_id, allocation, time):
+    fleet = rm.fleet
+    return fleet.launch(fleet.index_of(server_id), task_id, "job", allocation, time)
 
 
 class TestRefreshEquivalence:
     def test_available_matches_scalar_heartbeats(self):
-        fleet_servers, scalar_servers = twin_servers(PROFILES)
-        rm = build_rm(fleet_servers)
-        scalar_nms = [NodeManager(s, primary_aware=True) for s in scalar_servers]
+        rows, scalar = twins(PROFILES)
+        rm = build_rm(rows)
         for time in [0.0, 120.0, 123.0, 240.0, 480.0, 1200.0]:
             rm.process_heartbeats(time)
-            expected, _ = scalar_heartbeats(scalar_nms, time)
+            expected, _ = scalar_heartbeats(scalar, time)
             for sid, resource in expected.items():
-                got = rm._record(sid).available
-                assert got.cores == resource.cores
-                assert got.memory_gb == resource.memory_gb
+                index = rm.fleet.index_of(sid)
+                assert rm.fleet.available_cores[index] == resource.cores
+                assert rm.fleet.available_memory[index] == resource.memory_gb
 
     def test_available_tracks_allocations(self):
-        fleet_servers, scalar_servers = twin_servers(PROFILES)
-        rm = build_rm(fleet_servers)
-        scalar_nms = {
-            s.server_id: NodeManager(s, primary_aware=True) for s in scalar_servers
-        }
+        rows, scalar = twins(PROFILES)
+        rm = build_rm(rows)
+        scalar_by_id = {s.server_id: s for s in scalar}
         rm.process_heartbeats(0.0)
-        placed = []
         for i in range(6):
-            container = rm.schedule(
-                ContainerRequest("job", f"t{i}", Resource(1.0, 2.0)), 0.0
+            container = place(
+                rm, ContainerRequest("job", f"t{i}", Resource(1.0, 2.0)), 0.0
             )
             assert container is not None
-            placed.append(container)
-            scalar_nms[container.server_id].server.launch_container(
+            scalar_by_id[container.server_id].launch(
                 f"t{i}", "job", Resource(1.0, 2.0), 0.0
             )
         rm.process_heartbeats(3.0)
-        expected, _ = scalar_heartbeats(scalar_nms.values(), 3.0)
+        expected, _ = scalar_heartbeats(scalar, 3.0)
         for sid, resource in expected.items():
-            assert rm._record(sid).available.cores == resource.cores
-            assert rm._record(sid).available.memory_gb == resource.memory_gb
+            index = rm.fleet.index_of(sid)
+            assert rm.fleet.available_cores[index] == resource.cores
+            assert rm.fleet.available_memory[index] == resource.memory_gb
 
     def test_stock_mode_ignores_primary(self):
-        fleet_servers, _ = twin_servers(PROFILES)
-        rm = build_rm(fleet_servers, mode=SchedulerMode.STOCK)
+        rm = build_rm(rows_of(PROFILES), mode=SchedulerMode.STOCK)
         rm.process_heartbeats(120.0)  # "diurnal" is at 0.7, "spiky" at 0.95
-        for sid in PROFILES:
-            # Oblivious NodeManagers report full capacity minus allocations.
-            assert rm._record(sid).available.cores == 12.0
-
-    def test_last_heartbeat_recorded(self):
-        fleet_servers, _ = twin_servers(PROFILES)
-        rm = build_rm(fleet_servers)
-        rm.process_heartbeats(7.5)
-        assert rm._record("idle").last_heartbeat == 7.5
+        # Oblivious NodeManagers report full capacity minus allocations.
+        assert list(rm.fleet.available_cores) == [12.0] * len(PROFILES)
 
 
 class TestReserveKillEquivalence:
     def test_kills_match_scalar_youngest_first(self):
-        fleet_servers, scalar_servers = twin_servers({"burst": [0.1, 0.8]})
-        rm = build_rm(fleet_servers)
-        scalar_nm = NodeManager(scalar_servers[0], primary_aware=True)
+        rows, scalar = twins({"burst": [0.1, 0.8]})
+        rm = build_rm(rows)
         rm.process_heartbeats(0.0)
         for i in range(6):
-            container = rm.schedule(
-                ContainerRequest("job", f"t{i}", Resource(1.0, 2.0)), float(i)
+            container = place(
+                rm, ContainerRequest("job", f"t{i}", Resource(1.0, 2.0)), float(i)
             )
             assert container is not None
-            scalar_nm.server.launch_container(
-                f"t{i}", "job", Resource(1.0, 2.0), float(i)
-            )
+            scalar[0].launch(f"t{i}", "job", Resource(1.0, 2.0), float(i))
         # Sample 1 (t=120): primary bursts to 0.8 -> reserve violated.
         killed = rm.process_heartbeats(120.0)
-        expected = scalar_nm.heartbeat(120.0).killed_containers
+        _, expected = scalar_heartbeats(scalar, 120.0)
+        assert killed
         assert [c.task_id for c in killed] == [c.task_id for c in expected]
         # Youngest-first: the most recently started tasks die first.
         starts = [c.start_time for c in killed]
         assert starts == sorted(starts, reverse=True)
-        assert rm.metrics.counter_value("containers_killed") == len(killed)
 
     def test_no_kills_without_violation(self):
-        fleet_servers, _ = twin_servers(PROFILES)
-        rm = build_rm(fleet_servers)
+        rm = build_rm(rows_of(PROFILES))
         rm.process_heartbeats(0.0)
-        assert rm.schedule(ContainerRequest("job", "t", Resource(1.0, 2.0)), 0.0)
+        assert place(rm, ContainerRequest("job", "t", Resource(1.0, 2.0)), 0.0)
         assert rm.process_heartbeats(3.0) == []
-
-
-class LegacyScalarScheduler:
-    """The pre-FleetState candidate filter + draw, kept as the reference."""
-
-    def __init__(self, rm: ResourceManager, rng: RandomSource) -> None:
-        self._rm = rm
-        self._rng = rng
-
-    def schedule(self, request: ContainerRequest) -> str | None:
-        records = [self._rm._servers[sid] for sid in self._rm.fleet.server_ids]
-        if self._rm.mode is SchedulerMode.HISTORY and request.node_labels:
-            labelled = [r for r in records if r.label in request.node_labels]
-            if labelled:
-                records = labelled
-        candidates = [
-            r for r in records if request.allocation.fits_within(r.available)
-        ]
-        if not candidates:
-            return None
-        if self._rm.mode is SchedulerMode.STOCK:
-            chosen = max(
-                candidates,
-                key=lambda r: (r.available.cores, r.node_manager.server_id),
-            )
-        else:
-            weights = [max(1e-9, r.available.cores) for r in candidates]
-            chosen = candidates[self._rng.weighted_index(weights)]
-        return chosen.node_manager.server_id
 
 
 class TestPlacementEquivalence:
     @pytest.mark.parametrize("mode", [SchedulerMode.PRIMARY_AWARE, SchedulerMode.STOCK])
     def test_draw_sequence_matches_scalar(self, mode):
-        fleet_servers, _ = twin_servers(PROFILES)
-        reference_servers, _ = twin_servers(PROFILES)
-        rm = build_rm(fleet_servers, mode=mode, seed=9)
-        reference_rm = build_rm(reference_servers, mode=mode, seed=9)
+        rm = build_rm(rows_of(PROFILES), mode=mode, seed=9)
+        reference_rm = build_rm(rows_of(PROFILES), mode=mode, seed=9)
         reference = LegacyScalarScheduler(reference_rm, reference_rm._rng)
         rm.process_heartbeats(0.0)
         reference_rm.process_heartbeats(0.0)
         for i in range(20):
             request = ContainerRequest("job", f"t{i}", Resource(1.0, 2.0))
-            container = rm.schedule(request, 0.0)
+            container = place(rm, request, 0.0)
             expected_sid = reference.schedule(request)
             if container is None:
                 assert expected_sid is None
                 break
             # Mirror the placement on the reference cluster's RM view.
-            record = reference_rm._servers[expected_sid]
-            record.node_manager.server.launch_container(
-                f"t{i}", "job", request.allocation, 0.0
-            )
-            reference_rm.fleet.consume(record.index, request.allocation)
+            launch_on(reference_rm, expected_sid, f"t{i}", request.allocation, 0.0)
             assert container.server_id == expected_sid
 
     def test_proportional_draw_prefers_available(self):
-        fleet_servers, _ = twin_servers({"idle": [0.0], "full": [0.9]})
-        rm = build_rm(fleet_servers, seed=4)
+        rm = build_rm(rows_of({"idle": [0.0], "full": [0.9]}), seed=4)
         rm.process_heartbeats(0.0)
         placements = []
         for i in range(6):
-            container = rm.schedule(
-                ContainerRequest("job", f"t{i}", Resource(1.0, 2.0)), 0.0
+            container = place(
+                rm, ContainerRequest("job", f"t{i}", Resource(1.0, 2.0)), 0.0
             )
             if container is None:
                 break
@@ -233,8 +150,7 @@ class TestLabelFiltering:
     LABELS = {"idle": "c-idle", "diurnal": "c-diurnal", "busy": "c-idle"}
 
     def build(self):
-        fleet_servers, _ = twin_servers(PROFILES)
-        rm = build_rm(fleet_servers, mode=SchedulerMode.HISTORY, labels=self.LABELS)
+        rm = build_rm(rows_of(PROFILES), mode=SchedulerMode.HISTORY, labels=self.LABELS)
         rm.process_heartbeats(0.0)
         return rm
 
@@ -248,7 +164,8 @@ class TestLabelFiltering:
     def test_labelled_requests_stay_in_class(self):
         rm = self.build()
         for i in range(4):
-            container = rm.schedule(
+            container = place(
+                rm,
                 ContainerRequest(
                     "job", f"t{i}", Resource(1.0, 2.0), node_labels=["c-idle"]
                 ),
@@ -259,7 +176,8 @@ class TestLabelFiltering:
 
     def test_unknown_label_falls_back_to_default(self):
         rm = self.build()
-        container = rm.schedule(
+        container = place(
+            rm,
             ContainerRequest("job", "t", Resource(1.0, 2.0), node_labels=["nope"]),
             0.0,
         )
@@ -270,96 +188,85 @@ class TestLabelFiltering:
         assert int(rm.fleet.label_mask(["c-idle"]).sum()) == 2
         rm.set_label("busy", "c-diurnal")
         assert int(rm.fleet.label_mask(["c-idle"]).sum()) == 1
-        assert rm.class_capacity_cores("c-diurnal") == 24.0
+        assert rm.class_statistics(["c-diurnal"], 0.0)[0][0] == 24.0
 
 
 class TestClassStatistics:
     def test_class_utilization_matches_scalar_mean(self):
-        fleet_servers, scalar_servers = twin_servers(PROFILES)
+        rows, scalar = twins(PROFILES)
         labels = {sid: "c" for sid in PROFILES}
-        rm = build_rm(fleet_servers, mode=SchedulerMode.HISTORY, labels=labels)
-        expected = sum(
-            s.total_cpu_utilization(120.0) for s in scalar_servers
-        ) / len(scalar_servers)
-        assert rm.current_class_utilization("c", 120.0) == expected
+        rm = build_rm(rows, mode=SchedulerMode.HISTORY, labels=labels)
+        expected = sum(s.total_cpu_utilization(120.0) for s in scalar) / len(scalar)
+        assert rm.class_statistics(["c"], 120.0) == [(48.0, expected)]
         assert rm.average_total_utilization(120.0) == expected
-        assert rm.current_class_utilization("missing", 120.0) == 0.0
+        assert rm.class_statistics(["missing"], 120.0) == [(0.0, 0.0)]
 
     def test_average_primary_utilization_matches_scalar(self):
-        fleet_servers, scalar_servers = twin_servers(PROFILES)
-        rm = build_rm(fleet_servers)
-        expected = sum(
-            s.primary_utilization(240.0) for s in scalar_servers
-        ) / len(scalar_servers)
-        assert rm.average_primary_utilization(240.0) == expected
+        rows, scalar = twins(PROFILES)
+        fleet = build_fleet(rows)
+        util = fleet.primary_utilization(240.0)
+        assert util.tolist() == [s.tenant.utilization_at(240.0) for s in scalar]
+        expected = sum(s.tenant.utilization_at(240.0) for s in scalar) / len(scalar)
+        assert sum(util.tolist()) / len(fleet) == expected
 
 
 class TestOverridesAndViews:
-    def test_override_routes_through_fallback(self):
-        fleet_servers, _ = twin_servers(PROFILES)
-        rm = build_rm(fleet_servers)
-        server = rm.node_manager("idle").server
-        server.set_utilization_override(lambda t: 0.55)
-        util = rm.fleet.primary_utilization(0.0)
-        assert util[0] == pytest.approx(0.55)
-        assert util[1] == pytest.approx(PROFILES["diurnal"][0])
-        server.set_utilization_override(None)
-        assert rm.fleet.primary_utilization(0.0)[0] == pytest.approx(
-            PROFILES["idle"][0]
-        )
-
-    def test_registration_after_first_build_grows_arrays(self):
-        fleet_servers, _ = twin_servers(PROFILES)
-        rm = build_rm(fleet_servers[:2])
-        rm.process_heartbeats(0.0)
-        assert rm.schedule(ContainerRequest("job", "t0", Resource(1.0, 2.0)), 0.0)
-        late = make_simulated_server("late", [0.3, 0.3])
-        rm.register_node(NodeManager(late, primary_aware=True))
-        rm.process_heartbeats(3.0)
-        assert len(rm.fleet) == 3
-        assert rm._record("late").available.cores > 0
-        # The pre-registration allocation survives the array rebuild.
-        total_allocated = float(rm.fleet.allocated_cores.sum())
-        assert total_allocated == 1.0
-
     def test_duplicate_registration_rejected(self):
-        fleet_servers, _ = twin_servers(PROFILES)
-        rm = build_rm(fleet_servers)
+        rows = rows_of(PROFILES) + [make_row("idle", [0.1])]
+        with pytest.raises(ValueError, match="idle"):
+            build_fleet(rows)
+
+    def test_tenant_without_trace_rejected(self):
+        tenant = PrimaryTenant("bare", "env", "mf")
+        server = Server("s0", "bare")
+        with pytest.raises(ValueError, match="bare"):
+            build_fleet([(server, tenant)])
+
+    def test_empty_fleet_never_kills(self):
+        fleet = build_fleet([])
+        assert fleet.refresh(0.0) == []
+        assert len(fleet.primary_utilization(0.0)) == 0
+
+    def test_reserve_fractions_validated(self):
         with pytest.raises(ValueError):
-            rm.register_node(NodeManager(make_simulated_server("idle", [0.1])))
+            build_fleet(rows_of(PROFILES), cpu_fraction=1.0)
+        fleet = build_fleet(rows_of(PROFILES))
+        with pytest.raises(ValueError):
+            fleet.apply_reserve(0.2, -0.1)
+        fleet.apply_reserve(0.25, 0.5)
+        assert list(fleet.reserve_cores) == [3.0] * len(PROFILES)
+        assert list(fleet.reserve_memory) == [16.0] * len(PROFILES)
 
 
 class TestInexactAllocationGuard:
     """The kill-path recompute-on-refresh guard for fractional allocations."""
 
     def test_fractional_allocations_recomputed_on_refresh(self):
-        servers = [make_simulated_server(f"s{i}", [0.0, 0.0]) for i in range(3)]
-        rm = build_rm(servers)
+        rows, scalar = twins({f"s{i}": [0.0, 0.0] for i in range(3)})
+        rm = build_rm(rows)
         fleet = rm.fleet
         rm.process_heartbeats(0.0)
-        target = servers[0]
         allocation = Resource(0.1, 0.3)  # off the 1/256 binary grid
         containers = [
-            target.launch_container(f"t{i}", "job", allocation, 0.0)
-            for i in range(10)
+            fleet.launch(0, f"t{i}", "job", allocation, 0.0) for i in range(10)
         ]
+        twin = [scalar[0].launch(f"t{i}", "job", allocation, 0.0) for i in range(10)]
         assert fleet._inexact_allocations
-        for container in containers[:7]:
-            target.complete_container(container.container_id, 1.0)
+        for container, reference in zip(containers[:7], twin[:7]):
+            fleet.complete(container, 1.0)
+            scalar[0].complete(reference, 1.0)
         rm.process_heartbeats(2.0)
-        expected = target.allocated()
-        index = fleet.index_of("s0")
-        # Bit-exact match with the scalar per-server recomputation, which
-        # repeated 0.1-core float adds/subtracts cannot guarantee.
-        assert float(fleet.allocated_cores[index]) == expected.cores
-        assert float(fleet.allocated_memory[index]) == expected.memory_gb
-        assert int(fleet.running_containers[index]) == 3
+        expected = scalar[0].allocated()
+        # Bit-exact match with the scalar per-server re-sum, which repeated
+        # 0.1-core float adds/subtracts cannot guarantee.
+        assert float(fleet.allocated_cores[0]) == expected.cores
+        assert float(fleet.allocated_memory[0]) == expected.memory_gb
+        assert int(fleet.running_containers[0]) == 3
 
     def test_binary_grid_allocations_stay_incremental(self):
-        servers = [make_simulated_server("s0", [0.0, 0.0])]
-        rm = build_rm(servers)
+        rm = build_rm([make_row("s0", [0.0, 0.0])])
         rm.process_heartbeats(0.0)
-        servers[0].launch_container("t", "job", Resource(1.0, 2.0), 0.0)
+        rm.fleet.launch(0, "t", "job", Resource(1.0, 2.0), 0.0)
         assert not rm.fleet._inexact_allocations
         rm.process_heartbeats(1.0)
         assert float(rm.fleet.allocated_cores[0]) == 1.0
@@ -369,42 +276,35 @@ class TestBatchReclaimEquivalence:
     """The vectorized reserve reclaim vs the scalar per-server kill walk."""
 
     def test_multiple_violators_match_scalar_order_with_ties(self):
-        profiles = {f"v{i}": [0.1, 0.8] for i in range(3)}
-        fleet_servers, scalar_servers = twin_servers(profiles)
-        rm = build_rm(fleet_servers)
-        scalar_nms = [NodeManager(s, primary_aware=True) for s in scalar_servers]
+        rows, scalar = twins({f"v{i}": [0.1, 0.8] for i in range(3)})
+        rm = build_rm(rows)
         rm.process_heartbeats(0.0)
         # Launch identical containers on both twins, with start-time ties so
         # the youngest-first sort's stability is exercised.
         start_times = [0.0, 1.0, 1.0, 2.0, 3.0, 3.0]
-        for sim, scalar_nm in zip(fleet_servers, scalar_nms):
+        for index, twin in enumerate(scalar):
             for i, start in enumerate(start_times):
-                for server in (sim, scalar_nm.server):
-                    server.launch_container(
-                        f"{sim.server_id}-t{i}", "job", Resource(1.0, 2.0), start
-                    )
+                task_id = f"{twin.server_id}-t{i}"
+                rm.fleet.launch(index, task_id, "job", Resource(1.0, 2.0), start)
+                twin.launch(task_id, "job", Resource(1.0, 2.0), start)
         assert not rm.fleet._inexact_allocations
         killed = rm.process_heartbeats(120.0)
-        expected = []
-        for nm in scalar_nms:
-            expected.extend(nm.heartbeat(120.0).killed_containers)
+        _, expected = scalar_heartbeats(scalar, 120.0)
         assert killed
         assert [c.task_id for c in killed] == [c.task_id for c in expected]
         # Youngest-first within each violating server.
-        for sim in fleet_servers:
-            starts = [c.start_time for c in killed if c.server_id == sim.server_id]
+        for twin in scalar:
+            starts = [c.start_time for c in killed if c.server_id == twin.server_id]
             assert starts == sorted(starts, reverse=True)
-        assert rm.metrics.counter_value("containers_killed") == len(killed)
 
     def test_off_grid_allocations_use_scalar_fallback(self, monkeypatch):
-        fleet_servers, scalar_servers = twin_servers({"frac": [0.1, 0.5]})
-        rm = build_rm(fleet_servers)
-        scalar_nm = NodeManager(scalar_servers[0], primary_aware=True)
+        rows, scalar = twins({"frac": [0.1, 0.5]})
+        rm = build_rm(rows)
         rm.process_heartbeats(0.0)
         allocation = Resource(0.7, 1.3)  # off the 1/256 binary grid
         for i in range(8):
-            for server in (fleet_servers[0], scalar_nm.server):
-                server.launch_container(f"t{i}", "job", allocation, float(i))
+            rm.fleet.launch(0, f"t{i}", "job", allocation, float(i))
+            scalar[0].launch(f"t{i}", "job", allocation, float(i))
         fleet = rm.fleet
         assert fleet._inexact_allocations
         calls = []
@@ -416,9 +316,9 @@ class TestBatchReclaimEquivalence:
 
         monkeypatch.setattr(fleet, "_batch_reclaim", recording)
         killed = rm.process_heartbeats(120.0)
-        expected = scalar_nm.heartbeat(120.0).killed_containers
+        _, expected = scalar_heartbeats(scalar, 120.0)
         assert killed
         assert [c.task_id for c in killed] == [c.task_id for c in expected]
-        # Off-grid fleets must take the per-server scalar walk, never the
-        # prefix-sum fast path.
+        # Off-grid fleets must take the per-row walk, never the prefix-sum
+        # fast path.
         assert not calls

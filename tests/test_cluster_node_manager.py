@@ -1,78 +1,68 @@
-"""Tests for the Node Manager heartbeat and reserve enforcement."""
+"""Tests for the NodeManager heartbeat and reserve enforcement.
+
+The heartbeat is the fleet's batch :meth:`FleetState.refresh`; these drive
+it on a one-server fleet.  The trace holds one sample per 120 s, so a
+second sample models a primary-tenant spike.
+"""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
+from scalar_cluster import build_fleet, make_row
 
-from repro.cluster.node_manager import NodeManager
+from repro.cluster.resource_manager import SchedulerMode
 from repro.cluster.resources import Resource
-from repro.cluster.server import ContainerState, SimulatedServer
-from repro.traces.datacenter import PrimaryTenant, Server
-from repro.traces.utilization import UtilizationPattern, UtilizationTrace
+from repro.cluster.server import ContainerState
+
+SPIKE = 120.0  # time of the trace's second sample
 
 
-def make_server(utilization: float = 0.25) -> SimulatedServer:
-    tenant = PrimaryTenant(
-        tenant_id="t",
-        environment="env",
-        machine_function="mf",
-        trace=UtilizationTrace(np.full(100, utilization), UtilizationPattern.CONSTANT),
-        pattern=UtilizationPattern.CONSTANT,
-    )
-    server = Server("s0", "t", cores=12, memory_gb=32.0)
-    tenant.servers.append(server)
-    return SimulatedServer(server, tenant)
+def make_fleet(*utilization: float, mode=SchedulerMode.PRIMARY_AWARE):
+    return build_fleet([make_row("s0", list(utilization))], mode=mode)
 
 
 class TestPrimaryAwareHeartbeat:
     def test_heartbeat_reports_rounded_primary_plus_allocations(self):
-        server = make_server(utilization=0.21)  # 2.52 cores -> rounds to 3
-        server.launch_container("task", "job", Resource(2.0, 4.0), 0.0)
-        heartbeat = NodeManager(server, primary_aware=True).heartbeat(0.0)
-        assert heartbeat.used.cores == pytest.approx(3.0 + 2.0)
-        assert heartbeat.primary_utilization == pytest.approx(0.21)
+        fleet = make_fleet(0.21)  # 2.52 cores -> rounds to 3
+        fleet.launch(0, "task", "job", Resource(2.0, 4.0), 0.0)
+        fleet.refresh(0.0)
+        assert fleet.primary_utilization(0.0)[0] == pytest.approx(0.21)
         # Available = 12 - 3 (primary) - 4 (reserve) - 2 (allocated) = 3.
-        assert heartbeat.available.cores == pytest.approx(3.0)
+        assert fleet.available_cores[0] == pytest.approx(3.0)
 
     def test_heartbeat_kills_on_primary_spike(self):
-        server = make_server(utilization=0.25)
-        container = server.launch_container("task", "job", Resource(5.0, 8.0), 0.0)
-        server.set_utilization_override(lambda t: 0.6)
-        heartbeat = NodeManager(server, primary_aware=True).heartbeat(10.0)
-        assert container in heartbeat.killed_containers
+        fleet = make_fleet(0.25, 0.6)
+        container = fleet.launch(0, "task", "job", Resource(5.0, 8.0), 0.0)
+        killed = fleet.refresh(SPIKE)
+        assert container in killed
         assert container.state is ContainerState.KILLED
 
     def test_kill_callback_invoked(self):
-        killed = []
-        server = make_server(utilization=0.25)
-        node_manager = NodeManager(server, primary_aware=True, on_kill=killed.append)
-        server.launch_container("task", "job", Resource(5.0, 8.0), 0.0)
-        server.set_utilization_override(lambda t: 0.6)
-        node_manager.heartbeat(10.0)
+        """Every kill is reported to the caller, in kill order."""
+        fleet = make_fleet(0.25, 0.6)
+        fleet.launch(0, "task", "job", Resource(5.0, 8.0), 0.0)
+        killed = fleet.refresh(SPIKE)
         assert len(killed) == 1
+        assert int(fleet.running_containers[0]) == 0
+        assert fleet.allocated_cores[0] == 0.0
 
     def test_available_never_negative(self):
-        server = make_server(utilization=0.95)
-        heartbeat = NodeManager(server, primary_aware=True).heartbeat(0.0)
-        assert heartbeat.available.cores >= 0.0
-        assert heartbeat.available.memory_gb >= 0.0
+        fleet = make_fleet(0.95)
+        fleet.refresh(0.0)
+        assert fleet.available_cores[0] >= 0.0
+        assert fleet.available_memory[0] >= 0.0
 
 
 class TestStockHeartbeat:
     def test_stock_ignores_primary(self):
-        server = make_server(utilization=0.5)
-        server.launch_container("task", "job", Resource(2.0, 4.0), 0.0)
-        heartbeat = NodeManager(server, primary_aware=False).heartbeat(0.0)
-        assert heartbeat.used.cores == pytest.approx(2.0)
-        assert heartbeat.available.cores == pytest.approx(10.0)
-        assert heartbeat.primary_utilization == 0.0
+        fleet = make_fleet(0.5, mode=SchedulerMode.STOCK)
+        fleet.launch(0, "task", "job", Resource(2.0, 4.0), 0.0)
+        fleet.refresh(0.0)
+        assert fleet.allocated_cores[0] == pytest.approx(2.0)
+        assert fleet.available_cores[0] == pytest.approx(10.0)
 
     def test_stock_never_kills(self):
-        server = make_server(utilization=0.25)
-        server.launch_container("task", "job", Resource(8.0, 16.0), 0.0)
-        server.set_utilization_override(lambda t: 0.9)
-        node_manager = NodeManager(server, primary_aware=False)
-        assert node_manager.enforce_reserve(10.0) == []
-        heartbeat = node_manager.heartbeat(10.0)
-        assert heartbeat.killed_containers == []
+        fleet = make_fleet(0.25, 0.9, mode=SchedulerMode.STOCK)
+        container = fleet.launch(0, "task", "job", Resource(8.0, 16.0), 0.0)
+        assert fleet.refresh(SPIKE) == []
+        assert container.state is ContainerState.RUNNING

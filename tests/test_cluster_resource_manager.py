@@ -1,49 +1,34 @@
-"""Tests for the Resource Manager scheduling modes."""
+"""Tests for the Resource Manager scheduling modes.
+
+Placement goes through the production path, ``begin_batch(...).schedule``
+(``scalar_cluster.place`` is a batch of one request).
+"""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
+import scalar_cluster
+from scalar_cluster import build_fleet, make_row, place
 
-from repro.cluster.node_manager import NodeManager
 from repro.cluster.resource_manager import (
     ContainerRequest,
     ResourceManager,
     SchedulerMode,
 )
 from repro.cluster.resources import Resource
-from repro.cluster.server import SimulatedServer
-from repro.simulation.random import RandomSource
-from repro.traces.datacenter import PrimaryTenant, Server
-from repro.traces.utilization import UtilizationPattern, UtilizationTrace
-
-
-def make_simulated_server(
-    server_id: str, utilization: float, tenant_id: str | None = None
-) -> SimulatedServer:
-    tenant_id = tenant_id or f"tenant-{server_id}"
-    tenant = PrimaryTenant(
-        tenant_id=tenant_id,
-        environment=f"env-{tenant_id}",
-        machine_function="mf",
-        trace=UtilizationTrace(np.full(100, utilization), UtilizationPattern.CONSTANT),
-        pattern=UtilizationPattern.CONSTANT,
-    )
-    server = Server(server_id, tenant_id, cores=12, memory_gb=32.0)
-    tenant.servers.append(server)
-    return SimulatedServer(server, tenant)
 
 
 def build_rm(
     mode: SchedulerMode,
-    utilizations: dict[str, float],
-    labels: dict[str, str] | None = None,
+    utilizations: dict,
+    labels: dict | None = None,
 ) -> ResourceManager:
-    rm = ResourceManager(mode=mode, rng=RandomSource(1))
-    for server_id, utilization in utilizations.items():
-        sim = make_simulated_server(server_id, utilization)
-        node_manager = NodeManager(sim, primary_aware=mode is not SchedulerMode.STOCK)
-        rm.register_node(node_manager, label=(labels or {}).get(server_id))
+    """An RM over one server per ``{id: utilization}``, heartbeat at t=0.
+
+    A ``[before, after]`` utilization models a primary spike at t=120.
+    """
+    rows = [make_row(sid, util) for sid, util in utilizations.items()]
+    rm = scalar_cluster.build_rm(rows, mode=mode, labels=labels)
     rm.process_heartbeats(0.0)
     return rm
 
@@ -55,39 +40,42 @@ def request(labels: list[str] | None = None) -> ContainerRequest:
     )
 
 
+def shape(allocation: Resource, labels=()) -> tuple:
+    """The exhaustion-set key the Application Master checks."""
+    return (allocation.cores, allocation.memory_gb, tuple(labels))
+
+
 class TestRegistration:
     def test_duplicate_registration_rejected(self):
-        rm = build_rm(SchedulerMode.PRIMARY_AWARE, {"a": 0.2})
-        sim = make_simulated_server("a", 0.2)
         with pytest.raises(ValueError):
-            rm.register_node(NodeManager(sim))
+            build_fleet([make_row("a", 0.2), make_row("a", 0.2)])
 
     def test_unknown_server_lookup_raises(self):
         rm = build_rm(SchedulerMode.PRIMARY_AWARE, {"a": 0.2})
         with pytest.raises(KeyError):
-            rm.node_manager("missing")
+            rm.set_label("missing", "constant-0")
 
     def test_labels_ignored_outside_history_mode(self):
         rm = build_rm(
             SchedulerMode.PRIMARY_AWARE, {"a": 0.2}, labels={"a": "constant-0"}
         )
-        container = rm.schedule(request(labels=["some-other-label"]), 0.0)
+        container = place(rm, request(labels=["some-other-label"]), 0.0)
         assert container is not None
 
 
 class TestScheduling:
     def test_schedules_to_server_with_capacity(self):
         rm = build_rm(SchedulerMode.PRIMARY_AWARE, {"a": 0.2, "b": 0.2})
-        container = rm.schedule(request(), 0.0)
+        container = place(rm, request(), 0.0)
         assert container is not None
         assert container.server_id in {"a", "b"}
-        assert rm.metrics.counter_value("containers_launched") == 1
+        assert int(rm.fleet.running_containers.sum()) == 1
 
     def test_returns_none_when_nothing_fits(self):
         rm = build_rm(SchedulerMode.PRIMARY_AWARE, {"a": 0.9})
         big_request = ContainerRequest("job", "task", Resource(10.0, 20.0))
-        assert rm.schedule(big_request, 0.0) is None
-        assert rm.metrics.counter_value("requests_unsatisfied") == 1
+        assert place(rm, big_request, 0.0) is None
+        assert int(rm.fleet.running_containers.sum()) == 0
 
     def test_capacity_exhaustion_flag_lifecycle(self):
         """An unsatisfied wave marks its shape exhausted until capacity can
@@ -95,29 +83,29 @@ class TestScheduling:
         rm = build_rm(SchedulerMode.PRIMARY_AWARE, {"a": 0.2})
         big = Resource(10.0, 20.0)
         small = Resource(1.0, 2.0)
-        assert not rm.capacity_exhausted(big, [])
-        assert rm.schedule(ContainerRequest("job", "t", big), 0.0) is None
-        assert rm.capacity_exhausted(big, [])
+        assert not rm.shape_exhausted(shape(big))
+        assert place(rm, ContainerRequest("job", "t", big), 0.0) is None
+        assert rm.shape_exhausted(shape(big))
         # A different allocation (or label set) is a different shape.
-        assert not rm.capacity_exhausted(small, [])
-        assert not rm.capacity_exhausted(big, ["constant-0"])
+        assert not rm.shape_exhausted(shape(small))
+        assert not rm.shape_exhausted(shape(big, ["constant-0"]))
         # The next heartbeat may change the view, so the flag clears.
         rm.process_heartbeats(30.0)
-        assert not rm.capacity_exhausted(big, [])
+        assert not rm.shape_exhausted(shape(big))
 
     def test_completion_clears_capacity_exhaustion(self):
         rm = build_rm(SchedulerMode.PRIMARY_AWARE, {"a": 0.2})
-        # 12 - 2.4 (primary) - 4 (reserve) leaves 5 harvestable cores.
+        # 12 - 3 (primary, rounded up) - 4 (reserve) leaves 5 harvestable cores.
         placed = [
-            rm.schedule(ContainerRequest("job", f"t{i}", Resource(1.0, 2.0)), 0.0)
+            place(rm, ContainerRequest("job", f"t{i}", Resource(1.0, 2.0)), 0.0)
             for i in range(5)
         ]
         assert all(placed)
-        assert rm.schedule(ContainerRequest("job", "t5", Resource(1.0, 2.0)), 0.0) is None
-        assert rm.capacity_exhausted(Resource(1.0, 2.0), [])
+        assert place(rm, ContainerRequest("job", "t5", Resource(1.0, 2.0)), 0.0) is None
+        assert rm.shape_exhausted(shape(Resource(1.0, 2.0)))
         rm.complete(placed[0], 1.0)
-        assert not rm.capacity_exhausted(Resource(1.0, 2.0), [])
-        assert rm.schedule(ContainerRequest("job", "t6", Resource(1.0, 2.0)), 1.0)
+        assert not rm.shape_exhausted(shape(Resource(1.0, 2.0)))
+        assert place(rm, ContainerRequest("job", "t6", Resource(1.0, 2.0)), 1.0)
 
     def test_history_mode_honours_labels(self):
         rm = build_rm(
@@ -128,53 +116,53 @@ class TestScheduling:
         # Server "a" offers 12 - 3 (primary) - 4 (reserve) = 5 harvestable
         # cores; every one-core labelled request must land there.
         for _ in range(5):
-            container = rm.schedule(request(labels=["constant-0"]), 0.0)
+            container = place(rm, request(labels=["constant-0"]), 0.0)
             assert container is not None
             assert container.server_id == "a"
         # Once the labelled class is full the request cannot be satisfied.
-        assert rm.schedule(request(labels=["constant-0"]), 0.0) is None
+        assert place(rm, request(labels=["constant-0"]), 0.0) is None
 
     def test_history_mode_unknown_label_falls_back(self):
         rm = build_rm(
             SchedulerMode.HISTORY, {"a": 0.2}, labels={"a": "constant-0"}
         )
-        container = rm.schedule(request(labels=["missing-label"]), 0.0)
+        container = place(rm, request(labels=["missing-label"]), 0.0)
         assert container is not None
 
     def test_stock_mode_prefers_most_available(self):
         rm = build_rm(SchedulerMode.STOCK, {"busy": 0.0, "idle": 0.0})
         # Pre-load one server so the other has strictly more available cores.
-        first = rm.schedule(request(), 0.0)
+        first = place(rm, request(), 0.0)
         rm.process_heartbeats(1.0)
-        second = rm.schedule(request(), 1.0)
+        second = place(rm, request(), 1.0)
         assert first is not None and second is not None
         assert first.server_id != second.server_id
 
     def test_completion_releases_resources(self):
         rm = build_rm(SchedulerMode.PRIMARY_AWARE, {"a": 0.2})
-        container = rm.schedule(request(), 0.0)
+        container = place(rm, request(), 0.0)
         assert container is not None
+        available = float(rm.fleet.available_cores[0])
         rm.complete(container, 10.0)
-        assert rm.metrics.counter_value("containers_completed") == 1
+        assert rm.fleet.available_cores[0] == available + 1.0
         # Releasing makes room for another container immediately.
-        assert rm.schedule(request(), 10.0) is not None
+        assert place(rm, request(), 10.0) is not None
 
 
 class TestHeartbeatsAndUtilization:
     def test_heartbeats_report_kills(self):
-        rm = build_rm(SchedulerMode.PRIMARY_AWARE, {"a": 0.25})
-        server = rm.node_manager("a").server
+        rm = build_rm(SchedulerMode.PRIMARY_AWARE, {"a": [0.25, 0.7]})
         for i in range(5):
-            launched = rm.schedule(request(), 0.0)
+            launched = place(rm, request(), 0.0)
             assert launched is not None
-        server.set_utilization_override(lambda t: 0.7)
-        killed = rm.process_heartbeats(10.0)
+        killed = rm.process_heartbeats(120.0)  # the primary spikes to 0.7
         assert killed
-        assert rm.metrics.counter_value("containers_killed") == len(killed)
+        assert int(rm.fleet.running_containers[0]) == 5 - len(killed)
 
     def test_average_utilizations(self):
         rm = build_rm(SchedulerMode.PRIMARY_AWARE, {"a": 0.2, "b": 0.4})
-        assert rm.average_primary_utilization(0.0) == pytest.approx(0.3)
+        primary = rm.fleet.primary_utilization(0.0)
+        assert sum(primary.tolist()) / len(rm.fleet) == pytest.approx(0.3)
         total = rm.average_total_utilization(0.0)
         assert total >= 0.3
 
@@ -184,29 +172,47 @@ class TestHeartbeatsAndUtilization:
             {"a": 0.2, "b": 0.6},
             labels={"a": "c0", "b": "c1"},
         )
-        assert rm.class_capacity_cores("c0") == pytest.approx(12.0)
-        assert rm.current_class_utilization("c1", 0.0) == pytest.approx(0.6)
-        assert rm.current_class_utilization("missing", 0.0) == 0.0
+        (c0_cores, _), (_, c1_util), missing = rm.class_statistics(
+            ["c0", "c1", "missing"], 0.0
+        )
+        assert c0_cores == pytest.approx(12.0)
+        assert c1_util == pytest.approx(0.6)
+        assert missing == (0.0, 0.0)
 
     def test_empty_rm_statistics(self):
-        rm = ResourceManager(mode=SchedulerMode.HISTORY)
-        assert rm.average_primary_utilization(0.0) == 0.0
+        rm = ResourceManager(build_fleet([]), mode=SchedulerMode.HISTORY)
+        assert rm.process_heartbeats(0.0) == []
         assert rm.average_total_utilization(0.0) == 0.0
+        assert rm.class_statistics(["c0"], 0.0) == [(0.0, 0.0)]
 
 
 class TestScheduleWavesParity:
-    """Coalesced pump batches vs the sequential AM loop they replaced."""
+    """Coalesced pump batches vs one batch per wave."""
 
     @staticmethod
-    def _scalar_pump(rm, waves, time):
-        """Starvation check, then one-by-one placement — the old pump order."""
+    def _coalesced(rm, waves, time):
+        """One batch for every wave, skipping shapes exhausted on the way —
+        what ``ApplicationMaster.pump_all`` submits in one pump tick."""
+        batch = rm.begin_batch(time)
         results = []
         for requests in waves:
             first = requests[0]
-            if rm.capacity_exhausted(first.allocation, first.node_labels):
+            if rm.shape_exhausted(shape(first.allocation, first.node_labels)):
                 results.append([None] * len(requests))
                 continue
-            results.append([rm.schedule(r, time) for r in requests])
+            results.append(batch.schedule(requests))
+        return results
+
+    @staticmethod
+    def _sequential(rm, waves, time):
+        """The same starvation check, then one batch per request."""
+        results = []
+        for requests in waves:
+            first = requests[0]
+            if rm.shape_exhausted(shape(first.allocation, first.node_labels)):
+                results.append([None] * len(requests))
+                continue
+            results.append([place(rm, r, time) for r in requests])
         return results
 
     @staticmethod
@@ -241,16 +247,14 @@ class TestScheduleWavesParity:
         utils = {f"s{i:02d}": 0.1 + 0.05 * (i % 4) for i in range(12)}
         batch_rm = build_rm(SchedulerMode.PRIMARY_AWARE, utils)
         scalar_rm = build_rm(SchedulerMode.PRIMARY_AWARE, utils)
-        batched = batch_rm.schedule_waves(self._mixed_waves(), 0.0)
-        sequential = self._scalar_pump(scalar_rm, self._mixed_waves(), 0.0)
+        batched = self._coalesced(batch_rm, self._mixed_waves(), 0.0)
+        sequential = self._sequential(scalar_rm, self._mixed_waves(), 0.0)
         assert self._ids(batched) == self._ids(sequential)
         assert batched[2] == [None, None]
         assert batched[5] == [None, None, None]
         # Identical random stream position and starvation accounting.
         assert batch_rm._rng.uniform() == scalar_rm._rng.uniform()
-        assert batch_rm.metrics.counter_value(
-            "requests_unsatisfied"
-        ) == scalar_rm.metrics.counter_value("requests_unsatisfied")
+        assert batch_rm._exhausted == scalar_rm._exhausted
         assert batch_rm.metrics.counter_value("waves_coalesced") >= 2
 
     def test_label_permutations_coalesce_and_match_oracle(self):
@@ -266,8 +270,8 @@ class TestScheduleWavesParity:
 
         batch_rm = build_rm(SchedulerMode.HISTORY, utils, labels=labels)
         scalar_rm = build_rm(SchedulerMode.HISTORY, utils, labels=labels)
-        batched = batch_rm.schedule_waves(waves(), 0.0)
-        sequential = self._scalar_pump(scalar_rm, waves(), 0.0)
+        batched = self._coalesced(batch_rm, waves(), 0.0)
+        sequential = self._sequential(scalar_rm, waves(), 0.0)
         assert self._ids(batched) == self._ids(sequential)
         assert batch_rm._rng.uniform() == scalar_rm._rng.uniform()
         # A permuted label list is the same OR-of-label masks: the second
@@ -285,3 +289,11 @@ class TestScheduleWavesParity:
         # A fresh batch starts from fresh masks; reuse never spans ticks.
         rm.begin_batch(1.0).schedule(self._wave("c", 1, alloc))
         assert rm.metrics.counter_value("waves_coalesced") == 1
+
+    def test_mixed_wave_rejected(self):
+        rm = build_rm(SchedulerMode.PRIMARY_AWARE, {"a": 0.1})
+        wave = self._wave("a", 1, Resource(1.0, 2.0)) + self._wave(
+            "b", 1, Resource(2.0, 2.0)
+        )
+        with pytest.raises(ValueError, match="uniform"):
+            rm.begin_batch(0.0).schedule(wave)

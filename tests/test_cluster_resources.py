@@ -1,4 +1,8 @@
-"""Tests for resource vectors and the primary-tenant reserve."""
+"""Tests for resource vectors and the primary-tenant reserve.
+
+The reserve is a pair of FleetState columns (``capacity * fraction``); the
+reserve tests drive a fleet of 12-core / 32 GB servers.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.reserve import ResourceReserve
+from scalar_cluster import build_fleet, make_row
+
 from repro.cluster.resources import Resource
+from repro.jobs.scheduler_variants import ClusterConfig
+from repro.traces.datacenter import PrimaryTenant, Server
+from repro.traces.utilization import UtilizationPattern, UtilizationTrace
 
 
 class TestResource:
@@ -65,40 +73,65 @@ class TestResource:
 
 class TestResourceReserve:
     def test_paper_default_reserve(self):
-        reserve = ResourceReserve()
-        assert reserve.reserve == Resource(4.0, 10.0)
+        config = ClusterConfig()
+        fleet = build_fleet(
+            [make_row("s0", 0.1)],
+            cpu_fraction=config.reserve_cpu_fraction,
+            memory_fraction=config.reserve_memory_fraction,
+        )
+        # The testbed reserves 4 of 12 cores and 31% (~10) of 32 GB.
+        assert fleet.reserve_cores[0] == pytest.approx(4.0)
+        assert fleet.reserve_memory[0] == pytest.approx(32.0 * 0.31)
 
     def test_from_fractions_matches_paper_testbed(self):
-        capacity = Resource(12.0, 32.0)
-        reserve = ResourceReserve.from_fractions(capacity)
-        assert reserve.reserve.cores == pytest.approx(4.0)
-        assert reserve.reserve.memory_gb == pytest.approx(32.0 * 0.31)
-        assert reserve.cpu_fraction(capacity) == pytest.approx(1.0 / 3.0)
+        tenant = PrimaryTenant(
+            "t", "env", "mf",
+            trace=UtilizationTrace([0.1], UtilizationPattern.CONSTANT),
+        )
+        shapes = [(12, 32.0), (16, 64.0), (24, 96.0), (7, 13.5)]
+        rows = [
+            (Server(f"s{i}", "t", cores=cores, memory_gb=memory), tenant)
+            for i, (cores, memory) in enumerate(shapes)
+        ]
+        fleet = build_fleet(rows, cpu_fraction=1.0 / 3.0, memory_fraction=0.31)
+        # Bit for bit the scalar per-server arithmetic.
+        assert fleet.reserve_cores.tolist() == [
+            float(cores) * (1.0 / 3.0) for cores, _ in shapes
+        ]
+        assert fleet.reserve_memory.tolist() == [
+            memory * 0.31 for _, memory in shapes
+        ]
 
     def test_from_fractions_validation(self):
-        with pytest.raises(ValueError):
-            ResourceReserve.from_fractions(Resource(12, 32), cpu_fraction=1.0)
+        with pytest.raises(ValueError, match="cpu_fraction"):
+            build_fleet([make_row("s0", 0.1)], cpu_fraction=1.0)
+        with pytest.raises(ValueError, match="memory_fraction"):
+            build_fleet([make_row("s0", 0.1)], memory_fraction=-0.1)
 
     def test_harvestable_subtracts_primary_and_reserve(self):
-        capacity = Resource(12.0, 32.0)
-        reserve = ResourceReserve(Resource(4.0, 10.0))
-        harvestable = reserve.harvestable(capacity, Resource(2.4, 3.9))
-        # Primary usage is rounded up to 3 cores and 4 GB.
-        assert harvestable.cores == pytest.approx(12 - 3 - 4)
-        assert harvestable.memory_gb == pytest.approx(32 - 4 - 10)
+        # 20% primary: 2.4 cores and 3.2 GB, rounded up to 3 cores and 4 GB.
+        fleet = build_fleet(
+            [make_row("s0", 0.2)], cpu_fraction=4.0 / 12.0, memory_fraction=10.0 / 32.0
+        )
+        fleet.refresh(0.0)
+        assert fleet.available_cores[0] == pytest.approx(12 - 3 - 4)
+        assert fleet.available_memory[0] == pytest.approx(32 - 4 - 10)
 
     def test_violation_zero_when_within_budget(self):
-        capacity = Resource(12.0, 32.0)
-        reserve = ResourceReserve(Resource(4.0, 10.0))
-        violation = reserve.violated(capacity, Resource(2.0, 2.0), Resource(5.0, 10.0))
-        assert violation.is_zero()
+        # 15% primary rounds up to 2 cores: 12 - 2 - 4 = 6 harvestable.
+        fleet = build_fleet(
+            [make_row("s0", 0.15)], cpu_fraction=4.0 / 12.0, memory_fraction=10.0 / 32.0
+        )
+        fleet.launch(0, "t", "j", Resource(5.0, 10.0), 0.0)
+        assert fleet.refresh(0.0) == []
 
     def test_violation_positive_when_primary_spikes(self):
-        capacity = Resource(12.0, 32.0)
-        reserve = ResourceReserve(Resource(4.0, 10.0))
         # Primary now needs 6 cores: only 2 harvestable, but 5 are allocated.
-        violation = reserve.violated(capacity, Resource(6.0, 6.0), Resource(5.0, 10.0))
-        assert violation.cores == pytest.approx(3.0)
-
-    def test_cpu_fraction_zero_capacity(self):
-        assert ResourceReserve().cpu_fraction(Resource(0.0, 0.0)) == 0.0
+        fleet = build_fleet(
+            [make_row("s0", 0.5)], cpu_fraction=4.0 / 12.0, memory_fraction=10.0 / 32.0
+        )
+        for i in range(5):
+            fleet.launch(0, f"t{i}", "j", Resource(1.0, 2.0), float(i))
+        killed = fleet.refresh(0.0)
+        assert len(killed) == 3
+        assert fleet.allocated_cores[0] == 2.0

@@ -1,106 +1,91 @@
-"""Tests for the simulated shared server and its container lifecycle."""
+"""Tests for one server's row: primary tracking and the container lifecycle.
+
+A server is one :class:`~repro.cluster.fleet_state.FleetState` row; these
+drive a one-server fleet.  The trace holds one sample per 120 s, so a
+second sample models a primary-tenant spike.
+"""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
+from scalar_cluster import build_fleet, make_row
 
 from repro.cluster.resources import Resource
-from repro.cluster.server import ContainerState, SimulatedServer
-from repro.traces.datacenter import PrimaryTenant, Server
-from repro.traces.utilization import UtilizationPattern, UtilizationTrace
+from repro.cluster.server import ContainerState
+
+SPIKE = 120.0  # time of the trace's second sample
 
 
-def make_server(utilization: float = 0.25) -> SimulatedServer:
-    tenant = PrimaryTenant(
-        tenant_id="t",
-        environment="env",
-        machine_function="mf",
-        trace=UtilizationTrace(
-            np.full(100, utilization), UtilizationPattern.CONSTANT
-        ),
-        pattern=UtilizationPattern.CONSTANT,
-    )
-    server = Server("s0", "t", cores=12, memory_gb=32.0)
-    tenant.servers.append(server)
-    return SimulatedServer(server, tenant)
+def make_fleet(*utilization: float):
+    return build_fleet([make_row("s0", list(utilization))])
 
 
 class TestPrimaryTracking:
     def test_primary_usage_follows_trace(self):
-        server = make_server(utilization=0.5)
-        usage = server.primary_usage(0.0)
-        assert usage.cores == pytest.approx(6.0)
-
-    def test_utilization_override(self):
-        server = make_server(utilization=0.2)
-        server.set_utilization_override(lambda t: 0.9)
-        assert server.primary_utilization(10.0) == pytest.approx(0.9)
-        server.set_utilization_override(None)
-        assert server.primary_utilization(10.0) == pytest.approx(0.2)
-
-    def test_override_clamped(self):
-        server = make_server()
-        server.set_utilization_override(lambda t: 2.0)
-        assert server.primary_utilization(0.0) == 1.0
+        fleet = make_fleet(0.5, 0.25)
+        assert fleet.primary_utilization(0.0)[0] * fleet.capacity_cores[0] == 6.0
+        assert fleet.primary_utilization(SPIKE)[0] == 0.25
 
 
 class TestContainers:
     def test_available_respects_primary_and_reserve(self):
-        server = make_server(utilization=0.25)  # 3 cores
-        available = server.available_for_harvesting(0.0)
+        fleet = make_fleet(0.25)  # 3 cores
+        fleet.refresh(0.0)
         # 12 - 3 (primary) - 4 (reserve) = 5 cores.
-        assert available.cores == pytest.approx(5.0)
+        assert fleet.available_cores[0] == pytest.approx(5.0)
 
     def test_launch_and_complete(self):
-        server = make_server()
-        assert server.can_host(Resource(2.0, 4.0), 0.0)
-        container = server.launch_container("task", "job", Resource(2.0, 4.0), 0.0)
+        fleet = make_fleet(0.25)
+        fleet.refresh(0.0)
+        assert fleet.fits_mask(2.0, 4.0)[0]
+        container = fleet.launch(0, "task", "job", Resource(2.0, 4.0), 0.0)
         assert container.state is ContainerState.RUNNING
-        assert server.allocated().cores == pytest.approx(2.0)
-        server.complete_container(container.container_id, 10.0)
+        assert container.server_id == "s0"
+        assert fleet.allocated_cores[0] == pytest.approx(2.0)
+        assert fleet.available_cores[0] == pytest.approx(3.0)
+        fleet.complete(container, 10.0)
         assert container.state is ContainerState.COMPLETED
-        assert server.allocated().is_zero()
+        assert fleet.allocated_cores[0] == 0.0
+        assert fleet.available_cores[0] == pytest.approx(5.0)
 
     def test_cannot_host_more_than_available(self):
-        server = make_server(utilization=0.25)
-        assert not server.can_host(Resource(6.0, 4.0), 0.0)
+        fleet = make_fleet(0.25)
+        fleet.refresh(0.0)
+        assert not fleet.fits_mask(6.0, 4.0)[0]
 
     def test_double_finish_rejected(self):
-        server = make_server()
-        container = server.launch_container("task", "job", Resource(1.0, 1.0), 0.0)
-        server.complete_container(container.container_id, 5.0)
+        fleet = make_fleet(0.25)
+        container = fleet.launch(0, "task", "job", Resource(1.0, 1.0), 0.0)
+        fleet.complete(container, 5.0)
         with pytest.raises(ValueError):
-            server.complete_container(container.container_id, 6.0)
+            fleet.complete(container, 6.0)
 
     def test_total_utilization_combines_primary_and_secondary(self):
-        server = make_server(utilization=0.25)
-        server.launch_container("task", "job", Resource(3.0, 4.0), 0.0)
-        assert server.total_cpu_utilization(0.0) == pytest.approx(0.5)
+        fleet = make_fleet(0.25)
+        fleet.launch(0, "task", "job", Resource(3.0, 4.0), 0.0)
+        assert fleet.total_utilization(0.0)[0] == pytest.approx(0.5)
 
 
 class TestReserveReclaim:
     def test_no_kills_when_reserve_intact(self):
-        server = make_server(utilization=0.25)
-        server.launch_container("t1", "j", Resource(2.0, 2.0), 0.0)
-        assert server.reclaim_reserve(1.0) == []
+        fleet = make_fleet(0.25)
+        fleet.launch(0, "t1", "j", Resource(2.0, 2.0), 0.0)
+        assert fleet.refresh(1.0) == []
 
     def test_kills_youngest_first_when_primary_spikes(self):
-        server = make_server(utilization=0.25)
-        old = server.launch_container("old", "j", Resource(3.0, 4.0), 0.0)
-        young = server.launch_container("young", "j", Resource(2.0, 2.0), 100.0)
+        fleet = make_fleet(0.25, 0.6)
+        fleet.launch(0, "old", "j", Resource(3.0, 4.0), 0.0)
+        young = fleet.launch(0, "young", "j", Resource(2.0, 2.0), 100.0)
         # Primary spikes to 60% (8 cores rounded up): 12 - 8 - 4 = 0 harvestable.
-        server.set_utilization_override(lambda t: 0.6)
-        killed = server.reclaim_reserve(200.0)
+        killed = fleet.refresh(SPIKE)
         assert killed, "expected kills after the primary spike"
         assert killed[0].task_id == "young"
         assert young.state is ContainerState.KILLED
 
     def test_kills_stop_once_reserve_restored(self):
-        server = make_server(utilization=0.25)
-        server.launch_container("a", "j", Resource(2.0, 2.0), 0.0)
-        server.launch_container("b", "j", Resource(2.0, 2.0), 10.0)
+        fleet = make_fleet(0.25, 0.42)  # 5.04 -> 6 cores
+        fleet.launch(0, "a", "j", Resource(2.0, 2.0), 0.0)
+        fleet.launch(0, "b", "j", Resource(2.0, 2.0), 10.0)
         # Mild spike: only one container's worth of violation.
-        server.set_utilization_override(lambda t: 0.42)  # 5.04 -> 6 cores
-        killed = server.reclaim_reserve(100.0)
+        killed = fleet.refresh(SPIKE)
         assert len(killed) == 1

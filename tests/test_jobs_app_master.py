@@ -2,50 +2,45 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
+from scalar_cluster import build_rm, make_row
 
-from repro.cluster.node_manager import NodeManager
-from repro.cluster.resource_manager import ResourceManager, SchedulerMode
-from repro.cluster.server import SimulatedServer
+from repro.cluster.resource_manager import SchedulerMode
+from repro.cluster.resources import Resource
+from repro.cluster.server import Container
 from repro.core.job_types import JobHistory, JobType
 from repro.jobs.app_master import ApplicationMaster
 from repro.jobs.dag import JobDag, Vertex
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.random import RandomSource
-from repro.traces.datacenter import PrimaryTenant, Server
-from repro.traces.utilization import UtilizationPattern, UtilizationTrace
 
 
 def build_rig(
     num_servers: int = 4,
-    utilization: float = 0.1,
+    utilization=0.1,
     mode: SchedulerMode = SchedulerMode.PRIMARY_AWARE,
 ):
+    """Engine, RM, AM and history over ``num_servers`` one-server tenants.
+
+    A ``[before, after, ...]`` utilization is one trace sample per 120 s.
+    """
     engine = SimulationEngine()
-    rm = ResourceManager(mode=mode, rng=RandomSource(1))
-    servers = []
-    for i in range(num_servers):
-        tenant = PrimaryTenant(
-            tenant_id=f"t{i}",
-            environment=f"env-{i}",
-            machine_function="mf",
-            trace=UtilizationTrace(
-                np.full(100, utilization), UtilizationPattern.CONSTANT
-            ),
-            pattern=UtilizationPattern.CONSTANT,
-        )
-        server = Server(f"s{i}", f"t{i}", cores=12, memory_gb=32.0)
-        tenant.servers.append(server)
-        simulated = SimulatedServer(server, tenant)
-        servers.append(simulated)
-        rm.register_node(
-            NodeManager(simulated, primary_aware=mode is not SchedulerMode.STOCK)
-        )
+    rows = [
+        make_row(f"s{i}", utilization, tenant_id=f"t{i}") for i in range(num_servers)
+    ]
+    rm = build_rm(rows, mode=mode)
     rm.process_heartbeats(0.0)
     history = JobHistory()
     am = ApplicationMaster(engine, rm, history)
-    return engine, rm, am, history, servers
+    return engine, rm, am, history
+
+
+def pump(engine, am, execution, until: float, step: float = 10.0) -> None:
+    """Retry the execution's requests every ``step`` seconds until ``until``."""
+    t = engine.now
+    while t < until:
+        t += step
+        am.pump_all([execution])
+        engine.run_until(t)
 
 
 def small_dag(name: str = "job") -> JobDag:
@@ -60,7 +55,7 @@ def small_dag(name: str = "job") -> JobDag:
 
 class TestJobExecution:
     def test_job_runs_to_completion(self):
-        engine, rm, am, history, _ = build_rig()
+        engine, rm, am, history = build_rig()
         execution = am.submit(small_dag(), JobType.MEDIUM)
         engine.run_until(200.0)
         assert execution.finished
@@ -72,7 +67,7 @@ class TestJobExecution:
         assert result.tasks_killed == 0
 
     def test_duration_recorded_in_history(self):
-        engine, rm, am, history, _ = build_rig()
+        engine, rm, am, history = build_rig()
         am.submit(small_dag("recurring"), JobType.MEDIUM)
         engine.run_until(200.0)
         assert history.last_duration("recurring") == pytest.approx(50.0)
@@ -80,7 +75,7 @@ class TestJobExecution:
         assert history.categorize("recurring") is JobType.SHORT
 
     def test_dependencies_respected(self):
-        engine, rm, am, _, _ = build_rig()
+        engine, rm, am, _ = build_rig()
         execution = am.submit(small_dag(), JobType.MEDIUM)
         # Just after the mappers start, no reducer may run yet.
         engine.run_until(10.0)
@@ -88,7 +83,7 @@ class TestJobExecution:
         assert running_vertices == {"map"}
 
     def test_queueing_when_cluster_is_small(self):
-        engine, rm, am, _, _ = build_rig(num_servers=1)
+        engine, rm, am, _ = build_rig(num_servers=1)
         wide = JobDag("wide", [Vertex("stage", 30, 10.0)])
         execution = am.submit(wide, JobType.SHORT)
         engine.run_until(5.0)
@@ -96,72 +91,84 @@ class TestJobExecution:
         # 30 single-core tasks at once.
         assert len(execution.running) < 30
         # Periodic pumping eventually finishes the job.
-        for t in range(10, 400, 10):
-            am.pump(execution)
-            engine.run_until(float(t))
+        pump(engine, am, execution, until=400.0)
         assert execution.finished
 
     def test_metrics_updated(self):
-        engine, rm, am, _, _ = build_rig()
-        am.submit(small_dag(), JobType.MEDIUM)
-        engine.run_until(200.0)
-        assert am.metrics.counter_value("jobs_completed") == 1
-        assert am.metrics.distributions["job_execution_seconds"].count == 1
+        engine, rm, am, _, execution, killed = spiked_rig()
+        assert am.metrics.counter_value("tasks_killed") == 0
+        am.resolve_kills(killed)
+        assert am.metrics.counter_value("tasks_killed") == len(killed)
+        assert execution.tasks_killed == len(killed)
+
+
+#: One sample per 120 s: calm, a spike at t=120, then calm for good.
+SPIKED = [0.1, 0.7] + [0.1] * 98
+
+
+def spiked_rig():
+    """One server whose primary spikes at t=120 while ``small_dag`` runs.
+
+    Returns ``(engine, rm, am, history, execution, killed)`` right after the
+    t=120 heartbeat killed the job's containers.
+    """
+    engine, rm, am, history = build_rig(num_servers=1, utilization=SPIKED)
+    engine.run_until(115.0)
+    execution = am.submit(small_dag(), JobType.MEDIUM)
+    engine.run_until(119.0)
+    assert execution.running, "tasks should be running before the spike"
+    killed = rm.process_heartbeats(120.0)
+    assert killed
+    return engine, rm, am, history, execution, killed
 
 
 class TestKillHandling:
     def test_killed_tasks_are_restarted(self):
-        engine, rm, am, _, servers = build_rig(num_servers=1, utilization=0.1)
-        execution = am.submit(small_dag(), JobType.MEDIUM)
-        engine.run_until(5.0)
-        assert execution.running, "tasks should be running before the spike"
-
-        # Primary spikes; the next heartbeat kills the youngest containers.
-        servers[0].set_utilization_override(lambda t: 0.7)
-        killed = rm.process_heartbeats(6.0)
-        assert killed
-        am.handle_kills(execution, killed)
+        engine, rm, am, _, execution, killed = spiked_rig()
+        am.resolve_kills(killed)
         assert execution.tasks_killed == len(killed)
 
         # Primary calms down; pumping re-runs the killed tasks to completion.
-        servers[0].set_utilization_override(lambda t: 0.1)
-        rm.process_heartbeats(7.0)
-        for t in range(10, 600, 10):
-            am.pump(execution)
-            engine.run_until(float(t))
+        engine.run_until(240.0)
+        rm.process_heartbeats(240.0)
+        pump(engine, am, execution, until=800.0)
         assert execution.finished
         result = am.results[0]
         assert result.tasks_killed >= 1
         assert result.tasks_completed == 6
 
     def test_kills_of_unknown_containers_ignored(self):
-        engine, rm, am, _, _ = build_rig()
+        engine, rm, am, _ = build_rig()
         execution = am.submit(small_dag(), JobType.MEDIUM)
-        am.handle_kills(execution, [])
+        stranger = Container("task", "other-job", Resource(1.0, 2.0), "s0", 0.0)
+        am.resolve_kills([])
+        am.resolve_kills([stranger])
         assert execution.tasks_killed == 0
 
     def test_resolve_kills_matches_per_execution_broadcast(self):
-        """The container->execution index resolves exactly the kills the old
-        every-execution ``handle_kills`` fan-out would have marked."""
+        """The container->execution index resolves exactly the kills a
+        broadcast of every kill to every execution would have marked."""
 
         def rig_with_two_jobs():
-            engine, rm, am, _, servers = build_rig(num_servers=1, utilization=0.1)
+            engine, rm, am, _ = build_rig(num_servers=1, utilization=SPIKED)
+            engine.run_until(115.0)
             first = am.submit(small_dag("first"), JobType.MEDIUM)
             second = am.submit(small_dag("second"), JobType.MEDIUM)
-            engine.run_until(5.0)
-            servers[0].set_utilization_override(lambda t: 0.7)
-            killed = rm.process_heartbeats(6.0)
+            engine.run_until(119.0)
+            killed = rm.process_heartbeats(120.0)
             assert killed
             return am, first, second, killed
 
+        # Reference: offer every kill to every execution, then retry each.
         am_a, first_a, second_a, killed_a = rig_with_two_jobs()
         for execution in (first_a, second_a):
-            am_a.handle_kills(execution, killed_a)
+            for container in killed_a:
+                am_a._mark_killed(execution, container)
+            am_a._schedule_runnable(execution)
 
         am_b, first_b, second_b, killed_b = rig_with_two_jobs()
         am_b.resolve_kills(killed_b)
-        for execution in (first_b, second_b):
-            am_b.pump(execution)
+        am_b.pump_all([first_b, second_b])
 
         assert (first_a.tasks_killed, second_a.tasks_killed) == (
             first_b.tasks_killed,
@@ -174,7 +181,7 @@ class TestKillHandling:
         assert {c for c in second_a.running} == {c for c in second_b.running}
 
     def test_owner_index_tracks_launches_and_completions(self):
-        engine, rm, am, _, _ = build_rig()
+        engine, rm, am, _ = build_rig()
         execution = am.submit(small_dag(), JobType.MEDIUM)
         assert set(am._owner) == set(execution.running)
         engine.run_until(200.0)
@@ -184,7 +191,7 @@ class TestKillHandling:
 
 class TestPumpFastPathCounters:
     def test_frontier_cache_hits_tick_when_pumps_repoll_a_starved_wave(self):
-        engine, rm, am, _, _ = build_rig(num_servers=1)
+        engine, rm, am, _ = build_rig(num_servers=1)
         wide = JobDag("wide", [Vertex("stage", 30, 10.0)])
         execution = am.submit(wide, JobType.SHORT)
         # The submit-time pump launches what fits and leaves the rest
@@ -195,10 +202,10 @@ class TestPumpFastPathCounters:
         # state.  The next pump rebuilds the frontier (miss), places
         # nothing, and starves again.
         rm.process_heartbeats(1.0)
-        am.pump(execution)
+        am.pump_all([execution])
         assert am.metrics.counter_value("frontier_cache_hits") == 0
         # Re-polling the same starved wave with no transition in between is
         # the fast path: the wave comes straight from the TaskTable cache.
         rm.process_heartbeats(2.0)
-        am.pump(execution)
+        am.pump_all([execution])
         assert am.metrics.counter_value("frontier_cache_hits") == 1

@@ -321,16 +321,14 @@ class TestClassSelectorDrawParity:
 
 class TestWaveSchedulingParity:
     def test_schedule_wave_matches_sequential_schedule(self):
-        """One batched wave = the same requests scheduled one by one."""
-        from tests.test_cluster_fleet_state import build_rm, make_simulated_server
+        """One batched wave = the same requests placed in one batch each."""
+        from scalar_cluster import build_rm, make_row, place
         from repro.cluster.resource_manager import ContainerRequest
         from repro.cluster.resources import Resource
 
         def rig(seed):
-            servers = [
-                make_simulated_server(f"s{i}", [0.1, 0.2, 0.1]) for i in range(6)
-            ]
-            rm = build_rm(servers, seed=seed)
+            rows = [make_row(f"s{i}", [0.1, 0.2, 0.1]) for i in range(6)]
+            rm = build_rm(rows, seed=seed)
             rm.process_heartbeats(0.0)
             return rm
 
@@ -340,15 +338,13 @@ class TestWaveSchedulingParity:
         ]
         wave_rm = rig(seed=9)
         scalar_rm = rig(seed=9)
-        wave = wave_rm.schedule_wave(requests, 0.0)
-        sequential = [scalar_rm.schedule(request, 0.0) for request in requests]
+        wave = wave_rm.begin_batch(0.0).schedule(requests)
+        sequential = [place(scalar_rm, request, 0.0) for request in requests]
         wave_ids = [c.server_id if c else None for c in wave]
         sequential_ids = [c.server_id if c else None for c in sequential]
         assert wave_ids == sequential_ids
         assert wave_rm._rng.uniform() == scalar_rm._rng.uniform()
-        assert wave_rm.metrics.counter_value(
-            "requests_unsatisfied"
-        ) == scalar_rm.metrics.counter_value("requests_unsatisfied")
+        assert wave_rm._exhausted == scalar_rm._exhausted
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ Three layers of the contract, bottom-up:
   stream continues draw-for-draw and fork-for-fork, and
   :class:`~repro.simulation.random.ForkSequence` replays fork seeds with no
   generator at all (the spec-only cell enumeration fast path);
-* each snapshotted columnar substrate (TraceMatrix, TaskTable, FleetState)
+* each snapshotted columnar substrate (TraceMatrix, TaskTable)
   round-trips through its ``to_arrays`` / ``from_arrays`` form with every
   column, cache, and derived counter intact;
 * a runner restored from a serialized :class:`ContextSnapshot` — in this
@@ -43,9 +43,6 @@ from repro.harness.spec import ScenarioSpec
 from repro.jobs.dag import JobDag, Vertex
 from repro.jobs.task_table import COMPLETED, KILLED, TaskTable
 from repro.simulation.random import ForkSequence, RandomSource, child_seed
-from repro.cluster.node_manager import NodeManager
-from repro.cluster.resource_manager import ResourceManager, SchedulerMode
-from repro.cluster.server import SimulatedServer
 from repro.traces.datacenter import PrimaryTenant, Server
 from repro.traces.matrix import TraceMatrix
 from repro.traces.utilization import UtilizationPattern, UtilizationTrace
@@ -236,37 +233,6 @@ class TestTaskTableRoundTrip:
         arrays["state"] = np.zeros(2, dtype=np.int8)
         with pytest.raises(ValueError):
             TaskTable.from_arrays(dag, arrays)
-
-
-class TestFleetStateRoundTrip:
-    def build_fleet(self):
-        rm = ResourceManager(mode=SchedulerMode.PRIMARY_AWARE, rng=RandomSource(1))
-        profiles = {
-            "idle": [0.1, 0.1, 0.2, 0.1],
-            "diurnal": [0.2, 0.7, 0.9, 0.3],
-            "busy": [0.6, 0.65, 0.7, 0.6],
-        }
-        for sid, values in profiles.items():
-            tenant = make_tenant(f"tenant-{sid}", values, num_servers=1)
-            server = tenant.servers[0]
-            rm.register_node(
-                NodeManager(SimulatedServer(server, tenant), primary_aware=True),
-                label="gold" if sid == "busy" else None,
-            )
-        rm.process_heartbeats(120.0)
-        return rm.fleet
-
-    def test_arrays_round_trip_preserves_queries(self):
-        fleet = self.build_fleet()
-        restored = type(fleet).from_arrays(fleet.to_arrays())
-        assert_arrays_equal(fleet.to_arrays(), restored.to_arrays())
-        assert restored.server_ids == fleet.server_ids
-        assert np.array_equal(
-            restored.label_mask(["gold"]), fleet.label_mask(["gold"])
-        )
-        assert np.array_equal(
-            restored.primary_utilization(240.0), fleet.primary_utilization(240.0)
-        )
 
 
 # ---------------------------------------------------------------------------

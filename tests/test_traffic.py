@@ -138,11 +138,19 @@ class TestParseTraffic:
             "open:rate=0.1,typo=1",  # unknown key fails loudly
             "drizzle:rate=0.1",  # unknown kind
             "closed:think=10",  # missing users
+            "open:rate=nan",  # non-finite values name their key
+            "open:rate=inf",
+            "closed:users=2,think=nan",
+            "closed:users=2,think=-inf",
+            "open:rate=0.1,profile=step,step_at=nan,step_rate=0.2",
         ],
     )
     def test_rejects_malformed_specs(self, bad):
         with pytest.raises(ValueError):
             parse_traffic(bad)
+        if "nan" in bad or "inf" in bad:
+            with pytest.raises(ValueError, match="is not a finite number"):
+                parse_traffic(bad)
 
 
 # ---------------------------------------------------------------------------

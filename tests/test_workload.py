@@ -189,6 +189,13 @@ class TestParsingAndValidation:
     def test_bad_distribution_parameter(self):
         with pytest.raises(ValueError, match="not a number"):
             parse_distribution("uniform:low=abc")
+        for bad in ("nan", "inf", "-inf", "NaN"):
+            with pytest.raises(ValueError, match=f"high={bad} is not a finite number"):
+                parse_distribution(f"uniform:low=40,high={bad}")
+        with pytest.raises(ValueError, match="mean=nan is not a finite number"):
+            parse_distribution("exponential:mean=nan")
+        with pytest.raises(ValueError, match="alpha=inf is not a finite number"):
+            parse_skew("zipf:alpha=inf")
         with pytest.raises(ValueError, match="expected key=value"):
             parse_distribution("uniform:low")
         with pytest.raises(ValueError, match="bad parameters"):
@@ -243,6 +250,16 @@ class TestParsingAndValidation:
             parse_workload("tenant_arrivals_per_hour=-1")
         with pytest.raises(ValueError, match="not a number"):
             parse_workload("tenant_arrivals_per_hour=soon")
+        for bad in ("nan", "inf"):
+            with pytest.raises(
+                ValueError,
+                match=f"tenant_arrivals_per_hour={bad} is not a finite number",
+            ):
+                parse_workload(f"tenant_arrivals_per_hour={bad}")
+            with pytest.raises(ValueError, match=f"periodic={bad} is not a finite"):
+                parse_workload(f"shares=periodic:{bad},constant:3")
+            with pytest.raises(ValueError, match=f"mean={bad} is not a finite"):
+                parse_workload(f"interarrival=exponential:mean={bad}")
 
     def test_workload_from_param(self):
         assert workload_from_param(None) is DEFAULT_WORKLOAD
@@ -341,6 +358,20 @@ class TestTraceFormat:
         empty.write_text("")
         with pytest.raises(TraceError, match="is empty"):
             read_trace(empty)
+        # json.loads accepts NaN/Infinity by default; a trace must not.
+        header = json.dumps({"record": "header", "version": TRACE_VERSION})
+        for constant in ("NaN", "Infinity", "-Infinity"):
+            poisoned = tmp_path / "poisoned.jsonl"
+            poisoned.write_text(
+                header + "\n" + '{"record": "op", "cores": ' + constant + "}\n"
+            )
+            with pytest.raises(
+                TraceError, match=f"line 2 in .*poisoned.jsonl: {constant} is not"
+            ):
+                read_trace(poisoned)
+            poisoned.write_text('{"record": "header", "version": ' + constant + "}\n")
+            with pytest.raises(TraceError, match=f"line 1.*: {constant} is not"):
+                read_trace_header(poisoned)
 
 
 class TestPlanGenerators:

@@ -1,7 +1,6 @@
-"""CI smoke for the executor, checkpoint and continuous-mode contracts.
+"""CI smoke for the executor, checkpoint, continuous-mode and CLI contracts.
 
-Five checks, all at tiny scale so the whole script stays in about a
-minute:
+All checks run at tiny scale so the whole script stays in about a minute:
 
 * ``fig13`` parity: the full ``RunResult`` fingerprint and the
   non-fingerprinted ``telemetry`` section match between a serial run and a
@@ -14,7 +13,14 @@ minute:
   reconstructs its JSON payload exactly, and the streaming fold's retained
   bytes stay flat from 8 to 32 epochs;
 * run forever: ``--epochs 0`` streams the windows that fit the horizon, and
-  a paused-then-resumed run is bit-identical to the straight one.
+  a paused-then-resumed run is bit-identical to the straight one;
+* CLI surface: ``--list-cells`` enumerates a non-empty grid, ``--json``
+  output parses (fig12, and fig16 on a 2-worker pool with its points),
+  the continuous-mode flags (``--traffic``/``--epochs``/``--epoch-seconds``)
+  shape a run, and ``--workload`` shapes one while a bogus spec fails;
+* payload shape: the tiny benchmark payloads CI emits into ``BENCH_FRESH``
+  (``benchmarks/emit_bench.py --scale tiny --output-dir /tmp/bench-fresh``)
+  are TINY-scale, with a positive wall clock and a headline per scenario.
 
 Run it from the repository root (``python benchmarks/ci_smoke.py``) with the
 package installed or ``src`` on ``PYTHONPATH``.  A real module file (not a
@@ -33,6 +39,9 @@ from repro.api import TINY_SCALE, run, run_continuous
 
 #: Where the continuous smoke writes its serial per-epoch headline.
 EPOCHS_JSON = Path("/tmp/continuous-epochs.json")
+
+#: Where CI's emit step writes the tiny benchmark payloads.
+BENCH_FRESH = Path("/tmp/bench-fresh")
 
 
 def cli(*args: str, expect: int = 0) -> str:
@@ -161,6 +170,61 @@ def check_run_forever(work: Path) -> None:
     print("run-forever resume bit-identical")
 
 
+def check_cli_surface() -> None:
+    cells = json.loads(
+        cli(
+            "run-scenario", "fig14-fleet-improvements", "--scale", "tiny",
+            "--list-cells", "--json",
+        )
+    )
+    assert cells, "empty grid"
+    print(len(cells), "cells listed")
+    json.loads(cli("run-scenario", "fig12-storage-testbed", "--json", "--scale", "tiny"))
+    fig16 = json.loads(
+        cli(
+            "run-scenario", "fig16-availability", "--json", "--scale", "tiny",
+            "--workers", "2",
+        )
+    )["result"]
+    assert fig16["points"], "no points"
+    closed = json.loads(
+        cli(
+            "run-scenario", "continuous-closed", "--json", "--scale", "tiny",
+            "--traffic", "closed:users=3,think=180", "--epochs", "3",
+            "--epoch-seconds", "300",
+        )
+    )["result"]
+    assert closed["num_epochs"] == 3, closed
+    shaped = json.loads(
+        cli(
+            "run-scenario", "heterogeneous-fleet", "--json", "--scale", "tiny",
+            "--workload",
+            "duration=uniform:low=40,high=90;tenant_arrivals_per_hour=60",
+        )
+    )["result"]
+    assert shaped["elastic_tenants"] > 0, shaped
+    bogus = subprocess.run(
+        [
+            sys.executable, "-m", "repro.cli", "run-scenario", "heterogeneous-fleet",
+            "--workload", "duration=bogus:mean=1",
+        ],
+        capture_output=True, text=True,
+    )
+    assert bogus.returncode != 0, "bogus distribution was accepted"
+    print("CLI surface ok")
+
+
+def check_payload_shape() -> None:
+    for name in ("BENCH_compute.json", "BENCH_storage.json"):
+        payload = json.loads((BENCH_FRESH / name).read_text())
+        assert payload["scale"] == "TINY"
+        assert payload["scenarios"], name
+        for scenario, entry in payload["scenarios"].items():
+            assert entry["wall_clock_seconds"] > 0, scenario
+            assert entry["headline"], scenario
+        print(name, "ok:", ", ".join(payload["scenarios"]))
+
+
 def main() -> None:
     check_fig13_parity()
     with tempfile.TemporaryDirectory() as tmp:
@@ -169,6 +233,8 @@ def main() -> None:
         check_continuous()
         check_long_horizon(work)
         check_run_forever(work)
+    check_cli_surface()
+    check_payload_shape()
 
 
 if __name__ == "__main__":  # spawn workers re-import this module

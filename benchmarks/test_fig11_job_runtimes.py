@@ -45,8 +45,10 @@ def test_fig11_job_runtimes(benchmark, scheduling_testbed):
     assert stock.average_job_seconds <= pt.average_job_seconds
     # YARN-H stays competitive with YARN-PT at the scaled-down testbed load
     # (the clear separation the paper reports appears once task kills
-    # dominate, which the Figure 13 sweep exercises at higher utilization;
-    # see EXPERIMENTS.md, known deviations).
+    # dominate, which the Figure 13 sweep exercises at higher utilization).
+    # The tolerance holds at seed 1; at BENCH scale it fails on seeds 3, 4,
+    # 5 and 7 (the ROADMAP item "The paper's claims hold at seed 1, not
+    # across seeds" tracks this deviation).
     assert h.average_job_seconds < pt.average_job_seconds * 1.15
     # Harvesting lifts cluster utilization above the primary-only level.
     assert h.average_cpu_utilization > 0.3

@@ -55,5 +55,6 @@ def test_fig14_improvement_by_dc(benchmark, fleet_improvements):
         # Low-variation DC-0 gains less than high-variation DC-4 on average;
         # allow slack because the quick configuration runs a single seed and a
         # small per-DC server sample (the per-DC magnitudes of Figure 14 are
-        # noise-dominated at this scale — see EXPERIMENTS.md).
+        # noise-dominated at this scale — see the ROADMAP item "The paper's
+        # claims hold at seed 1, not across seeds").
         assert summary["DC-0"]["avg"] <= summary["DC-4"]["avg"] + 0.15

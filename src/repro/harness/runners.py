@@ -617,14 +617,13 @@ class AvailabilityRunner(ScenarioRunner):
         failed = 0
         total = 0
         if block_ids:
-            # One scalar draw pair per access (so a fixed seed samples the
-            # same accesses the legacy loop did), evaluated as one batch of
-            # numpy mask reductions over the trace matrix.
-            times = np.empty(accesses_per_point)
-            sampled: List[str] = []
-            for i in range(accesses_per_point):
-                times[i] = rng.uniform(0.0, duration)
-                sampled.append(rng.choice(block_ids))
+            # One (time, block) draw pair per access, stream-identical to the
+            # legacy scalar loop, evaluated as one batch of numpy mask
+            # reductions over the trace matrix.
+            times, picks = rng.uniform_index_pairs(
+                0.0, duration, len(block_ids), accesses_per_point
+            )
+            sampled = [block_ids[i] for i in picks.tolist()]
             codes = namenode.check_accesses(sampled, times)
             total = int(len(codes))
             failed = int(

@@ -9,7 +9,18 @@ get independent but reproducible streams.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, Optional, Sequence, TypeVar
+from contextlib import contextmanager
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -248,6 +259,105 @@ class RandomSource:
                 return times
             times.extend(cum.tolist())
             base = float(cum[-1])
+
+    def uniform_index_pairs(
+        self, low: float, high: float, n: int, count: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``count`` pairs of ``(uniform(low, high), integer(0, n))`` draws.
+
+        Stream-identical to the scalar loop that alternates the two draws
+        (values *and* generator position afterwards), but built from one
+        bulk ``random_raw`` call.  Under PCG64 (``default_rng``'s bit
+        generator) each uniform consumes one 64-bit word; each bounded
+        integer (Lemire's method on 32 bits) takes the low half of a fresh
+        word and leaves the high half buffered for the next one, so two
+        pairs use three words.  When any draw would hit Lemire's rejection
+        branch, or ``n`` leaves the 32-bit path, the generator is rewound
+        and the scalar loop runs instead.
+        """
+        if count <= 0:
+            return np.empty(0), np.empty(0, dtype=np.int64)
+        if 1 < n < 2**32:
+            bit_generator = self._rng.bit_generator
+            state = bit_generator.state
+            buffered = int(state["has_uint32"])
+            # Pair i's integer takes fresh half ``half[i]`` (-1: the half
+            # already buffered); an even half is the low one of a word
+            # fetched right after pair i's uniform word.
+            pair = np.arange(count, dtype=np.int64)
+            half = pair - buffered
+            uniform_at = pair + (np.maximum(half, 0) + 1) // 2
+            fetches = half % 2 == 0
+            word_at = uniform_at[fetches] + 1
+            raw = bit_generator.random_raw(int(uniform_at[-1]) + 1 + int(fetches[-1]))
+            fresh = half[buffered:]
+            words = raw[word_at[fresh // 2]]
+            halves = np.where(fresh % 2 == 0, words & 0xFFFFFFFF, words >> 32)
+            if buffered:
+                halves = np.concatenate(([np.uint64(state["uinteger"])], halves))
+            scaled = halves * np.uint64(n)
+            if not (scaled & 0xFFFFFFFF < (2**32 - n) % n).any():
+                after = bit_generator.state
+                after["has_uint32"] = len(fresh) % 2
+                if len(word_at):
+                    after["uinteger"] = int(raw[word_at[-1]] >> 32)
+                bit_generator.state = after
+                uniforms = (raw[uniform_at] >> 11) * (1.0 / 9007199254740992.0)
+                return low + (high - low) * uniforms, (scaled >> 32).astype(np.int64)
+            bit_generator.state = state
+        uniforms = np.empty(count)
+        indices = np.empty(count, dtype=np.int64)
+        for i in range(count):
+            uniforms[i] = self._rng.uniform(low, high)
+            indices[i] = self._rng.integers(0, n)
+        return uniforms, indices
+
+    @contextmanager
+    def bounded_integers(self, expected: int) -> Iterator[Callable[[int], int]]:
+        """Serve a run of ``integer(0, n)`` draws from one bulk draw.
+
+        Inside the block, ``draw(n)`` returns exactly what
+        :meth:`integer` ``(0, n)`` would at that point of the stream, for
+        ``1 <= n < 2**32``.  numpy's bounded draw (Lemire's method)
+        multiplies the next 32-bit output — the stream
+        ``integers(0, 2**32, dtype=uint32)`` emits — by ``n`` and redraws
+        only on a rare rejection, and ``n == 1`` consumes nothing, so the
+        draws are replayed from ``expected`` pre-drawn words (more are
+        drawn on demand).  On exit the generator is rewound and advanced by
+        exactly the words consumed.  Draw nothing else from this source
+        inside the block.
+        """
+        bit_generator = self._rng.bit_generator
+        start = bit_generator.state
+        words: List[int] = []
+        used = 0
+
+        def draw(n: int) -> int:
+            nonlocal used
+            if not 1 <= n < 2**32:
+                raise ValueError(f"bounded draws need 1 <= n < 2**32 (got {n})")
+            if n == 1:
+                return 0
+            while True:
+                if used == len(words):
+                    words.extend(
+                        self._rng.integers(
+                            0, 2**32, size=max(16, expected), dtype=np.uint32
+                        ).tolist()
+                    )
+                scaled = words[used] * n
+                used += 1
+                leftover = scaled & 0xFFFFFFFF
+                # Lemire's threshold is below n: skip the modulo when it can.
+                if leftover >= n or leftover >= (2**32 - n) % n:
+                    return scaled >> 32
+
+        try:
+            yield draw
+        finally:
+            bit_generator.state = start
+            if used:
+                self._rng.integers(0, 2**32, size=used, dtype=np.uint32)
 
     def exponential_interarrivals(self, mean: float) -> Iterator[float]:
         """Infinite stream of exponential inter-arrival gaps."""

@@ -10,9 +10,15 @@ per created block, in creation order):
 
 * block size, target replication, healthy-replica count, and the sticky
   ``lost`` flag,
-* a ``(blocks x slots)`` matrix of replica server indices (slot order is
-  replica insertion order, mirroring the ``Block.replicas`` dict) plus the
-  matching liveness mask,
+* a ``(blocks x slots)`` *live-slot* matrix: the servers holding a healthy
+  replica, compacted to the front of the row in insertion order and
+  ``-1`` padded.  It is as wide as the replication factor (wider only if a
+  block ever holds more live replicas), so accesses, reimages and recovery
+  picks touch O(replication) slots per block,
+* per row, the *ever-held* record: every server that ever held a replica,
+  as a bitset over the servers' lexicographic ranks (recovery excludes
+  these with one ``&``) plus their insertion order (only re-adding a
+  replica on a server that lost one reads it),
 * per server, the set of rows holding a healthy replica there — the
   NameNode's answer to "what does a reimage of this disk destroy?".
 
@@ -29,12 +35,15 @@ Equivalence contract
 --------------------
 
 Every mutation mirrors the scalar ``Block`` / ``BlockReplica`` semantics
-exactly: a replica destroyed by a reimage keeps its slot (so later healthy
-listings preserve the dict-insertion order the scalar path produced), a
-replica re-added on a server whose old replica was destroyed reuses that
-slot (dict overwrite keeps the key position), and ``lost`` is set exactly
-when the last healthy replica dies and never cleared.  A fixed seed
-therefore produces the same fig12/fig15/fig16 results as the scalar path
+exactly.  The scalar ``Block.replicas`` dict is the ever-held record in
+insertion order, each entry with its liveness; the live slots are that
+dict's healthy entries, in dict order.  A destroyed replica leaves the live
+slots but stays in the ever-held record (it still excludes its server from
+recovery), a replica re-added on a server whose old replica was destroyed
+takes back its insertion-order place among the live slots (a dict
+overwrite keeps the key position), and ``lost`` is set exactly when the
+last healthy replica dies and never cleared.  A fixed seed therefore
+produces the same fig12/fig15/fig16 results as the scalar path
 (``tests/test_storage_block_table.py`` keeps that path as the oracle).
 """
 
@@ -44,9 +53,9 @@ from typing import Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
-#: Initial replica-slot width; grown on demand (doubling) when a block
-#: collects more distinct replica servers than any block before it.
-DEFAULT_REPLICA_SLOTS = 4
+#: Initial live-slot width (the HDFS default replication); grown on demand
+#: (doubling) when a block holds more live replicas than any block before it.
+DEFAULT_REPLICA_SLOTS = 3
 
 #: Initial row capacity; grown geometrically as blocks are appended.
 INITIAL_ROW_CAPACITY = 1024
@@ -77,11 +86,13 @@ class BlockTable:
             sorted(range(len(self.server_ids)), key=self.server_ids.__getitem__),
             dtype=np.int64,
         )
-        #: Inverse permutation: lexicographic rank of each server index.
+        #: Inverse permutation: lexicographic rank of each server index,
+        #: which is also its bit in the ever-held bitsets.
         self.sorted_server_rank = np.empty_like(self.sorted_server_order)
         self.sorted_server_rank[self.sorted_server_order] = np.arange(
             len(self.server_ids)
         )
+        self._rank: List[int] = self.sorted_server_rank.tolist()
 
         self._n = 0
         capacity = INITIAL_ROW_CAPACITY
@@ -89,14 +100,16 @@ class BlockTable:
         self._row_of: Dict[str, int] = {}
         #: Per server index, the rows holding a healthy replica there.
         self._rows_on_server: List[Set[int]] = [set() for _ in self.server_ids]
+        #: Per row, the ever-held servers as a bitset over their ranks, and
+        #: in insertion order.
+        self._held: List[int] = []
+        self._held_order: List[List[int]] = []
 
         self._size_gb = np.zeros(capacity)
         self._target = np.zeros(capacity, dtype=np.int64)
         self._healthy_count = np.zeros(capacity, dtype=np.int64)
         self._lost = np.zeros(capacity, dtype=bool)
-        self._slots_used = np.zeros(capacity, dtype=np.int64)
-        self._replica_servers = np.full((capacity, replica_slots), -1, dtype=np.int64)
-        self._replica_healthy = np.zeros((capacity, replica_slots), dtype=bool)
+        self._live = np.full((capacity, replica_slots), -1, dtype=np.int64)
 
     # -- shape ---------------------------------------------------------------
 
@@ -137,18 +150,13 @@ class BlockTable:
 
     @property
     def slots_used(self) -> np.ndarray:
-        """Per-block number of occupied replica slots (healthy or not)."""
-        return self._slots_used[: self._n]
+        """Per-block number of occupied live slots (the healthy count)."""
+        return self._healthy_count[: self._n]
 
     @property
-    def replica_servers(self) -> np.ndarray:
-        """``(blocks x slots)`` server indices, ``-1`` padded, slot order."""
-        return self._replica_servers[: self._n]
-
-    @property
-    def replica_healthy(self) -> np.ndarray:
-        """``(blocks x slots)`` liveness mask matching ``replica_servers``."""
-        return self._replica_healthy[: self._n]
+    def live_servers(self) -> np.ndarray:
+        """``(blocks x slots)`` healthy-replica servers, ``-1`` padded."""
+        return self._live[: self._n]
 
     # -- id mapping ----------------------------------------------------------
 
@@ -180,7 +188,6 @@ class BlockTable:
 
     def _grow_rows(self) -> None:
         capacity = max(2 * len(self._size_gb), INITIAL_ROW_CAPACITY)
-        slots = self._replica_servers.shape[1]
 
         def grown(column: np.ndarray) -> np.ndarray:
             fresh = np.zeros(capacity, dtype=column.dtype)
@@ -191,22 +198,14 @@ class BlockTable:
         self._target = grown(self._target)
         self._healthy_count = grown(self._healthy_count)
         self._lost = grown(self._lost)
-        self._slots_used = grown(self._slots_used)
-        servers = np.full((capacity, slots), -1, dtype=np.int64)
-        servers[: self._n] = self._replica_servers[: self._n]
-        self._replica_servers = servers
-        healthy = np.zeros((capacity, slots), dtype=bool)
-        healthy[: self._n] = self._replica_healthy[: self._n]
-        self._replica_healthy = healthy
+        live = np.full((capacity, self._live.shape[1]), -1, dtype=np.int64)
+        live[: self._n] = self._live[: self._n]
+        self._live = live
 
     def _grow_slots(self) -> None:
-        capacity, slots = self._replica_servers.shape
-        extra = max(1, slots)
-        self._replica_servers = np.hstack(
-            [self._replica_servers, np.full((capacity, extra), -1, dtype=np.int64)]
-        )
-        self._replica_healthy = np.hstack(
-            [self._replica_healthy, np.zeros((capacity, extra), dtype=bool)]
+        capacity, slots = self._live.shape
+        self._live = np.hstack(
+            [self._live, np.full((capacity, max(1, slots)), -1, dtype=np.int64)]
         )
 
     # -- mutations -----------------------------------------------------------
@@ -225,6 +224,8 @@ class BlockTable:
         self._n += 1
         self._ids.append(block_id)
         self._row_of[block_id] = row
+        self._held.append(0)
+        self._held_order.append([])
         self._size_gb[row] = size_gb
         self._target[row] = target_replication
         return row
@@ -233,35 +234,32 @@ class BlockTable:
         """Attach a replica of block ``row`` on ``server_index``.
 
         Mirrors ``Block.add_replica``: a server holds at most one healthy
-        replica of a block, and re-adding on a server whose old replica was
-        destroyed reuses that slot (a dict overwrite keeps the key position,
-        so later healthy listings preserve the scalar iteration order).
-
-        Slots per row are few (the replication level), so the membership
-        scan runs as a plain Python loop — cheaper than numpy machinery at
-        this width, and this is the hottest write in the durability runs.
+        replica of a block.  A new holder takes the next live slot; a server
+        whose old replica was destroyed takes back its insertion-order place
+        among the live slots (a dict overwrite keeps the key position, so
+        later healthy listings preserve the scalar iteration order).
         """
-        used = int(self._slots_used[row])
-        slot = -1
-        if used:
-            for i, existing in enumerate(self._replica_servers[row, :used].tolist()):
-                if existing == server_index:
-                    slot = i
-                    break
-        if slot >= 0:
-            if self._replica_healthy[row, slot]:
-                raise ValueError(
-                    f"block {self._ids[row]} already has a replica on "
-                    f"{self.server_ids[server_index]}"
-                )
-            self._replica_healthy[row, slot] = True
+        if row in self._rows_on_server[server_index]:
+            raise ValueError(
+                f"block {self._ids[row]} already has a replica on "
+                f"{self.server_ids[server_index]}"
+            )
+        count = int(self._healthy_count[row])
+        if count == self._live.shape[1]:
+            self._grow_slots()
+        bit = 1 << self._rank[server_index]
+        if self._held[row] & bit:
+            order = self._held_order[row]
+            earlier = set(order[: order.index(server_index)])
+            live = self._live[row]
+            slot = sum(1 for server in live[:count].tolist() if server in earlier)
+            live[slot + 1 : count + 1] = live[slot:count]
+            live[slot] = server_index
         else:
-            if used == self._replica_servers.shape[1]:
-                self._grow_slots()
-            self._replica_servers[row, used] = server_index
-            self._replica_healthy[row, used] = True
-            self._slots_used[row] = used + 1
-        self._healthy_count[row] += 1
+            self._held[row] |= bit
+            self._held_order[row].append(server_index)
+            self._live[row, count] = server_index
+        self._healthy_count[row] = count + 1
         self._rows_on_server[server_index].add(row)
 
     def destroy_replica(self, row: int, server_index: int) -> bool:
@@ -269,24 +267,42 @@ class BlockTable:
 
         Returns True when a healthy replica was destroyed; marks the block
         lost once no healthy replica remains (and never clears the flag),
-        exactly like ``Block.destroy_replica_on``.
+        exactly like ``Block.destroy_replica_on``.  The survivors shift left
+        so the live slots stay compacted in insertion order.
         """
-        used = int(self._slots_used[row])
-        if not used:
+        if row not in self._rows_on_server[server_index]:
             return False
-        # A server occupies at most one slot, so find it first and only then
-        # consult liveness.
-        for slot, existing in enumerate(self._replica_servers[row, :used].tolist()):
-            if existing == server_index:
-                if not self._replica_healthy[row, slot]:
-                    return False
-                self._replica_healthy[row, slot] = False
-                self._rows_on_server[server_index].discard(row)
-                self._healthy_count[row] -= 1
-                if self._healthy_count[row] == 0:
-                    self._lost[row] = True
-                return True
-        return False
+        self._rows_on_server[server_index].discard(row)
+        count = int(self._healthy_count[row])
+        live = self._live[row]
+        slot = live[:count].tolist().index(server_index)
+        live[slot : count - 1] = live[slot + 1 : count]
+        live[count - 1] = -1
+        self._healthy_count[row] = count - 1
+        if count == 1:
+            self._lost[row] = True
+        return True
+
+    def destroy_replicas_on(self, server_index: int) -> np.ndarray:
+        """Destroy every healthy replica on ``server_index`` at once.
+
+        The batched twin of calling :meth:`destroy_replica` for each row of
+        :meth:`rows_on`: one stable compaction of those rows' live slots,
+        with the healthy counts and ``lost`` flags updated as arrays.
+        Returns the affected rows, in no particular order.
+        """
+        held = self._rows_on_server[server_index]
+        self._rows_on_server[server_index] = set()
+        rows = np.fromiter(held, dtype=np.int64, count=len(held))
+        live = self._live[rows]
+        live[live == server_index] = -1
+        # Survivors keep their order; the hole joins the -1 tail.
+        order = np.argsort(live < 0, axis=1, kind="stable")
+        self._live[rows] = np.take_along_axis(live, order, axis=1)
+        counts = self._healthy_count[rows] - 1
+        self._healthy_count[rows] = counts
+        self._lost[rows[counts == 0]] = True
+        return rows
 
     # -- queries -------------------------------------------------------------
 
@@ -296,16 +312,21 @@ class BlockTable:
 
     def healthy_servers_of(self, row: int) -> np.ndarray:
         """Server indices holding a healthy replica of ``row``, slot order."""
-        used = int(self._slots_used[row])
-        return self._replica_servers[row, :used][self._replica_healthy[row, :used]]
+        return self._live[row, : int(self._healthy_count[row])]
 
-    def holders_of(self, row: int) -> np.ndarray:
+    def holders_of(self, row: int) -> List[int]:
         """Every server that holds or ever held a replica of ``row``.
 
-        Matches the scalar ``block.replicas.keys()`` — destroyed replicas
-        still exclude their server from recovery placement.
+        In insertion order, matching the scalar ``block.replicas.keys()`` —
+        destroyed replicas still exclude their server from recovery
+        placement.
         """
-        return self._replica_servers[row, : int(self._slots_used[row])]
+        return list(self._held_order[row])
+
+    def held_bits(self, row: int) -> int:
+        """:meth:`holders_of` as a bitset: bit ``sorted_server_rank[s]`` per
+        server ``s``, so recovery excludes holders with one ``&``."""
+        return self._held[row]
 
     def missing_of(self, row: int) -> int:
         """How many replicas re-replication still needs to restore."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -105,7 +105,9 @@ class NameNode:
         :class:`BlockTable` holding one row per block.
         """
         dns = list(self._datanodes.values())
-        self._table = BlockTable([dn.server_id for dn in dns])
+        self._table = BlockTable(
+            [dn.server_id for dn in dns], replica_slots=self._default_replication
+        )
         self._server_ids = self._table.server_ids
         self._index_of_server = self._table.index_of_server
         if trace_matrix is None:
@@ -201,11 +203,7 @@ class NameNode:
                 continue
             row = self._table.append(block_id, size_gb, replication)
             for server_index in chosen:
-                self._place_replica(row, server_index)
-                free = float(
-                    self._server_capacity[server_index]
-                    - self._server_used[server_index]
-                )
+                free = self._place_replica(row, server_index)
                 now_excluded = not (size_gb <= max(0.0, free) + 1e-9) or bool(
                     busy is not None and busy[server_index]
                 )
@@ -218,21 +216,25 @@ class NameNode:
         self._replication.enqueue_many(pending)
         return results
 
-    def _place_replica(self, row: int, server_index: int) -> None:
+    def _place_replica(self, row: int, server_index: int) -> float:
         """Place a replica of ``row`` on ``server_index`` and charge its space.
 
         Goal G1: a server never holds more than its primary tenant allows.
+        Returns the space left on the server afterwards.
         """
         size_gb = self._table.size_of(row)
-        free = self._server_capacity[server_index] - self._server_used[server_index]
-        if size_gb > max(0.0, free) + 1e-9:
+        capacity = float(self._server_capacity[server_index])
+        used = float(self._server_used[server_index])
+        if size_gb > max(0.0, capacity - used) + 1e-9:
             raise ValueError(
                 f"server {self._server_ids[server_index]} has no space for "
                 f"block {self._table.id_of(row)}"
             )
         self._table.add_replica(row, server_index)
-        self._server_used[server_index] += size_gb
+        used += size_gb
+        self._server_used[server_index] = used
         self._healthy_server_count = None
+        return capacity - used
 
     def _busy_mask(self, time: float) -> np.ndarray:
         """Per-server busy flags, evaluated as one trace-matrix gather."""
@@ -287,8 +289,9 @@ class NameNode:
         Semantically identical to calling :meth:`access_block` for each
         ``(block_ids[i], times[i])`` pair, but the per-replica busy checks
         collapse into one ``(accesses x replicas)`` trace-matrix lookup over
-        the block table's replica columns.  Returns an ``int8`` array whose values index
-        :data:`ACCESS_CODES` (0 = served, 1 = unavailable, 2 = lost).
+        the block table's live-slot matrix.  Returns an ``int8`` array whose
+        values index :data:`ACCESS_CODES` (0 = served, 1 = unavailable,
+        2 = lost).
         """
         times = np.asarray(times, dtype=float)
         if len(block_ids) != len(times):
@@ -306,9 +309,9 @@ class NameNode:
             rows[i] = row
 
         # (accesses x slots) server-index matrix straight from the table's
-        # replica columns; destroyed or empty slots are masked out.
-        servers = self._table.replica_servers[rows]
-        valid = (servers >= 0) & self._table.replica_healthy[rows]
+        # live slots; empty (-1) slots are masked out.
+        servers = self._table.live_servers[rows]
+        valid = servers >= 0
         lost = ~valid.any(axis=1)
         codes[lost] = 2
 
@@ -393,16 +396,16 @@ class NameNode:
         self._server_used[server_index] = 0.0
         self._healthy_server_count = None
         table = self._table
+        rows = table.destroy_replicas_on(server_index)
         newly_lost: List[str] = []
-        # Walk the server's replicas in lexicographic block-id order
+        # Queue the affected blocks in lexicographic block-id order
         # (``block-10`` before ``block-2``), not row order: the
         # re-replication queue, and every random draw downstream of it,
         # follows this order, and the committed fingerprints pin it.
-        # ``sorted`` also copies the live row set the destroys shrink.
-        for row in sorted(table.rows_on(server_index), key=table.id_of):
-            block_id = table.id_of(row)
-            table.destroy_replica(row, server_index)
-            if table.is_lost(row):
+        for block_id, lost in sorted(
+            zip(map(table.id_of, rows.tolist()), table.lost[rows].tolist())
+        ):
+            if lost:
                 newly_lost.append(block_id)
                 self._replication.discard(block_id)
             else:
@@ -425,9 +428,21 @@ class NameNode:
         drained = self._replication.drain(time, self._healthy_server_count)
         if not drained:
             return 0
+        # The picks are the round's only draws: replay them from one bulk
+        # draw, stream-identical to one ``integer(0, count)`` per pick.
+        with self._rng.bounded_integers(len(drained)) as draw:
+            return self._restore(drained, time, draw)
+
+    def _restore(
+        self, drained: List[str], time: float, draw: Callable[[int], int]
+    ) -> int:
+        """Restore the missing replicas of ``drained``; returns how many.
+
+        Each pick draws ``draw(count)`` over the viable servers that never
+        held the block, in lexicographic server-id order.
+        """
         table = self._table
         busy = self._busy_mask(time) if self._primary_aware else None
-        busy_list = busy.tolist() if busy is not None else None
         order = table.sorted_server_order
         rank = table.sorted_server_rank.tolist()
         # Per-round caches: the viable mask (space ∧ ¬busy) is a pure
@@ -435,20 +450,18 @@ class NameNode:
         # per block size and refreshed scalar-wise as restored replicas
         # consume space.  Candidates are kept pre-permuted into
         # lexicographic order — matching the scalar ``choice(sorted(ids))``
-        # draw — together with an inclusive prefix count of viable slots, so
-        # each pick maps its bounded-integer draw past the block's replica
-        # holders in O(replicas) without allocating a filtered array.
+        # draw — together with the same set as a bitset over lexicographic
+        # ranks and an inclusive prefix count of viable ranks.  A pick then
+        # intersects the block's ever-held bitset with the viable one and
+        # maps its bounded-integer draw past those holders in rank order.
         cache: Dict[float, tuple] = {}
 
-        def build(size_gb: float) -> tuple:
-            viable = self._space_mask(size_gb)
-            if busy is not None:
-                viable &= ~busy
-            candidates = order[viable[order]]
-            prefix = np.cumsum(viable[order]).tolist()
-            entry = (viable, candidates, viable.tolist(), prefix)
-            cache[size_gb] = entry
-            return entry
+        def ranked(viable: np.ndarray) -> tuple:
+            in_order = viable[order]
+            bits = int.from_bytes(
+                np.packbits(in_order, bitorder="little").tobytes(), "little"
+            )
+            return viable, order[in_order], bits, np.cumsum(in_order).tolist()
 
         restored = 0
         for block_id in drained:
@@ -460,44 +473,37 @@ class NameNode:
             while missing > 0:
                 entry = cache.get(size_gb)
                 if entry is None:
-                    entry = build(size_gb)
-                viable, candidates, viable_list, prefix = entry
-                # Lexicographic positions of this block's holders among the
-                # viable candidates; the draw index skips past them.
-                positions = sorted(
-                    prefix[rank[holder]] - 1
-                    for holder in table.holders_of(row).tolist()
-                    if viable_list[holder]
-                )
-                count = len(candidates) - len(positions)
+                    viable = self._space_mask(size_gb)
+                    if busy is not None:
+                        viable &= ~busy
+                    entry = cache[size_gb] = ranked(viable)
+                _, candidates, viable_bits, prefix = entry
+                holders = table.held_bits(row) & viable_bits
+                count = len(candidates) - holders.bit_count()
                 if count <= 0:
                     # Out of viable targets; try again on a later round.
                     self._replication.enqueue(block_id)
                     break
-                index = self._rng.integer(0, count)
-                for position in positions:
-                    if position <= index:
-                        index += 1
+                index = draw(count)
+                # Skip past the viable holders in rank order; their
+                # candidate positions only grow, so stop at the first one
+                # beyond the (growing) index.
+                while holders:
+                    lowest = holders & -holders
+                    if prefix[lowest.bit_length() - 1] - 1 > index:
+                        break
+                    index += 1
+                    holders ^= lowest
                 target = int(candidates[index])
-                self._place_replica(row, target)
+                room = max(0.0, self._place_replica(row, target)) + 1e-9
                 restored += 1
                 missing -= 1
-                # The store consumed space on ``target``: refresh its bit in
-                # every cached mask, rebuilding only on a flip.
-                free = float(
-                    self._server_capacity[target] - self._server_used[target]
-                )
-                for cached_size in list(cache):
-                    cached_viable = cache[cached_size][0]
-                    still_viable = cached_size <= max(0.0, free) + 1e-9 and not (
-                        busy_list is not None and busy_list[target]
-                    )
-                    if bool(cached_viable[target]) != still_viable:
-                        cached_viable[target] = still_viable
-                        cache[cached_size] = (
-                            cached_viable,
-                            order[cached_viable[order]],
-                            cached_viable.tolist(),
-                            np.cumsum(cached_viable[order]).tolist(),
-                        )
+                # The store consumed space on ``target``; space only shrinks
+                # within a round, so a cached mask can only lose ``target``:
+                # rebuild the ones it no longer fits.
+                target_bit = 1 << rank[target]
+                for cached_size, (mask, _, bits, _) in cache.items():
+                    if bits & target_bit and cached_size > room:
+                        mask[target] = False
+                        cache[cached_size] = ranked(mask)
         return restored

@@ -82,30 +82,55 @@ def check_invariants(namenode: NameNode) -> None:
     """
     table = namenode.block_table
     n = table.num_blocks
-    servers = table.replica_servers
-    healthy = table.replica_healthy
+    live = table.live_servers
+    rank = table.sorted_server_rank
     capacity = namenode._server_capacity
     used = namenode._server_used
     for index in range(table.num_servers):
-        holds = (servers == index) & healthy
-        rows = set(np.flatnonzero(holds.any(axis=1)).tolist())
-        # 1. The per-server row index matches a recount of the replica columns.
+        rows = set(np.flatnonzero((live == index).any(axis=1)).tolist())
+        # 1. The per-server row index matches a recount of the live slots.
         assert table.rows_on(index) == rows
         # 2. Used space is exactly the summed size of the healthy replicas,
         #    and never exceeds the quota (goal G1).
         assert used[index] == pytest.approx(float(table.size_gb[sorted(rows)].sum()))
         assert used[index] <= capacity[index] + 1e-9
     for row in range(n):
-        count = int(healthy[row].sum())
-        # 3. The healthy count matches the healthy slots; a block is lost
-        #    exactly when that count is 0.
+        servers = table.healthy_servers_of(row).tolist()
+        count = len(servers)
+        # 3. The healthy count is the number of live slots, compacted to
+        #    the front of the row; a block is lost exactly when it is 0.
         assert table.healthy_count_of(row) == count
+        assert min(servers, default=0) >= 0 and (live[row, count:] == -1).all()
         assert table.is_lost(row) == (count == 0)
-        # 4. No block ever exceeds its target replication.
+        # 4. No block ever exceeds its target replication (live slots).
         assert count <= int(table.target_replication[row])
         # 5. A server holds at most one replica of any block.
-        live = table.healthy_servers_of(row).tolist()
-        assert len(live) == len(set(live))
+        assert len(servers) == len(set(servers))
+        # 6. The live servers are ever-held ones, in insertion order.
+        holders = table.holders_of(row)
+        assert len(holders) == len(set(holders))
+        assert servers == [server for server in holders if server in servers]
+        # 7. The ever-held bitset is exactly the ever-held record.
+        assert table.held_bits(row) == sum(1 << int(rank[s]) for s in holders)
+
+
+def looped_reimage(namenode: NameNode, server_id: str) -> list[str]:
+    """The per-row reimage replay: ``destroy_replica`` on each of the
+    server's rows in lexicographic block-id order, queueing as it goes."""
+    table = namenode.block_table
+    index = table.index_of_server[server_id]
+    namenode._server_used[index] = 0.0
+    namenode._healthy_server_count = None
+    newly_lost = []
+    for row in sorted(table.rows_on(index), key=table.id_of):
+        block_id = table.id_of(row)
+        assert table.destroy_replica(row, index)
+        if table.is_lost(row):
+            newly_lost.append(block_id)
+            namenode._replication.discard(block_id)
+        else:
+            namenode._replication.enqueue(block_id)
+    return newly_lost
 
 
 @st.composite
@@ -151,6 +176,42 @@ class TestStorageInvariants:
                 result = namenode.access_block(rng.choice(block_ids), time)
                 assert result in set(AccessResult)
         check_invariants(namenode)
+
+    @given(events=workload(), seed=st.integers(0, 100))
+    @settings(max_examples=25, deadline=None)
+    def test_batched_reimage_matches_per_row_destroys(self, events, seed):
+        """``handle_reimage``'s one-shot column destroy leaves the same
+        rows, ``lost`` flags, per-server row sets and re-replication queue
+        as destroying the server's replicas one row at a time."""
+        batched, looped = (
+            build_namenode(num_tenants=6, servers_per_tenant=2, policy="stock", seed=seed)
+            for _ in range(2)
+        )
+        rng = RandomSource(seed)
+        server_ids = sorted(batched.datanodes)
+        for kind, time in events:
+            time = float(time)
+            if kind == "create":
+                creators = [rng.choice(server_ids) for _ in range(4)]
+                assert batched.create_blocks(time, creators) == looped.create_blocks(
+                    time, creators
+                )
+            elif kind == "reimage":
+                victim = rng.choice(server_ids)
+                assert batched.handle_reimage(victim, time) == looped_reimage(
+                    looped, victim
+                )
+            elif kind == "recover":
+                assert batched.run_replication(time) == looped.run_replication(time)
+        a, b = batched.block_table, looped.block_table
+        assert np.array_equal(a.live_servers, b.live_servers)
+        assert np.array_equal(a.healthy_count, b.healthy_count)
+        assert np.array_equal(a.lost, b.lost)
+        assert [a.rows_on(i) for i in range(a.num_servers)] == [
+            b.rows_on(i) for i in range(b.num_servers)
+        ]
+        assert batched._replication._pending == looped._replication._pending
+        check_invariants(batched)
 
     def test_mass_reimage_then_recovery(self):
         """Failure injection: wipe most of the cluster, then let it recover."""

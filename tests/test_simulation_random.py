@@ -148,3 +148,108 @@ class TestPoissonProcessChunking:
         assert rng.poisson_process(0.0, 100.0) == []
         assert rng.poisson_process(1.0, 0.0) == []
         assert rng.uniform() == untouched.uniform()
+
+
+def state_of(rng: RandomSource) -> dict:
+    return rng.generator.bit_generator.state
+
+
+class TestUniformIndexPairs:
+    """The bulk pair draw must equal the alternating scalar loop, values and
+    stream position alike (fig16's access sampling rests on it)."""
+
+    @staticmethod
+    def _scalar_reference(rng: RandomSource, low, high, n, count):
+        pairs = [(rng.uniform(low, high), rng.integer(0, n)) for _ in range(count)]
+        return [u for u, _ in pairs], [i for _, i in pairs]
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 8, 500])
+    @pytest.mark.parametrize("n", [1, 2, 5, 1999, 2**31 + 1, 2**32, 2**33])
+    def test_matches_scalar_loop_and_stream_position(self, n, count):
+        for seed in range(40):
+            # Odd seeds start with a buffered 32-bit half left by an
+            # earlier bounded draw; the first pair must take it.
+            bulk, scalar = RandomSource(seed), RandomSource(seed)
+            if seed % 2:
+                bulk.integer(0, 10)
+                scalar.integer(0, 10)
+            uniforms, indices = bulk.uniform_index_pairs(0.0, 3600.0, n, count)
+            expected = self._scalar_reference(scalar, 0.0, 3600.0, n, count)
+            assert (uniforms.tolist(), indices.tolist()) == expected, (seed, n)
+            assert state_of(bulk) == state_of(scalar), (seed, n)
+            assert bulk.integer(0, 1000) == scalar.integer(0, 1000)
+
+    def test_common_sizes_take_the_bulk_path(self):
+        class ScalarCounter:
+            """Forwards to a generator, counting scalar draws."""
+
+            def __init__(self, inner):
+                self.inner, self.calls = inner, 0
+                self.bit_generator = inner.bit_generator
+
+            def uniform(self, *args):
+                self.calls += 1
+                return self.inner.uniform(*args)
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                return self.inner.integers(*args, **kwargs)
+
+        rng = RandomSource(4)
+        rng._rng = counter = ScalarCounter(rng._rng)
+        rng.uniform_index_pairs(0.0, 1.0, 1999, 500)
+        assert counter.calls == 0
+
+    def test_rejection_size_falls_back_exactly(self):
+        """At ``n = 2**31 + 1`` about half of Lemire's draws are rejected,
+        so the bulk path must hand over to the scalar loop."""
+        bulk, scalar = RandomSource(11), RandomSource(11)
+        got = bulk.uniform_index_pairs(5.0, 9.0, 2**31 + 1, 64)
+        expected = self._scalar_reference(scalar, 5.0, 9.0, 2**31 + 1, 64)
+        assert (got[0].tolist(), got[1].tolist()) == expected
+        assert state_of(bulk) == state_of(scalar)
+
+    def test_nonpositive_count_consumes_nothing(self):
+        rng, untouched = RandomSource(3), RandomSource(3)
+        uniforms, indices = rng.uniform_index_pairs(0.0, 1.0, 10, 0)
+        assert len(uniforms) == len(indices) == 0
+        assert state_of(rng) == state_of(untouched)
+
+
+class TestBoundedIntegers:
+    """Draws replayed from the bulk words equal scalar ``integer(0, n)``."""
+
+    @given(
+        sizes=st.lists(
+            st.one_of(
+                st.integers(1, 100),
+                st.integers(1, 2**32 - 1),
+                st.just(2**31 + 1),  # rejects about half its draws
+            ),
+            max_size=60,
+        ),
+        seed=st.integers(0, 10_000),
+        expected=st.integers(0, 40),
+        buffered=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_draws_and_stream_position(
+        self, sizes, seed, expected, buffered
+    ):
+        bulk, scalar = RandomSource(seed), RandomSource(seed)
+        if buffered:
+            bulk.integer(0, 10)
+            scalar.integer(0, 10)
+        with bulk.bounded_integers(expected) as draw:
+            got = [draw(n) for n in sizes]
+        assert got == [scalar.integer(0, n) for n in sizes]
+        assert state_of(bulk) == state_of(scalar)
+        assert bulk.uniform() == scalar.uniform()
+
+    def test_rejects_sizes_outside_the_32_bit_path(self):
+        rng, untouched = RandomSource(5), RandomSource(5)
+        with rng.bounded_integers(4) as draw:
+            for n in (0, 2**32):
+                with pytest.raises(ValueError):
+                    draw(n)
+        assert state_of(rng) == state_of(untouched)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simulation.random import RandomSource
 from repro.storage.block import Block, BlockReplica
@@ -217,15 +219,15 @@ def twin_pair(seed=1, primary_aware=True):
 
 
 def layout_of(namenode, block_id) -> list[tuple[str, bool]]:
-    """(server, healthy) per replica slot of a table row, in slot order."""
+    """(server, healthy) per ever-held server of a table row, in insertion
+    order — the scalar ``Block.replicas`` dict.  Also checks that the live
+    slots are exactly that record's healthy entries, in the same order."""
     table = namenode.block_table
     row = table.row_of(block_id)
-    return [
-        (table.server_ids[int(server)], bool(healthy))
-        for server, healthy in zip(
-            table.holders_of(row), table.replica_healthy[row]
-        )
-    ]
+    live = table.healthy_servers_of(row).tolist()
+    holders = table.holders_of(row)
+    assert live == [server for server in holders if server in live]
+    return [(table.server_ids[server], server in live) for server in holders]
 
 
 def scalar_layout(block) -> list[tuple[str, bool]]:
@@ -478,6 +480,58 @@ class TestBlockTableUnit:
         table.add_replica(second, 0)  # slot reuse re-enters the index
         assert table.rows_on(0) == {first, second}
         assert table.rows_on(2) == set()
+
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["add", "destroy", "reimage"]),
+                st.integers(0, 1),
+                st.integers(0, 3),
+            ),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_mutations_match_the_scalar_block(self, ops):
+        """Random adds (re-adds included), destroys and whole-server
+        destroys leave every row laid out like the scalar ``Block``."""
+        servers = [f"s-{i}" for i in (3, 10, 2, 0)]  # rank != index
+        table = BlockTable(servers, replica_slots=2)
+        blocks = [Block(f"b{i}", 0.25, 4) for i in range(2)]
+        rows = [table.append(b.block_id, 0.25, 4) for b in blocks]
+        for kind, which, server in ops:
+            block, row = blocks[which], rows[which]
+            if kind == "add":
+                healthy = servers[server] in block.servers_with_healthy_replicas()
+                if healthy:
+                    with pytest.raises(ValueError):
+                        table.add_replica(row, server)
+                    continue
+                block.add_replica(BlockReplica(servers[server], "t"))
+                table.add_replica(row, server)
+            elif kind == "destroy":
+                expected = block.destroy_replica_on(servers[server], 0.0)
+                assert table.destroy_replica(row, server) == expected
+            else:
+                touched = set(table.destroy_replicas_on(server).tolist())
+                assert touched == {
+                    r
+                    for b, r in zip(blocks, rows)
+                    if b.destroy_replica_on(servers[server], 0.0)
+                }
+        for block, row in zip(blocks, rows):
+            live = table.healthy_servers_of(row).tolist()
+            assert [servers[i] for i in live] == block.servers_with_healthy_replicas()
+            assert [
+                (servers[i], i in live) for i in table.holders_of(row)
+            ] == scalar_layout(block)
+            assert table.is_lost(row) == block.lost
+        for index, server_id in enumerate(servers):
+            assert table.rows_on(index) == {
+                r
+                for b, r in zip(blocks, rows)
+                if server_id in b.servers_with_healthy_replicas()
+            }
 
     def test_sorted_server_order_is_lexicographic(self):
         table = BlockTable(["s-10", "s-2", "s-1"])

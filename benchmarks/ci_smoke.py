@@ -18,6 +18,9 @@ All checks run at tiny scale so the whole script stays in about a minute:
   output parses (fig12, and fig16 on a 2-worker pool with its points),
   the continuous-mode flags (``--traffic``/``--epochs``/``--epoch-seconds``)
   shape a run, and ``--workload`` shapes one while a bogus spec fails;
+* hash seeds: the ``--json`` document of six storage and scheduling
+  scenarios is identical under ``PYTHONHASHSEED=1`` and ``2``, apart from
+  the keys the fingerprint leaves out;
 * payload shape: the tiny benchmark payloads CI emits into ``BENCH_FRESH``
   (``benchmarks/emit_bench.py --scale tiny --output-dir /tmp/bench-fresh``)
   are TINY-scale, with a positive wall clock and a headline per scenario.
@@ -30,12 +33,14 @@ stdin heredoc) because the spawn pool re-imports ``__main__`` from its path.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 from repro.api import TINY_SCALE, run, run_continuous
+from repro.api.result import UNFINGERPRINTED_KEYS
 
 #: Where the continuous smoke writes its serial per-epoch headline.
 EPOCHS_JSON = Path("/tmp/continuous-epochs.json")
@@ -44,10 +49,24 @@ EPOCHS_JSON = Path("/tmp/continuous-epochs.json")
 BENCH_FRESH = Path("/tmp/bench-fresh")
 
 
-def cli(*args: str, expect: int = 0) -> str:
+#: The storage figures, the reimage-heavy failure storm, and the scheduling
+#: kinds (testbed, heterogeneous fleet, and the predictor ablation, whose
+#: reserve controller resizes the reserve mid-run).
+HASH_SEED_SCENARIOS = (
+    "fig15-durability",
+    "fig12-storage-testbed",
+    "failure-storm",
+    "fig10-11-scheduling-testbed",
+    "heterogeneous-fleet",
+    "predictor-ablation",
+)
+
+
+def cli(*args: str, expect: int = 0, env=None) -> str:
     """Run ``repro <args>``; returns stdout, failing on an unexpected exit."""
     done = subprocess.run(
-        [sys.executable, "-m", "repro.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "repro.cli", *args],
+        capture_output=True, text=True, env=env,
     )
     assert done.returncode == expect, (args, done.returncode, done.stderr)
     return done.stdout
@@ -214,6 +233,21 @@ def check_cli_surface() -> None:
     print("CLI surface ok")
 
 
+def check_hash_seeds() -> None:
+    for scenario in HASH_SEED_SCENARIOS:
+        documents = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            data = json.loads(
+                cli("run-scenario", scenario, "--json", "--scale", "tiny", env=env)
+            )
+            for key in UNFINGERPRINTED_KEYS:
+                data.pop(key)
+            documents.append(json.dumps(data, sort_keys=True))
+        assert documents[0] == documents[1], f"{scenario} differs across hash seeds"
+        print(scenario, "identical across hash seeds")
+
+
 def check_payload_shape() -> None:
     for name in ("BENCH_compute.json", "BENCH_storage.json"):
         payload = json.loads((BENCH_FRESH / name).read_text())
@@ -234,6 +268,7 @@ def main() -> None:
         check_long_horizon(work)
         check_run_forever(work)
     check_cli_surface()
+    check_hash_seeds()
     check_payload_shape()
 
 

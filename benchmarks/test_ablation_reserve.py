@@ -53,7 +53,7 @@ def run_one(reserve_fraction: float) -> Dict[str, float]:
     cluster.submit_arrivals(generator.arrivals(duration * 0.8))
     cluster.run(duration)
     return {
-        "utilization": cluster.metrics.time_series("total_utilization").mean(),
+        "utilization": cluster.average_utilization(),
         "kills": float(cluster.total_tasks_killed()),
         "jobs": float(cluster.completed_job_count()),
         "job_seconds": cluster.average_job_execution_seconds(),

@@ -28,6 +28,11 @@ from repro.harness.cells import CellTiming
 from repro.harness.results import result_telemetry, result_to_jsonable
 from repro.harness.spec import ScenarioSpec
 
+#: Top-level keys of :meth:`RunResult.to_jsonable` that may differ between
+#: two runs of the same (spec, seed); :meth:`RunResult.fingerprint` digests
+#: everything else.
+UNFINGERPRINTED_KEYS = ("wall_clock_seconds", "timings", "telemetry")
+
 
 @dataclass
 class RunResult:
@@ -109,11 +114,11 @@ class RunResult:
         simulation itself diverged.  For ``continuous`` runs the digested
         document embeds the full per-variant epoch stream, so the
         fingerprint certifies every window of the horizon, not just a
-        terminal summary.  Everything but ``wall_clock_seconds``,
-        ``timings`` and ``telemetry`` is digested.
+        terminal summary.  Everything but :data:`UNFINGERPRINTED_KEYS`
+        (``wall_clock_seconds``, ``timings`` and ``telemetry``) is digested.
         """
         data = self.to_jsonable()
-        for key in ("wall_clock_seconds", "timings", "telemetry"):
+        for key in UNFINGERPRINTED_KEYS:
             data.pop(key)
         canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -32,7 +32,6 @@ import numpy as np
 from repro.cluster.fleet_state import FleetState
 from repro.cluster.resources import Resource
 from repro.cluster.server import Container
-from repro.simulation.metrics import MetricRegistry
 from repro.simulation.random import RandomSource
 
 
@@ -69,7 +68,10 @@ class ResourceManager:
             primary-aware.
         mode: which scheduler variant to behave as.
         rng: the placement draw stream.
-        metrics: where the placement fast path ticks ``waves_coalesced``.
+
+    Attributes:
+        waves_coalesced: waves the placement fast path served from a
+            maintained candidate-mask entry.
     """
 
     def __init__(
@@ -77,11 +79,10 @@ class ResourceManager:
         fleet: FleetState,
         mode: SchedulerMode = SchedulerMode.HISTORY,
         rng: Optional[RandomSource] = None,
-        metrics: Optional[MetricRegistry] = None,
     ) -> None:
         self.mode = mode
         self._rng = rng or RandomSource(0)
-        self.metrics = metrics or MetricRegistry()
+        self.waves_coalesced = 0
         self._fleet = fleet
         # Request shapes (allocation, labels) that the current cluster state
         # provably cannot place: a wave that left requests unsatisfied ran
@@ -90,9 +91,6 @@ class ResourceManager:
         # changes the view — any heartbeat refresh (which also carries the
         # kills), completion, or label change clears the set.
         self._exhausted: set = set()
-        # Lazily bound hot-path counter (created on first coalesced wave,
-        # exactly as metrics.counter() would).
-        self._waves_coalesced = None
 
     @property
     def fleet(self) -> FleetState:
@@ -331,12 +329,7 @@ class WaveBatch:
             key = (cores, memory_gb, frozenset(first.node_labels))
         entry = self._entries.get(key)
         if entry is not None:
-            counter = rm._waves_coalesced
-            if counter is None:
-                counter = rm._waves_coalesced = rm.metrics.counter(
-                    "waves_coalesced"
-                )
-            counter.increment()
+            rm.waves_coalesced += 1
             behind = len(log) - entry.seen
             if behind:
                 if behind <= self.REPLAY_LIMIT:

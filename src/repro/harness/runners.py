@@ -643,17 +643,15 @@ class AvailabilityRunner(ScenarioRunner):
 # ---------------------------------------------------------------------------
 
 
-#: Hot-path cache counters ticked by the RM/AM fast paths; snapshot into the
-#: result as telemetry, which ``--json`` output lists outside the
-#: fingerprinted result document.
-_SCHEDULER_COUNTER_NAMES = ("waves_coalesced", "frontier_cache_hits")
-
-
 def _scheduler_counters(cluster: HarvestingCluster) -> Dict[str, int]:
-    """Snapshot the hot-path cache counters from one cluster's registry."""
+    """Snapshot the RM/AM hot-path cache counters of one cluster.
+
+    The result carries them as telemetry, which ``--json`` output lists
+    outside the fingerprinted result document.
+    """
     return {
-        name: cluster.metrics.counter_value(name)
-        for name in _SCHEDULER_COUNTER_NAMES
+        "waves_coalesced": cluster.resource_manager.waves_coalesced,
+        "frontier_cache_hits": cluster.app_master.frontier_cache_hits,
     }
 
 
@@ -960,9 +958,7 @@ def _run_scheduling_variant(
         average_job_seconds=cluster.average_job_execution_seconds(),
         jobs_completed=cluster.completed_job_count(),
         tasks_killed=cluster.total_tasks_killed(),
-        average_cpu_utilization=cluster.metrics.time_series(
-            "total_utilization"
-        ).mean(),
+        average_cpu_utilization=cluster.average_utilization(),
         latency_samples=latencies,
         job_execution_seconds=[r.execution_seconds for r in cluster.results],
         scheduler_counters=_scheduler_counters(cluster),

@@ -421,6 +421,15 @@ def _pop_float(fields: Dict[str, str], key: str, spec: str, default=None) -> Any
         raise ValueError(f"bad traffic spec {spec!r}: {error}") from None
 
 
+def _pop_int(fields: Dict[str, str], key: str, spec: str, default=None) -> int:
+    value = _pop_float(fields, key, spec, default)
+    if float(value) != int(value):
+        raise ValueError(
+            f"bad traffic spec {spec!r}: {key} must be integral (got {value})"
+        )
+    return int(value)
+
+
 def parse_traffic(spec: str) -> TrafficDriver:
     """A :class:`TrafficDriver` from a compact spec string.
 
@@ -455,7 +464,7 @@ def parse_traffic(spec: str) -> TrafficDriver:
                 rate,
                 amplitude=_pop_float(fields, "amplitude", spec, default=0.5),
                 period_seconds=_pop_float(fields, "period", spec, default=86400.0),
-                slots=int(_pop_float(fields, "slots", spec, default=24)),
+                slots=_pop_int(fields, "slots", spec, default=24),
             )
         else:
             raise ValueError(
@@ -463,7 +472,7 @@ def parse_traffic(spec: str) -> TrafficDriver:
             )
         driver: TrafficDriver = OpenLoopDriver(schedule)
     elif kind == "closed":
-        users = int(_pop_float(fields, "users", spec))
+        users = _pop_int(fields, "users", spec)
         think = _pop_float(fields, "think", spec, default=300.0)
         driver = ClosedLoopDriver(users, think)
     else:
@@ -570,7 +579,7 @@ class EpochRecorder:
             "jobs_submitted": self.driver.jobs_submitted,
             "jobs_completed": len(results),
             "tasks_completed": sum(r.tasks_completed for r in results),
-            "tasks_killed": self.cluster.metrics.counter_value("tasks_killed"),
+            "tasks_killed": self.cluster.total_tasks_killed(),
         }
 
     def _boundary(self, engine) -> None:

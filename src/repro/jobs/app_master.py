@@ -24,7 +24,6 @@ from repro.core.job_types import JobHistory, JobType
 from repro.jobs.dag import JobDag, Task, TaskState
 from repro.jobs.task_table import CODE_OF_STATE, TaskTable, TaskView
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.metrics import MetricRegistry
 
 
 @dataclass
@@ -132,7 +131,11 @@ class ApplicationMaster:
         engine: the shared simulation engine.
         resource_manager: the RM (of whichever variant) to request from.
         history: shared job history for typing and duration recording.
-        metrics: shared metric registry.
+
+    Attributes:
+        tasks_killed: task attempts lost to reserve kills, over every job.
+        frontier_cache_hits: waves served straight from a task table's
+            frontier cache.
     """
 
     def __init__(
@@ -140,21 +143,18 @@ class ApplicationMaster:
         engine: SimulationEngine,
         resource_manager: ResourceManager,
         history: JobHistory,
-        metrics: Optional[MetricRegistry] = None,
     ) -> None:
         self._engine = engine
         self._rm = resource_manager
         self._history = history
-        self.metrics = metrics or resource_manager.metrics
+        self.tasks_killed = 0
+        self.frontier_cache_hits = 0
         self._results: List[JobResult] = []
         # Container id -> owning execution, maintained across launches and
         # completions so a reserve-kill heartbeat resolves its affected
         # executions with dict lookups instead of fanning out over every
         # live execution (see :meth:`resolve_kills`).
         self._owner: Dict[int, JobExecution] = {}
-        # Lazily bound hot-path counter (created on first hit, exactly as
-        # metrics.counter() would).
-        self._frontier_hits = None
         #: Optional completion hook: called as ``on_job_finished(execution,
         #: result)`` after a job's result is recorded.  Closed-loop traffic
         #: drivers use it to schedule the submitting user's next job.
@@ -254,7 +254,7 @@ class ApplicationMaster:
         self._owner.pop(container.container_id, None)
         task.state = TaskState.KILLED
         execution.tasks_killed += 1
-        self.metrics.counter("tasks_killed").increment()
+        self.tasks_killed += 1
 
     def resolve_kills(self, killed: List[Container]) -> None:
         """Return every killed container's task to its job's runnable pool.
@@ -305,12 +305,7 @@ class ApplicationMaster:
             return None
         wave = execution.table.cached_runnable_views()
         if wave is not None:
-            counter = self._frontier_hits
-            if counter is None:
-                counter = self._frontier_hits = self.metrics.counter(
-                    "frontier_cache_hits"
-                )
-            counter.increment()
+            self.frontier_cache_hits += 1
         else:
             wave = execution.runnable_tasks()
         if not wave:

@@ -36,7 +36,6 @@ from repro.jobs.app_master import ApplicationMaster, JobExecution, JobResult
 from repro.jobs.dag import JobDag
 from repro.jobs.workload import JobArrival
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.metrics import MetricRegistry
 from repro.simulation.random import RandomSource
 from repro.traces.datacenter import PrimaryTenant
 
@@ -96,7 +95,9 @@ class HarvestingCluster:
         self.config = config or ClusterConfig()
         self._rng = rng or RandomSource(0)
         self.engine = engine or SimulationEngine()
-        self.metrics = MetricRegistry()
+        #: Cluster-wide CPU utilization (primary plus harvested), one value
+        #: per heartbeat.
+        self.heartbeat_utilization: List[float] = []
         self._tenants = {t.tenant_id: t for t in tenants}
 
         rows = []
@@ -116,7 +117,6 @@ class HarvestingCluster:
             fleet,
             mode=self.config.mode,
             rng=self._rng.fork("rm"),
-            metrics=self.metrics,
         )
         self.clustering = ClusteringService(rng=self._rng.fork("clustering"))
         self.selector = ClassSelector(
@@ -125,7 +125,7 @@ class HarvestingCluster:
         )
         self.history = JobHistory()
         self.app_master = ApplicationMaster(
-            self.engine, self.resource_manager, self.history, self.metrics
+            self.engine, self.resource_manager, self.history
         )
 
         if self.config.mode is SchedulerMode.HISTORY:
@@ -228,8 +228,8 @@ class HarvestingCluster:
             # ``ApplicationMaster.pump_all``).
             self.app_master.resolve_kills(killed)
             self.app_master.pump_all(self._executions)
-        self.metrics.time_series("total_utilization").add(
-            engine.now, self.resource_manager.average_total_utilization(engine.now)
+        self.heartbeat_utilization.append(
+            float(self.resource_manager.average_total_utilization(engine.now))
         )
         # Per-server view of primary demand and batch allocation, used by the
         # testbed experiments to evaluate the primary tail-latency model at
@@ -282,7 +282,12 @@ class HarvestingCluster:
 
     def total_tasks_killed(self) -> int:
         """Total task attempts killed by reserve enforcement."""
-        return self.metrics.counter_value("tasks_killed")
+        return self.app_master.tasks_killed
+
+    def average_utilization(self) -> float:
+        """Mean of :attr:`heartbeat_utilization` (0.0 before any heartbeat)."""
+        values = self.heartbeat_utilization
+        return float(np.mean(values)) if values else 0.0
 
     def completed_job_count(self) -> int:
         """How many jobs finished during the run."""

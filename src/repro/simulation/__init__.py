@@ -2,27 +2,16 @@
 
 The paper evaluates its policies with a datacenter-scale simulator that
 replays primary-tenant utilization and reimaging behaviour (Section 6.1).
-This package provides the deterministic event engine, the seeded random
-source, and the metric collectors that the YARN-like, Tez-like and HDFS-like
-simulators are built on.
+This package provides the deterministic event engine and the seeded random
+source that the YARN-like, Tez-like and HDFS-like simulators are built on.
 """
 
 from repro.simulation.engine import Event, SimulationEngine, Process
-from repro.simulation.metrics import (
-    Counter,
-    Distribution,
-    MetricRegistry,
-    TimeSeries,
-)
 from repro.simulation.random import RandomSource
 
 __all__ = [
     "Event",
     "SimulationEngine",
     "Process",
-    "Counter",
-    "Distribution",
-    "MetricRegistry",
-    "TimeSeries",
     "RandomSource",
 ]

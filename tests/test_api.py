@@ -9,11 +9,13 @@ order and every cell draws only from its recorded child seeds.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 import repro.api as api
+from repro.api.result import UNFINGERPRINTED_KEYS
 from repro.harness import ExperimentHarness, get_scenario
 from repro.harness.config import TINY_SCALE
 from repro.harness.results import result_to_jsonable
@@ -269,6 +271,28 @@ class TestRunResultEnvelope:
             tiny_fig13.payload.points[0].scheduler_counters["yarn_h"][
                 "waves_coalesced"
             ] -= 1
+
+    def test_fingerprint_digests_all_but_the_unfingerprinted_keys(self, tiny_fig13):
+        document = tiny_fig13.to_jsonable()
+        assert set(UNFINGERPRINTED_KEYS) < set(document)
+        for key in UNFINGERPRINTED_KEYS:
+            document.pop(key)
+        canonical = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        assert tiny_fig13.fingerprint() == digest
+
+    def test_sweep_telemetry_counts_frontier_cache_hits(self, tiny_fig13):
+        points = tiny_fig13.to_jsonable()["telemetry"]["points"]
+        assert all(
+            set(counters) == {"waves_coalesced", "frontier_cache_hits"}
+            for point in points
+            for counters in point["scheduler_counters"].values()
+        )
+        assert sum(
+            counters["frontier_cache_hits"]
+            for point in points
+            for counters in point["scheduler_counters"].values()
+        ) > 0
 
     def test_sweep_telemetry_counts_coalesced_waves(self, tiny_fig13):
         points = tiny_fig13.to_jsonable()["telemetry"]["points"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.result import UNFINGERPRINTED_KEYS
 from repro.cli import build_parser, main
 
 
@@ -219,7 +220,7 @@ class TestWorkloadFlags:
             assert exit_code == 0
             payload = json.loads(capsys.readouterr().out)
             # Timing and provenance fields legitimately differ per run.
-            for key in ("wall_clock_seconds", "timings", "telemetry"):
+            for key in UNFINGERPRINTED_KEYS:
                 payload.pop(key, None)
             return payload
 

@@ -255,7 +255,7 @@ class TestScheduleWavesParity:
         # Identical random stream position and starvation accounting.
         assert batch_rm._rng.uniform() == scalar_rm._rng.uniform()
         assert batch_rm._exhausted == scalar_rm._exhausted
-        assert batch_rm.metrics.counter_value("waves_coalesced") >= 2
+        assert batch_rm.waves_coalesced >= 2
 
     def test_label_permutations_coalesce_and_match_oracle(self):
         utils = {f"s{i}": 0.15 for i in range(8)}
@@ -276,19 +276,19 @@ class TestScheduleWavesParity:
         assert batch_rm._rng.uniform() == scalar_rm._rng.uniform()
         # A permuted label list is the same OR-of-label masks: the second
         # wave reuses the first wave's entry instead of rebuilding it.
-        assert batch_rm.metrics.counter_value("waves_coalesced") == 1
+        assert batch_rm.waves_coalesced == 1
 
     def test_waves_coalesced_counts_only_within_a_batch(self):
         rm = build_rm(SchedulerMode.PRIMARY_AWARE, {f"s{i}": 0.1 for i in range(4)})
         alloc = Resource(1.0, 2.0)
         batch = rm.begin_batch(0.0)
         batch.schedule(self._wave("a", 2, alloc))
-        assert rm.metrics.counter_value("waves_coalesced") == 0
+        assert rm.waves_coalesced == 0
         batch.schedule(self._wave("b", 2, alloc))
-        assert rm.metrics.counter_value("waves_coalesced") == 1
+        assert rm.waves_coalesced == 1
         # A fresh batch starts from fresh masks; reuse never spans ticks.
         rm.begin_batch(1.0).schedule(self._wave("c", 1, alloc))
-        assert rm.metrics.counter_value("waves_coalesced") == 1
+        assert rm.waves_coalesced == 1
 
     def test_mixed_wave_rejected(self):
         rm = build_rm(SchedulerMode.PRIMARY_AWARE, {"a": 0.1})

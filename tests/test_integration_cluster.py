@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.cluster.resource_manager import SchedulerMode
+from repro.harness.runners import _scheduler_counters
 from repro.jobs.scheduler_variants import ClusterConfig, HarvestingCluster
 from repro.jobs.dag import JobDag, Vertex
 from repro.jobs.tpcds import TpcdsWorkloadFactory
@@ -20,11 +22,34 @@ def build_cluster(small_tenants, mode: SchedulerMode, **config_kwargs):
     )
 
 
-def quick_workload(rng_seed: int = 7):
+def quick_workload(
+    rng_seed: int = 7, width_scale: float = 0.05, interarrival: float = 120.0
+):
     factory = TpcdsWorkloadFactory(
-        RandomSource(rng_seed), duration_scale=0.3, width_scale=0.05
+        RandomSource(rng_seed), duration_scale=0.3, width_scale=width_scale
     )
-    return WorkloadGenerator(factory, 120.0, RandomSource(rng_seed))
+    return WorkloadGenerator(factory, interarrival, RandomSource(rng_seed))
+
+
+#: Horizon of :func:`busy_cluster_run`.
+BUSY_SECONDS = 1800.0
+
+
+def busy_cluster_run(small_tenants, mode: SchedulerMode, seed: int, recorder=None):
+    """A cluster after a run whose load makes the reserve kill.
+
+    Wide jobs arriving every 30 s keep the harvested capacity busy, so
+    primary bursts reach running containers.
+    """
+    cluster = HarvestingCluster(
+        small_tenants, config=ClusterConfig(mode=mode), rng=RandomSource(seed)
+    )
+    if recorder is not None:
+        cluster.set_series_recorder(recorder)
+    generator = quick_workload(seed, width_scale=0.3, interarrival=30.0)
+    cluster.submit_arrivals(generator.arrivals(BUSY_SECONDS))
+    cluster.run(BUSY_SECONDS)
+    return cluster
 
 
 class TestHistoryCluster:
@@ -73,7 +98,7 @@ class TestVariantComparison:
         cluster.submit_arrivals(generator.arrivals(600.0))
         cluster.run(1800.0)
         assert cluster.completed_job_count() > 0
-        assert cluster.metrics.time_series("total_utilization").count > 0
+        assert len(cluster.heartbeat_utilization) > 0
 
     def test_stock_mode_has_no_labels(self, small_tenants):
         cluster = build_cluster(small_tenants, SchedulerMode.STOCK)
@@ -81,19 +106,56 @@ class TestVariantComparison:
         assert [fleet.label_of(i) for i in range(len(fleet))] == [None] * len(fleet)
 
     def test_total_utilization_at_least_primary(self, small_tenants):
+        from test_streaming import RetainAllRecorder
+
         cluster = build_cluster(small_tenants, SchedulerMode.HISTORY)
+        recorder = RetainAllRecorder()
+        cluster.set_series_recorder(recorder)
         generator = quick_workload()
         cluster.submit_arrivals(generator.arrivals(600.0))
         cluster.run(1800.0)
-        series = cluster.metrics.time_series("total_utilization")
-        assert series.count > 0
+        values = cluster.heartbeat_utilization
+        assert len(values) > 0
+        assert len(values) == len(recorder.times)
         # Primary utilization is a pure function of time (the traces), so
         # the per-heartbeat primary means can be recomputed after the run.
         fleet = cluster.fleet
         primary = sum(
-            fleet.primary_utilization(time).mean() for time in series.times
-        ) / series.count
-        assert series.mean() >= primary - 1e-9
+            fleet.primary_utilization(time).mean() for time in recorder.times
+        ) / len(values)
+        assert cluster.average_utilization() >= primary - 1e-9
+
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    @pytest.mark.parametrize(
+        "mode",
+        [SchedulerMode.PRIMARY_AWARE, SchedulerMode.HISTORY],
+        ids=["pt", "history"],
+    )
+    def test_kill_counts_are_conserved(self, small_tenants, mode, seed):
+        from test_streaming import RetainAllRecorder
+
+        recorder = RetainAllRecorder()
+        cluster = busy_cluster_run(small_tenants, mode, seed, recorder)
+        killed = cluster.total_tasks_killed()
+        assert killed > 0
+        assert killed == cluster.app_master.tasks_killed
+        # Every kill is charged to exactly one job, finished or still live.
+        finished = sum(result.tasks_killed for result in cluster.results)
+        live = sum(e.tasks_killed for e in cluster._executions if not e.finished)
+        assert killed == finished + live
+        # One utilization value per heartbeat.
+        heartbeats = int(BUSY_SECONDS // cluster.config.heartbeat_seconds)
+        assert len(cluster.heartbeat_utilization) == heartbeats
+        assert len(recorder.times) == heartbeats
+
+    def test_stock_mode_never_kills(self, small_tenants):
+        # Stock YARN keeps no reserve, so even the busy workload that makes
+        # the primary-aware variants kill leaves every task alone.
+        cluster = busy_cluster_run(small_tenants, SchedulerMode.STOCK, 7)
+        assert cluster.completed_job_count() > 0
+        assert cluster.total_tasks_killed() == 0
+        assert all(result.tasks_killed == 0 for result in cluster.results)
+        assert all(e.tasks_killed == 0 for e in cluster._executions)
 
     def test_run_duration_validated(self, small_tenants):
         cluster = build_cluster(small_tenants, SchedulerMode.HISTORY)
@@ -114,3 +176,34 @@ class TestVariantComparison:
         assert cluster.fleet.server_ids == [
             s.server_id for t in small_tenants for s in t.servers
         ]
+
+
+class TestPlainCounts:
+    """The run counts live as plain fields on the RM, the AM and the cluster."""
+
+    def test_fresh_cluster_counts_are_zero(self, small_tenants):
+        cluster = build_cluster(small_tenants, SchedulerMode.HISTORY)
+        assert cluster.total_tasks_killed() == 0
+        assert cluster.app_master.frontier_cache_hits == 0
+        assert cluster.resource_manager.waves_coalesced == 0
+        assert cluster.heartbeat_utilization == []
+        assert cluster.average_utilization() == 0.0
+
+    def test_average_utilization_is_the_heartbeat_mean(self, small_tenants):
+        cluster = busy_cluster_run(small_tenants, SchedulerMode.HISTORY, 7)
+        values = cluster.heartbeat_utilization
+        assert all(type(value) is float for value in values)
+        assert all(0.0 <= value <= 1.0 for value in values)
+        # Bit-identical to the mean the results have always reported.
+        assert cluster.average_utilization() == float(np.mean(values))
+
+    def test_scheduler_counters_read_the_fields(self, small_tenants):
+        cluster = busy_cluster_run(small_tenants, SchedulerMode.HISTORY, 7)
+        counters = _scheduler_counters(cluster)
+        assert counters == {
+            "waves_coalesced": cluster.resource_manager.waves_coalesced,
+            "frontier_cache_hits": cluster.app_master.frontier_cache_hits,
+        }
+        # The busy workload exercises both hot-path caches.
+        assert counters["waves_coalesced"] > 0
+        assert counters["frontier_cache_hits"] > 0

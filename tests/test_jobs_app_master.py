@@ -96,9 +96,9 @@ class TestJobExecution:
 
     def test_metrics_updated(self):
         engine, rm, am, _, execution, killed = spiked_rig()
-        assert am.metrics.counter_value("tasks_killed") == 0
+        assert am.tasks_killed == 0
         am.resolve_kills(killed)
-        assert am.metrics.counter_value("tasks_killed") == len(killed)
+        assert am.tasks_killed == len(killed)
         assert execution.tasks_killed == len(killed)
 
 
@@ -174,9 +174,7 @@ class TestKillHandling:
             first_b.tasks_killed,
             second_b.tasks_killed,
         )
-        assert am_a.metrics.counter_value("tasks_killed") == am_b.metrics.counter_value(
-            "tasks_killed"
-        )
+        assert am_a.tasks_killed == am_b.tasks_killed
         assert {c for c in first_a.running} == {c for c in first_b.running}
         assert {c for c in second_a.running} == {c for c in second_b.running}
 
@@ -197,15 +195,15 @@ class TestPumpFastPathCounters:
         # The submit-time pump launches what fits and leaves the rest
         # queued; the launches dirtied the frontier.
         engine.run_until(1.0)
-        assert am.metrics.counter_value("frontier_cache_hits") == 0
+        assert am.frontier_cache_hits == 0
         # A heartbeat clears the exhaustion flag without touching any task
         # state.  The next pump rebuilds the frontier (miss), places
         # nothing, and starves again.
         rm.process_heartbeats(1.0)
         am.pump_all([execution])
-        assert am.metrics.counter_value("frontier_cache_hits") == 0
+        assert am.frontier_cache_hits == 0
         # Re-polling the same starved wave with no transition in between is
         # the fast path: the wave comes straight from the TaskTable cache.
         rm.process_heartbeats(2.0)
         am.pump_all([execution])
-        assert am.metrics.counter_value("frontier_cache_hits") == 1
+        assert am.frontier_cache_hits == 1

@@ -143,6 +143,8 @@ class TestParseTraffic:
             "closed:users=2,think=nan",
             "closed:users=2,think=-inf",
             "open:rate=0.1,profile=step,step_at=nan,step_rate=0.2",
+            "closed:users=2.9",  # integer fields are not truncated
+            "open:rate=0.01,profile=diurnal,slots=3.5",
         ],
     )
     def test_rejects_malformed_specs(self, bad):
@@ -151,6 +153,44 @@ class TestParseTraffic:
         if "nan" in bad or "inf" in bad:
             with pytest.raises(ValueError, match="is not a finite number"):
                 parse_traffic(bad)
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ("closed:users=2.9", "users"),
+            ("closed:users=0.5,think=60", "users"),
+            ("open:rate=0.01,profile=diurnal,slots=3.5", "slots"),
+        ],
+    )
+    def test_non_integral_count_names_its_key(self, spec, key):
+        with pytest.raises(ValueError, match=f"{key} must be integral"):
+            parse_traffic(spec)
+
+    @pytest.mark.parametrize(
+        "spec, same_as",
+        [
+            ("closed:users=3.0", "closed:users=3"),
+            ("closed:users=1e1,think=60", "closed:users=10,think=60"),
+            (
+                "open:rate=0.01,profile=diurnal,slots=4.0",
+                "open:rate=0.01,profile=diurnal,slots=4",
+            ),
+            ("open:rate=0.01,profile=diurnal", "open:rate=0.01,profile=diurnal,slots=24"),
+        ],
+    )
+    def test_integral_counts_still_parse(self, spec, same_as):
+        driver, expected = parse_traffic(spec), parse_traffic(same_as)
+        assert type(driver) is type(expected)
+        assert driver.describe() == expected.describe()
+        if isinstance(driver, ClosedLoopDriver):
+            assert type(driver.users) is int
+            assert driver.users == expected.users
+            assert driver.think_seconds == expected.think_seconds
+        else:
+            horizon = 3 * 86400.0
+            assert driver.schedule.segments(horizon) == expected.schedule.segments(
+                horizon
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.grid import GridCell, GridClustering
-from repro.simulation.random import RandomSource
+from repro.simulation.random import Draws, RandomSource
 
 #: Pool size at which the index-pool scans switch from plain Python lists to
 #: numpy masks.  Both branches build identical candidate pools in identical
@@ -105,6 +105,33 @@ class ReplicaPlacer:
         if block_size_gb <= 0:
             raise ValueError("block_size_gb must be positive")
         self._block_size_gb = block_size_gb
+        #: ``(grid, environment, rack, relaxed name)`` constraint sets, tried
+        #: in order for each replica; soft mode relaxes rack, then
+        #: environment, then rows/columns.
+        self._relaxation_plan: List[Tuple[bool, bool, bool, Optional[str]]] = [
+            (
+                constraints.distinct_rows_and_columns,
+                constraints.distinct_environments,
+                constraints.distinct_racks,
+                None,
+            )
+        ]
+        if not constraints.hard:
+            if constraints.distinct_racks:
+                self._relaxation_plan.append(
+                    (
+                        constraints.distinct_rows_and_columns,
+                        constraints.distinct_environments,
+                        False,
+                        "rack",
+                    )
+                )
+            if constraints.distinct_environments:
+                self._relaxation_plan.append(
+                    (constraints.distinct_rows_and_columns, False, False, "environment")
+                )
+            if constraints.distinct_rows_and_columns:
+                self._relaxation_plan.append((False, False, False, "rows_and_columns"))
         self._index_grid()
 
     def _index_grid(self) -> None:
@@ -169,13 +196,14 @@ class ReplicaPlacer:
         self._server_rack = np.array(rack_codes, dtype=np.int64)
 
         self._non_empty_cells: List[GridCell] = grid.non_empty_cells()
-        self._cell_keys: List[Tuple[int, int]] = [
+        #: Per non-empty cell (by position), its grid row and column and its
+        #: candidate tenant indices with the static "has servers" filter
+        #: baked in, in the cell's ``tenant_ids`` order.
+        self._cell_rc: List[Tuple[int, int]] = [
             (cell.row, cell.column) for cell in self._non_empty_cells
         ]
-        #: Per-cell candidate tenant indices with the static "has servers"
-        #: filter baked in, in the cell's ``tenant_ids`` order.
-        self._cell_tenants: Dict[Tuple[int, int], np.ndarray] = {
-            (cell.row, cell.column): np.array(
+        self._cell_tenants: List[np.ndarray] = [
+            np.array(
                 [
                     self._tenant_index[tenant_id]
                     for tenant_id in cell.tenant_ids
@@ -184,22 +212,36 @@ class ReplicaPlacer:
                 dtype=np.int64,
             )
             for cell in self._non_empty_cells
-        }
-        # Plain-list mirrors of the columns for the small-pool fast path:
-        # below ``_VECTOR_MIN`` candidates, Python list scans beat numpy's
-        # per-op overhead (the shipped grids have a handful of tenants per
-        # cell); wide pools take the mask path.  ``_used_list`` is kept in
-        # sync by ``_consume_space`` / ``release_space``.
+        ]
+        #: Cells whose row and column are both unused, per used-row and
+        #: used-column bitsets; filled on demand.
+        self._open_cells: Dict[Tuple[int, int], List[int]] = {}
+        # Plain-list mirrors of the columns for the per-replica reads and
+        # the small-pool fast path: below ``_VECTOR_MIN`` candidates, Python
+        # list scans beat numpy's per-op overhead (the shipped grids have a
+        # handful of tenants per cell); wide pools take the mask path.
+        # ``_used_list`` is kept in sync by ``_consume_space`` /
+        # ``release_space``.
         self._avail_list: List[float] = self._avail.tolist()
         self._used_list: List[float] = self._used.tolist()
         self._env_list: List[int] = self._env_codes.tolist()
         self._rack_list: List[int] = self._server_rack.tolist()
-        self._cell_tenant_lists: Dict[Tuple[int, int], List[int]] = {
-            key: tenants.tolist() for key, tenants in self._cell_tenants.items()
-        }
+        self._cell_row_list: List[int] = self._cell_rows.tolist()
+        self._cell_col_list: List[int] = self._cell_cols.tolist()
+        self._server_tenant_list: List[int] = self._server_tenant.tolist()
+        self._cell_tenant_lists: List[List[int]] = [
+            tenants.tolist() for tenants in self._cell_tenants
+        ]
         self._server_lists: List[List[int]] = [
             servers.tolist() for servers in self._servers_of_tenant
         ]
+        #: The last exclusion mask :meth:`place_block_indices` saw, its
+        #: plain-list mirror, and per tenant the servers it leaves free
+        #: (filled on demand; the small-pool path reads them).
+        self._excluded_key: Optional[np.ndarray] = None
+        self._excluded: List[bool] = []
+        self._free_servers: List[Optional[List[int]]] = []
+        self._nothing_excluded = np.zeros(len(server_ids), dtype=bool)
 
     @property
     def num_servers(self) -> int:
@@ -267,8 +309,11 @@ class ReplicaPlacer:
         now (e.g. the NameNode marked them busy); they are skipped entirely,
         including for the locality replica.
         """
-        used_mask = np.zeros(len(self._server_ids), dtype=bool)
+        # An unchanged (empty) exclusion keeps one mask, so the per-mask
+        # caches of :meth:`place_block_indices` carry over between calls.
+        used_mask = self._nothing_excluded
         if excluded_servers:
+            used_mask = np.zeros(len(self._server_ids), dtype=bool)
             for server_id in excluded_servers:
                 index = self._server_index.get(server_id)
                 if index is not None:
@@ -279,14 +324,14 @@ class ReplicaPlacer:
             else None
         )
         picks, relaxed, complete = self.place_block_indices(
-            replication, creating_index, used_mask
+            replication, creating_index, used_mask, self._rng
         )
         decision = PlacementDecision(relaxed_constraints=relaxed, complete=complete)
         for server_internal, tenant_internal in picks:
             decision.server_ids.append(self._server_ids[server_internal])
             decision.tenant_ids.append(self._tenant_ids[tenant_internal])
-            row = int(self._cell_rows[tenant_internal])
-            column = int(self._cell_cols[tenant_internal])
+            row = self._cell_row_list[tenant_internal]
+            column = self._cell_col_list[tenant_internal]
             decision.cells.append((row, column) if row >= 0 else (-1, -1))
         return decision
 
@@ -295,11 +340,15 @@ class ReplicaPlacer:
         replication: int,
         creating_index: Optional[int],
         used_mask: np.ndarray,
+        draws: Draws,
     ) -> Tuple[List[Tuple[int, int]], List[str], bool]:
         """Index-pool twin of :meth:`place_block`, over internal server rows.
 
         ``used_mask`` marks servers that may not receive a replica; it is
-        mutated in place as replicas land (callers pass a per-block copy).
+        read, never written, and its plain-list mirror is cached by
+        identity, so a caller that changes the exclusions must pass a new
+        array.  ``draws`` is this placer's stream or a buffered session
+        open on it.
         Returns ``(picks, relaxed_constraints, complete)`` where each pick
         is an ``(internal server row, internal tenant row)`` pair.
 
@@ -313,192 +362,164 @@ class ReplicaPlacer:
         """
         if replication <= 0:
             raise ValueError(f"replication must be positive (got {replication})")
+        if used_mask is not self._excluded_key:
+            self._excluded_key = used_mask
+            self._excluded = used_mask.tolist()
+            self._free_servers = [None] * len(self._server_lists)
+        excluded = self._excluded
 
         picks: List[Tuple[int, int]] = []
+        placed: List[int] = []
+        placed_tenants: List[int] = []
         relaxed: List[str] = []
-        used_rows: List[int] = []
-        used_columns: List[int] = []
+        # Rows and columns used in the current round of three, as bitsets.
+        used_rows = used_columns = 0
         used_environments: List[int] = []
         used_racks: List[int] = []
+        cell_rows, cell_cols = self._cell_row_list, self._cell_col_list
+        envs, racks = self._env_list, self._rack_list
 
         def record(server_internal: int, tenant_internal: int) -> None:
-            row = int(self._cell_rows[tenant_internal])
+            nonlocal used_rows, used_columns
+            row = cell_rows[tenant_internal]
             if row >= 0:
-                column = int(self._cell_cols[tenant_internal])
-                if row not in used_rows:
-                    used_rows.append(row)
-                if column not in used_columns:
-                    used_columns.append(column)
-            environment = int(self._env_codes[tenant_internal])
+                used_rows |= 1 << row
+                used_columns |= 1 << cell_cols[tenant_internal]
+            environment = envs[tenant_internal]
             if environment not in used_environments:
                 used_environments.append(environment)
-            rack = int(self._server_rack[server_internal])
+            rack = racks[server_internal]
             if rack >= 0 and rack not in used_racks:
                 used_racks.append(rack)
-            used_mask[server_internal] = True
+            placed.append(server_internal)
+            placed_tenants.append(tenant_internal)
             self._consume_space(tenant_internal)
             picks.append((server_internal, tenant_internal))
 
-        if creating_index is not None and not used_mask[creating_index]:
-            tenant_internal = int(self._server_tenant[creating_index])
+        if creating_index is not None and not excluded[creating_index]:
+            tenant_internal = self._server_tenant_list[creating_index]
             if (
-                self._avail[tenant_internal] - self._used[tenant_internal]
+                self._avail_list[tenant_internal] - self._used_list[tenant_internal]
                 >= self._block_size_gb
             ):
                 # Replica 1: the creating server itself, for locality.
-                record(int(creating_index), tenant_internal)
+                record(creating_index, tenant_internal)
 
         while len(picks) < replication:
-            placed = self._place_one(
-                picks,
-                relaxed,
-                used_rows,
-                used_columns,
-                used_environments,
-                used_racks,
-                used_mask,
-                record,
-            )
-            if not placed:
+            for enforce_grid, enforce_env, enforce_rack, name in self._relaxation_plan:
+                chosen = self._try_place(
+                    self._cells_open(used_rows, used_columns) if enforce_grid else None,
+                    enforce_env and bool(used_environments),
+                    enforce_rack and bool(used_racks),
+                    used_environments,
+                    used_racks,
+                    used_mask,
+                    placed,
+                    placed_tenants,
+                    draws,
+                )
+                if chosen is not None:
+                    break
+            else:
                 return picks, relaxed, False
+            if name is not None and name not in relaxed:
+                relaxed.append(name)
+            record(*chosen)
             # Line 15-17 of Algorithm 2: after every three replicas, forget
             # the rows and columns selected so far.
             if len(picks) % 3 == 0:
-                used_rows.clear()
-                used_columns.clear()
+                used_rows = used_columns = 0
 
         return picks, relaxed, True
 
-    def _place_one(
-        self,
-        picks: List[Tuple[int, int]],
-        relaxed: List[str],
-        used_rows: List[int],
-        used_columns: List[int],
-        used_environments: List[int],
-        used_racks: List[int],
-        used_mask: np.ndarray,
-        record,
-    ) -> bool:
-        """Place the next replica; returns False when no placement exists."""
-        relaxation_plan: List[Tuple[bool, bool, bool, Optional[str]]] = [
-            (
-                self._constraints.distinct_rows_and_columns,
-                self._constraints.distinct_environments,
-                self._constraints.distinct_racks,
-                None,
-            )
-        ]
-        if not self._constraints.hard:
-            if self._constraints.distinct_racks:
-                relaxation_plan.append(
-                    (
-                        self._constraints.distinct_rows_and_columns,
-                        self._constraints.distinct_environments,
-                        False,
-                        "rack",
-                    )
-                )
-            if self._constraints.distinct_environments:
-                relaxation_plan.append(
-                    (
-                        self._constraints.distinct_rows_and_columns,
-                        False,
-                        False,
-                        "environment",
-                    )
-                )
-            if self._constraints.distinct_rows_and_columns:
-                relaxation_plan.append((False, False, False, "rows_and_columns"))
-
-        for enforce_grid, enforce_env, enforce_rack, relaxed_name in relaxation_plan:
-            chosen = self._try_place(
-                enforce_grid,
-                enforce_env,
-                enforce_rack,
-                used_rows,
-                used_columns,
-                used_environments,
-                used_racks,
-                used_mask,
-            )
-            if chosen is not None:
-                if relaxed_name is not None and relaxed_name not in relaxed:
-                    relaxed.append(relaxed_name)
-                record(*chosen)
-                return True
-        return False
+    def _cells_open(self, used_rows: int, used_columns: int) -> List[int]:
+        """Positions of the cells whose row and column are both unused."""
+        key = (used_rows, used_columns)
+        cells = self._open_cells.get(key)
+        if cells is None:
+            cells = self._open_cells[key] = [
+                position
+                for position, (row, column) in enumerate(self._cell_rc)
+                if not (used_rows >> row) & 1 and not (used_columns >> column) & 1
+            ]
+        return cells
 
     def _try_place(
         self,
-        enforce_grid: bool,
-        enforce_env: bool,
-        enforce_rack: bool,
-        used_rows: List[int],
-        used_columns: List[int],
+        cells: Optional[List[int]],
+        env_on: bool,
+        rack_on: bool,
         used_environments: List[int],
         used_racks: List[int],
         used_mask: np.ndarray,
+        placed: List[int],
+        placed_tenants: List[int],
+        draws: Draws,
     ) -> Optional[Tuple[int, int]]:
         """One attempt at placing a replica under the given constraint set.
 
-        Candidate tenants and servers are numpy mask intersections over the
-        columnar grid index; only the two shuffles and the final bounded
-        server pick touch the random stream.
+        ``cells`` are the cell positions the grid constraint leaves open
+        (``None``: every non-empty cell).  ``env_on`` / ``rack_on`` are set
+        only when the constraint is enforced and some replica already
+        claimed an environment / rack.  Servers in ``used_mask`` or
+        ``placed`` (which belong to ``placed_tenants``) are skipped; only
+        the two shuffles and the final bounded server pick touch the random
+        stream.
         """
-        keys = self._cell_keys
-        if enforce_grid:
-            keys = [
-                key
-                for key in keys
-                if key[0] not in used_rows and key[1] not in used_columns
-            ]
+        if cells is None:
+            cells = range(len(self._cell_rc))
+        block_size = self._block_size_gb
+        avail, used, envs = self._avail_list, self._used_list, self._env_list
+        racks, free_servers = self._rack_list, self._free_servers
         # Shuffle cells so the random choice below explores all of them
         # (``shuffle`` copies, so the cached cell list stays untouched).
-        keys = self._rng.shuffle(keys)
-        block_size = self._block_size_gb
-        env_on = enforce_env and bool(used_environments)
-        rack_on = enforce_rack and bool(used_racks)
-        for key in keys:
-            tenant_pool = self._cell_tenant_lists[key]
+        for cell in draws.shuffle(cells):
+            tenant_pool = self._cell_tenant_lists[cell]
             # Both branches build the same candidate membership in the same
             # order; the shuffles below consume the stream purely by length,
             # so the paths are interchangeable draw for draw.
             if len(tenant_pool) < _VECTOR_MIN:
-                avail, used, envs = self._avail_list, self._used_list, self._env_list
                 candidates = [
                     t
                     for t in tenant_pool
                     if avail[t] - used[t] >= block_size
                     and not (env_on and envs[t] in used_environments)
                 ]
+                if not candidates:
+                    continue
+                shuffled = draws.shuffle(candidates)
             else:
-                tenants = self._cell_tenants[key]
+                tenants = self._cell_tenants[cell]
                 mask = self._avail[tenants] - self._used[tenants] >= block_size
                 if env_on:
                     environments = self._env_codes[tenants]
                     for code in used_environments:
                         mask &= environments != code
-                candidates = tenants[mask]
-            if not len(candidates):
-                continue
-            if isinstance(candidates, list):
-                shuffled = self._rng.shuffle(candidates)
-            else:
-                shuffled = self._rng.shuffle_array(candidates)
+                if not mask.any():
+                    continue
+                shuffled = draws.shuffle_array(tenants[mask]).tolist()
             for tenant_internal in shuffled:
                 server_pool = self._server_lists[tenant_internal]
                 if len(server_pool) < _VECTOR_MIN:
-                    racks = self._rack_list
-                    pool = [
-                        s
-                        for s in server_pool
-                        if not used_mask[s]
-                        and not (rack_on and racks[s] in used_racks)
-                    ]
+                    pool = free_servers[tenant_internal]
+                    if pool is None:
+                        excluded = self._excluded
+                        pool = free_servers[tenant_internal] = [
+                            s for s in server_pool if not excluded[s]
+                        ]
+                    if rack_on:
+                        pool = [
+                            s
+                            for s in pool
+                            if s not in placed and racks[s] not in used_racks
+                        ]
+                    elif tenant_internal in placed_tenants:
+                        pool = [s for s in pool if s not in placed]
                 else:
                     servers = self._servers_of_tenant[tenant_internal]
                     ok = ~used_mask[servers]
+                    for server in placed:
+                        ok &= servers != server
                     if rack_on:
                         server_racks = self._server_rack[servers]
                         # Rack code -1 ("no rack") never equals a used code,
@@ -506,8 +527,7 @@ class ReplicaPlacer:
                         # implicit.
                         for code in used_racks:
                             ok &= server_racks != code
-                    pool = servers[ok]
-                if len(pool):
-                    pick = int(pool[self._rng.integer(0, len(pool))])
-                    return pick, int(tenant_internal)
+                    pool = servers[ok].tolist()
+                if pool:
+                    return pool[draws.integer(0, len(pool))], tenant_internal
         return None

@@ -9,10 +9,10 @@ get independent but reproducible streams.
 
 from __future__ import annotations
 
+from array import array
 from contextlib import contextmanager
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterator,
     List,
@@ -20,6 +20,7 @@ from typing import (
     Sequence,
     Tuple,
     TypeVar,
+    Union,
 )
 
 import numpy as np
@@ -108,6 +109,8 @@ class RandomSource:
 
     def set_state(self, state: Dict[str, Any]) -> None:
         """Restore a position captured by :meth:`state_dict` in place."""
+        if self._rng is _SESSION_OPEN:
+            raise _SessionOpen.error()
         self._seed = int(state["seed"])
         self._fork_count = int(state["fork_count"])
         self._rng = np.random.default_rng(self._seed)
@@ -313,51 +316,35 @@ class RandomSource:
         return uniforms, indices
 
     @contextmanager
-    def bounded_integers(self, expected: int) -> Iterator[Callable[[int], int]]:
-        """Serve a run of ``integer(0, n)`` draws from one bulk draw.
+    def buffered_draws(self, expected: int = 16) -> Iterator["BufferedDraws"]:
+        """A session serving bounded integers and shuffles from bulk draws.
 
-        Inside the block, ``draw(n)`` returns exactly what
-        :meth:`integer` ``(0, n)`` would at that point of the stream, for
-        ``1 <= n < 2**32``.  numpy's bounded draw (Lemire's method)
-        multiplies the next 32-bit output — the stream
-        ``integers(0, 2**32, dtype=uint32)`` emits — by ``n`` and redraws
-        only on a rare rejection, and ``n == 1`` consumes nothing, so the
-        draws are replayed from ``expected`` pre-drawn words (more are
-        drawn on demand).  On exit the generator is rewound and advanced by
-        exactly the words consumed.  Draw nothing else from this source
-        inside the block.
+        Inside the block, ``draws.integer(low, high)``,
+        ``draws.shuffle(items)`` and ``draws.shuffle_array(values)`` return
+        exactly what this source's methods of the same names would at that
+        point of the stream, for ``1 <= high - low < 2**32`` and sequences
+        shorter than ``2**32``, so code written against :data:`Draws` runs
+        on either.  All three consume numpy's 32-bit output stream (the one
+        ``integers(0, 2**32, dtype=uint32)`` emits, buffered half-words
+        included), so they are replayed in Python from words drawn in
+        bulk: ``expected`` words first, more on demand.  On exit, also
+        when the block raises, the generator is rewound and advanced by
+        exactly the words consumed.
+
+        The session holds the generator: any other draw from this source
+        while it is open raises ``RuntimeError`` instead of silently
+        desynchronizing the stream.
         """
-        bit_generator = self._rng.bit_generator
-        start = bit_generator.state
-        words: List[int] = []
-        used = 0
-
-        def draw(n: int) -> int:
-            nonlocal used
-            if not 1 <= n < 2**32:
-                raise ValueError(f"bounded draws need 1 <= n < 2**32 (got {n})")
-            if n == 1:
-                return 0
-            while True:
-                if used == len(words):
-                    words.extend(
-                        self._rng.integers(
-                            0, 2**32, size=max(16, expected), dtype=np.uint32
-                        ).tolist()
-                    )
-                scaled = words[used] * n
-                used += 1
-                leftover = scaled & 0xFFFFFFFF
-                # Lemire's threshold is below n: skip the modulo when it can.
-                if leftover >= n or leftover >= (2**32 - n) % n:
-                    return scaled >> 32
-
+        generator = self._rng
+        if generator is _SESSION_OPEN:
+            raise _SessionOpen.error()
+        draws = BufferedDraws(generator, expected)
+        self._rng = _SESSION_OPEN  # type: ignore[assignment]
         try:
-            yield draw
+            yield draws
         finally:
-            bit_generator.state = start
-            if used:
-                self._rng.integers(0, 2**32, size=used, dtype=np.uint32)
+            self._rng = generator
+            draws.close()
 
     def exponential_interarrivals(self, mean: float) -> Iterator[float]:
         """Infinite stream of exponential inter-arrival gaps."""
@@ -368,3 +355,132 @@ class RandomSource:
     def generator(self) -> np.random.Generator:
         """Access to the underlying numpy generator for bulk operations."""
         return self._rng
+
+
+class _SessionOpen:
+    """Stands in for a source's generator while a buffered session holds it."""
+
+    @staticmethod
+    def error() -> RuntimeError:
+        return RuntimeError(
+            "a buffered-draw session is open on this RandomSource; "
+            "draw through the session until it closes"
+        )
+
+    def __getattr__(self, name: str) -> Any:
+        raise self.error()
+
+
+_SESSION_OPEN = _SessionOpen()
+
+
+class BufferedDraws:
+    """The draws of one :meth:`RandomSource.buffered_draws` session.
+
+    numpy's bounded integer draw (Lemire's method) multiplies the next
+    32-bit word by ``n`` and redraws only on a rare rejection; ``n == 1``
+    consumes nothing.  ``Generator.shuffle`` runs Fisher-Yates from the last
+    position down, picking each swap partner ``j <= i`` by masking the next
+    32-bit word to ``i``'s bit length and redrawing while ``j > i``
+    (``random_interval``).  Both are replayed here over an array of
+    pre-drawn words, so a draw costs a few Python operations instead of a
+    numpy call.
+    """
+
+    __slots__ = ("_generator", "_chunk", "_start", "_words", "_used")
+
+    def __init__(self, generator: np.random.Generator, expected: int) -> None:
+        self._generator: Optional[np.random.Generator] = generator
+        self._chunk = max(16, int(expected))
+        #: Generator state before the first bulk draw (None: nothing drawn).
+        self._start: Optional[Dict[str, Any]] = None
+        #: The drawn words, 4 bytes each; indexing yields plain ints.
+        self._words = array("I")
+        self._used = 0
+
+    def _refill(self) -> None:
+        """Append a bulk draw of words, doubling the chunk each time."""
+        if self._generator is None:
+            raise RuntimeError("this buffered-draw session is closed")
+        if self._start is None:
+            self._start = self._generator.bit_generator.state
+        self._words.frombytes(
+            self._generator.integers(
+                0, 2**32, size=self._chunk, dtype=np.uint32
+            ).tobytes()
+        )
+        self._chunk *= 2
+
+    def close(self) -> None:
+        """Leave the generator exactly the consumed words past its start,
+        and let go of it: a closed session's draws raise ``RuntimeError``."""
+        generator, self._generator = self._generator, None
+        if generator is not None and self._start is not None:
+            generator.bit_generator.state = self._start
+            if self._used:
+                generator.integers(0, 2**32, size=self._used, dtype=np.uint32)
+        self._words = array("I")
+
+    def integer(self, low: int, high: int) -> int:
+        """What :meth:`RandomSource.integer` would draw, for
+        ``1 <= high - low < 2**32``."""
+        n = high - low
+        if not 1 <= n < 2**32:
+            raise ValueError(f"bounded draws need 1 <= high - low < 2**32 (got {n})")
+        if n == 1:
+            return low
+        while True:
+            words = self._words
+            used = self._used
+            try:
+                while True:
+                    scaled = words[used] * n
+                    used += 1
+                    leftover = scaled & 0xFFFFFFFF
+                    # Lemire's threshold is below n: skip the modulo when
+                    # it can.
+                    if leftover >= n or leftover >= (2**32 - n) % n:
+                        self._used = used
+                        return low + (scaled >> 32)
+            except IndexError:
+                # Out of words: draw more and replay this draw from its start.
+                self._refill()
+
+    def shuffle(self, items: Sequence[T]) -> List[T]:
+        """A shuffled list copy, drawn like :meth:`RandomSource.shuffle`."""
+        while True:
+            out = list(items)
+            words = self._words
+            used = self._used
+            try:
+                for i in range(len(out) - 1, 0, -1):
+                    # ``random_interval``: the smallest all-ones mask
+                    # covering ``i``, redrawing while the masked word
+                    # exceeds it.
+                    mask = (1 << i.bit_length()) - 1
+                    j = words[used] & mask
+                    used += 1
+                    while j > i:
+                        j = words[used] & mask
+                        used += 1
+                    out[i], out[j] = out[j], out[i]
+            except IndexError:
+                # Out of words: draw more and replay this shuffle from its
+                # start.
+                self._refill()
+                continue
+            self._used = used
+            return out
+
+    def shuffle_array(self, values: np.ndarray) -> np.ndarray:
+        """A shuffled copy of a 1-D array, drawn like
+        :meth:`RandomSource.shuffle_array` (``Generator.shuffle`` draws the
+        same swap sequence for arrays as for lists)."""
+        values = np.asarray(values)
+        return np.array(self.shuffle(values.tolist()), dtype=values.dtype)
+
+
+#: Where placement draws come from: a source itself, or a buffered session
+#: open on one; both answer ``integer``, ``shuffle`` and ``shuffle_array``
+#: identically for the same stream position.
+Draws = Union[RandomSource, BufferedDraws]

@@ -49,7 +49,8 @@ produces the same fig12/fig15/fig16 results as the scalar path
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+import math
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -186,8 +187,9 @@ class BlockTable:
 
     # -- growth --------------------------------------------------------------
 
-    def _grow_rows(self) -> None:
-        capacity = max(2 * len(self._size_gb), INITIAL_ROW_CAPACITY)
+    def _grow_rows(self, rows: int) -> None:
+        """Grow the row capacity to hold at least ``rows`` rows."""
+        capacity = max(2 * len(self._size_gb), rows, INITIAL_ROW_CAPACITY)
 
         def grown(column: np.ndarray) -> np.ndarray:
             fresh = np.zeros(capacity, dtype=column.dtype)
@@ -210,25 +212,80 @@ class BlockTable:
 
     # -- mutations -----------------------------------------------------------
 
-    def append(self, block_id: str, size_gb: float, target_replication: int) -> int:
-        """Add a new (replica-less) block row; returns its row index."""
-        if size_gb <= 0:
-            raise ValueError("block size must be positive")
+    def append_blocks(
+        self,
+        blocks: Sequence[Tuple[str, Sequence[int]]],
+        size_gb: float,
+        target_replication: int,
+    ) -> range:
+        """Add one row per ``(block id, replica servers)`` pair, in one write.
+
+        Equivalent to appending each block as a replica-less row and then
+        calling :meth:`add_replica` for its servers in order (an empty
+        server list leaves a replica-less row), but the columns, the live
+        slots and the ever-held record are written once for the whole
+        batch.  Everything is checked before anything is written: a
+        non-finite or non-positive size, a non-positive replication, an id
+        that exists or repeats in the batch, or a server listed twice for
+        one block raise ``ValueError`` and leave the table unchanged.
+        Returns the new rows.
+        """
+        if not (math.isfinite(size_gb) and size_gb > 0):
+            raise ValueError(f"size_gb must be positive and finite (got {size_gb!r})")
         if target_replication <= 0:
-            raise ValueError("target_replication must be positive")
-        if block_id in self._row_of:
-            raise ValueError(f"block {block_id} already exists")
-        if self._n == len(self._size_gb):
-            self._grow_rows()
-        row = self._n
-        self._n += 1
-        self._ids.append(block_id)
-        self._row_of[block_id] = row
-        self._held.append(0)
-        self._held_order.append([])
-        self._size_gb[row] = size_gb
-        self._target[row] = target_replication
-        return row
+            raise ValueError(
+                f"target_replication must be positive (got {target_replication!r})"
+            )
+        first = self._n
+        rank = self._rank
+        new_rows: Dict[str, int] = {}
+        held: List[int] = []
+        width = self._live.shape[1]
+        for row, (block_id, servers) in enumerate(blocks, first):
+            if block_id in self._row_of or block_id in new_rows:
+                raise ValueError(f"block {block_id} already exists")
+            new_rows[block_id] = row
+            bits = 0
+            for server in servers:
+                bits |= 1 << rank[server]
+            if bits.bit_count() != len(servers):
+                seen: Set[int] = set()
+                for server in servers:
+                    if server in seen:
+                        raise ValueError(
+                            f"block {block_id} already has a replica on "
+                            f"{self.server_ids[server]}"
+                        )
+                    seen.add(server)
+            held.append(bits)
+            width = max(width, len(servers))
+        end = first + len(held)
+        if end == first:
+            return range(first, end)
+        if end > len(self._size_gb):
+            self._grow_rows(end)
+        while width > self._live.shape[1]:
+            self._grow_slots()
+        slots = self._live.shape[1]
+        rows_on = self._rows_on_server
+        live: List[List[int]] = []
+        counts: List[int] = []
+        for row, (_, servers) in enumerate(blocks, first):
+            servers = list(servers)
+            for server in servers:
+                rows_on[server].add(row)
+            self._held_order.append(servers)
+            counts.append(len(servers))
+            live.append(servers + [-1] * (slots - len(servers)))
+        self._ids.extend(new_rows)
+        self._row_of.update(new_rows)
+        self._held.extend(held)
+        self._size_gb[first:end] = size_gb
+        self._target[first:end] = target_replication
+        self._healthy_count[first:end] = counts
+        self._live[first:end] = live
+        self._n = end
+        return range(first, end)
 
     def add_replica(self, row: int, server_index: int) -> None:
         """Attach a replica of block ``row`` on ``server_index``.

@@ -25,12 +25,23 @@ bit-identical experiment results (see ``tests/test_storage_block_table.py``).
 from __future__ import annotations
 
 import enum
+import math
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import (
+    ContextManager,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
-from repro.simulation.random import RandomSource
+from repro.simulation.random import Draws, RandomSource
 from repro.storage.block_table import BlockTable
 from repro.storage.datanode import DataNode
 from repro.storage.placement_policies import PlacementContext, PlacementPolicy
@@ -63,6 +74,13 @@ class AccessBatch:
     failed: int
     lost: int
     io_load: np.ndarray
+
+
+#: Batches smaller than this draw straight from the policy's stream: a
+#: buffered session's bulk draw and rewind cost about what it saves over a
+#: handful of blocks (fig12 creates one block per simulated minute).  Both
+#: consume the stream identically.
+BUFFERED_MIN_BLOCKS = 8
 
 
 class NameNode:
@@ -125,6 +143,7 @@ class NameNode:
         self._server_aware = np.array([dn.primary_aware for dn in dns], dtype=bool)
         self._server_thresholds = np.array([dn.busy_threshold for dn in dns])
         self._server_capacity = np.array([dn.capacity_gb for dn in dns])
+        self._capacity_list: List[float] = self._server_capacity.tolist()
         self._server_used = np.zeros(len(dns))
         self._placement_context = PlacementContext.build(
             self._server_ids, [dn.server.rack for dn in dns]
@@ -160,59 +179,99 @@ class NameNode:
     ) -> List[Optional[str]]:
         """Create one block per entry of ``creating_server_ids``, batched.
 
-        The one creation path: busy servers (when primary-aware) and servers
-        without space are excluded up front in one vectorized pass — the
-        busy mask is a pure function of ``time``, so it is computed once and
-        the exclusion mask is refreshed scalar-wise as replicas land — and
-        the re-replication enqueues are applied in one batch at the end.
-        Returns the id of each created block (``None`` where placement
-        found no candidates).
+        The one creation path.  Busy servers (when primary-aware) and
+        servers without space are excluded up front in one vectorized pass;
+        the busy mask is a pure function of ``time``, so within the batch
+        only the replicas placed here change the exclusions, and each placed
+        replica re-checks its server's space over plain-float copies of the
+        used-space entries the call touches.  Every placement draw of a
+        batch of at least :data:`BUFFERED_MIN_BLOCKS` blocks comes from one
+        buffered session on the policy's stream (smaller batches draw from
+        it directly), and the placed blocks, the used space and the
+        re-replication enqueues are written once at the end.  A call that
+        raises writes nothing to the NameNode.  Returns the id of each
+        created block (``None`` where placement found no candidates; such a
+        block still consumes its id).
         """
-        replication = replication or self._default_replication
-        if size_gb <= 0:
-            raise ValueError("block size must be positive")
-        if replication <= 0:
-            raise ValueError("target_replication must be positive")
+        if replication is None:
+            replication = self._default_replication
+        elif replication <= 0:
+            raise ValueError(f"replication must be positive (got {replication!r})")
+        if not (math.isfinite(size_gb) and size_gb > 0):
+            raise ValueError(f"size_gb must be positive and finite (got {size_gb!r})")
+        if not len(creating_server_ids):
+            return []
         busy = self._busy_mask(time) if self._primary_aware else None
-        # The exclusion mask is a pure function of (busy at ``time``, used
-        # space); within the batch only the stores below change used space,
-        # so maintain the mask incrementally — one scalar refresh per placed
-        # replica instead of three fleet-wide array ops per block.
         excluded_mask = ~self._space_mask(size_gb)
         if busy is not None:
             excluded_mask |= busy
+        capacity = self._capacity_list
+        # Used space of every server this call touches, as plain floats.
+        used: Dict[int, float] = {}
+        index_of_server = self._index_of_server
+        policy = self._policy
+        context = self._placement_context
+        counter = self._block_counter
         candidates: Optional[np.ndarray] = None
         results: List[Optional[str]] = []
+        placed: List[Tuple[str, List[int]]] = []
         pending: List[str] = []
-        for creating_server_id in creating_server_ids:
-            self._block_counter += 1
-            block_id = f"block-{self._block_counter}"
-            if candidates is None:
-                candidates = np.flatnonzero(~excluded_mask)
-            # ``candidates`` keeps its identity while the mask is unchanged,
-            # which is what the policies key their pool caches on.
-            chosen = self._policy.choose_server_indices(
-                replication,
-                self._index_of_server.get(creating_server_id),
-                excluded_mask,
-                self._placement_context,
-                candidates,
-            )
-            if not chosen:
-                results.append(None)
-                continue
-            row = self._table.append(block_id, size_gb, replication)
-            for server_index in chosen:
-                free = self._place_replica(row, server_index)
-                now_excluded = not (size_gb <= max(0.0, free) + 1e-9) or bool(
-                    busy is not None and busy[server_index]
+        if len(creating_server_ids) < BUFFERED_MIN_BLOCKS:
+            session: ContextManager[Draws] = nullcontext(policy.rng)
+        else:
+            expected = len(creating_server_ids) * replication
+            session = policy.rng.buffered_draws(expected)
+        with session as draws:
+            for creating_server_id in creating_server_ids:
+                counter += 1
+                if candidates is None:
+                    candidates = np.flatnonzero(~excluded_mask)
+                # ``candidates`` keeps its identity while the mask is
+                # unchanged, which is what the policies key their caches on.
+                chosen = policy.choose_server_indices(
+                    replication,
+                    index_of_server.get(creating_server_id),
+                    excluded_mask,
+                    context,
+                    candidates,
+                    draws,
                 )
-                if bool(excluded_mask[server_index]) != now_excluded:
-                    excluded_mask[server_index] = now_excluded
-                    candidates = None
-            if self._table.healthy_count_of(row) < replication:
-                pending.append(block_id)
-            results.append(block_id)
+                if not chosen:
+                    results.append(None)
+                    continue
+                block_id = f"block-{counter}"
+                for server in chosen:
+                    taken = used.get(server)
+                    if taken is None:
+                        taken = float(self._server_used[server])
+                    # Goal G1: a server never holds more than its primary
+                    # tenant allows.
+                    if size_gb > max(0.0, capacity[server] - taken) + 1e-9:
+                        raise ValueError(
+                            f"server {self._server_ids[server]} has no space "
+                            f"for block {block_id}"
+                        )
+                    taken += size_gb
+                    used[server] = taken
+                    # Space only shrinks within the call, so the one flip
+                    # possible is a server that just filled up; ``candidates``
+                    # is rebuilt from the mask, so the policies' pools follow.
+                    if (
+                        not size_gb <= max(0.0, capacity[server] - taken) + 1e-9
+                        and not excluded_mask[server]
+                    ):
+                        excluded_mask[server] = True
+                        candidates = None
+                placed.append((block_id, chosen))
+                if len(chosen) < replication:
+                    pending.append(block_id)
+                results.append(block_id)
+        if placed:
+            self._table.append_blocks(placed, size_gb, replication)
+            for server, taken in used.items():
+                self._server_used[server] = taken
+            self._healthy_server_count = None
+        self._block_counter = counter
         self._replication.enqueue_many(pending)
         return results
 
@@ -428,18 +487,17 @@ class NameNode:
         drained = self._replication.drain(time, self._healthy_server_count)
         if not drained:
             return 0
-        # The picks are the round's only draws: replay them from one bulk
-        # draw, stream-identical to one ``integer(0, count)`` per pick.
-        with self._rng.bounded_integers(len(drained)) as draw:
-            return self._restore(drained, time, draw)
+        # The picks are the round's only draws: replay them from one
+        # buffered session, stream-identical to one ``integer(0, count)``
+        # per pick.
+        with self._rng.buffered_draws(len(drained)) as draws:
+            return self._restore(drained, time, draws)
 
-    def _restore(
-        self, drained: List[str], time: float, draw: Callable[[int], int]
-    ) -> int:
+    def _restore(self, drained: List[str], time: float, draws: Draws) -> int:
         """Restore the missing replicas of ``drained``; returns how many.
 
-        Each pick draws ``draw(count)`` over the viable servers that never
-        held the block, in lexicographic server-id order.
+        Each pick draws ``draws.integer(0, count)`` over the viable servers
+        that never held the block, in lexicographic server-id order.
         """
         table = self._table
         busy = self._busy_mask(time) if self._primary_aware else None
@@ -484,7 +542,7 @@ class NameNode:
                     # Out of viable targets; try again on a later round.
                     self._replication.enqueue(block_id)
                     break
-                index = draw(count)
+                index = draws.integer(0, count)
                 # Skip past the viable holders in rank order; their
                 # candidate positions only grow, so stop at the first one
                 # beyond the (growing) index.

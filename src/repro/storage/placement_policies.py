@@ -12,7 +12,8 @@ Three policies mirror the paper's systems:
   delegating to :class:`repro.core.placement.ReplicaPlacer`.
 
 The NameNode calls :meth:`~PlacementPolicy.choose_server_indices` over
-server indices and an exclusion mask; each policy's id-based
+server indices and an exclusion mask, drawing from a buffered session it
+opens on the policy's :attr:`~PlacementPolicy.rng`; each policy's id-based
 ``choose_servers`` is the scalar reference that entry point is tested
 against.
 """
@@ -20,13 +21,14 @@ against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from bisect import bisect_left
 from typing import Dict, List, Optional, Protocol, Sequence
 
 import numpy as np
 
 from repro.core.grid import GridClustering, TenantPlacementStats, build_grid
 from repro.core.placement import PlacementConstraints, ReplicaPlacer
-from repro.simulation.random import RandomSource
+from repro.simulation.random import Draws, RandomSource
 from repro.storage.datanode import DataNode
 
 
@@ -60,20 +62,27 @@ class PlacementContext:
 class PlacementPolicy(Protocol):
     """Interface the NameNode uses to pick replica destinations."""
 
+    #: The stream every placement draw comes from; the NameNode opens one
+    #: :meth:`~repro.simulation.random.RandomSource.buffered_draws` session
+    #: on it per batch of blocks.
+    rng: RandomSource
+
     def choose_server_indices(
         self,
         replication: int,
         creating_index: Optional[int],
         excluded_mask: np.ndarray,
         context: PlacementContext,
-        candidates: Optional[np.ndarray] = None,
+        candidates: Optional[np.ndarray],
+        draws: Draws,
     ) -> List[int]:
         """Return up to ``replication`` distinct server indices for a block.
 
         ``excluded_mask`` flags every server that cannot take a replica
         (busy, or without room for the block); ``candidates``, when given,
         is ``np.flatnonzero(~excluded_mask)`` and keeps its identity while
-        the mask is unchanged.
+        the mask is unchanged.  ``draws`` is :attr:`rng` or a buffered
+        session open on it.
         """
         ...
 
@@ -82,12 +91,14 @@ class StockPlacementPolicy:
     """Default HDFS placement: local server, same rack, then remote racks."""
 
     def __init__(self, rng: Optional[RandomSource] = None) -> None:
-        self._rng = rng or RandomSource(0)
-        # Rack-pool cache for the vectorized path: valid while the caller
-        # keeps passing the same candidates array (batch creation does).
+        self.rng = rng or RandomSource(0)
+        # Pool caches for the index path: valid while the caller keeps
+        # passing the same candidates array (batch creation does).
         self._pool_cache_key: Optional[np.ndarray] = None
-        self._same_rack_pools: Dict[int, np.ndarray] = {}
-        self._remote_pools: Dict[tuple, np.ndarray] = {}
+        self._candidate_pool: Optional[List[int]] = None
+        self._candidate_racks: Optional[np.ndarray] = None
+        self._same_rack_pools: Dict[int, List[int]] = {}
+        self._remote_pools: Dict[frozenset, List[int]] = {}
 
     def choose_server_indices(
         self,
@@ -95,53 +106,65 @@ class StockPlacementPolicy:
         creating_index: Optional[int],
         excluded_mask: np.ndarray,
         context: PlacementContext,
-        candidates: Optional[np.ndarray] = None,
+        candidates: Optional[np.ndarray],
+        draws: Draws,
     ) -> List[int]:
-        """Vectorized twin of :meth:`choose_servers`, over server indices.
+        """Index twin of :meth:`choose_servers`, over server indices.
 
-        Candidate pools are numpy index arrays (ascending server order, the
-        order ``datanodes.items()`` yields) and every ``pick`` draws one
-        bounded integer — the same stream consumption as the scalar path's
-        ``choice(pool_list)`` — so a fixed seed picks identical servers
-        through either entry point.  Batch callers may pass ``candidates``
-        (``np.flatnonzero(~excluded_mask)``) to reuse it while the mask is
-        unchanged; the rack-pool caches are keyed by that array's identity,
-        so a caller that mutates the mask MUST pass a fresh candidates array
-        (or ``None``) afterwards — ``NameNode.create_blocks`` nulls it on
-        every exclusion flip.
+        Candidate pools are built with numpy masks and kept as ascending
+        lists of server indices (the order ``datanodes.items()`` yields),
+        and every ``pick`` draws one bounded integer over the pool minus the
+        servers already chosen — the same stream consumption as the scalar
+        path's ``choice(pool_list)`` — so a fixed seed picks identical
+        servers through either entry point.  Batch callers may pass
+        ``candidates`` (``np.flatnonzero(~excluded_mask)``) to reuse it
+        while the mask is unchanged; the pool caches are keyed by that
+        array's identity, so a
+        caller that mutates the mask MUST pass a fresh candidates array (or
+        ``None``) afterwards — ``NameNode.create_blocks`` nulls it on every
+        exclusion flip.
         """
         if replication <= 0:
             raise ValueError("replication must be positive")
         if candidates is None:
             candidates = np.flatnonzero(~excluded_mask)
+        if self._pool_cache_key is not candidates:
+            self._pool_cache_key = candidates
+            self._candidate_pool = None
+            self._candidate_racks = context.rack_codes[candidates]
+            self._same_rack_pools = {}
+            self._remote_pools = {}
         if not len(candidates):
             return []
         rack_codes = context.rack_codes
-        if self._pool_cache_key is not candidates:
-            self._pool_cache_key = candidates
-            self._same_rack_pools = {}
-            self._remote_pools = {}
         chosen: List[int] = []
         chosen_racks: List[int] = []
 
-        def pick(pool: np.ndarray) -> Optional[int]:
-            # ``chosen`` holds at most ``replication`` entries, so chained
-            # elementwise compares beat ``np.isin``'s sort-based machinery.
-            if chosen:
-                mask = pool != chosen[0]
-                for index in chosen[1:]:
-                    mask &= pool != index
-                pool = pool[mask]
-            if not len(pool):
+        def pick(pool: List[int]) -> Optional[int]:
+            # Draw as if over ``pool`` with the chosen servers filtered out:
+            # pools ascend, so each chosen member's position is a bisect,
+            # and the draw steps past those positions in order.
+            taken = []
+            for server in chosen:
+                at = bisect_left(pool, server)
+                if at < len(pool) and pool[at] == server:
+                    taken.append(at)
+            count = len(pool) - len(taken)
+            if count <= 0:
                 return None
-            return int(pool[self._rng.integer(0, len(pool))])
+            index = draws.integer(0, count)
+            for at in sorted(taken):
+                if at > index:
+                    break
+                index += 1
+            return pool[index]
 
         # Replica 1: the creating server when possible, otherwise random.
         first: Optional[int] = None
         if creating_index is not None and not excluded_mask[creating_index]:
             first = int(creating_index)
         if first is None:
-            first = pick(candidates)
+            first = pick(self._everywhere(candidates))
         if first is None:
             return []
         chosen.append(first)
@@ -149,36 +172,44 @@ class StockPlacementPolicy:
 
         # Replica 2: same rack as the first, if any other server is there.
         if len(chosen) < replication:
-            same_rack = self._same_rack_pools.get(chosen_racks[0])
+            rack = chosen_racks[0]
+            same_rack = self._same_rack_pools.get(rack)
             if same_rack is None:
-                same_rack = candidates[rack_codes[candidates] == chosen_racks[0]]
-                self._same_rack_pools[chosen_racks[0]] = same_rack
+                same_rack = candidates[self._candidate_racks == rack].tolist()
+                self._same_rack_pools[rack] = same_rack
             second = pick(same_rack)
             if second is None:
-                second = pick(candidates)
+                second = pick(self._everywhere(candidates))
             if second is not None:
                 chosen.append(second)
                 chosen_racks.append(int(rack_codes[second]))
 
         # Remaining replicas: prefer racks not used yet.
         while len(chosen) < replication:
-            rack_key = tuple(sorted(set(chosen_racks)))
-            remote = self._remote_pools.get(rack_key)
+            used_racks = frozenset(chosen_racks)
+            remote = self._remote_pools.get(used_racks)
             if remote is None:
-                candidate_racks = rack_codes[candidates]
-                mask = candidate_racks != chosen_racks[0]
+                # ``chosen`` holds at most ``replication`` racks, so chained
+                # elementwise compares beat ``np.isin``'s sort machinery.
+                mask = self._candidate_racks != chosen_racks[0]
                 for code in chosen_racks[1:]:
-                    mask &= candidate_racks != code
-                remote = candidates[mask]
-                self._remote_pools[rack_key] = remote
+                    mask &= self._candidate_racks != code
+                remote = candidates[mask].tolist()
+                self._remote_pools[used_racks] = remote
             nxt = pick(remote)
             if nxt is None:
-                nxt = pick(candidates)
+                nxt = pick(self._everywhere(candidates))
             if nxt is None:
                 break
             chosen.append(nxt)
             chosen_racks.append(int(rack_codes[nxt]))
         return chosen
+
+    def _everywhere(self, candidates: np.ndarray) -> List[int]:
+        """The whole candidate pool as a list, built on first use."""
+        if self._candidate_pool is None:
+            self._candidate_pool = candidates.tolist()
+        return self._candidate_pool
 
     def choose_servers(
         self,
@@ -210,7 +241,7 @@ class StockPlacementPolicy:
             pool = [entry for entry in pool if entry[0] not in chosen]
             if not pool:
                 return None
-            return self._rng.choice(pool)
+            return self.rng.choice(pool)
 
         # Replica 1: the creating server when possible, otherwise random.
         first: Optional[tuple] = None
@@ -253,13 +284,13 @@ class HistoryPlacementPolicy:
         columns: int = 3,
         block_size_gb: float = 0.25,
     ) -> None:
-        self._rng = rng or RandomSource(0)
+        self.rng = rng or RandomSource(0)
         self._constraints = constraints
         self._rows = rows
         self._columns = columns
         self._block_size_gb = block_size_gb
         self._placer: Optional[ReplicaPlacer] = None
-        # Caches for the vectorized entry point: the context->placer index
+        # Caches for the index entry point: the context->placer index
         # maps (rebuilt when the grid or context changes) and the mapped
         # exclusion mask (valid while the caller's candidates array identity
         # is stable, exactly like the stock policy's pool caches).
@@ -289,7 +320,7 @@ class HistoryPlacementPolicy:
             }
         self._placer = ReplicaPlacer(
             grid,
-            rng=self._rng,
+            rng=self.rng,
             constraints=self._constraints,
             space_used_gb=space_used,
             block_size_gb=self._block_size_gb,
@@ -314,7 +345,7 @@ class HistoryPlacementPolicy:
         to_caller = np.full(placer.num_servers, -1, dtype=np.int64)
         known = to_internal >= 0
         to_caller[to_internal[known]] = np.flatnonzero(known)
-        cache = (placer, context, to_internal, to_caller)
+        cache = (placer, context, to_internal, to_internal.tolist(), to_caller.tolist())
         self._map_cache = cache
         self._mask_cache_key = None
         self._mask_cache = None
@@ -326,9 +357,10 @@ class HistoryPlacementPolicy:
         creating_index: Optional[int],
         excluded_mask: np.ndarray,
         context: PlacementContext,
-        candidates: Optional[np.ndarray] = None,
+        candidates: Optional[np.ndarray],
+        draws: Draws,
     ) -> List[int]:
-        """Vectorized twin of :meth:`choose_servers`, over server indices.
+        """Index twin of :meth:`choose_servers`, over server indices.
 
         The caller's exclusion mask (NameNode server order, space already
         filtered in) is gathered into the placer's internal order once and
@@ -341,7 +373,7 @@ class HistoryPlacementPolicy:
             raise RuntimeError(
                 "HistoryPlacementPolicy.update_clustering must run before placement"
             )
-        placer, _, to_internal, to_caller = self._index_maps(context)
+        placer, _, to_internal, internal_of, caller_of = self._index_maps(context)
         if candidates is not None and self._mask_cache_key is candidates:
             internal_excluded = self._mask_cache
         else:
@@ -352,16 +384,14 @@ class HistoryPlacementPolicy:
                 self._mask_cache_key = candidates
                 self._mask_cache = internal_excluded
         creating_internal: Optional[int] = None
-        if creating_index is not None:
-            mapped = int(to_internal[creating_index])
-            if mapped >= 0:
-                creating_internal = mapped
+        if creating_index is not None and internal_of[creating_index] >= 0:
+            creating_internal = internal_of[creating_index]
         picks, _, _ = placer.place_block_indices(
-            replication, creating_internal, internal_excluded.copy()
+            replication, creating_internal, internal_excluded, draws
         )
         chosen: List[int] = []
         for server_internal, _ in picks:
-            caller_index = int(to_caller[server_internal])
+            caller_index = caller_of[server_internal]
             if caller_index < 0:
                 raise KeyError(
                     f"placer chose {placer._server_ids[server_internal]!r}, "

@@ -177,6 +177,35 @@ class TestStorageInvariants:
                 assert result in set(AccessResult)
         check_invariants(namenode)
 
+    @pytest.mark.parametrize("policy", ["stock", "history"])
+    @given(
+        batches=st.lists(
+            st.tuples(st.integers(0, 60), st.integers(0, 1_000_000), st.booleans()),
+            min_size=1,
+            max_size=5,
+        ),
+        seed=st.integers(0, 100),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_invariants_hold_after_batched_creation(self, policy, batches, seed):
+        """Whole batches of creations -- enough to fill the fleet, so
+        servers drop out mid-batch -- interleaved with reimages and
+        recovery keep every invariant."""
+        namenode = build_namenode(
+            num_tenants=8, servers_per_tenant=2, policy=policy, seed=seed
+        )
+        rng = RandomSource(seed)
+        server_ids = sorted(namenode.datanodes)
+        for count, time, reimage in batches:
+            creators = [rng.choice(server_ids) for _ in range(count)]
+            created = namenode.create_blocks(float(time), creators)
+            assert len(created) == count
+            check_invariants(namenode)
+            if reimage:
+                namenode.handle_reimage(rng.choice(server_ids), float(time))
+                namenode.run_replication(float(time) + 1800.0)
+                check_invariants(namenode)
+
     @given(events=workload(), seed=st.integers(0, 100))
     @settings(max_examples=25, deadline=None)
     def test_batched_reimage_matches_per_row_destroys(self, events, seed):

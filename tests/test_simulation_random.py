@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,7 +218,7 @@ class TestUniformIndexPairs:
 
 
 class TestBoundedIntegers:
-    """Draws replayed from the bulk words equal scalar ``integer(0, n)``."""
+    """Integer draws from a buffered session equal scalar ``integer(0, n)``."""
 
     @given(
         sizes=st.lists(
@@ -240,16 +241,144 @@ class TestBoundedIntegers:
         if buffered:
             bulk.integer(0, 10)
             scalar.integer(0, 10)
-        with bulk.bounded_integers(expected) as draw:
-            got = [draw(n) for n in sizes]
+        with bulk.buffered_draws(expected) as draws:
+            got = [draws.integer(0, n) for n in sizes]
         assert got == [scalar.integer(0, n) for n in sizes]
         assert state_of(bulk) == state_of(scalar)
         assert bulk.uniform() == scalar.uniform()
 
     def test_rejects_sizes_outside_the_32_bit_path(self):
         rng, untouched = RandomSource(5), RandomSource(5)
-        with rng.bounded_integers(4) as draw:
+        with rng.buffered_draws(4) as draws:
             for n in (0, 2**32):
                 with pytest.raises(ValueError):
-                    draw(n)
+                    draws.integer(0, n)
+        assert state_of(rng) == state_of(untouched)
+
+
+def numpy_reference(rng: RandomSource, op: tuple):
+    """What ``op`` draws straight from the generator."""
+    kind, size = op
+    if kind == "integer":
+        return rng.integer(0, size)
+    if kind == "list":
+        return rng.shuffle(list(range(size)))
+    values = np.arange(size, dtype=np.int64) * 3
+    rng.generator.shuffle(values)
+    return values.tolist()
+
+
+def session_draw(draws, op: tuple):
+    """What ``op`` draws from a buffered session."""
+    kind, size = op
+    if kind == "integer":
+        return draws.integer(0, size)
+    if kind == "list":
+        return draws.shuffle(list(range(size)))
+    shuffled = draws.shuffle_array(np.arange(size, dtype=np.int64) * 3)
+    assert shuffled.dtype == np.int64
+    return shuffled.tolist()
+
+
+DRAW_OPS = st.one_of(
+    # n = 1 draws nothing; 2**31 + 1 hits Lemire's rejection branch.
+    st.tuples(st.just("integer"), st.sampled_from([1, 2, 7, 2**31 + 1])),
+    st.tuples(
+        st.sampled_from(["list", "array"]), st.sampled_from([0, 1, 2, 15, 16, 40])
+    ),
+)
+
+
+class TestBufferedDraws:
+    """A session replays numpy's bounded integers and Fisher-Yates shuffles,
+    values and stream position alike, and holds the generator while open."""
+
+    @given(
+        ops=st.lists(DRAW_OPS, max_size=40),
+        seed=st.integers(0, 10_000),
+        expected=st.integers(0, 40),
+        buffered=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_replays_numpy_exactly(self, ops, seed, expected, buffered):
+        session, scalar = RandomSource(seed), RandomSource(seed)
+        if buffered:
+            # An odd number of 32-bit draws leaves a half-word buffered.
+            session.integer(0, 10)
+            scalar.integer(0, 10)
+            assert state_of(scalar)["has_uint32"] == 1
+        with session.buffered_draws(expected) as draws:
+            got = [session_draw(draws, op) for op in ops]
+        assert got == [numpy_reference(scalar, op) for op in ops]
+        assert state_of(session) == state_of(scalar)
+        assert session.uniform() == scalar.uniform()
+
+    @pytest.mark.parametrize("low", [-5, 0, 7])
+    def test_integer_offsets_like_the_source(self, low):
+        session, scalar = RandomSource(3), RandomSource(3)
+        sizes = [1, 2, 9, 2**31 + 1] * 5
+        with session.buffered_draws(8) as draws:
+            got = [draws.integer(low, low + n) for n in sizes]
+        assert got == [scalar.integer(low, low + n) for n in sizes]
+        assert state_of(session) == state_of(scalar)
+
+    def test_long_runs_refill_and_rewind_exactly(self):
+        session, scalar = RandomSource(8), RandomSource(8)
+        ops = [("list", 40), ("integer", 7), ("array", 16)] * 30
+        with session.buffered_draws(0) as draws:
+            got = [session_draw(draws, op) for op in ops]
+        assert got == [numpy_reference(scalar, op) for op in ops]
+        assert state_of(session) == state_of(scalar)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: rng.uniform(),
+            lambda rng: rng.integer(0, 5),
+            lambda rng: rng.shuffle([1, 2, 3]),
+            lambda rng: rng.choice(["a", "b"]),
+            lambda rng: rng.uniform_index_pairs(0.0, 1.0, 5, 3),
+            lambda rng: rng.generator.random(),
+            lambda rng: rng.state_dict(),
+            lambda rng: rng.set_state(RandomSource(1).state_dict()),
+            lambda rng: rng.buffered_draws().__enter__(),
+        ],
+    )
+    def test_other_draws_raise_while_open(self, draw):
+        session, scalar = RandomSource(6), RandomSource(6)
+        with session.buffered_draws(4) as draws:
+            first = draws.integer(0, 9)
+            with pytest.raises(RuntimeError, match="session is open"):
+                draw(session)
+            second = draws.shuffle(list(range(6)))
+        assert [first, second] == [scalar.integer(0, 9), scalar.shuffle(list(range(6)))]
+        assert state_of(session) == state_of(scalar)
+        assert session.uniform() == scalar.uniform()
+
+    def test_raising_body_leaves_the_consumed_position(self):
+        session, scalar = RandomSource(12), RandomSource(12)
+        with pytest.raises(KeyError):
+            with session.buffered_draws(64) as draws:
+                draws.shuffle(list(range(15)))
+                draws.integer(0, 2**31 + 1)
+                raise KeyError("placement failed")
+        scalar.shuffle(list(range(15)))
+        scalar.integer(0, 2**31 + 1)
+        assert state_of(session) == state_of(scalar)
+        assert session.uniform() == scalar.uniform()
+
+    def test_a_closed_session_refuses_draws(self):
+        rng = RandomSource(2)
+        with rng.buffered_draws() as draws:
+            draws.integer(0, 3)
+        position = state_of(rng)
+        with pytest.raises(RuntimeError, match="closed"):
+            draws.integer(0, 3)
+        assert state_of(rng) == position
+
+    def test_an_unused_session_leaves_the_stream_untouched(self):
+        rng, untouched = RandomSource(4), RandomSource(4)
+        with rng.buffered_draws(100) as draws:
+            assert draws.integer(4, 5) == 4
+            assert draws.shuffle(["only"]) == ["only"]
         assert state_of(rng) == state_of(untouched)

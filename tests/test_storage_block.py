@@ -111,7 +111,7 @@ class TestDataNode:
         ]
         assert used_gb(namenode) == pytest.approx(0.5)
         # Storing past the quota directly is refused, not over-committed.
-        row = namenode.block_table.append("extra", 0.25, 1)
+        (row,) = namenode.block_table.append_blocks([("extra", ())], 0.25, 1)
         with pytest.raises(ValueError, match="no space"):
             namenode._place_replica(row, 0)
         assert used_gb(namenode) == pytest.approx(0.5)

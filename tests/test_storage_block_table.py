@@ -235,6 +235,12 @@ def scalar_layout(block) -> list[tuple[str, bool]]:
     return [(r.server_id, r.healthy) for r in block.replicas.values()]
 
 
+def append(table: BlockTable, block_id: str, size_gb: float, target: int) -> int:
+    """A replica-less row, as the removed single-row ``append`` made."""
+    (row,) = table.append_blocks([(block_id, ())], size_gb, target)
+    return row
+
+
 def block_ids_of(namenode) -> list[str]:
     table = namenode.block_table
     return [table.id_of(row) for row in range(table.num_blocks)]
@@ -422,7 +428,7 @@ class TestBlockTableUnit:
 
     def test_slot_reuse_preserves_insertion_order(self):
         table = self.build()
-        row = table.append("b1", 0.25, 3)
+        row = append(table, "b1", 0.25, 3)
         table.add_replica(row, 0)
         table.add_replica(row, 1)
         table.destroy_replica(row, 0)
@@ -433,14 +439,14 @@ class TestBlockTableUnit:
 
     def test_add_replica_rejects_healthy_duplicate(self):
         table = self.build()
-        row = table.append("b1", 0.25, 3)
+        row = append(table, "b1", 0.25, 3)
         table.add_replica(row, 0)
         with pytest.raises(ValueError):
             table.add_replica(row, 0)
 
     def test_lost_flag_is_sticky(self):
         table = self.build()
-        row = table.append("b1", 0.25, 2)
+        row = append(table, "b1", 0.25, 2)
         table.add_replica(row, 0)
         assert table.destroy_replica(row, 0)
         assert table.is_lost(row)
@@ -449,7 +455,7 @@ class TestBlockTableUnit:
 
     def test_destroy_missing_replica_is_noop(self):
         table = self.build()
-        row = table.append("b1", 0.25, 2)
+        row = append(table, "b1", 0.25, 2)
         table.add_replica(row, 0)
         assert not table.destroy_replica(row, 2)
         assert table.destroy_replica(row, 0)
@@ -458,18 +464,18 @@ class TestBlockTableUnit:
     def test_row_and_slot_growth(self):
         table = self.build()
         for i in range(1100):  # crosses the initial row capacity
-            table.append(f"b{i}", 0.25, 2)
+            append(table, f"b{i}", 0.25, 2)
         assert table.num_blocks == 1100
         big = BlockTable([f"s{i}" for i in range(10)])
-        row = big.append("wide", 0.25, 10)
+        row = append(big, "wide", 0.25, 10)
         for server in range(10):  # crosses the initial slot width
             big.add_replica(row, server)
         assert big.healthy_servers_of(row).tolist() == list(range(10))
 
     def test_rows_on_tracks_healthy_replicas(self):
         table = self.build()
-        first = table.append("b1", 0.25, 2)
-        second = table.append("b2", 0.25, 2)
+        first = append(table, "b1", 0.25, 2)
+        second = append(table, "b2", 0.25, 2)
         table.add_replica(first, 0)
         table.add_replica(second, 0)
         table.add_replica(second, 1)
@@ -498,7 +504,7 @@ class TestBlockTableUnit:
         servers = [f"s-{i}" for i in (3, 10, 2, 0)]  # rank != index
         table = BlockTable(servers, replica_slots=2)
         blocks = [Block(f"b{i}", 0.25, 4) for i in range(2)]
-        rows = [table.append(b.block_id, 0.25, 4) for b in blocks]
+        rows = [append(table, b.block_id, 0.25, 4) for b in blocks]
         for kind, which, server in ops:
             block, row = blocks[which], rows[which]
             if kind == "add":
@@ -553,4 +559,99 @@ class TestNamespace:
         with pytest.raises(KeyError):
             table.row_of("missing")
         with pytest.raises(ValueError, match="already exists"):
-            table.append(first, 0.25, 3)
+            append(table, first, 0.25, 3)
+
+
+def table_state(table: BlockTable) -> dict:
+    """Everything a BlockTable records, in comparable form."""
+    rows = range(table.num_blocks)
+    return {
+        "ids": [table.id_of(row) for row in rows],
+        "row_of": {table.id_of(row): table.row_of(table.id_of(row)) for row in rows},
+        "size": table.size_gb.tolist(),
+        "target": table.target_replication.tolist(),
+        "healthy": table.healthy_count.tolist(),
+        "lost": table.lost.tolist(),
+        "live": [table.healthy_servers_of(row).tolist() for row in rows],
+        "held_order": [table.holders_of(row) for row in rows],
+        "held_bits": [table.held_bits(row) for row in rows],
+        "rows_on": [table.rows_on(i) for i in range(table.num_servers)],
+    }
+
+
+class TestAppendBlocks:
+    """``append_blocks`` writes what a replica-less row per block plus one
+    ``add_replica`` per server, in order, would."""
+
+    SERVERS = [f"s-{i}" for i in (3, 10, 2, 0, 7, 11, 5)]  # rank != index
+
+    @given(
+        earlier=st.lists(
+            st.lists(st.integers(0, 6), unique=True, max_size=4), max_size=5
+        ),
+        batch=st.lists(
+            st.lists(st.integers(0, 6), unique=True, max_size=7), max_size=30
+        ),
+        reimaged=st.integers(0, 6),
+        target=st.integers(1, 5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_append_then_add_replica(self, earlier, batch, reimaged, target):
+        batched = BlockTable(self.SERVERS, replica_slots=2)
+        looped = BlockTable(self.SERVERS, replica_slots=2)
+        # Some history first, so the batch lands on non-empty row sets.
+        for index, servers in enumerate(earlier):
+            for table in (batched, looped):
+                row = append(table, f"old-{index}", 0.5, 3)
+                for server in servers:
+                    table.add_replica(row, server)
+        for table in (batched, looped):
+            table.destroy_replicas_on(reimaged)
+        blocks = [(f"b{index}", servers) for index, servers in enumerate(batch)]
+        rows = batched.append_blocks(blocks, 0.25, target)
+        expected_rows = []
+        for block_id, servers in blocks:
+            row = append(looped, block_id, 0.25, target)
+            for server in servers:
+                looped.add_replica(row, server)
+            expected_rows.append(row)
+        assert list(rows) == expected_rows
+        assert table_state(batched) == table_state(looped)
+
+    def test_grows_rows_and_slots_in_one_write(self):
+        table = BlockTable(self.SERVERS)
+        blocks = [(f"b{i}", [i % 7, (i + 1) % 7]) for i in range(1500)]
+        blocks.append(("wide", list(range(7))))
+        rows = table.append_blocks(blocks, 0.25, 2)
+        assert rows == range(0, 1501)
+        assert table.healthy_servers_of(1500).tolist() == list(range(7))
+        assert table.healthy_servers_of(3).tolist() == [3, 4]
+
+    def test_empty_batch_writes_nothing(self):
+        table = BlockTable(self.SERVERS)
+        assert table.append_blocks([], 0.25, 3) == range(0, 0)
+        assert table.num_blocks == 0
+
+    @pytest.mark.parametrize(
+        "blocks, size_gb, target, message",
+        [
+            ([("b9", [0])], float("nan"), 3, "size_gb"),
+            ([("b9", [0])], float("inf"), 3, "size_gb"),
+            ([("b9", [0])], 0.0, 3, "size_gb"),
+            ([("b9", [0])], -0.25, 3, "size_gb"),
+            ([("b9", [0])], 0.25, 0, "target_replication"),
+            ([("b9", [0])], 0.25, -2, "target_replication"),
+            ([("b9", [1]), ("b1", [0])], 0.25, 3, "already exists"),
+            ([("b9", [1]), ("b9", [0])], 0.25, 3, "already exists"),
+            ([("b9", [1]), ("b10", [2, 4, 2])], 0.25, 3, "already has a replica"),
+        ],
+    )
+    def test_rejects_a_bad_batch_and_writes_nothing(
+        self, blocks, size_gb, target, message
+    ):
+        table = BlockTable(self.SERVERS)
+        table.append_blocks([("b1", [0, 1])], 0.25, 3)
+        before = table_state(table)
+        with pytest.raises(ValueError, match=message):
+            table.append_blocks(blocks, size_gb, target)
+        assert table_state(table) == before

@@ -29,11 +29,6 @@ from repro.traces.scaling import ScalingMethod
 FULL_RUN = os.environ.get("REPRO_BENCH_FULL", "0") == "1"
 
 
-def run_once(benchmark, func, *args, **kwargs):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(func, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
 def run_figure(scenario: str, **overrides):
     """A registered figure scenario's payload at BENCH scale, seed 1."""
     return api.run(

@@ -1,20 +1,21 @@
 """Diff two BENCH payload directories on their headline fingerprints.
 
 The bit-exactness merge gate: ``emit_bench.py`` writes fixed-seed headline
-numbers alongside wall-clock timings; the headline values are regression
-fingerprints (an optimization PR must reproduce them exactly) while the
-wall-clock fields merely record speed.  This tool compares every scenario's
-``headline`` (plus the seed and scale that produced it) between a freshly
-emitted directory and the checked-in reference, ignoring wall-clock, commit,
-interpreter, and executor metadata (the ``workers`` field a parallel
-emission records) — any numeric drift is a failure.  Because the worker
-count is excluded, diffing an ``emit_bench.py --workers N`` emission against
-the serial reference doubles as the parallel-executor equivalence gate.
+numbers, which are regression fingerprints (a change that should not move
+results must reproduce them exactly).  This tool compares every scenario's
+``headline`` (plus the schema, seed and scale that produced it) between a
+freshly emitted directory and the checked-in reference, ignoring any other
+field, such as the ``workers`` count a parallel emission records; any
+numeric drift is a failure.  Because the worker count is excluded, diffing
+an ``emit_bench.py --workers N`` emission against the serial reference
+doubles as the parallel-executor equivalence gate.
 
 Usage::
 
     python benchmarks/emit_bench.py --scale tiny --output-dir /tmp/bench
     python benchmarks/diff_bench.py /tmp/bench benchmarks/tiny
+    python benchmarks/emit_bench.py --output-dir /tmp/bench-bench
+    python benchmarks/diff_bench.py /tmp/bench-bench benchmarks
 """
 
 from __future__ import annotations

@@ -19,8 +19,6 @@ from repro.simulation.random import RandomSource
 from repro.traces import build_datacenter, fleet_specs
 from repro.traces.reimage import ReimageProfile, generate_reimage_events
 
-from conftest import run_once
-
 NUM_BLOCKS = 1500
 MONTHS = 12
 
@@ -133,8 +131,8 @@ def run_ablation():
     return results
 
 
-def test_ablation_placement(benchmark):
-    results = run_once(benchmark, run_ablation)
+def test_ablation_placement():
+    results = run_ablation()
 
     print()
     print(format_table(

@@ -21,8 +21,6 @@ from repro.harness.config import ExperimentScale
 from repro.harness.report import format_table
 from repro.simulation.random import RandomSource
 
-from conftest import run_once
-
 SCALE = ExperimentScale(
     num_servers=18,
     num_tenants=21,
@@ -64,8 +62,8 @@ def run_ablation() -> Dict[str, Dict[str, float]]:
     return {name: run_one(fraction) for name, fraction in RESERVES.items()}
 
 
-def test_ablation_reserve(benchmark):
-    results = run_once(benchmark, run_ablation)
+def test_ablation_reserve():
+    results = run_ablation()
 
     print()
     print(format_table(

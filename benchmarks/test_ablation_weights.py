@@ -19,8 +19,6 @@ from repro.harness.report import format_table
 from repro.simulation.random import RandomSource
 from repro.traces.utilization import UtilizationPattern
 
-from conftest import run_once
-
 TRIALS = 2000
 
 
@@ -100,8 +98,8 @@ def run_ablation() -> Dict[str, float]:
     }
 
 
-def test_ablation_weights(benchmark):
-    results = run_once(benchmark, run_ablation)
+def test_ablation_weights():
+    results = run_ablation()
 
     print()
     print(format_table(

@@ -13,8 +13,6 @@ from repro.harness.report import format_table
 from repro.simulation.random import RandomSource
 from repro.traces.utilization import TraceSpec, UtilizationPattern, generate_trace
 
-from conftest import run_once
-
 
 def build_spectra():
     rng = RandomSource(1)
@@ -27,8 +25,8 @@ def build_spectra():
     return compute_spectrum(periodic), compute_spectrum(unpredictable)
 
 
-def test_fig01_trace_spectra(benchmark):
-    periodic, unpredictable = run_once(benchmark, build_spectra)
+def test_fig01_trace_spectra():
+    periodic, unpredictable = build_spectra()
 
     print()
     print(format_table(

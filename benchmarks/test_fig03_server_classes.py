@@ -16,8 +16,6 @@ from repro.simulation.random import RandomSource
 from repro.traces import build_fleet
 from repro.traces.utilization import UtilizationPattern
 
-from conftest import run_once
-
 
 def characterize(scale: float = 0.08, months: int = 6):
     rng = RandomSource(0)
@@ -25,8 +23,8 @@ def characterize(scale: float = 0.08, months: int = 6):
     return characterize_fleet(fleet, months=months, rng=rng)
 
 
-def test_fig03_server_classes(benchmark):
-    results = run_once(benchmark, characterize)
+def test_fig03_server_classes():
+    results = characterize()
 
     rows = []
     for name in sorted(results):

@@ -15,8 +15,6 @@ from repro.harness.report import format_table
 from repro.simulation.random import RandomSource
 from repro.traces import build_datacenter, fleet_specs
 
-from conftest import run_once
-
 DATACENTERS = ("DC-0", "DC-7", "DC-9", "DC-3", "DC-1")
 
 
@@ -30,8 +28,8 @@ def characterize(scale: float = 0.1, months: int = 18):
     return results
 
 
-def test_fig04_server_reimage_cdf(benchmark):
-    results = run_once(benchmark, characterize)
+def test_fig04_server_reimage_cdf():
+    results = characterize()
 
     rows = []
     for name in DATACENTERS:

@@ -16,8 +16,6 @@ from repro.harness.report import format_table
 from repro.simulation.random import RandomSource
 from repro.traces import build_datacenter, fleet_specs
 
-from conftest import run_once
-
 DATACENTERS = ("DC-0", "DC-7", "DC-9", "DC-3", "DC-1")
 MONTHS = 36
 
@@ -32,8 +30,8 @@ def characterize(scale: float = 0.1):
     return results
 
 
-def test_fig06_group_changes(benchmark):
-    results = run_once(benchmark, characterize)
+def test_fig06_group_changes():
+    results = characterize()
     possible_changes = MONTHS - 1
     threshold = round(possible_changes * 8 / 35)
     # If group membership were re-drawn at random every month, a tenant would

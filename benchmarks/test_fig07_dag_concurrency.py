@@ -11,16 +11,14 @@ from repro.harness.report import format_table
 from repro.jobs.tpcds import TpcdsWorkloadFactory, tpcds_query_dag
 from repro.simulation.random import RandomSource
 
-from conftest import run_once
-
 
 def estimate_all():
     factory = TpcdsWorkloadFactory(RandomSource(7))
     return {dag.name: dag.max_concurrent_containers() for dag in factory.all_queries()}
 
 
-def test_fig07_dag_concurrency(benchmark):
-    estimates = run_once(benchmark, estimate_all)
+def test_fig07_dag_concurrency():
+    estimates = estimate_all()
 
     q19 = tpcds_query_dag(19)
     print()

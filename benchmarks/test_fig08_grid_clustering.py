@@ -15,8 +15,6 @@ from repro.harness.report import format_table
 from repro.simulation.random import RandomSource
 from repro.traces import build_datacenter, fleet_specs
 
-from conftest import run_once
-
 
 def build_dc9_grid(scale: float = 0.15):
     rng = RandomSource(0)
@@ -37,8 +35,8 @@ def build_dc9_grid(scale: float = 0.15):
     return build_grid(stats), stats
 
 
-def test_fig08_grid_clustering(benchmark):
-    grid, stats = run_once(benchmark, build_dc9_grid)
+def test_fig08_grid_clustering():
+    grid, stats = build_dc9_grid()
 
     rows = []
     for (row, column), cell in sorted(grid.cells.items()):

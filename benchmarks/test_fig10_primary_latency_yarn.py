@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from repro.harness.report import format_table
 
-from conftest import run_once
 
-
-def test_fig10_primary_latency_yarn(benchmark, scheduling_testbed):
-    result = run_once(benchmark, lambda: scheduling_testbed)
+def test_fig10_primary_latency_yarn(scheduling_testbed):
+    result = scheduling_testbed
 
     rows = [["No-Harvesting", f"{result.no_harvesting_p99_ms:.0f}", "-"]]
     for name in ("YARN-Stock", "YARN-PT", "YARN-H"):

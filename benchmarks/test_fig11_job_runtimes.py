@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from repro.harness.report import format_table
 
-from conftest import run_once
 
-
-def test_fig11_job_runtimes(benchmark, scheduling_testbed):
-    result = run_once(benchmark, lambda: scheduling_testbed)
+def test_fig11_job_runtimes(scheduling_testbed):
+    result = scheduling_testbed
 
     rows = []
     for name in ("YARN-Stock", "YARN-PT", "YARN-H"):

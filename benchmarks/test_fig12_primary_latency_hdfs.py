@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from repro.harness.report import format_table
 
-from conftest import run_once
 
-
-def test_fig12_primary_latency_hdfs(benchmark, storage_testbed):
-    result = run_once(benchmark, lambda: storage_testbed)
+def test_fig12_primary_latency_hdfs(storage_testbed):
+    result = storage_testbed
 
     rows = [["No-Harvesting", f"{result.no_harvesting_p99_ms:.0f}", "-", "-"]]
     for name in ("HDFS-Stock", "HDFS-PT", "HDFS-H"):

@@ -13,11 +13,9 @@ from __future__ import annotations
 from repro.harness.report import format_table
 from repro.traces.scaling import ScalingMethod
 
-from conftest import run_once
 
-
-def test_fig13_dc9_runtime_vs_util(benchmark, dc9_sweep):
-    sweep = run_once(benchmark, lambda: dc9_sweep)
+def test_fig13_dc9_runtime_vs_util(dc9_sweep):
+    sweep = dc9_sweep
 
     rows = []
     for point in sorted(

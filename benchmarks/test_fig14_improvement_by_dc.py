@@ -15,11 +15,9 @@ from __future__ import annotations
 from repro.harness.report import format_table
 from repro.traces.scaling import ScalingMethod
 
-from conftest import run_once
 
-
-def test_fig14_improvement_by_dc(benchmark, fleet_improvements):
-    result = run_once(benchmark, lambda: fleet_improvements)
+def test_fig14_improvement_by_dc(fleet_improvements):
+    result = fleet_improvements
     summary = result.summary(ScalingMethod.LINEAR)
 
     rows = []

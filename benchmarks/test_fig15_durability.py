@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from repro.harness.report import format_float, format_table
 
-from conftest import run_figure, run_once
+from conftest import run_figure
 
 
-def test_fig15_durability(benchmark):
-    result = run_once(benchmark, run_figure, "fig15-durability")
+def test_fig15_durability():
+    result = run_figure("fig15-durability")
 
     rows = []
     for replication in (3, 4):

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from repro.harness.report import format_table
 
-from conftest import run_figure, run_once
+from conftest import run_figure
 
 #: The registered scenario's utilization levels (R=3 and R=4 at each).
 UTILIZATION_LEVELS = (0.3, 0.4, 0.5, 0.66, 0.75)
 
 
-def test_fig16_availability(benchmark):
-    result = run_once(benchmark, run_figure, "fig16-availability")
+def test_fig16_availability():
+    result = run_figure("fig16-availability")
 
     rows = []
     for util in UTILIZATION_LEVELS:

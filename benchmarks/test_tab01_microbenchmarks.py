@@ -15,19 +15,9 @@ from repro.experiments.microbench import run_microbenchmarks
 from repro.harness.config import QUICK_SCALE
 from repro.harness.report import format_table
 
-from conftest import run_once
 
-
-def test_tab01_microbenchmarks(benchmark):
-    result = run_once(
-        benchmark,
-        run_microbenchmarks,
-        "DC-9",
-        QUICK_SCALE,
-        0,
-        200,
-        200,
-    )
+def test_tab01_microbenchmarks():
+    result = run_microbenchmarks("DC-9", QUICK_SCALE, 0, 200, 200)
 
     print()
     print(format_table(

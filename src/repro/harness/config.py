@@ -69,9 +69,9 @@ QUICK_SCALE = ExperimentScale(
     repetitions=2,
 )
 
-#: The scale the figure-regeneration benchmark suite and the perf-trajectory
-#: emitter (``benchmarks/emit_bench.py``) run at: large enough that the hot
-#: paths dominate, small enough that the whole suite stays in CI budget.
+#: The scale the figure-regeneration benchmark suite and the bench-scale
+#: fingerprints (``benchmarks/emit_bench.py``) run at: large enough that the
+#: hot paths dominate, small enough that the whole suite stays in CI budget.
 BENCH_SCALE = ExperimentScale(
     num_servers=30,
     num_tenants=21,

@@ -4,7 +4,7 @@ Every top-level result implements the uniform presentation protocol the
 ``repro.api`` envelope relies on:
 
 * ``headline()`` — the figure's fingerprint-relevant numbers as JSON-safe
-  data (what ``benchmarks/emit_bench.py`` records and
+  data (what ``benchmarks/emit_bench.py`` emits and
   ``benchmarks/diff_bench.py`` gates on);
 * ``render()`` — the figure's table as text (what the CLI prints).
 

@@ -404,8 +404,10 @@ def _parse_fields(body: str, spec: str) -> Dict[str, str]:
             raise ValueError(
                 f"bad traffic spec {spec!r}: expected key=value, got {chunk!r}"
             )
-        key, value = chunk.split("=", 1)
-        fields[key.strip()] = value.strip()
+        key, value = (part.strip() for part in chunk.split("=", 1))
+        if key in fields:
+            raise ValueError(f"bad traffic spec {spec!r}: repeated key {key!r}")
+        fields[key] = value
     return fields
 
 

@@ -347,8 +347,13 @@ def _parse_params(body: str, context: str) -> Dict[str, float]:
             raise ValueError(
                 f"bad {context} parameter {item!r}: expected key=value"
             )
+        key = key.strip()
+        if key in params:
+            raise ValueError(
+                f"bad {context} parameter {item!r}: repeated key {key!r}"
+            )
         try:
-            params[key.strip()] = parse_finite(key.strip(), raw)
+            params[key] = parse_finite(key, raw)
         except ValueError as error:
             raise ValueError(f"bad {context} parameter {item!r}: {error}") from None
     return params

@@ -264,17 +264,21 @@ def parse_workload(text: str, base: Optional[WorkloadSpec] = None) -> WorkloadSp
 
     Distribution-valued fields take the compact distribution syntax, e.g.
     ``"duration=uniform:low=40,high=90;shares=periodic:13,constant:3"``.
-    Raises :class:`ValueError` on unknown keys, unknown distribution or
-    process names, and negative rates/shares.
+    Raises :class:`ValueError` on unknown or repeated keys, unknown
+    distribution or process names, and negative rates/shares.
     """
     spec = base or DEFAULT_WORKLOAD
     shape, mix = spec.shape, spec.mix
     interarrival, skew = spec.interarrival, spec.skew
+    seen = set()
     for item in filter(None, (f.strip() for f in text.split(";"))):
         key, sep, value = item.partition("=")
         key = key.strip()
         if not sep or not value:
             raise ValueError(f"bad workload field {item!r}: expected key=value")
+        if key in seen:
+            raise ValueError(f"repeated workload field {key!r}")
+        seen.add(key)
         if key in _SHAPE_KEYS:
             shape = replace(shape, **{key: parse_distribution(value)})
         elif key == "interarrival":

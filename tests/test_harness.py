@@ -242,7 +242,7 @@ class TestEngineOrderingPin:
         assert order == ["early", "a0", "a1", "b0", "b1"]
 
     def test_periodic_and_one_shot_interleave_deterministically(self):
-        def run_once() -> list[tuple[str, float]]:
+        def interleaved_order() -> list[tuple[str, float]]:
             engine = SimulationEngine()
             order: list[tuple[str, float]] = []
             engine.schedule_periodic(
@@ -255,8 +255,8 @@ class TestEngineOrderingPin:
             engine.run_until(30.0)
             return order
 
-        first = run_once()
-        assert first == run_once()
+        first = interleaved_order()
+        assert first == interleaved_order()
         # Priority 0 one-shots precede the periodic tick at every shared time.
         assert first == [
             ("event", 10.0),

@@ -145,6 +145,8 @@ class TestParseTraffic:
             "open:rate=0.1,profile=step,step_at=nan,step_rate=0.2",
             "closed:users=2.9",  # integer fields are not truncated
             "open:rate=0.01,profile=diurnal,slots=3.5",
+            "open:rate=1,rate=2",  # repeated keys fail loudly
+            "closed:users=2,think=10,think=20",
         ],
     )
     def test_rejects_malformed_specs(self, bad):
@@ -153,6 +155,14 @@ class TestParseTraffic:
         if "nan" in bad or "inf" in bad:
             with pytest.raises(ValueError, match="is not a finite number"):
                 parse_traffic(bad)
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [("open:rate=1,rate=2", "rate"), ("closed:users=2,think=10,think=20", "think")],
+    )
+    def test_repeated_key_is_named(self, spec, key):
+        with pytest.raises(ValueError, match=f"repeated key '{key}'"):
+            parse_traffic(spec)
 
     @pytest.mark.parametrize(
         "spec, key",

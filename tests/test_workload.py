@@ -200,6 +200,10 @@ class TestParsingAndValidation:
             parse_distribution("uniform:low")
         with pytest.raises(ValueError, match="bad parameters"):
             make_distribution("uniform", wat=3.0)
+        with pytest.raises(ValueError, match="repeated key 'low'"):
+            parse_distribution("uniform:low=1,low=2,high=3")
+        with pytest.raises(ValueError, match="repeated key 'alpha'"):
+            parse_skew("zipf:alpha=1.2,alpha=2")
 
     def test_distribution_domain_errors(self):
         with pytest.raises(ValueError, match="low <= high"):
@@ -250,6 +254,10 @@ class TestParsingAndValidation:
             parse_workload("tenant_arrivals_per_hour=-1")
         with pytest.raises(ValueError, match="not a number"):
             parse_workload("tenant_arrivals_per_hour=soon")
+        with pytest.raises(
+            ValueError, match="repeated workload field 'tenant_arrivals_per_hour'"
+        ):
+            parse_workload("tenant_arrivals_per_hour=2;tenant_arrivals_per_hour=3")
         for bad in ("nan", "inf"):
             with pytest.raises(
                 ValueError,

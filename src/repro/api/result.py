@@ -83,7 +83,7 @@ class RunResult:
         The ``telemetry`` section holds the payload's non-fingerprinted
         fields (see :func:`~repro.harness.results.result_telemetry`),
         nested as in ``result``: the scheduler hot-path counters
-        (``waves_coalesced`` / ``frontier_cache_hits``) of sweep points and
+        (``waves_coalesced``) of sweep points and
         testbed-style variants, and the streaming-fold peaks of continuous
         variants.  It is deterministic, but like the timings it stays
         outside :meth:`fingerprint`.

@@ -14,8 +14,14 @@ the cluster's order, with
   so every server's primary utilization is one gather.
 
 A heartbeat round is one trace gather plus a handful of elementwise array
-operations; container placement is a boolean mask intersection plus one
-weighted draw; and the Algorithm 1 class statistics are masked reductions.
+operations, and the Algorithm 1 class statistics are masked reductions.
+Container placement reads the *fit index*: for each container allocation in
+use, the ascending rows whose RM view fits it, in total and per label.  It is
+built lazily from :meth:`FleetState.fits_mask` after a heartbeat refresh or a
+label change, and every launch and completion keeps it exact by rechecking
+the one row it touched, so "can this shape be placed at all?" costs a few
+dictionary lookups and a placement draws over the candidate rows as plain
+floats.
 
 The companion of :class:`~repro.storage.block_table.BlockTable` (the storage
 side): TraceMatrix answers "which servers are busy?", FleetState answers
@@ -35,19 +41,22 @@ long as allocations sit on a 1/256 binary grid (the shipped workloads use
 1 core / 2 GB containers).  Off-grid allocations can only come from outside
 the program — a replayed workload trace may carry ``"cores": 0.1`` — and the
 first such launch flips a guard: from then on every refresh re-sums the
-allocated columns from the containers, and reserve kills take the per-row
-walk of :meth:`FleetState._reclaim_row`, which re-sums after every kill,
-instead of the prefix-sum sweep of :meth:`FleetState._batch_reclaim`.
+allocated columns from the containers, and the reserve-kill walk
+(:meth:`FleetState._reclaim_row`) re-sums the row before every kill instead
+of subtracting the victims from the allocated column.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_left, insort
+from itertools import chain
+from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.resources import Resource
 from repro.cluster.server import Container
+from repro.simulation.random import RandomSource
 from repro.traces.datacenter import PrimaryTenant, Server
 from repro.traces.matrix import TraceMatrix
 
@@ -57,6 +66,37 @@ def _check_fractions(cpu_fraction: float, memory_fraction: float) -> None:
         raise ValueError(f"cpu_fraction must be in [0, 1) (got {cpu_fraction})")
     if not 0.0 <= memory_fraction < 1.0:
         raise ValueError(f"memory_fraction must be in [0, 1) (got {memory_fraction})")
+
+
+class FitIndex:
+    """The rows whose RM view fits one allocation, kept exact.
+
+    ``fits`` is one flag per row; ``rows`` lists the fitting rows in
+    ascending order and ``by_label`` the same rows split by label (a label
+    whose rows all stopped fitting keeps an empty list).
+    """
+
+    __slots__ = ("fits", "rows", "by_label")
+
+    def __init__(self, mask: np.ndarray, labels: Sequence[Optional[str]]) -> None:
+        self.fits: List[bool] = mask.tolist()
+        self.rows: List[int] = np.flatnonzero(mask).tolist()
+        self.by_label: Dict[Optional[str], List[int]] = {}
+        for row in self.rows:
+            self.by_label.setdefault(labels[row], []).append(row)
+
+    def update(self, row: int, fits: bool, label: Optional[str]) -> None:
+        """Record that ``row`` (carrying ``label``) now fits or not."""
+        if fits == self.fits[row]:
+            return
+        self.fits[row] = fits
+        labelled = self.by_label.setdefault(label, [])
+        if fits:
+            insort(self.rows, row)
+            insort(labelled, row)
+        else:
+            del self.rows[bisect_left(self.rows, row)]
+            del labelled[bisect_left(labelled, row)]
 
 
 class FleetState:
@@ -74,9 +114,8 @@ class FleetState:
     """
 
     #: Epsilon of ``Resource.fits_within``; every fit comparison — the batch
-    #: :meth:`fits_mask` and the RM wave loop's incremental single-row
-    #: recheck — must use this same constant or waves diverge from
-    #: per-request scheduling.
+    #: :meth:`fits_mask` and the fit index's single-row recheck — must use
+    #: this same constant or waves diverge from per-request scheduling.
     FIT_EPSILON = 1e-9
 
     def __init__(
@@ -127,10 +166,11 @@ class FleetState:
             )
 
         self._label_masks: Dict[Optional[str], np.ndarray] = {}
-        # Combined (multi-label) masks, keyed order-independently: the mask
-        # is an OR of per-label masks, so every ordering of the same label
-        # set yields identical bits.  Cleared with _label_masks.
-        self._combined_label_masks: Dict[frozenset, np.ndarray] = {}
+        # Fit index per (cores, memory_gb) allocation, built on first use;
+        # cleared by a refresh (which replaces the available columns) and by
+        # a label change.
+        self._fit_index: Dict[Tuple[float, float], FitIndex] = {}
+        self._present_labels: Optional[set] = None
         self._cached_util_time: Optional[float] = None
         self._cached_util: Optional[np.ndarray] = None
         # Off-grid guard (see the module docstring): set by the first launch
@@ -161,7 +201,8 @@ class FleetState:
         if self._labels[index] != label:
             self._labels[index] = label
             self._label_masks.clear()
-            self._combined_label_masks.clear()
+            self._fit_index.clear()
+            self._present_labels = None
 
     def label_of(self, index: int) -> Optional[str]:
         """The label currently carried by row ``index``."""
@@ -207,6 +248,8 @@ class FleetState:
         self.available_memory[index] = max(
             0.0, self.available_memory[index] - memory_gb
         )
+        if self._fit_index:
+            self._refit(index)
         return container
 
     def complete(self, container: Container, time: float) -> None:
@@ -216,6 +259,17 @@ class FleetState:
         self._drop(index, container)
         self.available_cores[index] += container.allocation.cores
         self.available_memory[index] += container.allocation.memory_gb
+        if self._fit_index:
+            self._refit(index)
+
+    def _refit(self, index: int) -> None:
+        """Recheck one row against every indexed allocation (``fits_mask``)."""
+        epsilon = self.FIT_EPSILON
+        cores_room = float(self.available_cores[index]) + epsilon
+        memory_room = float(self.available_memory[index]) + epsilon
+        label = self._labels[index]
+        for (cores, memory_gb), fit in self._fit_index.items():
+            fit.update(index, cores <= cores_room and memory_gb <= memory_room, label)
 
     def _kill(self, index: int, container: Container, time: float) -> None:
         container.kill(time)
@@ -279,27 +333,17 @@ class FleetState:
     def label_mask(self, labels: Sequence[str]) -> np.ndarray:
         """Boolean row mask of servers carrying any of ``labels``.
 
-        The combined mask is cached per label *set* — an OR of per-label
-        masks is order-independent, so permuted label lists share one
-        entry.  The returned array is frozen; callers combine it with
-        ``&``/indexing and must not mutate it.
+        Per-label masks are cached until a label changes; the result is a
+        fresh array.
         """
-        key = frozenset(labels)
-        cached = self._combined_label_masks.get(key)
-        if cached is None:
-            cached = np.zeros(len(self._ids), dtype=bool)
-            for label in labels:
-                cached |= self._single_label_mask(label)
-            cached.flags.writeable = False
-            self._combined_label_masks[key] = cached
-        return cached
-
-    def _single_label_mask(self, label: Optional[str]) -> np.ndarray:
-        cached = self._label_masks.get(label)
-        if cached is None:
-            cached = np.array([lbl == label for lbl in self._labels], dtype=bool)
-            self._label_masks[label] = cached
-        return cached
+        mask = np.zeros(len(self._ids), dtype=bool)
+        for label in labels:
+            cached = self._label_masks.get(label)
+            if cached is None:
+                cached = np.array([lbl == label for lbl in self._labels], dtype=bool)
+                self._label_masks[label] = cached
+            mask |= cached
+        return mask
 
     def fits_mask(self, cores: float, memory_gb: float) -> np.ndarray:
         """Servers whose RM-view available resources fit an allocation.
@@ -311,6 +355,57 @@ class FleetState:
             memory_gb <= self.available_memory + epsilon
         )
 
+    def fit_index(self, cores: float, memory_gb: float) -> FitIndex:
+        """The (lazily built) fit index of one allocation."""
+        key = (cores, memory_gb)
+        fit = self._fit_index.get(key)
+        if fit is None:
+            fit = FitIndex(self.fits_mask(cores, memory_gb), self._labels)
+            self._fit_index[key] = fit
+        return fit
+
+    def carries_any(self, labels: Collection[str]) -> bool:
+        """Whether any server carries one of ``labels``."""
+        present = self._present_labels
+        if present is None:
+            present = self._present_labels = set(self._labels)
+        return not present.isdisjoint(labels)
+
+    def fit_rows(
+        self,
+        cores: float,
+        memory_gb: float,
+        labels: Optional[Collection[str]] = None,
+    ) -> List[int]:
+        """A fresh ascending list of the rows that fit an allocation.
+
+        With ``labels`` only rows carrying one of them count.  Each row
+        carries one label, so the per-label lists are disjoint and their
+        sorted concatenation is ascending whatever order ``labels`` iterate
+        in.
+        """
+        fit = self.fit_index(cores, memory_gb)
+        if labels is None:
+            return list(fit.rows)
+        by_label = fit.by_label
+        return sorted(chain.from_iterable(by_label.get(label, ()) for label in labels))
+
+    def any_fit(
+        self,
+        cores: float,
+        memory_gb: float,
+        labels: Optional[Collection[str]] = None,
+    ) -> bool:
+        """Whether :meth:`fit_rows` would be non-empty (O(labels))."""
+        fit = self.fit_index(cores, memory_gb)
+        if labels is None:
+            return bool(fit.rows)
+        by_label = fit.by_label
+        for label in labels:
+            if by_label.get(label):
+                return True
+        return False
+
     # -- heartbeats ---------------------------------------------------------
 
     def refresh(self, time: float) -> List[Container]:
@@ -321,6 +416,7 @@ class FleetState:
         by row), then every server publishes its available resources to the
         RM view.
         """
+        self._fit_index.clear()
         if not self._ids:
             return []
         if self._inexact_allocations:
@@ -352,19 +448,15 @@ class FleetState:
             (self.allocated_cores - harvest_cores > 1e-12)
             | (self.allocated_memory - harvest_memory > 1e-12)
         )
-        if violated.any():
-            rows = np.flatnonzero(violated)
-            if self._inexact_allocations:
-                for index in rows:
-                    killed.extend(
-                        self._reclaim_row(
-                            index, harvest_cores[index], harvest_memory[index], time
-                        )
-                    )
-            else:
-                killed.extend(
-                    self._batch_reclaim(rows, harvest_cores, harvest_memory, time)
+        for index in np.flatnonzero(violated).tolist():
+            killed.extend(
+                self._reclaim_row(
+                    index,
+                    float(harvest_cores[index]),
+                    float(harvest_memory[index]),
+                    time,
                 )
+            )
         self.available_cores = np.maximum(0.0, harvest_cores - self.allocated_cores)
         self.available_memory = np.maximum(0.0, harvest_memory - self.allocated_memory)
         return killed
@@ -374,116 +466,49 @@ class FleetState:
     ) -> List[Container]:
         """Youngest-first kills on one row until its reserve is restored.
 
-        The off-grid path: after each kill the remaining allocations are
-        re-summed fresh, so the stop test never reads incremental sums.
         ``sorted(..., reverse=True)`` keeps launch order among start-time
-        ties.
+        ties.  The stop test before each kill reads the row's remaining
+        allocation: on the 1/256 grid the allocated column minus the victims
+        killed so far, which is exact and so equals a fresh re-sum; off the
+        grid a fresh in-order re-sum of the running containers.
         """
         killed: List[Container] = []
+        cores = float(self.allocated_cores[index])
+        memory_gb = float(self.allocated_memory[index])
         for container in sorted(
             self._running[index].values(), key=lambda c: c.start_time, reverse=True
         ):
-            cores, memory_gb = self._row_sums(index)
+            if self._inexact_allocations:
+                cores, memory_gb = self._row_sums(index)
             if cores - harvest_cores <= 1e-12 and memory_gb - harvest_memory <= 1e-12:
                 break
             self._kill(index, container, time)
             killed.append(container)
-        return killed
-
-    def _batch_reclaim(
-        self,
-        rows: np.ndarray,
-        harvest_cores: np.ndarray,
-        harvest_memory: np.ndarray,
-        time: float,
-    ) -> List[Container]:
-        """Youngest-first reserve kills for every violating row, in one sweep.
-
-        The on-grid equivalent of :meth:`_reclaim_row` for all violators at
-        once: sort every violator's running containers youngest-first (one
-        stable ``lexsort`` keyed by row then descending start time — ties
-        keep launch order, exactly like ``sorted(..., reverse=True)``), take
-        per-row prefix sums of the victims' allocations, and kill the
-        shortest prefix whose removal clears the violation.
-
-        The stop condition is the per-row walk's: after killing a prefix,
-        the remaining allocation must sit within the harvestable room to a
-        1e-12 tolerance on both dimensions.  On the 1/256 allocation grid
-        the prefix-sum arithmetic is exact, so "total minus killed prefix"
-        equals the walk's fresh per-kill re-sum bit for bit.  Kills are
-        applied and reported row by row in row order.
-        """
-        keep_rows: List[int] = []
-        running_lists: List[List[Container]] = []
-        for index in rows:
-            running = self._running[index]
-            if running:
-                keep_rows.append(int(index))
-                running_lists.append(list(running.values()))
-        if not keep_rows:
-            return []
-        counts = np.array([len(r) for r in running_lists], dtype=np.int64)
-        total = int(counts.sum())
-        seg = np.repeat(np.arange(len(keep_rows), dtype=np.int64), counts)
-        start_times = np.empty(total)
-        victim_cores = np.empty(total)
-        victim_memory = np.empty(total)
-        flat: List[Container] = []
-        i = 0
-        for running in running_lists:
-            for container in running:
-                start_times[i] = container.start_time
-                victim_cores[i] = container.allocation.cores
-                victim_memory[i] = container.allocation.memory_gb
-                flat.append(container)
-                i += 1
-        order = np.lexsort((-start_times, seg))
-        cum_cores = np.cumsum(victim_cores[order])
-        cum_memory = np.cumsum(victim_memory[order])
-        bounds = np.zeros(len(keep_rows) + 1, dtype=np.int64)
-        np.cumsum(counts, out=bounds[1:])
-        base_cores = np.concatenate(([0.0], cum_cores))[bounds[:-1]]
-        base_memory = np.concatenate(([0.0], cum_memory))[bounds[:-1]]
-        row_index = np.asarray(keep_rows, dtype=np.int64)
-        after_cores = np.repeat(self.allocated_cores[row_index], counts) - (
-            cum_cores - base_cores[seg]
-        )
-        after_memory = np.repeat(self.allocated_memory[row_index], counts) - (
-            cum_memory - base_memory[seg]
-        )
-        cleared = (
-            after_cores - np.repeat(harvest_cores[row_index], counts) <= 1e-12
-        ) & (after_memory - np.repeat(harvest_memory[row_index], counts) <= 1e-12)
-        positions = np.arange(total, dtype=np.int64)
-        first_cleared = np.minimum.reduceat(
-            np.where(cleared, positions, total), bounds[:-1]
-        )
-        kill_counts = np.where(
-            first_cleared < bounds[1:], first_cleared - bounds[:-1] + 1, counts
-        )
-        killed: List[Container] = []
-        for s, index in enumerate(keep_rows):
-            start = int(bounds[s])
-            for t in range(start, start + int(kill_counts[s])):
-                victim = flat[order[t]]
-                self._kill(index, victim, time)
-                killed.append(victim)
+            cores -= container.allocation.cores
+            memory_gb -= container.allocation.memory_gb
         return killed
 
     # -- placement ----------------------------------------------------------
 
-    def draw_proportional(self, candidates: np.ndarray, rng) -> int:
+    @staticmethod
+    def draw_proportional(
+        candidates: List[int], available_cores: List[float], rng: RandomSource
+    ) -> int:
         """Pick a candidate row with probability proportional to free cores.
 
-        ``candidates`` is an ascending array of row indices, so the weight
+        ``candidates`` is an ascending list of row indices, so the weight
         vector follows row order and the draw consumes the random stream
-        identically to a per-server candidate list.
+        identically to a per-server candidate list.  ``available_cores`` is a
+        float copy of :attr:`available_cores` (the caller keeps it current);
+        weights are floored at 1e-9 like ``np.maximum(1e-9, ...)``.
         """
-        weights = np.maximum(1e-9, self.available_cores[candidates])
-        return int(candidates[rng.weighted_index(weights)])
+        weights = [available_cores[row] for row in candidates]
+        weights = [cores if cores > 1e-9 else 1e-9 for cores in weights]
+        return candidates[rng.weighted_index_floats(weights)]
 
-    def most_available(self, candidates: np.ndarray) -> int:
+    def most_available(self, candidates: Sequence[int]) -> int:
         """The stock-YARN pick: most free cores, ties to the largest id."""
+        candidates = np.asarray(candidates)
         cores = self.available_cores[candidates]
         best = candidates[cores == cores.max()]
         if len(best) == 1:

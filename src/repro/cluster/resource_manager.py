@@ -17,15 +17,19 @@ Three modes mirror the paper's baselines:
 
 The RM's per-server state is its
 :class:`~repro.cluster.fleet_state.FleetState`: heartbeat processing is one
-batched trace gather plus a reserve-violation mask, and container placement
-is a boolean mask intersection feeding one weighted draw per request.
+batched trace gather plus a reserve-violation mask.  Container placement
+reads the fleet's fit index, which lists the rows each allocation fits, per
+label, and stays exact across launches and completions: whether a request
+shape can be placed at all is a few lookups
+(:meth:`ResourceManager.shape_exhausted`), and a placement is one weighted
+draw over the shape's fitting rows.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Collection, List, Optional, Sequence
 
 import numpy as np
 
@@ -70,8 +74,8 @@ class ResourceManager:
         rng: the placement draw stream.
 
     Attributes:
-        waves_coalesced: waves the placement fast path served from a
-            maintained candidate-mask entry.
+        waves_coalesced: waves of a shape their pump batch had already
+            scheduled.
     """
 
     def __init__(
@@ -84,13 +88,6 @@ class ResourceManager:
         self._rng = rng or RandomSource(0)
         self.waves_coalesced = 0
         self._fleet = fleet
-        # Request shapes (allocation, labels) that the current cluster state
-        # provably cannot place: a wave that left requests unsatisfied ran
-        # out of candidates, and placements only ever consume availability,
-        # so the shape stays unplaceable until something returns capacity or
-        # changes the view — any heartbeat refresh (which also carries the
-        # kills), completion, or label change clears the set.
-        self._exhausted: set = set()
 
     @property
     def fleet(self) -> FleetState:
@@ -100,7 +97,6 @@ class ResourceManager:
     def set_label(self, server_id: str, label: Optional[str]) -> None:
         """Update a server's utilization-class label (after re-clustering)."""
         self._fleet.set_label(self._fleet.index_of(server_id), label)
-        self._exhausted.clear()
 
     # -- heartbeats -----------------------------------------------------------
 
@@ -111,9 +107,7 @@ class ResourceManager:
         exactly as the real systems piggyback utilization on the existing
         heartbeat protocol — here as one batch refresh over the fleet.
         """
-        killed = self._fleet.refresh(time)
-        self._exhausted.clear()
-        return killed
+        return self._fleet.refresh(time)
 
     # -- utilization visibility -------------------------------------------------
 
@@ -157,33 +151,39 @@ class ResourceManager:
     # -- scheduling -------------------------------------------------------------
 
     def shape_exhausted(self, shape: tuple) -> bool:
-        """Whether a wave of this shape is known to be unplaceable right now.
+        """Whether no server can take a request of this shape right now.
 
-        ``shape`` is ``(cores, memory_gb, tuple(node_labels))``.  True only
-        between a wave that left requests of this exact shape unsatisfied
-        and the next event that could return capacity or change eligibility
-        (heartbeat refresh, kill, completion, label change).  Starved pump
-        waves use it to skip rebuilding their request lists entirely: a
-        skipped wave would have drawn nothing and placed nothing, so
-        skipping is draw-invisible.
+        ``shape`` is ``(cores, memory_gb, node_labels)`` with the labels in
+        any order.  The answer is exact for the current RM view: it reads
+        the fleet's fit index, which every heartbeat, launch, completion and
+        label change keeps current.  Pump waves use it to skip building
+        their request lists: a request with no candidate server draws
+        nothing and places nothing, so skipping is draw-invisible.
         """
-        return shape in self._exhausted
-
-    def _candidate_mask(self, request: ContainerRequest) -> np.ndarray:
-        """Boolean row mask of servers eligible for the request."""
-        fits = self._fleet.fits_mask(
-            request.allocation.cores, request.allocation.memory_gb
+        cores, memory_gb, labels = shape
+        return not self._fleet.any_fit(
+            cores, memory_gb, self._placement_labels(labels)
         )
-        if self.mode is SchedulerMode.HISTORY and request.node_labels:
-            labelled = self._fleet.label_mask(request.node_labels)
-            # Fall back to the default policy if the labels name no servers,
-            # mirroring the RM's behaviour when a label is unknown.
-            if labelled.any():
-                return fits & labelled
-        return fits
+
+    def _placement_labels(
+        self, labels: Collection[str]
+    ) -> Optional[Collection[str]]:
+        """The labels that restrict placement, or None for every server.
+
+        Labels count only in History mode, and a label set that names no
+        server falls back to the default policy, mirroring the RM's
+        behaviour when a label is unknown.
+        """
+        if (
+            self.mode is SchedulerMode.HISTORY
+            and labels
+            and self._fleet.carries_any(labels)
+        ):
+            return labels
+        return None
 
     def begin_batch(self, time: float) -> "WaveBatch":
-        """A mask-coalescing scheduling context for one pump tick.
+        """A scheduling context for one pump tick.
 
         Placement draws each destination with probability proportional to
         available cores (the paper's probabilistic load balancing); Stock
@@ -194,94 +194,46 @@ class ResourceManager:
     def complete(self, container: Container, time: float) -> None:
         """Mark a container completed and release its resources on the RM view."""
         self._fleet.complete(container, time)
-        self._exhausted.clear()
-
-
-class _ShapeEntry:
-    """One maintained candidate mask of a :class:`WaveBatch` shape.
-
-    ``seen`` is the length of the batch's placement log the mask is
-    current with; an entry catches up lazily when its shape is next
-    scheduled (see :meth:`WaveBatch.schedule`).
-    """
-
-    __slots__ = ("cores", "memory_gb", "mask", "candidates", "seen")
-
-    def __init__(
-        self, cores: float, memory_gb: float, mask: np.ndarray, seen: int
-    ) -> None:
-        self.cores = cores
-        self.memory_gb = memory_gb
-        self.mask = mask
-        self.candidates: Optional[np.ndarray] = None
-        self.seen = seen
 
 
 class WaveBatch:
-    """Mask-coalescing placement context for one pump tick's waves.
+    """Placement context for one pump tick's waves.
 
     One pump tick submits many uniform waves back to back — one per live
     execution — and between them nothing touches the fleet's availability
-    view (launch bookkeeping schedules engine events and writes task
-    tables; only placements consume capacity, and completions arrive as
-    separate engine events).  A wave's candidate mask is therefore
-    invariant *across* wave boundaries too, not just within a wave, and the
-    batch keeps one maintained mask per ``(allocation, labels)`` shape it
-    has seen:
+    view except the batch's own launches (launch bookkeeping schedules
+    engine events and writes task tables; completions and heartbeats arrive
+    as separate engine events).  Each wave takes its candidates from the
+    fleet's fit index — the shape's fitting rows, ascending — and each
+    placement:
 
-    * a freshly built mask is ``fits_now & labelled`` (labels are static
-      within a tick);
-    * placements only *consume* availability, so the only bits of any
-      maintained mask that can flip are the chosen servers' — the batch
-      logs every chosen row, the active shape rechecks each placement
-      immediately, and a dormant shape catches up when it is next
-      scheduled, replaying the log entries it missed (or rebuilding from
-      the fleet outright when it is too far behind) with the same epsilon
-      the batch ``fits_mask`` uses;
-    * bits only ever clear (availability never grows mid-tick), so the
-      maintained mask equals the freshly built one at every wave boundary.
+    * draws its row with probability proportional to free cores (Stock:
+      the most-available row), over the batch's float copy of the fleet's
+      available cores, which every launch writes through;
+    * launches, which rechecks the chosen row in the fit index; a chosen
+      row that no longer fits leaves the wave's candidate list.
 
-    Later waves of an already-seen shape therefore reuse the maintained
-    mask instead of rebuilding fits and label masks from the fleet
-    (``waves_coalesced`` counts these reuses; on a tiny fig13 sweep this
-    turns ~130k mask builds into a few thousand).  Every placement draws
-    from the random stream individually, in submission order, and each
-    wave updates the exhaustion set exactly as a wave scheduled in a batch
-    of its own would — a fixed seed schedules bit-identically through one
-    batch and through one batch per wave.
+    A request with no candidate draws nothing, and availability only
+    shrinks within a wave, so once the list is empty the rest of the wave
+    fails in one step.  Every placement draws from the random stream
+    individually, in submission order — a fixed seed schedules
+    bit-identically through one batch and through one batch per wave.
+    ``waves_coalesced`` counts the waves of a shape the batch has already
+    scheduled.
     """
 
-    __slots__ = (
-        "_rm",
-        "_time",
-        "_entries",
-        "_log",
-        "_fleet",
-        "_avail_cores",
-        "_avail_memory",
-        "_stock",
-    )
-
-    #: Replay horizon: an entry reused after more placements than this is
-    #: rebuilt from the fleet instead of replayed placement-by-placement.
-    REPLAY_LIMIT = 32
+    __slots__ = ("_rm", "_time", "_fleet", "_stock", "_seen", "_cores")
 
     def __init__(self, rm: ResourceManager, time: float) -> None:
         self._rm = rm
         self._time = time
-        self._entries: Dict[tuple, _ShapeEntry] = {}
-        # Every chosen row, in placement order; dormant entries replay
-        # their unseen suffix when their shape next schedules.
-        self._log: List[int] = []
-        # A batch lives within one engine event, so the fleet's availability
-        # arrays are stable object references for its whole lifetime
-        # (launches mutate them in place; only a heartbeat refresh replaces
-        # them, and it happens in another event).
-        fleet = rm._fleet
-        self._fleet = fleet
-        self._avail_cores = fleet.available_cores
-        self._avail_memory = fleet.available_memory
+        self._fleet = rm._fleet
         self._stock = rm.mode is SchedulerMode.STOCK
+        self._seen: set = set()
+        # Float copy of the fleet's available cores, taken at the first draw:
+        # a batch lives within one engine event, so only its own launches
+        # move availability, and each one writes its row through.
+        self._cores: Optional[List[float]] = None
 
     def schedule(
         self,
@@ -295,12 +247,10 @@ class WaveBatch:
         request carries the same allocation and node labels (the
         Application Master's cached request lists do by construction) and
         skips the per-request validation scan.  ``key`` optionally supplies
-        the precomputed ``(cores, memory_gb, frozenset(labels))`` entry key
-        for the wave's shape.
+        the precomputed ``(cores, memory_gb, frozenset(labels))`` shape.
         """
-        results: List[Optional[Container]] = []
         if not requests:
-            return results
+            return []
         rm = self._rm
         first = requests[0]
         cores = first.allocation.cores
@@ -316,74 +266,42 @@ class WaveBatch:
                         "a wave must be uniform: every request "
                         "must carry the same allocation and node_labels"
                     )
-        fleet = self._fleet
-        available_cores = self._avail_cores
-        available_memory = self._avail_memory
-        epsilon = FleetState.FIT_EPSILON
-        log = self._log
-        # Entries are keyed order-independently (label set, not label
-        # list): the candidate mask is ``fits & (OR of label masks)``, so
-        # permuted label orderings — common across jobs sharing a class
-        # pair — have bit-identical masks and share one maintained entry.
         if key is None:
             key = (cores, memory_gb, frozenset(first.node_labels))
-        entry = self._entries.get(key)
-        if entry is not None:
+        if key in self._seen:
             rm.waves_coalesced += 1
-            behind = len(log) - entry.seen
-            if behind:
-                if behind <= self.REPLAY_LIMIT:
-                    mask = entry.mask
-                    for chosen in log[entry.seen :]:
-                        if mask[chosen] and not (
-                            cores <= available_cores[chosen] + epsilon
-                            and memory_gb <= available_memory[chosen] + epsilon
-                        ):
-                            mask[chosen] = False
-                            entry.candidates = None
-                else:
-                    entry.mask = rm._candidate_mask(first)
-                    entry.candidates = None
-                entry.seen = len(log)
         else:
-            entry = _ShapeEntry(
-                cores, memory_gb, rm._candidate_mask(first), len(log)
-            )
-            self._entries[key] = entry
+            self._seen.add(key)
+        fleet = self._fleet
+        candidates = fleet.fit_rows(cores, memory_gb, rm._placement_labels(key[2]))
+        if not candidates:
+            return [None] * len(requests)
+        fits = fleet.fit_index(cores, memory_gb).fits
         stock = self._stock
-        unsatisfied = False
+        available = self._cores
+        if available is None and not stock:
+            available = self._cores = fleet.available_cores.tolist()
+        available_cores = fleet.available_cores
+        results: List[Optional[Container]] = []
         for request in requests:
-            candidates = entry.candidates
-            if candidates is None:
-                candidates = entry.candidates = entry.mask.nonzero()[0]
-            if len(candidates) == 0:
-                unsatisfied = True
-                results.append(None)
-                continue
             if stock:
                 chosen = fleet.most_available(candidates)
             else:
-                chosen = fleet.draw_proportional(candidates, rm._rng)
-            container = fleet.launch(
-                chosen, request.task_id, request.job_id, request.allocation, self._time
+                chosen = fleet.draw_proportional(candidates, available, rm._rng)
+            results.append(
+                fleet.launch(
+                    chosen,
+                    request.task_id,
+                    request.job_id,
+                    request.allocation,
+                    self._time,
+                )
             )
-            results.append(container)
-            log.append(chosen)
-            # The chosen server is the only one whose availability moved;
-            # the active shape rechecks it now, dormant shapes catch up
-            # from the log on their next wave.
-            if entry.mask[chosen] and not (
-                cores <= available_cores[chosen] + epsilon
-                and memory_gb <= available_memory[chosen] + epsilon
-            ):
-                entry.mask[chosen] = False
-                entry.candidates = None
-        entry.seen = len(log)
-        if unsatisfied:
-            # Candidate bits are only ever cleared within a batch, so an
-            # unsatisfied request means the shape ended with zero
-            # candidates — remember that until capacity can return.  The
-            # exhaustion set keys on the exact (ordered) label tuple, the
-            # shape the Application Master checks with shape_exhausted().
-            rm._exhausted.add((cores, memory_gb, tuple(first.node_labels)))
+            if not stock:
+                available[chosen] = float(available_cores[chosen])
+            if not fits[chosen]:
+                candidates.remove(chosen)
+                if not candidates:
+                    results.extend([None] * (len(requests) - len(results)))
+                    break
         return results

@@ -196,7 +196,7 @@ class SchedulingSweepPoint:
     yarn_h_tasks_killed: int
     jobs_completed_pt: int
     jobs_completed_h: int
-    #: Per-variant hot-path cache counters: telemetry, outside the
+    #: Per-variant hot-path counters: telemetry, outside the
     #: fingerprinted JSON (see ``result_telemetry``).
     scheduler_counters: Dict[str, Dict[str, int]] = field(
         default_factory=dict, metadata={"jsonable": False}
@@ -332,7 +332,7 @@ class VariantSchedulingResult:
     average_cpu_utilization: float
     latency_samples: List[float] = field(default_factory=list)
     job_execution_seconds: List[float] = field(default_factory=list)
-    #: Hot-path cache counters (waves_coalesced / frontier_cache_hits):
+    #: Hot-path counters (waves_coalesced):
     #: telemetry, outside the fingerprinted JSON (see ``result_telemetry``).
     scheduler_counters: Dict[str, int] = field(
         default_factory=dict, metadata={"jsonable": False}

@@ -644,14 +644,13 @@ class AvailabilityRunner(ScenarioRunner):
 
 
 def _scheduler_counters(cluster: HarvestingCluster) -> Dict[str, int]:
-    """Snapshot the RM/AM hot-path cache counters of one cluster.
+    """Snapshot the RM's hot-path counter of one cluster.
 
-    The result carries them as telemetry, which ``--json`` output lists
+    The result carries it as telemetry, which ``--json`` output lists
     outside the fingerprinted result document.
     """
     return {
         "waves_coalesced": cluster.resource_manager.waves_coalesced,
-        "frontier_cache_hits": cluster.app_master.frontier_cache_hits,
     }
 
 

@@ -84,16 +84,12 @@ class JobExecution:
     def __post_init__(self) -> None:
         self.table = TaskTable(self.dag)
         # Request-side caches, filled by the Application Master: the
-        # container allocation, labels, and per-task requests of an
-        # execution never change after submit, and an unchanged frontier
-        # (same cached list object) re-submits the same request list.
+        # container allocation, labels, request shape and per-task requests
+        # of an execution never change after submit.
         self._allocation: Optional[Resource] = None
         self._labels: Optional[List[str]] = None
         self._shape: Optional[tuple] = None
-        self._mask_key: Optional[tuple] = None
         self._requests: List[Optional[ContainerRequest]] = []
-        self._cached_wave: Optional[List[TaskView]] = None
-        self._cached_requests: Optional[List[ContainerRequest]] = None
         if self.tasks:
             for vertex_name, scalar_tasks in self.tasks.items():
                 start = int(
@@ -134,8 +130,6 @@ class ApplicationMaster:
 
     Attributes:
         tasks_killed: task attempts lost to reserve kills, over every job.
-        frontier_cache_hits: waves served straight from a task table's
-            frontier cache.
     """
 
     def __init__(
@@ -148,7 +142,6 @@ class ApplicationMaster:
         self._rm = resource_manager
         self._history = history
         self.tasks_killed = 0
-        self.frontier_cache_hits = 0
         self._results: List[JobResult] = []
         # Container id -> owning execution, maintained across launches and
         # completions so a reserve-kill heartbeat resolves its affected
@@ -182,7 +175,7 @@ class ApplicationMaster:
             job_type=job_type,
             selection=selection,
         )
-        self._schedule_runnable(execution)
+        self._pump((execution,))
         return execution
 
     def _container_allocation(self, dag: JobDag) -> Resource:
@@ -192,28 +185,6 @@ class ApplicationMaster:
         if execution.selection is None:
             return []
         return list(execution.selection.class_ids)
-
-    def _schedule_runnable(self, execution: JobExecution) -> None:
-        """Request a container for every currently runnable task.
-
-        The whole runnable wave goes to the RM as one batch; the RM draws
-        one placement per request in wave order.  Tasks the wave could not
-        place stay pending and retry on the next pump.  A starved wave whose
-        (allocation, labels) shape the RM knows to be unplaceable is skipped
-        before the runnable frontier is even rebuilt: the wave would have
-        drawn nothing and placed nothing, so the skip is draw-invisible and
-        saves the per-wave mask scan and request-list construction.
-        """
-        collected = self._collect_wave(execution)
-        if collected is None:
-            return
-        wave, requests = collected
-        containers = self._rm.begin_batch(self._engine.now).schedule(
-            requests, uniform=True, key=execution._mask_key
-        )
-        for task, container in zip(wave, containers):
-            if container is not None:
-                self._launch(execution, task, container)
 
     def _launch(
         self, execution: JobExecution, task: TaskView, container: Container
@@ -244,7 +215,7 @@ class ApplicationMaster:
         if execution.all_completed():
             self._finish(execution)
         else:
-            self._schedule_runnable(execution)
+            self._pump((execution,))
 
     def _mark_killed(self, execution: JobExecution, container: Container) -> None:
         """Return a killed container's task to the runnable pool."""
@@ -271,49 +242,26 @@ class ApplicationMaster:
             if execution is not None:
                 self._mark_killed(execution, container)
 
-    def _collect_wave(
-        self, execution: JobExecution
-    ) -> Optional[Tuple[List[TaskView], List[ContainerRequest]]]:
-        """The execution's ``(wave, requests)`` for this tick, or None.
+    def _shape_of(self, execution: JobExecution) -> tuple:
+        """Fill the execution's request-side caches; returns its shape."""
+        allocation = execution._allocation = self._container_allocation(execution.dag)
+        execution._labels = self._node_labels(execution)
+        execution._shape = (
+            allocation.cores,
+            allocation.memory_gb,
+            frozenset(execution._labels),
+        )
+        execution._requests = [None] * execution.table.num_tasks
+        return execution._shape
 
-        The single home of the wave early-outs: finished or fully-scheduled
-        executions and starved shapes never build a request list.
-        ``frontier_cache_hits`` counts the waves served straight from the
-        :class:`~repro.jobs.task_table.TaskTable` frontier cache.
+    def _wave(
+        self, execution: JobExecution
+    ) -> Tuple[List[TaskView], List[ContainerRequest]]:
+        """The execution's runnable frontier and one request per task.
+
+        Requests are built once per task row and reused by its retries.
         """
-        if execution.finished or not execution.table.needs_containers:
-            return None
-        allocation = execution._allocation
-        if allocation is None:
-            allocation = execution._allocation = self._container_allocation(
-                execution.dag
-            )
-            execution._labels = self._node_labels(execution)
-            execution._shape = (
-                allocation.cores,
-                allocation.memory_gb,
-                tuple(execution._labels),
-            )
-            execution._mask_key = (
-                allocation.cores,
-                allocation.memory_gb,
-                frozenset(execution._labels),
-            )
-            execution._requests = [None] * execution.table.num_tasks
-        labels = execution._labels
-        if self._rm.shape_exhausted(execution._shape):
-            return None
-        wave = execution.table.cached_runnable_views()
-        if wave is not None:
-            self.frontier_cache_hits += 1
-        else:
-            wave = execution.runnable_tasks()
-        if not wave:
-            return None
-        if wave is execution._cached_wave:
-            # Unchanged frontier (the cached list object itself): the wave
-            # re-submits the identical request list.
-            return wave, execution._cached_requests
+        wave = execution.runnable_tasks()
         by_row = execution._requests
         requests = []
         for task in wave:
@@ -323,36 +271,61 @@ class ApplicationMaster:
                 request = by_row[row] = ContainerRequest(
                     job_id=execution.dag.name,
                     task_id=task.task_id,
-                    allocation=allocation,
-                    node_labels=labels,
+                    allocation=execution._allocation,
+                    node_labels=execution._labels,
                 )
             requests.append(request)
-        execution._cached_wave = wave
-        execution._cached_requests = requests
         return wave, requests
 
     def pump_all(self, executions: Sequence[JobExecution]) -> None:
         """Periodic retry: every execution's unsatisfied requests, in order.
 
-        Step-for-step identical to retrying each execution in its own RM
-        batch — every early-out, starvation skip, placement draw, and launch
-        happens at the same point of the sequence — except that the waves
-        share one :class:`~repro.cluster.resource_manager.WaveBatch`, which
-        reuses the candidate mask across consecutive same-shape waves
-        instead of rebuilding it per execution (see ``WaveBatch`` for the
-        argument).
+        The cluster's pump ticks and post-kill heartbeats pass every live
+        execution in submission order; see :meth:`_pump`.
         """
+        self._pump(executions)
+
+    def _pump(self, executions: Sequence[JobExecution]) -> None:
+        """Request a container for every runnable task, execution by execution.
+
+        Each execution's runnable frontier goes to the RM as one wave, and
+        the RM draws one placement per request in wave order; tasks a wave
+        could not place stay pending for the next pump.  A submission or a
+        task completion pumps its own execution; :meth:`pump_all` pumps them
+        all.  All waves share one
+        :class:`~repro.cluster.resource_manager.WaveBatch`, which places them
+        step for step as one batch per wave would.
+
+        An execution is passed over before its frontier or any request is
+        built when it is finished, when nothing of it is runnable (every
+        task running or completed, or the pending ones waiting on an
+        upstream vertex), or when no server can take its request shape
+        (:meth:`ResourceManager.shape_exhausted`): such a wave would draw
+        nothing and place nothing, so the skip is draw-invisible.  Within
+        one call launches only consume capacity, so a shape found
+        exhausted stays exhausted and is not asked about again.
+        """
+        rm = self._rm
         batch = None
+        exhausted = set()
         for execution in executions:
-            collected = self._collect_wave(execution)
-            if collected is None:
+            if execution.finished or not execution.table.runnable_count:
                 continue
-            wave, requests = collected
+            shape = execution._shape
+            if shape is None:
+                shape = self._shape_of(execution)
+            if shape in exhausted:
+                continue
+            if rm.shape_exhausted(shape):
+                exhausted.add(shape)
+                continue
+            wave, requests = self._wave(execution)
             if batch is None:
-                batch = self._rm.begin_batch(self._engine.now)
-            containers = batch.schedule(
-                requests, uniform=True, key=execution._mask_key
-            )
+                batch = rm.begin_batch(self._engine.now)
+            containers = batch.schedule(requests, uniform=True, key=shape)
+            if containers[-1] is None:
+                # The wave ran out of candidates.
+                exhausted.add(shape)
             for task, container in zip(wave, containers):
                 if container is not None:
                     self._launch(execution, task, container)

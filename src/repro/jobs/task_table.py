@@ -15,6 +15,9 @@ O(changed-vertices) bookkeeping:
   iff its state column says pending-or-killed *and* its vertex's unmet
   upstream counter is zero;
 * ``all_completed`` is one integer comparison against a running total;
+* ``runnable_count`` — how many tasks the frontier holds — is a counter kept
+  exact from per-vertex needs counts, so a pump can skip an execution with
+  nothing runnable without building the frontier;
 * vertex readiness propagates through a downstream CSR the moment the last
   task of a vertex completes, instead of being rediscovered by the next
   full-DAG scan.
@@ -33,19 +36,19 @@ draw for draw (see ``tests/test_jobs_task_table.py`` for the scalar oracle).
 ``state`` / ``attempts`` attributes read and write the arrays, and every
 state transition keeps the counters and the readiness frontier in sync.
 
-The runnable frontier itself is cached between state transitions: the
-overwhelmingly common pump tick touches no task state, so
-:meth:`TaskTable.runnable_rows` / :meth:`TaskTable.runnable_views` hand back
-the previously computed row array and view list untouched.  Any actual
-``set_state`` transition — launch, completion, kill, or a completion that
-unlocks downstream vertices — marks the frontier dirty, because each of
-those can change either the needs-container column or the vertex-readiness
-column the mask is built from.
+The runnable frontier itself is cached between state transitions: repeated
+queries with no transition in between make :meth:`TaskTable.runnable_rows` /
+:meth:`TaskTable.runnable_views` hand back the previously computed row array
+and view list untouched.  Any actual ``set_state`` transition — launch,
+completion, kill, or a completion that unlocks downstream vertices — marks
+the frontier dirty, because each of those can change either the
+needs-container column or the vertex-readiness column the mask is built
+from.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, TYPE_CHECKING
 
 import numpy as np
 
@@ -202,12 +205,16 @@ class TaskTable:
         #: Pending-or-killed flag: the task wants a container.
         self._needs_container = np.ones(n, dtype=bool)
         self._needs_count = n
+        #: Per-vertex count of pending-or-killed tasks.
+        self._vertex_needs: List[int] = self.layout.task_counts.tolist()
         #: Per-vertex completed-task counters.
         self.completed_counts = np.zeros(len(self.layout.task_counts), dtype=np.int64)
         #: Per-vertex count of upstream vertices not yet fully completed.
         self._unmet_upstream = self.layout.initial_unmet.copy()
         #: Readiness frontier: vertices whose upstreams have all completed.
         self._vertex_ready = self._unmet_upstream == 0
+        #: Tasks in the frontier: needs summed over the ready vertices.
+        self._runnable_count = int(self.layout.task_counts[self._vertex_ready].sum())
         self._total_completed = 0
         self._task_ids: List[str | None] = [None] * n
         self._views: List[TaskView | None] = [None] * n
@@ -241,20 +248,46 @@ class TaskTable:
         The layout comes from the DAG (shared, as always); the derived
         counters and the frontier are recomputed from the state column, so
         the restored table answers every query exactly like the original.
+        A corrupt checkpoint — another format version, an unknown state
+        code, or a column whose length differs from the state column's —
+        raises ``ValueError`` naming what is wrong.
         """
         table = cls(dag)
-        state = np.asarray(arrays["state"], dtype=np.int8)
-        if len(state) != table.num_tasks:
+        version = arrays.get("version")
+        if version != 1:
+            raise ValueError(f"task table version is {version!r}; expected 1")
+        raw_state = np.asarray(arrays["state"])
+        if len(raw_state) != table.num_tasks:
             raise ValueError(
-                f"state column has {len(state)} rows; DAG {dag.name!r} "
+                f"state column has {len(raw_state)} rows; DAG {dag.name!r} "
                 f"has {table.num_tasks} tasks"
             )
+        state = raw_state.astype(np.int8)
+        unknown = (state != raw_state) | (state < PENDING) | (state > KILLED)
+        if unknown.any():
+            raise ValueError(
+                f"state column holds unknown state code "
+                f"{raw_state[unknown][0]!r} (codes are {PENDING}..{KILLED})"
+            )
+        columns = {}
+        for name in ("attempts", "container_slot"):
+            column = np.array(arrays[name], dtype=np.int64)
+            if column.shape != state.shape:
+                raise ValueError(
+                    f"{name} column has {len(column)} rows; "
+                    f"the state column has {len(state)}"
+                )
+            columns[name] = column
         layout = table.layout
-        table.state = np.array(state)
-        table.attempts = np.array(arrays["attempts"], dtype=np.int64)
-        table.container_slot = np.array(arrays["container_slot"], dtype=np.int64)
+        table.state = state
+        table.attempts = columns["attempts"]
+        table.container_slot = columns["container_slot"]
         table._needs_container = (state == PENDING) | (state == KILLED)
         table._needs_count = int(table._needs_container.sum())
+        table._vertex_needs = np.bincount(
+            layout.vertex_of[table._needs_container],
+            minlength=len(layout.task_counts),
+        ).tolist()
         completed = state == COMPLETED
         table.completed_counts = np.bincount(
             layout.vertex_of[completed], minlength=len(layout.task_counts)
@@ -268,6 +301,11 @@ class TaskTable:
                 unmet[int(layout.down_indices[i])] -= 1
         table._unmet_upstream = unmet
         table._vertex_ready = unmet == 0
+        table._runnable_count = sum(
+            needs
+            for needs, ready in zip(table._vertex_needs, table._vertex_ready.tolist())
+            if ready
+        )
         table._frontier_dirty = True
         return table
 
@@ -319,13 +357,17 @@ class TaskTable:
         # vertex-readiness column the runnable mask intersects.
         self._frontier_dirty = True
         self.state[row] = code
+        vertex = int(self.layout.vertex_of[row])
         needs = code == PENDING or code == KILLED
         if needs != (old == PENDING or old == KILLED):
+            step = 1 if needs else -1
             self._needs_container[row] = needs
-            self._needs_count += 1 if needs else -1
+            self._needs_count += step
+            self._vertex_needs[vertex] += step
+            if self._vertex_ready[vertex]:
+                self._runnable_count += step
         if code != RUNNING:
             self.container_slot[row] = -1
-        vertex = int(self.layout.vertex_of[row])
         if code == COMPLETED:
             self.completed_counts[vertex] += 1
             self._total_completed += 1
@@ -344,8 +386,13 @@ class TaskTable:
         layout = self.layout
         for i in range(int(layout.down_indptr[vertex]), int(layout.down_indptr[vertex + 1])):
             downstream = int(layout.down_indices[i])
+            was_ready = bool(self._vertex_ready[downstream])
             self._unmet_upstream[downstream] += delta
-            self._vertex_ready[downstream] = self._unmet_upstream[downstream] == 0
+            ready = bool(self._unmet_upstream[downstream] == 0)
+            self._vertex_ready[downstream] = ready
+            if ready != was_ready:
+                needs = self._vertex_needs[downstream]
+                self._runnable_count += needs if ready else -needs
 
     def mark_running(self, row: int, container_id: int) -> None:
         """Record a task launch into ``container_id``."""
@@ -372,6 +419,16 @@ class TaskTable:
         return self._total_completed
 
     @property
+    def runnable_count(self) -> int:
+        """How many tasks the runnable frontier holds (O(1) counter).
+
+        Zero means the pump has nothing to request for this execution — no
+        task is pending-or-killed, or none of those has its upstream
+        vertices completed — and can skip it without building the frontier.
+        """
+        return self._runnable_count
+
+    @property
     def needs_containers(self) -> bool:
         """Whether any task is pending-or-killed (O(1) counter check).
 
@@ -385,17 +442,6 @@ class TaskTable:
     def frontier_cached(self) -> bool:
         """Whether the next :meth:`runnable_views` call is a cache hit."""
         return not self._frontier_dirty and self._frontier_views is not None
-
-    def cached_runnable_views(self) -> Optional[List[TaskView]]:
-        """The cached frontier view list, or ``None`` on a stale cache.
-
-        The pump fast path: when no state transition dirtied the frontier
-        since the views were built, the caller gets the cached list (by
-        identity, possibly empty) without touching the mask machinery.
-        """
-        if self._frontier_dirty:
-            return None
-        return self._frontier_views
 
     def runnable_rows(self) -> np.ndarray:
         """Rows of tasks that need a container and whose vertex is ready.

@@ -9,7 +9,9 @@ get independent but reproducible streams.
 
 from __future__ import annotations
 
+import math
 from array import array
+from bisect import bisect_right
 from contextlib import contextmanager
 from typing import (
     Any,
@@ -26,6 +28,46 @@ from typing import (
 import numpy as np
 
 T = TypeVar("T")
+
+
+def pairwise_sum(values: Sequence[float], start: int, count: int) -> float:
+    """``values[start:start + count]`` summed in numpy's float64 order.
+
+    numpy reduces a contiguous float64 array from 0.0 by pairwise summation:
+    fewer than 8 values add left to right; up to 128 accumulate in 8 strided
+    partial sums, combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, and the
+    remainder past the last multiple of 8 adds on in order; larger blocks
+    split at half the count rounded down to a multiple of 8 and add the two
+    halves' sums.  Reproducing that order reproduces ``array.sum()`` exactly.
+    """
+    if count < 8:
+        total = 0.0
+        for i in range(start, start + count):
+            total += values[i]
+        return total
+    if count <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[start : start + 8]
+        stop = start + count - count % 8
+        i = start + 8
+        while i < stop:
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+            i += 8
+        total = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(stop, start + count):
+            total += values[i]
+        return total
+    half = count // 2
+    half -= half % 8
+    return pairwise_sum(values, start, half) + pairwise_sum(
+        values, start + half, count - half
+    )
 
 
 def child_seed(parent_seed: int, fork_index: int, label: str = "") -> int:
@@ -185,6 +227,30 @@ class RandomSource:
         cdf = (weights / total).cumsum()
         cdf /= cdf[-1]
         return int(cdf.searchsorted(self._rng.random(), side="right"))
+
+    def weighted_index_floats(self, weights: List[float]) -> int:
+        """:meth:`weighted_index` over a plain list of floats, bit for bit.
+
+        The same index from the same stream position, without building
+        arrays: the total is numpy's pairwise sum (:func:`pairwise_sum`),
+        the cdf a sequential cumulative sum of ``weight / total`` divided by
+        its last value, and the uniform sample is bisected to the right, as
+        ``searchsorted(side="right")`` does.  The placement hot path draws
+        over a handful of candidates, where the array round trip costs more
+        than the arithmetic.
+        """
+        if not weights:
+            raise ValueError("cannot pick from empty weights")
+        total = pairwise_sum(weights, 0, len(weights))
+        if total <= 0 or not math.isfinite(total):
+            return int(self._rng.integers(0, len(weights)))
+        cdf = []
+        running = 0.0
+        for weight in weights:
+            running += weight / total
+            cdf.append(running)
+        cdf = [value / running for value in cdf]
+        return bisect_right(cdf, self._rng.random())
 
     def shuffle(self, items: list[T]) -> list[T]:
         """Return a new shuffled copy of ``items``."""

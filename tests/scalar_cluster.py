@@ -8,7 +8,9 @@ throughout — as the oracle the equivalence tests compare against:
 
 * :class:`ScalarServer` — one server's containers, its heartbeat and its
   reclaim walk (re-summing the allocations after every kill);
-* :class:`LegacyScalarScheduler` — the per-record candidate filter and draw.
+* :func:`scalar_candidates` and :class:`LegacyScalarScheduler` — the
+  per-record candidate filter and draw (and with it the recount that
+  ``ResourceManager.shape_exhausted`` must equal).
 """
 
 from __future__ import annotations
@@ -181,6 +183,38 @@ def scalar_heartbeats(servers: Sequence[ScalarServer], time: float, aware=True):
     return availables, killed
 
 
+def scalar_candidates(
+    rm: ResourceManager, allocation: Resource, labels: Sequence[str] = ()
+) -> List[int]:
+    """Rows eligible for a request, one row at a time (the scalar filter).
+
+    In History mode a request's labels restrict the rows unless they name
+    no server; a row is a candidate when the allocation fits within its RM
+    view of available resources.
+    """
+    fleet = rm.fleet
+    rows = list(range(len(fleet)))
+    if rm.mode is SchedulerMode.HISTORY and labels:
+        labelled = [i for i in rows if fleet.label_of(i) in labels]
+        if labelled:
+            rows = labelled
+    return [
+        i
+        for i in rows
+        if allocation.fits_within(
+            Resource(
+                float(fleet.available_cores[i]), float(fleet.available_memory[i])
+            )
+        )
+    ]
+
+
+def scalar_exhausted(rm: ResourceManager, shape: tuple) -> bool:
+    """Recount of ``rm.shape_exhausted(shape)``: no row is a candidate."""
+    cores, memory_gb, labels = shape
+    return not scalar_candidates(rm, Resource(cores, memory_gb), list(labels))
+
+
 class LegacyScalarScheduler:
     """The pre-FleetState per-record candidate filter + draw, as reference.
 
@@ -201,14 +235,9 @@ class LegacyScalarScheduler:
 
     def schedule(self, request: ContainerRequest) -> Optional[str]:
         fleet = self._rm.fleet
-        rows = list(range(len(fleet)))
-        if self._rm.mode is SchedulerMode.HISTORY and request.node_labels:
-            labelled = [i for i in rows if fleet.label_of(i) in request.node_labels]
-            if labelled:
-                rows = labelled
-        candidates = [
-            i for i in rows if request.allocation.fits_within(self._available(i))
-        ]
+        candidates = scalar_candidates(
+            self._rm, request.allocation, request.node_labels
+        )
         if not candidates:
             return None
         ids = fleet.server_ids

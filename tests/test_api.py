@@ -281,22 +281,14 @@ class TestRunResultEnvelope:
         digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
         assert tiny_fig13.fingerprint() == digest
 
-    def test_sweep_telemetry_counts_frontier_cache_hits(self, tiny_fig13):
-        points = tiny_fig13.to_jsonable()["telemetry"]["points"]
-        assert all(
-            set(counters) == {"waves_coalesced", "frontier_cache_hits"}
-            for point in points
-            for counters in point["scheduler_counters"].values()
-        )
-        assert sum(
-            counters["frontier_cache_hits"]
-            for point in points
-            for counters in point["scheduler_counters"].values()
-        ) > 0
-
     def test_sweep_telemetry_counts_coalesced_waves(self, tiny_fig13):
         points = tiny_fig13.to_jsonable()["telemetry"]["points"]
         assert len(points) == len(tiny_fig13.payload.points)
+        assert all(
+            set(counters) == {"waves_coalesced"}
+            for point in points
+            for counters in point["scheduler_counters"].values()
+        )
         assert sum(
             counters["waves_coalesced"]
             for point in points

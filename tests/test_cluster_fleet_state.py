@@ -272,10 +272,23 @@ class TestInexactAllocationGuard:
         assert float(rm.fleet.allocated_cores[0]) == 1.0
 
 
-class TestBatchReclaimEquivalence:
-    """The vectorized reserve reclaim vs the scalar per-server kill walk."""
+def record_row_sums(monkeypatch, fleet) -> list:
+    """Record every fresh per-row re-sum the fleet takes."""
+    calls = []
+    original = fleet._row_sums
 
-    def test_multiple_violators_match_scalar_order_with_ties(self):
+    def recording(index):
+        calls.append(index)
+        return original(index)
+
+    monkeypatch.setattr(fleet, "_row_sums", recording)
+    return calls
+
+
+class TestReclaimEquivalence:
+    """The reserve-kill walk vs the scalar per-server kill walk."""
+
+    def test_multiple_violators_match_scalar_order_with_ties(self, monkeypatch):
         rows, scalar = twins({f"v{i}": [0.1, 0.8] for i in range(3)})
         rm = build_rm(rows)
         rm.process_heartbeats(0.0)
@@ -288,10 +301,13 @@ class TestBatchReclaimEquivalence:
                 rm.fleet.launch(index, task_id, "job", Resource(1.0, 2.0), start)
                 twin.launch(task_id, "job", Resource(1.0, 2.0), start)
         assert not rm.fleet._inexact_allocations
+        sums = record_row_sums(monkeypatch, rm.fleet)
         killed = rm.process_heartbeats(120.0)
         _, expected = scalar_heartbeats(scalar, 120.0)
         assert killed
         assert [c.task_id for c in killed] == [c.task_id for c in expected]
+        # On the grid the walk subtracts the victims; it never re-sums.
+        assert not sums
         # Youngest-first within each violating server.
         for twin in scalar:
             starts = [c.start_time for c in killed if c.server_id == twin.server_id]
@@ -307,18 +323,11 @@ class TestBatchReclaimEquivalence:
             scalar[0].launch(f"t{i}", "job", allocation, float(i))
         fleet = rm.fleet
         assert fleet._inexact_allocations
-        calls = []
-        original = fleet._batch_reclaim
-
-        def recording(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(fleet, "_batch_reclaim", recording)
+        sums = record_row_sums(monkeypatch, fleet)
         killed = rm.process_heartbeats(120.0)
         _, expected = scalar_heartbeats(scalar, 120.0)
         assert killed
         assert [c.task_id for c in killed] == [c.task_id for c in expected]
-        # Off-grid fleets must take the per-row walk, never the prefix-sum
-        # fast path.
-        assert not calls
+        # Off-grid fleets re-sum the row before every kill (and once more
+        # for the stop test that ends the walk), never subtracting.
+        assert sums.count(0) >= len(killed) + 1

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 import scalar_cluster
-from scalar_cluster import build_fleet, make_row, place
+from scalar_cluster import build_fleet, make_row, place, scalar_exhausted
 
 from repro.cluster.resource_manager import (
     ContainerRequest,
@@ -41,8 +41,14 @@ def request(labels: list[str] | None = None) -> ContainerRequest:
 
 
 def shape(allocation: Resource, labels=()) -> tuple:
-    """The exhaustion-set key the Application Master checks."""
+    """The request shape the Application Master checks."""
     return (allocation.cores, allocation.memory_gb, tuple(labels))
+
+
+def assert_exact(rm: ResourceManager, shapes) -> None:
+    """``shape_exhausted`` equals the scalar recount for every shape."""
+    for s in shapes:
+        assert rm.shape_exhausted(s) == scalar_exhausted(rm, s), s
 
 
 class TestRegistration:
@@ -78,20 +84,67 @@ class TestScheduling:
         assert int(rm.fleet.running_containers.sum()) == 0
 
     def test_capacity_exhaustion_flag_lifecycle(self):
-        """An unsatisfied wave marks its shape exhausted until capacity can
-        return (heartbeat refresh / completion); other shapes are unaffected."""
-        rm = build_rm(SchedulerMode.PRIMARY_AWARE, {"a": 0.2})
+        """``shape_exhausted`` is exact for the current view: a shape no
+        server fits is exhausted before any wave has failed on it, and the
+        answer follows heartbeats, launches and completions."""
+        # The primary runs at 0.7 until t=120, then drops to 0.2.
+        rm = build_rm(SchedulerMode.PRIMARY_AWARE, {"a": [0.7, 0.2]})
         big = Resource(10.0, 20.0)
         small = Resource(1.0, 2.0)
-        assert not rm.shape_exhausted(shape(big))
-        assert place(rm, ContainerRequest("job", "t", big), 0.0) is None
+        shapes = [shape(big), shape(small), shape(small, ["constant-0"])]
+        # 12 - ceil(8.4) - 4 (reserve) leaves nothing harvestable.
         assert rm.shape_exhausted(shape(big))
-        # A different allocation (or label set) is a different shape.
+        assert rm.shape_exhausted(shape(small))
+        assert_exact(rm, shapes)
+        assert place(rm, ContainerRequest("job", "t", small), 0.0) is None
+        # The burst ends: 12 - 3 - 4 = 5 harvestable cores.
+        rm.process_heartbeats(120.0)
+        assert rm.shape_exhausted(shape(big))
         assert not rm.shape_exhausted(shape(small))
-        assert not rm.shape_exhausted(shape(big, ["constant-0"]))
-        # The next heartbeat may change the view, so the flag clears.
-        rm.process_heartbeats(30.0)
-        assert not rm.shape_exhausted(shape(big))
+        # Outside History mode labels do not restrict placement.
+        assert not rm.shape_exhausted(shape(small, ["constant-0"]))
+        assert_exact(rm, shapes)
+        placed = [
+            place(rm, ContainerRequest("job", f"t{i}", small), 120.0)
+            for i in range(5)
+        ]
+        assert all(placed)
+        assert rm.shape_exhausted(shape(small))
+        assert_exact(rm, shapes)
+        rm.complete(placed[0], 121.0)
+        assert not rm.shape_exhausted(shape(small))
+        assert_exact(rm, shapes)
+
+    def test_exhaustion_follows_labels_and_relabelling(self):
+        """History mode: a label set is exhausted when its servers are full,
+        and a label set that names no server falls back to every server."""
+        rm = build_rm(
+            SchedulerMode.HISTORY,
+            {"a": 0.2, "b": 0.2},
+            labels={"a": "constant-0", "b": "periodic-0"},
+        )
+        small = Resource(1.0, 2.0)
+        shapes = [
+            shape(small, labels)
+            for labels in (
+                [],
+                ["constant-0"],
+                ["periodic-0"],
+                ["periodic-0", "constant-0"],
+                ["missing"],
+            )
+        ]
+        for i in range(5):
+            assert place(rm, request(labels=["constant-0"]), 0.0) is not None
+        assert rm.shape_exhausted(shape(small, ["constant-0"]))
+        assert not rm.shape_exhausted(shape(small, ["constant-0", "periodic-0"]))
+        assert not rm.shape_exhausted(shape(small, ["missing"]))
+        assert_exact(rm, shapes)
+        rm.set_label("b", "constant-0")
+        assert not rm.shape_exhausted(shape(small, ["constant-0"]))
+        # "periodic-0" now names no server: the fallback is every server.
+        assert not rm.shape_exhausted(shape(small, ["periodic-0"]))
+        assert_exact(rm, shapes)
 
     def test_completion_clears_capacity_exhaustion(self):
         rm = build_rm(SchedulerMode.PRIMARY_AWARE, {"a": 0.2})
@@ -232,12 +285,11 @@ class TestScheduleWavesParity:
         huge = Resource(64.0, 128.0)  # never fits: starves its shape
         return [
             self._wave("a", 3, medium),
-            # 40 placements leave the medium entry further behind than
-            # WaveBatch.REPLAY_LIMIT: wave "c" exercises the mask rebuild.
+            # 40 small placements fill most servers: the medium shape's
+            # candidates shrink while it is not the active wave.
             self._wave("b", 40, small),
             self._wave("starve", 2, huge),
             self._wave("c", 4, medium),
-            # The small entry is only a few placements behind: log replay.
             self._wave("d", 3, small),
             self._wave("starve2", 3, huge),  # same starved shape: skipped
             self._wave("e", 2, small),
@@ -252,9 +304,15 @@ class TestScheduleWavesParity:
         assert self._ids(batched) == self._ids(sequential)
         assert batched[2] == [None, None]
         assert batched[5] == [None, None, None]
-        # Identical random stream position and starvation accounting.
+        # Identical random stream position and exhaustion answers.
         assert batch_rm._rng.uniform() == scalar_rm._rng.uniform()
-        assert batch_rm._exhausted == scalar_rm._exhausted
+        shapes = {
+            shape(wave[0].allocation, wave[0].node_labels)
+            for wave in self._mixed_waves()
+        }
+        for s in shapes:
+            assert batch_rm.shape_exhausted(s) == scalar_rm.shape_exhausted(s)
+        assert_exact(batch_rm, shapes)
         assert batch_rm.waves_coalesced >= 2
 
     def test_label_permutations_coalesce_and_match_oracle(self):
@@ -274,8 +332,8 @@ class TestScheduleWavesParity:
         sequential = self._sequential(scalar_rm, waves(), 0.0)
         assert self._ids(batched) == self._ids(sequential)
         assert batch_rm._rng.uniform() == scalar_rm._rng.uniform()
-        # A permuted label list is the same OR-of-label masks: the second
-        # wave reuses the first wave's entry instead of rebuilding it.
+        # A permuted label list is the same shape: the second wave counts
+        # as a later wave of the first one's shape.
         assert batch_rm.waves_coalesced == 1
 
     def test_waves_coalesced_counts_only_within_a_batch(self):
@@ -286,7 +344,8 @@ class TestScheduleWavesParity:
         assert rm.waves_coalesced == 0
         batch.schedule(self._wave("b", 2, alloc))
         assert rm.waves_coalesced == 1
-        # A fresh batch starts from fresh masks; reuse never spans ticks.
+        # A fresh batch has scheduled no shape yet; the count never spans
+        # ticks.
         rm.begin_batch(1.0).schedule(self._wave("c", 1, alloc))
         assert rm.waves_coalesced == 1
 

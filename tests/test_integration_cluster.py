@@ -184,7 +184,6 @@ class TestPlainCounts:
     def test_fresh_cluster_counts_are_zero(self, small_tenants):
         cluster = build_cluster(small_tenants, SchedulerMode.HISTORY)
         assert cluster.total_tasks_killed() == 0
-        assert cluster.app_master.frontier_cache_hits == 0
         assert cluster.resource_manager.waves_coalesced == 0
         assert cluster.heartbeat_utilization == []
         assert cluster.average_utilization() == 0.0
@@ -202,8 +201,6 @@ class TestPlainCounts:
         counters = _scheduler_counters(cluster)
         assert counters == {
             "waves_coalesced": cluster.resource_manager.waves_coalesced,
-            "frontier_cache_hits": cluster.app_master.frontier_cache_hits,
         }
-        # The busy workload exercises both hot-path caches.
+        # The busy workload pumps several waves of one shape per batch.
         assert counters["waves_coalesced"] > 0
-        assert counters["frontier_cache_hits"] > 0

@@ -164,7 +164,7 @@ class TestKillHandling:
         for execution in (first_a, second_a):
             for container in killed_a:
                 am_a._mark_killed(execution, container)
-            am_a._schedule_runnable(execution)
+            am_a.pump_all([execution])
 
         am_b, first_b, second_b, killed_b = rig_with_two_jobs()
         am_b.resolve_kills(killed_b)
@@ -187,23 +187,54 @@ class TestKillHandling:
         assert am._owner == {}
 
 
-class TestPumpFastPathCounters:
-    def test_frontier_cache_hits_tick_when_pumps_repoll_a_starved_wave(self):
+class TestPumpEarlyOuts:
+    """Executions the pump cannot grant anything build no frontier."""
+
+    @staticmethod
+    def _count_batches(monkeypatch, rm):
+        batches = []
+        begin_batch = rm.begin_batch
+
+        def counting(time):
+            batches.append(time)
+            return begin_batch(time)
+
+        monkeypatch.setattr(rm, "begin_batch", counting)
+        return batches
+
+    def test_starved_shape_is_skipped_before_its_frontier(self, monkeypatch):
         engine, rm, am, _ = build_rig(num_servers=1)
         wide = JobDag("wide", [Vertex("stage", 30, 10.0)])
         execution = am.submit(wide, JobType.SHORT)
-        # The submit-time pump launches what fits and leaves the rest
-        # queued; the launches dirtied the frontier.
-        engine.run_until(1.0)
-        assert am.frontier_cache_hits == 0
-        # A heartbeat clears the exhaustion flag without touching any task
-        # state.  The next pump rebuilds the frontier (miss), places
-        # nothing, and starves again.
+        # The submit-time wave launches what fits; the launches dirtied the
+        # frontier and the rest of the wave stays queued.
+        assert execution.running
+        assert execution.table.runnable_count == 30 - len(execution.running)
+        assert not execution.table.frontier_cached
+        assert rm.shape_exhausted(execution._shape)
+        batches = self._count_batches(monkeypatch, rm)
         rm.process_heartbeats(1.0)
         am.pump_all([execution])
-        assert am.frontier_cache_hits == 0
-        # Re-polling the same starved wave with no transition in between is
-        # the fast path: the wave comes straight from the TaskTable cache.
-        rm.process_heartbeats(2.0)
+        # Nothing fits, so the pump neither rebuilt the frontier nor opened
+        # a placement batch.
+        assert not execution.table.frontier_cached
+        assert batches == []
+        # Capacity returns when the first containers finish (t=10); the
+        # finish event itself launches the next wave.
+        engine.run_until(10.0)
+        assert execution.table.tasks_completed_total > 0
+        assert len(execution.running) > 0
+
+    def test_blocked_execution_is_skipped(self, monkeypatch):
+        engine, rm, am, _ = build_rig()
+        execution = am.submit(small_dag(), JobType.MEDIUM)
+        # Every map task runs; both reduce tasks wait on the map vertex.
+        assert len(execution.running) == 4
+        assert execution.table.needs_containers
+        assert execution.table.runnable_count == 0
+        batches = self._count_batches(monkeypatch, rm)
         am.pump_all([execution])
-        assert am.frontier_cache_hits == 1
+        assert not execution.table.frontier_cached
+        assert batches == []
+        engine.run_until(200.0)
+        assert execution.finished

@@ -322,7 +322,7 @@ class TestClassSelectorDrawParity:
 class TestWaveSchedulingParity:
     def test_schedule_wave_matches_sequential_schedule(self):
         """One batched wave = the same requests placed in one batch each."""
-        from scalar_cluster import build_rm, make_row, place
+        from scalar_cluster import build_rm, make_row, place, scalar_exhausted
         from repro.cluster.resource_manager import ContainerRequest
         from repro.cluster.resources import Resource
 
@@ -344,7 +344,13 @@ class TestWaveSchedulingParity:
         sequential_ids = [c.server_id if c else None for c in sequential]
         assert wave_ids == sequential_ids
         assert wave_rm._rng.uniform() == scalar_rm._rng.uniform()
-        assert wave_rm._exhausted == scalar_rm._exhausted
+        # 6 servers x 6 harvestable cores: the 40-request wave leaves its
+        # shape exhausted, on both paths and by the scalar recount.
+        shapes = [(1.0, 2.0, ()), (0.5, 1.0, ()), (4.0, 8.0, ())]
+        for shape in shapes:
+            assert wave_rm.shape_exhausted(shape) == scalar_rm.shape_exhausted(shape)
+            assert wave_rm.shape_exhausted(shape) == scalar_exhausted(wave_rm, shape)
+        assert wave_rm.shape_exhausted((1.0, 2.0, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +359,7 @@ class TestWaveSchedulingParity:
 
 
 class TestFrontierCacheIdentity:
-    """The pump fast path returns cached frontier lists *by identity*."""
+    """Frontier queries without a transition return cached lists *by identity*."""
 
     def test_runnable_views_identity_stable_without_transitions(self):
         dag = JobDag(
@@ -367,15 +373,15 @@ class TestFrontierCacheIdentity:
         # object — the regression guard for the fresh-allocation-per-call
         # behaviour the cache replaced.
         assert execution.runnable_tasks() is first
-        assert table.runnable_views() is first
-        assert table.cached_runnable_views() is first
         assert table.frontier_cached
+        assert table.runnable_views() is first
 
     def test_cache_cold_until_first_build(self):
         table = TaskTable(JobDag("cold", [Vertex("a", 1, 10.0)]))
-        assert table.cached_runnable_views() is None
+        assert not table.frontier_cached
         views = table.runnable_views()
-        assert table.cached_runnable_views() is views
+        assert table.frontier_cached
+        assert table.runnable_views() is views
 
     def test_kill_then_retry_invalidates_and_recaches(self):
         dag = JobDag("kill", [Vertex("stage", 3, 10.0)])
@@ -384,17 +390,18 @@ class TestFrontierCacheIdentity:
         wave = execution.runnable_tasks()
         for task in wave:
             task.state = TaskState.RUNNING
-        assert table.cached_runnable_views() is None
+        assert not table.frontier_cached
         empty = execution.runnable_tasks()
         assert empty == []
         # The empty frontier is cached by identity too.
         assert execution.runnable_tasks() is empty
         table.set_state(1, CODE_OF_STATE[TaskState.KILLED])
-        assert table.cached_runnable_views() is None
+        assert not table.frontier_cached
         retry = execution.runnable_tasks()
         assert retry is not wave
         assert [v.task_id for v in retry] == ["kill/stage/1"]
-        assert table.cached_runnable_views() is retry
+        assert table.frontier_cached
+        assert table.runnable_views() is retry
 
     def test_vertex_completion_unlocking_downstream_invalidates(self):
         dag = JobDag(
@@ -405,12 +412,12 @@ class TestFrontierCacheIdentity:
         up = table.runnable_views()
         assert [v.task_id for v in up] == ["unlock/up/0", "unlock/up/1"]
         table.set_state(0, CODE_OF_STATE[TaskState.COMPLETED])
-        assert table.cached_runnable_views() is None
+        assert not table.frontier_cached
         assert [v.task_id for v in table.runnable_views()] == ["unlock/up/1"]
         # The last upstream completion unlocks the downstream vertex: the
         # cache must not serve the pre-unlock frontier.
         table.set_state(1, CODE_OF_STATE[TaskState.COMPLETED])
-        assert table.cached_runnable_views() is None
+        assert not table.frontier_cached
         down = table.runnable_views()
         assert [v.task_id for v in down] == ["unlock/down/0"]
         assert table.runnable_views() is down
@@ -427,9 +434,73 @@ class TestFrontierCacheIdentity:
         # ...but dirtying one execution's frontier leaves the other's
         # cache untouched.
         first.set_state(0, CODE_OF_STATE[TaskState.RUNNING])
-        assert first.cached_runnable_views() is None
-        assert second.cached_runnable_views() is views_second
+        assert not first.frontier_cached
+        assert second.frontier_cached
+        assert second.runnable_views() is views_second
         assert [v.task_id for v in second.runnable_views()] == [
             "recurring/a/0",
             "recurring/a/1",
         ]
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint robustness: a corrupt to_arrays image is rejected, not loaded.
+# ---------------------------------------------------------------------------
+
+
+class TestCorruptCheckpoints:
+    @staticmethod
+    def _dag() -> JobDag:
+        return JobDag(
+            "ckpt", [Vertex("a", 2, 10.0), Vertex("b", 1, 10.0, upstream=["a"])]
+        )
+
+    def _arrays(self):
+        table = TaskTable(self._dag())
+        table.mark_running(0, container_id=4)
+        return table.to_arrays()
+
+    @pytest.mark.parametrize("codes", [[9, 0, -3], [0, 4, 0], [0, 1, -1]])
+    def test_unknown_state_codes_rejected(self, codes):
+        arrays = self._arrays()
+        arrays["state"] = np.array(codes, dtype=np.int8)
+        with pytest.raises(ValueError, match="state column holds unknown state code"):
+            TaskTable.from_arrays(self._dag(), arrays)
+
+    def test_non_integer_state_codes_rejected(self):
+        arrays = self._arrays()
+        arrays["state"] = np.array([0.0, 1.5, 0.0])
+        with pytest.raises(ValueError, match="unknown state code"):
+            TaskTable.from_arrays(self._dag(), arrays)
+
+    @pytest.mark.parametrize("column", ["attempts", "container_slot"])
+    @pytest.mark.parametrize("length", [0, 2, 4])
+    def test_column_length_mismatch_rejected(self, column, length):
+        arrays = self._arrays()
+        arrays[column] = np.zeros(length, dtype=np.int64)
+        with pytest.raises(ValueError, match=f"{column} column has {length} rows"):
+            TaskTable.from_arrays(self._dag(), arrays)
+
+    @pytest.mark.parametrize("version", [0, 2, None])
+    def test_other_versions_rejected(self, version):
+        arrays = self._arrays()
+        if version is None:
+            del arrays["version"]
+        else:
+            arrays["version"] = version
+        with pytest.raises(ValueError, match="version"):
+            TaskTable.from_arrays(self._dag(), arrays)
+
+    def test_valid_checkpoint_restores_the_runnable_counter(self):
+        dag = self._dag()
+        table = TaskTable(dag)
+        table.mark_running(0, container_id=4)
+        table.set_state(1, CODE_OF_STATE[TaskState.COMPLETED])
+        assert table.runnable_count == 0
+        restored = TaskTable.from_arrays(dag, table.to_arrays())
+        assert restored.runnable_count == 0
+        table.set_state(0, CODE_OF_STATE[TaskState.COMPLETED])
+        restored.set_state(0, CODE_OF_STATE[TaskState.COMPLETED])
+        # Vertex "a" completed: "b" unlocks on both.
+        assert table.runnable_count == restored.runnable_count == 1
+        assert restored.runnable_rows().tolist() == [2]

@@ -3,18 +3,22 @@
 The compute counterpart of ``tests/test_property_storage.py``:
 :func:`check_fleet_invariants` states what must hold of a
 :class:`~repro.cluster.fleet_state.FleetState` after any sequence of
-launches, completions, heartbeats and reserve resizes, and the tests drive
-it with randomized sequences and from inside a scenario run.
+launches, completions, heartbeats, reserve resizes, relabellings and
+Resource Manager placement batches, and the tests drive it with randomized
+sequences (checking after every placement inside a batch too) and from
+inside a scenario run.
 """
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scalar_cluster import build_fleet, make_row
+from scalar_cluster import build_rm, make_row, scalar_candidates
 
 import repro.api as api
 from repro.cluster.fleet_state import FleetState
+from repro.cluster.resource_manager import ContainerRequest, SchedulerMode
 from repro.cluster.resources import Resource
 from repro.cluster.server import ContainerState
 from repro.jobs.scheduler_variants import HarvestingCluster
@@ -27,7 +31,10 @@ def check_fleet_invariants(fleet: FleetState) -> None:
     running containers (exactly while every allocation sits on the 1/256
     grid), the running count equals the number of containers, every
     container is running and maps back to this row, and the RM view of
-    available resources is non-negative.
+    available resources is non-negative.  Per indexed allocation, the fit
+    index equals a recount: its flags equal ``fits_mask``, its rows are the
+    fitting rows in ascending order, and its per-label lists split them by
+    the rows' current labels.
     """
     for index in range(len(fleet)):
         running = fleet._running[index]
@@ -49,6 +56,14 @@ def check_fleet_invariants(fleet: FleetState) -> None:
         assert fleet.running_containers[index] == len(running)
         assert fleet.available_cores[index] >= 0.0
         assert fleet.available_memory[index] >= 0.0
+    for (cores, memory_gb), fit in fleet._fit_index.items():
+        mask = fleet.fits_mask(cores, memory_gb)
+        assert fit.fits == mask.tolist()
+        assert fit.rows == np.flatnonzero(mask).tolist()
+        by_label = {}
+        for row in fit.rows:
+            by_label.setdefault(fleet.label_of(row), []).append(row)
+        assert {label: rows for label, rows in fit.by_label.items() if rows} == by_label
 
 
 #: Traces with one sample per 120 s: calm, diurnal, busy, and spiky rows, so
@@ -63,6 +78,15 @@ PROFILES = {
 ON_GRID = st.sampled_from([Resource(1.0, 2.0), Resource(2.0, 4.0), Resource(0.5, 1.5)])
 OFF_GRID = st.sampled_from([Resource(0.1, 0.3), Resource(0.7, 1.3), Resource(1.0, 2.0)])
 
+#: Initial utilization-class labels (History mode reads them); "spiky" starts
+#: unlabelled.
+LABELS = {"calm": "c0", "diurnal": "c1", "busy": "c0"}
+#: Request label sets: none, one class, both classes in either order, and a
+#: class no server carries (the fall-back-to-every-server case).
+LABEL_SETS = st.sampled_from(
+    [[], ["c0"], ["c1"], ["c0", "c1"], ["c1", "c0"], ["c2"], ["c2", "c1"]]
+)
+
 
 def operations(allocations):
     launch = st.tuples(
@@ -75,14 +99,49 @@ def operations(allocations):
         st.floats(0.0, 0.6, allow_nan=False),
         st.floats(0.0, 0.6, allow_nan=False),
     )
+    # One pump tick: a few uniform waves through one placement batch.
+    schedule = st.tuples(
+        st.just("schedule"),
+        st.lists(
+            st.tuples(allocations, st.integers(1, 8), LABEL_SETS),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    relabel = st.tuples(
+        st.just("relabel"),
+        st.integers(0, len(PROFILES) - 1),
+        st.sampled_from(["c0", "c1", "c2", None]),
+    )
     return st.lists(
-        st.one_of(launch, launch, complete, refresh, reserve), max_size=60
+        st.one_of(
+            launch, launch, complete, refresh, reserve, schedule, schedule, relabel
+        ),
+        max_size=60,
     )
 
 
 def drive(ops) -> FleetState:
-    """Apply ``ops`` to a fresh fleet, checking the invariants after each."""
-    fleet = build_fleet([make_row(sid, values) for sid, values in PROFILES.items()])
+    """Apply ``ops`` to a fresh fleet, checking the invariants after each op
+    and after every placement inside a placement batch."""
+    rm = build_rm(
+        [make_row(sid, values) for sid, values in PROFILES.items()],
+        mode=SchedulerMode.HISTORY,
+        labels=LABELS,
+    )
+    fleet = rm.fleet
+    # The first heartbeat publishes the harvestable room.
+    rm.process_heartbeats(0.0)
+    launch = fleet.launch
+
+    def launch_and_check(*args):
+        container = launch(*args)
+        check_fleet_invariants(fleet)
+        return container
+
+    # The batch launches through the instance attribute.
+    fleet.launch = launch_and_check
+    ids = fleet.server_ids
     live = []
     time = 0.0
     for op in ops:
@@ -90,6 +149,32 @@ def drive(ops) -> FleetState:
         if kind == "launch":
             _, index, allocation = op
             live.append(fleet.launch(index, "task", "job", allocation, time))
+        elif kind == "schedule":
+            batch = rm.begin_batch(time)
+            for allocation, count, labels in op[1]:
+                wave = [
+                    ContainerRequest("job", f"task-{i}", allocation, node_labels=labels)
+                    for i in range(count)
+                ]
+                shape = (allocation.cores, allocation.memory_gb, tuple(labels))
+                exhausted = rm.shape_exhausted(shape)
+                # Candidates in ascending row order, whatever order the
+                # label set iterates in, equal to the scalar filter.
+                candidates = fleet.fit_rows(
+                    allocation.cores,
+                    allocation.memory_gb,
+                    rm._placement_labels(frozenset(labels)),
+                )
+                assert candidates == scalar_candidates(rm, allocation, labels)
+                assert exhausted == (not candidates)
+                placed = batch.schedule(wave)
+                assert len(placed) == count
+                # An exhausted shape places nothing; any other places its
+                # first request at least.
+                assert (placed[0] is None) == exhausted
+                live.extend(c for c in placed if c is not None)
+        elif kind == "relabel":
+            rm.set_label(ids[op[1]], op[2])
         elif kind == "complete" and live:
             container = live.pop(op[1] % len(live))
             fleet.complete(container, time)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulation.random import RandomSource
+from repro.simulation.random import RandomSource, pairwise_sum
 
 
 class TestDeterminism:
@@ -90,6 +90,63 @@ class TestWeightedIndex:
     def test_weighted_index_in_range(self, weights):
         index = RandomSource(0).weighted_index(weights)
         assert 0 <= index < len(weights)
+
+
+#: Sizes on each branch of numpy's pairwise sum: sequential (1-7), eight
+#: accumulators (8-128), halving (129-300).
+PAIRWISE_SIZES = st.one_of(
+    st.integers(1, 7), st.integers(8, 128), st.integers(129, 300)
+)
+
+
+@st.composite
+def weight_vectors(draw):
+    """Free-core style weights: random, equal, partly or all at the floor."""
+    size = draw(PAIRWISE_SIZES)
+    kind = draw(st.sampled_from(["random", "equal", "floored", "all-floor", "zero"]))
+    if kind == "equal":
+        return [draw(st.sampled_from([1.0, 2.5, 12.0]))] * size
+    if kind == "all-floor":
+        return [1e-9] * size
+    if kind == "zero":
+        # No positive weight at all: the uniform fallback.
+        return [0.0] * size
+    weights = draw(
+        st.lists(
+            st.floats(0.0, 12.0, allow_nan=False), min_size=size, max_size=size
+        )
+    )
+    if kind == "floored":
+        picks = draw(st.lists(st.integers(0, size - 1), max_size=size))
+        for index in picks:
+            weights[index] = 1e-9
+    return weights
+
+
+class TestWeightedIndexFloats:
+    """The plain-float draw replays ``weighted_index`` bit for bit."""
+
+    @given(weights=weight_vectors(), seed=st.integers(0, 10_000), floor=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_replays_weighted_index(self, weights, seed, floor):
+        if floor:
+            # What FleetState.draw_proportional hands it: np.maximum(1e-9, .).
+            weights = [w if w > 1e-9 else 1e-9 for w in weights]
+        floats, numpy = RandomSource(seed), RandomSource(seed)
+        for _ in range(3):
+            assert floats.weighted_index_floats(weights) == numpy.weighted_index(
+                np.array(weights)
+            )
+            assert state_of(floats) == state_of(numpy)
+
+    @given(weights=weight_vectors())
+    @settings(max_examples=200, deadline=None)
+    def test_pairwise_sum_is_numpys(self, weights):
+        assert pairwise_sum(weights, 0, len(weights)) == float(np.array(weights).sum())
+
+    def test_empty_weights_rejected(self):
+        with pytest.raises(ValueError):
+            RandomSource(0).weighted_index_floats([])
 
 
 class TestPoissonProcess:

@@ -6,7 +6,9 @@ All checks run at tiny scale so the whole script stays in about a minute:
   non-fingerprinted ``telemetry`` section match between a serial run and a
   2-worker pool, and the pump fast-path counters actually ticked;
 * checkpoint/resume: a CLI run paused after 3 of fig13's cells (exit code
-  3) resumes on a 2-worker pool to the straight-line fingerprint;
+  3) resumes on a 2-worker pool to the straight-line fingerprint, and so
+  does a fig16 run paused in the middle of a utilization target (its
+  workers re-derive that target's scaled tenants and trace matrix);
 * continuous mode: the epoch-stream fingerprint holds at ``workers=2``;
   the serial per-epoch headline is written to ``EPOCHS_JSON``;
 * long horizon: a 32-epoch CLI run's ``--emit-epochs`` JSONL stream
@@ -37,8 +39,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.api import TINY_SCALE, run, run_continuous
+from repro.api import TINY_SCALE, cells_from_spec, resolve, run, run_continuous
 from repro.api.result import UNFINGERPRINTED_KEYS
+from repro.harness.snapshot import CheckpointPause
 
 #: Where the continuous smoke writes its serial per-epoch headline.
 EPOCHS_JSON = Path("/tmp/continuous-epochs.json")
@@ -99,6 +102,34 @@ def check_resume(work: Path) -> None:
     assert resumed.resumed_cells == 3, resumed.resumed_cells
     assert resumed.fingerprint() == straight.fingerprint(), "resume fingerprint drift"
     print("checkpoint/resume fingerprint", resumed.fingerprint())
+
+
+def check_fig16_resume(work: Path) -> None:
+    ckpt = work / "ckpt-fig16"
+    overrides = {"scale": "tiny"}
+    cells = cells_from_spec(resolve("fig16-availability", overrides), seed=0)
+    first = cells[0].coord("target_utilization")
+    per_target = sum(c.coord("target_utilization") == first for c in cells)
+    assert per_target > 1 and len(cells) > 2 * per_target, (per_target, len(cells))
+    # One cell into the second target: the pause splits a target's cells.
+    stop = per_target + 1
+    try:
+        run("fig16-availability", overrides=overrides, seed=0,
+            checkpoint=str(ckpt), stop_after_cells=stop)
+    except CheckpointPause as pause:
+        assert pause.completed == stop, pause.completed
+    else:
+        raise AssertionError("fig16 run did not pause")
+    straight = run("fig16-availability", overrides=overrides, seed=0)
+    resumed = run(
+        "fig16-availability", overrides=overrides, seed=0,
+        checkpoint=str(ckpt), resume=True, workers=2,
+    )
+    assert resumed.resumed_cells == stop, resumed.resumed_cells
+    assert resumed.fingerprint() == straight.fingerprint(), (
+        "fig16 mid-target resume fingerprint drift"
+    )
+    print("fig16 mid-target resume fingerprint", resumed.fingerprint())
 
 
 def check_continuous() -> None:
@@ -247,6 +278,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         check_resume(work)
+        check_fig16_resume(work)
         check_continuous()
         check_long_horizon(work)
         check_run_forever(work)

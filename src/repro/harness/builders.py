@@ -72,28 +72,46 @@ def trimmed_tenants(
     return trimmed
 
 
-def scaled_tenants(
+def fleet_factor(
     tenants: Sequence[PrimaryTenant],
     target_utilization: float,
     scaling: ScalingMethod,
-) -> List[PrimaryTenant]:
-    """Copies of the traced tenants scaled by one common factor.
+) -> Optional[float]:
+    """The common factor :func:`scaled_tenants` applies; ``None`` untraced.
 
-    The factor is chosen so the server-weighted fleet mean reaches the
-    target, preserving the cross-tenant diversity the history-based policies
-    exploit.
+    The factor is chosen so the server-weighted fleet mean of the traced
+    tenants reaches the target, preserving the cross-tenant diversity the
+    history-based policies exploit.
     """
     traced = [t for t in tenants if t.trace is not None]
     if not traced:
-        return []
-    factor = fleet_scaling_factor(
+        return None
+    return fleet_scaling_factor(
         [t.trace for t in traced],
         target_utilization,
         scaling,
         weights=[float(max(1, t.num_servers)) for t in traced],
     )
+
+
+def scaled_tenants(
+    tenants: Sequence[PrimaryTenant],
+    target_utilization: float,
+    scaling: ScalingMethod,
+    factor: Optional[float] = None,
+) -> List[PrimaryTenant]:
+    """Copies of the traced tenants scaled by one common factor.
+
+    ``factor`` is :func:`fleet_factor`'s result for the same arguments,
+    when the caller already has it (its search is a bisection over every
+    trace); an empty list means no tenant is traced.
+    """
+    if factor is None:
+        factor = fleet_factor(tenants, target_utilization, scaling)
     return [
-        copy_tenant(t, trace=scale_trace(t.trace, factor, scaling)) for t in traced
+        copy_tenant(t, trace=scale_trace(t.trace, factor, scaling))
+        for t in tenants
+        if t.trace is not None
     ]
 
 

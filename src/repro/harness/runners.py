@@ -1,8 +1,8 @@
 """Per-kind scenario runners behind :class:`repro.harness.ExperimentHarness`.
 
 Each runner executes one scenario kind over the shared pipeline: build the
-datacenter once, trim and scale the tenants, fork a seeded random stream per
-policy variant, drive every time-stepped piece through
+datacenter once, trim the tenants (cells scale them), fork a seeded random
+stream per policy variant, drive every time-stepped piece through
 :class:`~repro.simulation.engine.SimulationEngine`, and return the kind's
 result dataclass — the run's only record of what it measured.
 
@@ -44,6 +44,7 @@ from repro.harness.builders import (
     build_testbed_tenants,
     find_datacenter_spec,
     copy_tenant,
+    fleet_factor,
     scaled_tenants,
     trimmed_tenants,
 )
@@ -163,6 +164,16 @@ class ScenarioRunner:
 
     ``run()`` composes them serially; the harness uses the same hooks to
     execute cells on a process pool with bit-identical output.
+
+    A context holds inputs once; derived products are per process, never
+    snapshotted.  Whatever a cell can compute from the context without a
+    random draw (a scaled tenant set, its server ids, a
+    :class:`~repro.traces.matrix.TraceMatrix`) stays out of ``_prepare``'s
+    dict: the cell builds it in its own process, through :meth:`derived`
+    when the next cells share it.  Every worker then unpickles each trace
+    once instead of once per product.  A scalar that is costly to find may
+    stay in the context as an input (fig16's per-target scaling factor):
+    it ships in bytes.
     """
 
     kind: ClassVar[str] = ""
@@ -183,6 +194,14 @@ class ScenarioRunner:
         self.rng = rng
         self._ctx: Optional[Dict[str, Any]] = None
         self._cells: Optional[List[Cell]] = None
+        self._derived: Optional[Tuple[Any, Any]] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A runner is pickled only inside a context, as a sub-runner (fig14);
+        # its derived product is rebuilt wherever it is needed next.
+        state = self.__dict__.copy()
+        state["_derived"] = None
+        return state
 
     # -- cell protocol ------------------------------------------------------
 
@@ -269,6 +288,19 @@ class ScenarioRunner:
         raise NotImplementedError
 
     # -- shared helpers -----------------------------------------------------
+
+    def derived(self, key: Any, build: Callable[[], Any]) -> Any:
+        """``build()``'s product for ``key``, memoized in this process.
+
+        Only the most recent key is held: the grids run the cells of one
+        key (one utilization target, one trace matrix) back to back, so one
+        slot builds each product once per process in grid order, and any
+        other order merely rebuilds it.  ``build`` must not draw from a stream:
+        a product built twice has to be the same product.
+        """
+        if self._derived is None or self._derived[0] != key:
+            self._derived = (key, build())
+        return self._derived[1]
 
     def fork_seed(self, label: str) -> int:
         """Fork a child stream off the runner stream; returns its seed.
@@ -412,12 +444,7 @@ class DurabilityRunner(ScenarioRunner):
             ),
             environment_burst_fraction=spec.param("environment_burst_fraction", 0.9),
         )
-        return {
-            "tenants": tenants,
-            "reimages": reimages,
-            "duration": duration,
-            "matrix": TraceMatrix(tenants),
-        }
+        return {"tenants": tenants, "reimages": reimages, "duration": duration}
 
     @classmethod
     def _grid_cells(cls, spec: ScenarioSpec, fork_seed: Any) -> List[Cell]:
@@ -441,7 +468,11 @@ class DurabilityRunner(ScenarioRunner):
         tenants = ctx["tenants"]
         rng = RandomSource(cell.seeds[0])
         namenode = build_namenode(
-            variant, tenants, replication, rng, trace_matrix=ctx["matrix"]
+            variant,
+            tenants,
+            replication,
+            rng,
+            trace_matrix=self.derived("matrix", lambda: TraceMatrix(tenants)),
         )
         created, replayed = _replay_reimages(
             namenode,
@@ -509,20 +540,16 @@ class AvailabilityRunner(ScenarioRunner):
         trimmed = trimmed_tenants(
             datacenter, spec.max_tenants, spec.servers_per_tenant_limit
         )
-        # Trace scaling draws nothing from the stream, so deriving every
-        # target's tenant set here (instead of inside the cell loop) leaves
-        # the fork sequence unchanged.
-        per_target: Dict[float, Dict[str, Any]] = {}
-        for target in spec.utilization_levels:
-            tenants = scaled_tenants(trimmed, target, scaling)
-            per_target[target] = {
-                "tenants": tenants,
-                "all_servers": [s.server_id for t in tenants for s in t.servers],
-                "matrix": TraceMatrix(tenants) if tenants else None,
-            }
         return {
             "scaling": scaling,
-            "per_target": per_target,
+            "trimmed": trimmed,
+            # One float per target.  Finding it is a bisection over every
+            # trace, as long as a short cell's own work at tiny scale, so it
+            # runs once here instead of in every process that scales a set.
+            "factors": {
+                target: fleet_factor(trimmed, target, scaling)
+                for target in spec.utilization_levels
+            },
             "duration": spec.scale.simulation_days * 24 * 3600.0,
             "num_blocks": min(spec.scale.num_blocks, 2000),
             "accesses_per_point": accesses_per_point,
@@ -551,14 +578,16 @@ class AvailabilityRunner(ScenarioRunner):
     def run_cell(self, cell: Cell) -> AvailabilityPoint:
         ctx = self.ctx
         target = cell.coord("target_utilization")
-        scaled = ctx["per_target"][target]
+        tenants, all_servers, matrix = self.derived(
+            target, lambda: self._scaled_point(target)
+        )
         return self._run_point(
             cell.coord("variant"),
             cell.coord("replication"),
             target,
-            scaled["tenants"],
-            scaled["all_servers"],
-            scaled["matrix"],
+            tenants,
+            all_servers,
+            matrix,
             ctx["num_blocks"],
             ctx["accesses_per_point"],
             ctx["duration"],
@@ -570,6 +599,24 @@ class AvailabilityRunner(ScenarioRunner):
     ) -> AvailabilityResult:
         return AvailabilityResult(
             self.spec.datacenter, self.ctx["scaling"], points=list(partials)
+        )
+
+    def _scaled_point(
+        self, target: float
+    ) -> Tuple[List[PrimaryTenant], List[str], Optional[TraceMatrix]]:
+        """One target's scaled tenants, their server ids and trace matrix.
+
+        Trace scaling draws nothing from the stream, so building these in
+        the cell leaves the fork sequence unchanged.
+        """
+        ctx = self.ctx
+        tenants = scaled_tenants(
+            ctx["trimmed"], target, ctx["scaling"], ctx["factors"][target]
+        )
+        return (
+            tenants,
+            [s.server_id for t in tenants for s in t.servers],
+            TraceMatrix(tenants) if tenants else None,
         )
 
     def _run_point(
@@ -669,28 +716,17 @@ class SchedulingSweepRunner(ScenarioRunner):
     def _prepare(self) -> Dict[str, Any]:
         spec = self.spec
         datacenter = self.build_fleet()
-        trimmed = trimmed_tenants(
-            datacenter, spec.max_tenants, spec.servers_per_tenant_limit
-        )
-        per_point: Dict[Tuple[str, float], List[PrimaryTenant]] = {}
-        for scaling in spec.scalings:
-            for target in spec.utilization_levels:
-                per_point[(scaling.value, target)] = scaled_tenants(
-                    trimmed, target, scaling
-                )
-        return {"per_point": per_point}
+        return {
+            "trimmed": trimmed_tenants(
+                datacenter, spec.max_tenants, spec.servers_per_tenant_limit
+            )
+        }
 
     @classmethod
-    def _grid_cells(
-        cls, spec: ScenarioSpec, fork_seed: Any, skip_point: Any = None
-    ) -> List[Cell]:
+    def _grid_cells(cls, spec: ScenarioSpec, fork_seed: Any) -> List[Cell]:
         cells: List[Cell] = []
         for scaling in spec.scalings:
             for target in spec.utilization_levels:
-                if skip_point is not None and skip_point(scaling, target):
-                    # The serial loop `continue`d before forking; skipping
-                    # without a fork keeps every later seed identical.
-                    continue
                 cells.append(
                     Cell(
                         index=len(cells),
@@ -702,12 +738,12 @@ class SchedulingSweepRunner(ScenarioRunner):
         return cells
 
     def _enumerate_cells(self) -> List[Cell]:
-        per_point = self._ctx["per_point"]
-        return self._grid_cells(
-            self.spec,
-            self.fork_seed,
-            skip_point=lambda scaling, target: not per_point[(scaling.value, target)],
-        )
+        # A point is empty exactly when no tenant in ``trimmed`` is traced
+        # (``scaled_tenants`` returns ``[]``), so either every point is empty
+        # or none is.  The serial loop skipped empty points before forking.
+        if not any(t.trace is not None for t in self._ctx["trimmed"]):
+            return []
+        return super()._enumerate_cells()
 
     @classmethod
     def _spec_cells(cls, spec: ScenarioSpec, forks: ForkSequence) -> List[Cell]:
@@ -723,7 +759,9 @@ class SchedulingSweepRunner(ScenarioRunner):
         ctx = self.ctx
         scaling: ScalingMethod = cell.coord("scaling")
         target = cell.coord("target_utilization")
-        tenants = ctx["per_point"][(scaling.value, target)]
+        # One cell per sweep point: the scaled set is never reused, so it is
+        # built here rather than memoized.
+        tenants = scaled_tenants(ctx["trimmed"], target, scaling)
         point_rng = RandomSource(cell.seeds[0])
         pt = self._run_variant(SchedulerMode.PRIMARY_AWARE, tenants, point_rng)
         h = self._run_variant(SchedulerMode.HISTORY, tenants, point_rng)

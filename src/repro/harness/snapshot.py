@@ -18,6 +18,16 @@ in a versioned envelope, so that:
   construction: the restored runner's ``run_cell`` sees the same arrays and
   the same seeds, so fingerprints match the straight-line serial run.
 
+A context holds inputs once; derived products are per process, never
+snapshotted.  Whatever a cell can compute from the context without drawing
+from a stream — a scaled tenant set, a
+:class:`~repro.traces.matrix.TraceMatrix` — is built in the cell's process,
+memoized for the cells that share it by
+:meth:`ScenarioRunner.derived <repro.harness.runners.ScenarioRunner.derived>`,
+whose memo the runner's ``__getstate__`` drops.  Each trace therefore
+crosses a process boundary once, however many products the cells derive
+from it.
+
 The envelope is ``MAGIC + version + pickle``; the pickle payload carries the
 substrates in their canonical array form (each columnar substrate reduces to
 ``to_arrays()`` via ``__getstate__``).  Snapshots are an execution-transport
@@ -43,7 +53,10 @@ from repro.simulation.random import RandomSource
 SNAPSHOT_MAGIC = b"RPSNAP"
 
 #: Envelope version; bump whenever the payload layout changes shape.
-SNAPSHOT_VERSION = 1
+#: Version 2: the availability, scheduling-sweep (and so fleet-improvement),
+#: durability and failure-storm contexts hold their trimmed tenants only;
+#: scaled sets and trace matrices are derived per process.
+SNAPSHOT_VERSION = 2
 
 #: Protocol 4 is supported by every interpreter the repo targets (3.10+)
 #: and streams large numpy buffers out-of-band efficiently.

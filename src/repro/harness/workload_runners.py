@@ -176,7 +176,6 @@ class FailureStormRunner(ScenarioRunner):
             "tenants": tenants,
             "server_ids": server_ids,
             "duration": duration,
-            "matrix": TraceMatrix(tenants),
             "ops": ops,
         }
 
@@ -206,7 +205,7 @@ class FailureStormRunner(ScenarioRunner):
             ctx["tenants"],
             self.spec.replication_levels[0],
             rng,
-            trace_matrix=ctx["matrix"],
+            trace_matrix=self.derived("matrix", lambda: TraceMatrix(ctx["tenants"])),
         )
         # A trace recorded against a larger fleet reimages servers that
         # don't exist here; those reimages are moot.

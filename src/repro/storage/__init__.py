@@ -15,11 +15,11 @@ temporarily inaccessible); the NameNode re-creates lost replicas at a bounded
 rate, mirroring the real system's 30 blocks/hour/server limit.
 
 All storage state is the NameNode's: its :class:`BlockTable` and per-server
-used-space column.  :class:`DataNode` only configures a server, and
-:class:`Block` is the scalar reference model the table is tested against.
+used-space column.  :class:`DataNode` only configures a server; the scalar
+per-block model the table is tested against lives with the tests
+(``tests/scalar_block.py``).
 """
 
-from repro.storage.block import Block, BlockReplica, ReplicaState
 from repro.storage.block_table import BlockTable
 from repro.storage.datanode import DataNode
 from repro.storage.namenode import AccessBatch, AccessResult, NameNode
@@ -32,10 +32,7 @@ from repro.storage.placement_policies import (
 from repro.storage.replication import ReplicationManager
 
 __all__ = [
-    "Block",
-    "BlockReplica",
     "BlockTable",
-    "ReplicaState",
     "DataNode",
     "NameNode",
     "AccessBatch",

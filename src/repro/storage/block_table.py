@@ -1,7 +1,7 @@
 """Array-backed substrate for the storage-harvesting stack.
 
-Per-object blocks (:class:`~repro.storage.block.Block` and its replicas)
-are pleasant to reason about but cost one Python call per replica per
+Per-object blocks (the scalar ``Block`` and its replicas, kept as the test
+oracle in ``tests/scalar_block.py``) are pleasant to reason about but cost one Python call per replica per
 creation, access, reimage, and recovery pick.  At paper scale (4M blocks)
 those loops dominate the fig12/fig15/fig16 experiments.
 

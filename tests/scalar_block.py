@@ -1,4 +1,4 @@
-"""Blocks and replicas.
+"""Scalar per-object reference for the storage substrate: blocks and replicas.
 
 HDFS stores files as fixed-size blocks (256 MB in the paper's deployment),
 each replicated a configurable number of times (three by default, four in
@@ -6,10 +6,10 @@ the high-durability experiments).  A block is *lost* when every replica has
 been destroyed before re-replication could restore the count; it is
 *unavailable* when every surviving replica currently sits on a busy server.
 
-:class:`Block` and :class:`BlockReplica` are the scalar, per-object model:
-the reference the columnar :class:`~repro.storage.block_table.BlockTable`
-(which is what the NameNode runs on) is tested against, and a convenient
-form for small tools.
+:class:`Block` and :class:`BlockReplica` are the scalar, per-object model
+the columnar :class:`~repro.storage.block_table.BlockTable` (which is what
+the NameNode runs on) replaced; the equivalence tests compare the table
+against it, as ``scalar_cluster.py`` does for the compute side.
 """
 
 from __future__ import annotations

@@ -38,7 +38,8 @@ from repro.harness import (
 )
 from repro.harness.config import TINY_SCALE
 from repro.harness.results import result_telemetry, result_to_jsonable
-from repro.harness.runners import RUNNERS
+from repro.harness.runners import RUNNERS, ScenarioRunner
+from repro.harness.snapshot import SNAPSHOT_MAGIC
 from repro.harness.spec import ScenarioSpec
 from repro.jobs.dag import JobDag, Vertex
 from repro.jobs.task_table import COMPLETED, KILLED, TaskTable
@@ -255,6 +256,208 @@ class TestSnapshotEnvelope:
     def test_digest_is_stable_per_payload(self):
         assert snapshot_digest(b"abc") == snapshot_digest(b"abc")
         assert snapshot_digest(b"abc") != snapshot_digest(b"abd")
+
+
+#: A tiny fig16 grid over two utilization targets.  Two replicas at the
+#: 0.75 target fail some accesses (0.3 fails none), so a cell handed the
+#: other target's tenants reports different counts.
+FIG16_OVERRIDES = {
+    "max_tenants": 8,
+    "servers_per_tenant_limit": 3,
+    "utilization_levels": (0.3, 0.75),
+    "replication_levels": (2,),
+    "params": {"accesses_per_point": 200},
+}
+
+
+def fig16_spec() -> ScenarioSpec:
+    return tiny_spec("fig16-availability", **FIG16_OVERRIDES)
+
+
+def version_one_envelope(runner: ScenarioRunner) -> bytes:
+    """A fig16 snapshot in the version-1 layout, under a version-1 header.
+
+    Version 1 carried every target's scaled tenants, server ids and trace
+    matrix in ``per_target`` instead of the trimmed base set.
+    """
+    snapshot = snapshot_runner(runner)
+    ctx = dict(snapshot.ctx)
+    trimmed = ctx.pop("trimmed")
+    ctx["per_target"] = {
+        target: {
+            "tenants": trimmed,
+            "all_servers": [s.server_id for t in trimmed for s in t.servers],
+            "matrix": TraceMatrix(trimmed),
+        }
+        for target in runner.spec.utilization_levels
+    }
+    snapshot.ctx = ctx
+    snapshot.version = 1
+    return SNAPSHOT_MAGIC + (1).to_bytes(2, "big") + pickle.dumps(snapshot)
+
+
+class TestVersionOneSnapshots:
+    """A version-1 context must fail at decode, never inside ``run_cell``."""
+
+    def test_version_one_envelope_names_both_versions(self):
+        runner = RUNNERS["availability"](fig16_spec(), RandomSource(7))
+        data = version_one_envelope(runner)
+        with pytest.raises(SnapshotError, match=r"version 1 != supported 2"):
+            deserialize_snapshot(data)
+        # The same payload under the current version number gets as far as
+        # the cell, which cannot read the old layout: the version byte is
+        # what turns that into a clean error.
+        relabelled = data[: len(SNAPSHOT_MAGIC)] + (2).to_bytes(2, "big")
+        relabelled += data[len(SNAPSHOT_MAGIC) + 2 :]
+        restored = restore_runner(deserialize_snapshot(relabelled))
+        with pytest.raises(KeyError):
+            restored.run_cell(restored.cells()[0])
+
+    def test_resume_from_a_version_one_checkpoint_names_both_versions(
+        self, tmp_path
+    ):
+        spec = fig16_spec()
+        ckpt = tmp_path / "ckpt"
+        with pytest.raises(CheckpointPause):
+            api.run(spec, seed=7, checkpoint=ckpt, stop_after_cells=2)
+        checkpoint = RunCheckpoint(ckpt)
+        data = version_one_envelope(RUNNERS[spec.kind](spec, RandomSource(7)))
+        # A well-formed old checkpoint: its digest matches its bytes.
+        meta = checkpoint.read_meta()
+        meta["digest"] = snapshot_digest(data)
+        checkpoint.write_context(data, meta)
+        with pytest.raises(SnapshotError, match=r"version 1 != supported 2"):
+            api.run(spec, seed=7, checkpoint=ckpt, resume=True)
+        with pytest.raises(SnapshotError, match=r"version 1 != supported 2"):
+            api.run(spec, seed=7, checkpoint=ckpt, resume=True, workers=2)
+
+
+# ---------------------------------------------------------------------------
+# One copy of each input per context; derived products per process
+# ---------------------------------------------------------------------------
+
+#: The kinds whose cells derive scaled tenant sets or trace matrices.
+DERIVING_CASES = [
+    ("fig13-dc9-sweep", {"utilization_levels": (0.25, 0.5)}),
+    ("fig14-fleet-improvements", {"params": {"datacenters": ["DC-3", "DC-9"]}}),
+    ("fig15-durability", {"max_tenants": 6, "servers_per_tenant_limit": 2,
+                          "replication_levels": (3,)}),
+    ("fig16-availability", FIG16_OVERRIDES),
+    ("failure-storm", {"max_tenants": 6, "servers_per_tenant_limit": 2,
+                       "params": {"storm_rates_per_day": (2.0,),
+                                  "storm_fraction": 0.15}}),
+]
+DERIVING_IDS = [case[0] for case in DERIVING_CASES]
+
+#: The context keys allowed to hold a tenant set: the one trimmed base set.
+TENANT_SET_KEYS = ("trimmed", "tenants")
+
+
+def reachable(value, path=()):
+    """Every ``(path, object)`` reachable from a context, sub-runners included."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from reachable(item, path + (key,))
+    elif isinstance(value, (list, tuple)):
+        for position, item in enumerate(value):
+            yield from reachable(item, path + (position,))
+    elif isinstance(value, ScenarioRunner):
+        yield from reachable(value.ctx, path + ("ctx",))
+
+
+def runners_in(runner: ScenarioRunner):
+    """The runner and every sub-runner its context holds."""
+    found = {id(runner): runner}
+    for _, obj in reachable(runner.ctx):
+        if isinstance(obj, ScenarioRunner):
+            found[id(obj)] = obj
+    return list(found.values())
+
+
+class TestOneCopyContext:
+    @pytest.mark.parametrize("name,overrides", DERIVING_CASES, ids=DERIVING_IDS)
+    def test_context_holds_each_tenant_once_and_no_matrix(self, name, overrides):
+        runner = RUNNERS[get_scenario(name).kind](
+            tiny_spec(name, **overrides), RandomSource(7)
+        )
+        objects = dict(reachable(runner.ctx))
+        assert not [path for path, obj in objects.items() if isinstance(obj, TraceMatrix)]
+        tenant_paths = [
+            path for path, obj in objects.items() if isinstance(obj, PrimaryTenant)
+        ]
+        assert tenant_paths, "no tenant reached: the walk proves nothing"
+        # Every tenant sits directly in a runner's one base set ...
+        assert all(path[-2] in TENANT_SET_KEYS for path in tenant_paths)
+        for runner_ in runners_in(runner):
+            assert sum(key in runner_.ctx for key in TENANT_SET_KEYS) <= 1
+        # ... and in only one list (fig14 reaches each sub-runner twice,
+        # through "subs" and "flat", but it is the same list).
+        lists = {}
+        for path in tenant_paths:
+            lists.setdefault(id(objects[path]), set()).add(id(objects[path[:-1]]))
+        assert all(len(ids) == 1 for ids in lists.values())
+
+    @pytest.mark.parametrize("name,overrides", DERIVING_CASES, ids=DERIVING_IDS)
+    def test_running_a_cell_leaves_the_snapshot_unchanged(self, name, overrides):
+        runner = RUNNERS[get_scenario(name).kind](
+            tiny_spec(name, **overrides), RandomSource(7)
+        )
+        before = serialize_snapshot(snapshot_runner(runner))
+        runner.run_cell(runner.cells()[-1])
+        assert serialize_snapshot(snapshot_runner(runner)) == before
+
+    def test_a_pickled_runner_drops_its_derived_product(self):
+        runner = RUNNERS["availability"](fig16_spec(), RandomSource(7))
+        cell = runner.cells()[0]
+        runner.run_cell(cell)
+        tenants, _, matrix = runner.derived(
+            cell.coord("target_utilization"), lambda: None
+        )
+        assert tenants and isinstance(matrix, TraceMatrix)
+        clone = pickle.loads(pickle.dumps(runner))
+        assert clone._derived is None
+        assert clone.run_cell(cell) == runner.run_cell(cell)
+
+
+def interleaved_halves(cells):
+    """First half and second half alternating: the grid's leading loop
+    (fig16's target, fig14's datacenter) changes on every cell."""
+    half = (len(cells) + 1) // 2
+    first, second = cells[:half], cells[half:]
+    order = []
+    for position, cell in enumerate(first):
+        order.append(cell)
+        if position < len(second):
+            order.append(second[position])
+    return order
+
+
+class TestDerivedMemo:
+    """The per-process memo gives the same partials in any cell order."""
+
+    @pytest.mark.parametrize(
+        "name,overrides",
+        [("fig14-fleet-improvements", dict(DERIVING_CASES)["fig14-fleet-improvements"]),
+         ("fig16-availability", FIG16_OVERRIDES)],
+        ids=["fig14-fleet-improvements", "fig16-availability"],
+    )
+    def test_restored_runner_in_any_order_matches_a_cold_memo(self, name, overrides):
+        spec = tiny_spec(name, **overrides)
+        data = serialize_snapshot(
+            snapshot_runner(RUNNERS[spec.kind](spec, RandomSource(7)))
+        )
+        cells = restore_runner(deserialize_snapshot(data)).cells()
+        assert len(cells) >= 4
+        # Each cell alone in a fresh process image: nothing memoized yet.
+        expected = {
+            cell.index: restore_runner(deserialize_snapshot(data)).run_cell(cell)
+            for cell in cells
+        }
+        for order in (list(cells), cells[::-1], interleaved_halves(cells)):
+            restored = restore_runner(deserialize_snapshot(data))
+            got = {cell.index: restored.run_cell(cell) for cell in order}
+            assert got == expected
 
 
 class TestRestoredRunParity:

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scalar_block import Block, BlockReplica
 
 from repro.simulation.random import RandomSource
-from repro.storage.block import Block, BlockReplica
 from repro.storage.datanode import DataNode
 from repro.storage.namenode import NameNode
 from repro.storage.placement_policies import StockPlacementPolicy

@@ -5,8 +5,8 @@ batched block operation (creation placement, effectful access batches,
 reimage replay, re-replication candidate picks) is checked against the
 legacy per-object path it replaced, using twin NameNodes driven through
 identical random streams.  The scalar oracle below is a line-for-line
-port of the pre-BlockTable NameNode hot paths over ``Block`` /
-``BlockReplica`` dataclasses.
+port of the pre-BlockTable NameNode hot paths over the ``Block`` /
+``BlockReplica`` dataclasses of ``scalar_block.py``.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_block import Block, BlockReplica
 
 from repro.simulation.random import RandomSource
-from repro.storage.block import Block, BlockReplica
 from repro.storage.block_table import BlockTable
 from repro.storage.datanode import DataNode
 from repro.storage.namenode import AccessResult, NameNode

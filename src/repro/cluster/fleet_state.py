@@ -13,13 +13,18 @@ the cluster's order, with
 * the owning tenant's row in a :class:`~repro.traces.matrix.TraceMatrix`,
   so every server's primary utilization is one gather.
 
-A heartbeat round is one trace gather plus a handful of elementwise array
-operations, and the Algorithm 1 class statistics are masked reductions.
-Container placement reads the *fit index*: for each container allocation in
-use, the ascending rows whose RM view fits it, in total and per label.  It is
-built lazily from :meth:`FleetState.fits_mask` after a heartbeat refresh or a
-label change, and every launch and completion keeps it exact by rechecking
-the one row it touched, so "can this shape be placed at all?" costs a few
+A primary tenant's utilization only changes when a new trace sample begins
+(every ``SAMPLE_INTERVAL_SECONDS``), while NodeManagers heartbeat far more
+often.  The first heartbeat of a sample is one trace gather plus a handful
+of elementwise array operations over every row; a later heartbeat in the
+same sample revisits only the rows a launch or a completion touched since
+the previous one, since no other row can have changed.  The Algorithm 1
+class statistics are masked reductions.  Container placement reads the
+*fit index*: for each container allocation in use, the ascending rows whose
+RM view fits it, in total and per label.  It is built lazily from
+:meth:`FleetState.fits_mask` after a full refresh or a label change; kept
+exact across mid-sample heartbeats, launches and completions by rechecking
+the rows they touched, so "can this shape be placed at all?" costs a few
 dictionary lookups and a placement draws over the candidate rows as plain
 floats.
 
@@ -40,10 +45,10 @@ incrementally, which equals the in-order re-sum of a row's containers as
 long as allocations sit on a 1/256 binary grid (the shipped workloads use
 1 core / 2 GB containers).  Off-grid allocations can only come from outside
 the program — a replayed workload trace may carry ``"cores": 0.1`` — and the
-first such launch flips a guard: from then on every refresh re-sums the
-allocated columns from the containers, and the reserve-kill walk
-(:meth:`FleetState._reclaim_row`) re-sums the row before every kill instead
-of subtracting the victims from the allocated column.
+first such launch flips a guard: from then on every refresh takes the full
+path and re-sums the allocated columns from the containers, and the
+reserve-kill walk (:meth:`FleetState._reclaim_row`) re-sums the row before
+every kill instead of subtracting the victims from the allocated column.
 """
 
 from __future__ import annotations
@@ -86,9 +91,7 @@ class FitIndex:
             self.by_label.setdefault(labels[row], []).append(row)
 
     def update(self, row: int, fits: bool, label: Optional[str]) -> None:
-        """Record that ``row`` (carrying ``label``) now fits or not."""
-        if fits == self.fits[row]:
-            return
+        """Record that ``row`` (carrying ``label``) flipped to ``fits``."""
         self.fits[row] = fits
         labelled = self.by_label.setdefault(label, [])
         if fits:
@@ -167,12 +170,30 @@ class FleetState:
 
         self._label_masks: Dict[Optional[str], np.ndarray] = {}
         # Fit index per (cores, memory_gb) allocation, built on first use;
-        # cleared by a refresh (which replaces the available columns) and by
-        # a label change.
+        # cleared by a full refresh (which replaces the available columns)
+        # and by a label change.
         self._fit_index: Dict[Tuple[float, float], FitIndex] = {}
         self._present_labels: Optional[set] = None
-        self._cached_util_time: Optional[float] = None
-        self._cached_util: Optional[np.ndarray] = None
+        # Trace sample of the last full refresh; None forces the next
+        # refresh onto the full path (apply_reserve sets it so).
+        self._full_sample: Optional[int] = None
+        # The room the last full refresh published against: the harvest
+        # columns, or capacity for a primary-oblivious fleet.
+        self._room_cores = self.capacity_cores
+        self._room_memory = self.capacity_memory
+        # Rows launched on or completed on since the last refresh.
+        self._dirty: set = set()
+        # Heartbeat caches: the primary array per trace sample, the
+        # secondary fraction per allocation version (bumped by every change
+        # to the allocated columns), and their mean per (sample, version).
+        self._allocation_version = 0
+        self._util_sample: Optional[int] = None
+        self._util = np.zeros(0)
+        self._util.flags.writeable = False
+        self._secondary_version = -1
+        self._secondary: Optional[np.ndarray] = None
+        self._mean_key: Optional[Tuple[int, int]] = None
+        self._mean = 0.0
         # Off-grid guard (see the module docstring): set by the first launch
         # whose allocation is not exactly representable on the 1/256 grid.
         self._inexact_allocations = False
@@ -212,11 +233,13 @@ class FleetState:
         """Re-size every server's protection reserve to the given fractions.
 
         The online reserve controllers (predictor-ablation scenarios) call
-        this each control tick; the next heartbeat enforces the new size.
+        this each control tick; the next heartbeat, a full refresh, enforces
+        the new size.
         """
         _check_fractions(cpu_fraction, memory_fraction)
         self.reserve_cores = self.capacity_cores * cpu_fraction
         self.reserve_memory = self.capacity_memory * memory_fraction
+        self._full_sample = None
 
     # -- containers ---------------------------------------------------------
 
@@ -244,6 +267,8 @@ class FleetState:
         self.allocated_cores[index] += cores
         self.allocated_memory[index] += memory_gb
         self.running_containers[index] += 1
+        self._allocation_version += 1
+        self._dirty.add(index)
         self.available_cores[index] = max(0.0, self.available_cores[index] - cores)
         self.available_memory[index] = max(
             0.0, self.available_memory[index] - memory_gb
@@ -257,6 +282,7 @@ class FleetState:
         index = self._index_of[container.server_id]
         container.finish(time)
         self._drop(index, container)
+        self._dirty.add(index)
         self.available_cores[index] += container.allocation.cores
         self.available_memory[index] += container.allocation.memory_gb
         if self._fit_index:
@@ -267,9 +293,10 @@ class FleetState:
         epsilon = self.FIT_EPSILON
         cores_room = float(self.available_cores[index]) + epsilon
         memory_room = float(self.available_memory[index]) + epsilon
-        label = self._labels[index]
         for (cores, memory_gb), fit in self._fit_index.items():
-            fit.update(index, cores <= cores_room and memory_gb <= memory_room, label)
+            fits = cores <= cores_room and memory_gb <= memory_room
+            if fits != fit.fits[index]:
+                fit.update(index, fits, self._labels[index])
 
     def _kill(self, index: int, container: Container, time: float) -> None:
         container.kill(time)
@@ -280,6 +307,7 @@ class FleetState:
         self.allocated_cores[index] -= container.allocation.cores
         self.allocated_memory[index] -= container.allocation.memory_gb
         self.running_containers[index] -= 1
+        self._allocation_version += 1
 
     def _row_sums(self, index: int) -> Tuple[float, float]:
         """Fresh in-order re-sum of a row's running allocations."""
@@ -299,6 +327,7 @@ class FleetState:
             cores, memory_gb = self._row_sums(index)
             self.allocated_cores[index] = cores
             self.allocated_memory[index] = memory_gb
+        self._allocation_version += 1
 
     # -- batch queries ------------------------------------------------------
 
@@ -307,28 +336,51 @@ class FleetState:
 
         Each value is the owning tenant's raw trace lookup, each trace
         wrapping at its own length, exactly as ``tenant.utilization_at``.
+        Every time in one trace sample reads the same values, so the array
+        is cached per sample; it is read-only, because callers share it.
         """
-        if self._cached_util_time == time and self._cached_util is not None:
-            return self._cached_util
         if self._traces is None:
-            util = np.zeros(0)
-        else:
-            util = self._traces.utilization_at(time)[self._trace_rows]
-        # The cached array is handed out by reference; freeze it so a caller
-        # mutation cannot poison later same-timestamp queries.
+            return self._util
+        sample = self._traces.sample_of(time)
+        if sample == self._util_sample:
+            return self._util
+        util = self._traces.utilization_at(time)[self._trace_rows]
         util.flags.writeable = False
-        self._cached_util_time = time
-        self._cached_util = util
+        self._util_sample = sample
+        self._util = util
         return util
 
     def total_utilization(self, time: float) -> np.ndarray:
         """Per-server combined primary + secondary CPU utilization."""
         primary = self.primary_utilization(time)
-        return np.minimum(1.0, primary + self.allocated_cores / self.capacity_cores)
+        return np.minimum(1.0, primary + self.secondary_cpu_fraction())
+
+    def average_total_utilization(self, time: float) -> float:
+        """Mean combined (primary + secondary) CPU utilization.
+
+        A sequential Python sum over row order, recomputed only when the
+        trace sample or the allocations changed since the last call.
+        """
+        if self._traces is None:
+            return 0.0
+        key = (self._traces.sample_of(time), self._allocation_version)
+        if key != self._mean_key:
+            self._mean = sum(self.total_utilization(time).tolist()) / len(self._ids)
+            self._mean_key = key
+        return self._mean
 
     def secondary_cpu_fraction(self) -> np.ndarray:
-        """Per-server CPU fraction allocated to batch containers."""
-        return self.allocated_cores / self.capacity_cores
+        """Per-server CPU fraction allocated to batch containers.
+
+        Cached until the allocations change; read-only, because callers
+        share it.
+        """
+        if self._secondary_version != self._allocation_version:
+            fraction = self.allocated_cores / self.capacity_cores
+            fraction.flags.writeable = False
+            self._secondary = fraction
+            self._secondary_version = self._allocation_version
+        return self._secondary
 
     def label_mask(self, labels: Sequence[str]) -> np.ndarray:
         """Boolean row mask of servers carrying any of ``labels``.
@@ -413,12 +465,28 @@ class FleetState:
 
         Aware servers first enforce the reserve where the primary tenant
         burst into it (youngest containers die first; kills are reported row
-        by row), then every server publishes its available resources to the
-        RM view.
+        by row, in ascending row order), then every server publishes its
+        available resources to the RM view.
+
+        Two paths give that same result.  The full path recomputes every
+        row and drops the fit index; it runs on the first refresh, on the
+        first refresh in a new trace sample (``TraceMatrix.sample_of``), after
+        :meth:`apply_reserve`, and always once an off-grid allocation was
+        launched.  Otherwise the primary usage, the reserve and so the
+        harvestable room are those of the last full refresh, and only the
+        rows launched on or completed on since the previous refresh can
+        have changed: the dirty path applies the same per-row formula to
+        those rows alone and rechecks them in the fit index, which
+        survives.
         """
-        self._fit_index.clear()
         if not self._ids:
             return []
+        sample = self._traces.sample_of(time)
+        if sample == self._full_sample and not self._inexact_allocations:
+            return self._refresh_dirty(time)
+        self._full_sample = sample
+        self._dirty.clear()
+        self._fit_index.clear()
         if self._inexact_allocations:
             self._recompute_allocations()
         killed: List[Container] = []
@@ -442,6 +510,8 @@ class FleetState:
         harvest_memory = np.maximum(
             0.0, self.capacity_memory - (ceil_memory + self.reserve_memory)
         )
+        self._room_cores = harvest_cores
+        self._room_memory = harvest_memory
         # Reserve violations: allocated intrudes past the harvestable room
         # (Resource.is_zero tolerance).
         violated = (self.running_containers > 0) & (
@@ -459,6 +529,45 @@ class FleetState:
             )
         self.available_cores = np.maximum(0.0, harvest_cores - self.allocated_cores)
         self.available_memory = np.maximum(0.0, harvest_memory - self.allocated_memory)
+        return killed
+
+    def _refresh_dirty(self, time: float) -> List[Container]:
+        """The full refresh's per-row formula over the dirty rows only.
+
+        A launch that fits only within ``FIT_EPSILON`` of the room (or one
+        placed without a fit check) can overshoot it mid-sample, so the
+        violation test stays.
+        """
+        killed: List[Container] = []
+        if not self._dirty:
+            return killed
+        rows = sorted(self._dirty)
+        self._dirty.clear()
+        aware = self.primary_aware
+        for index in rows:
+            room_cores = float(self._room_cores[index])
+            room_memory = float(self._room_memory[index])
+            if (
+                aware
+                and self.running_containers[index] > 0
+                and (
+                    float(self.allocated_cores[index]) - room_cores > 1e-12
+                    or float(self.allocated_memory[index]) - room_memory > 1e-12
+                )
+            ):
+                killed.extend(self._reclaim_row(index, room_cores, room_memory, time))
+            cores = max(0.0, room_cores - float(self.allocated_cores[index]))
+            memory_gb = max(0.0, room_memory - float(self.allocated_memory[index]))
+            # Launches and completions keep the fit index exact for the
+            # values they wrote, so only a changed row needs a recheck.
+            if (
+                cores != self.available_cores[index]
+                or memory_gb != self.available_memory[index]
+            ):
+                self.available_cores[index] = cores
+                self.available_memory[index] = memory_gb
+                if self._fit_index:
+                    self._refit(index)
         return killed
 
     def _reclaim_row(

@@ -105,7 +105,8 @@ class ResourceManager:
 
         The RM's view of available resources is refreshed from the heartbeats,
         exactly as the real systems piggyback utilization on the existing
-        heartbeat protocol — here as one batch refresh over the fleet.
+        heartbeat protocol — here as one batch refresh over the fleet, which
+        within a trace sample visits only the rows that changed.
         """
         return self._fleet.refresh(time)
 
@@ -113,11 +114,7 @@ class ResourceManager:
 
     def average_total_utilization(self, time: float) -> float:
         """Mean combined (primary + secondary) CPU utilization."""
-        if not len(self._fleet):
-            return 0.0
-        # The reduction stays a sequential Python sum over row order.
-        values = self._fleet.total_utilization(time)
-        return sum(values.tolist()) / len(self._fleet)
+        return self._fleet.average_total_utilization(time)
 
     def class_statistics(
         self, labels: Sequence[str], time: float

@@ -68,6 +68,19 @@ MINUTE_SECONDS = 60.0
 COUNTER_KEYS = ("jobs_submitted", "jobs_completed", "tasks_completed", "tasks_killed")
 
 
+def _row_bytes(
+    previous: Tuple[Optional[np.ndarray], ...], row: Tuple[np.ndarray, ...]
+) -> int:
+    """Bytes a tail row adds: its time, plus each array it does not share.
+
+    Consecutive heartbeat rows hand over the same cached array until the
+    trace sample or the allocations change, and an array never returns once
+    replaced, so sharing is only ever with the previous row.
+    """
+    shared = zip(row, previous)
+    return 8 + sum(array.nbytes for array, prior in shared if array is not prior)
+
+
 class MinuteLatencyRecorder(SeriesRecorder):
     """Buffers heartbeat rows and folds complete minutes into p99 samples.
 
@@ -100,14 +113,20 @@ class MinuteLatencyRecorder(SeriesRecorder):
         self.peak_tail_bytes = 0
         self.folds = 0
 
+    def _last_row(self) -> Tuple[Optional[np.ndarray], ...]:
+        if not self._tail_times:
+            return (None, None)
+        return (self._tail_secondary[-1], self._tail_primary[-1])
+
     def record(
         self, time: float, secondary_cpu: np.ndarray, primary_cpu: np.ndarray
     ) -> None:
         """Buffer one heartbeat row in the open tail."""
+        previous = self._last_row()
         self._tail_times.append(time)
         self._tail_secondary.append(secondary_cpu)
         self._tail_primary.append(primary_cpu)
-        self._tail_bytes += 8 + secondary_cpu.nbytes + primary_cpu.nbytes
+        self._tail_bytes += _row_bytes(previous, (secondary_cpu, primary_cpu))
         if len(self._tail_times) > self.peak_tail_rows:
             self.peak_tail_rows = len(self._tail_times)
         if self._tail_bytes > self.peak_tail_bytes:
@@ -173,10 +192,11 @@ class MinuteLatencyRecorder(SeriesRecorder):
         del self._tail_times[:cut]
         del self._tail_secondary[:cut]
         del self._tail_primary[:cut]
-        self._tail_bytes = sum(
-            8 + s.nbytes + p.nbytes
-            for s, p in zip(self._tail_secondary, self._tail_primary)
-        )
+        self._tail_bytes = 0
+        previous: Tuple[Optional[np.ndarray], ...] = (None, None)
+        for row in zip(self._tail_secondary, self._tail_primary):
+            self._tail_bytes += _row_bytes(previous, row)
+            previous = row
         return [
             (np.float64(bucket) * MINUTE_SECONDS, float(np.mean(latency_row)))
             for bucket, latency_row in zip(starts, per_minute)

@@ -56,7 +56,7 @@ class SeriesRecorder:
     def record(
         self, time: float, secondary_cpu: np.ndarray, primary_cpu: np.ndarray
     ) -> None:
-        """Ingest one heartbeat row (``primary_cpu`` is already a copy)."""
+        """Ingest one heartbeat row: read-only arrays that rows may share."""
         raise NotImplementedError
 
 
@@ -219,7 +219,9 @@ class HarvestingCluster:
         self._executions = [e for e in self._executions if not e.finished]
 
     def _heartbeat_step(self, engine: SimulationEngine) -> None:
-        killed = self.resource_manager.process_heartbeats(engine.now)
+        now = engine.now
+        rm = self.resource_manager
+        killed = rm.process_heartbeats(now)
         if killed:
             self._prune_finished()
             # Resolve each killed container straight to its owning execution
@@ -228,20 +230,16 @@ class HarvestingCluster:
             # ``ApplicationMaster.pump_all``).
             self.app_master.resolve_kills(killed)
             self.app_master.pump_all(self._executions)
-        self.heartbeat_utilization.append(
-            float(self.resource_manager.average_total_utilization(engine.now))
-        )
+        self.heartbeat_utilization.append(rm.average_total_utilization(now))
         # Per-server view of primary demand and batch allocation, used by the
         # testbed experiments to evaluate the primary tail-latency model at
         # every point of the run rather than only at its end.  Both vectors
-        # are read straight from the fleet arrays (the utilization gather
-        # above is cached for this heartbeat's time).
+        # are the fleet's frozen caches (per trace sample and per allocation
+        # version), so consecutive rows share them until something changes.
         if self._series_recorder is not None:
-            fleet = self.fleet
+            fleet = rm.fleet
             self._series_recorder.record(
-                engine.now,
-                fleet.secondary_cpu_fraction(),
-                fleet.primary_utilization(engine.now).copy(),
+                now, fleet.secondary_cpu_fraction(), fleet.primary_utilization(now)
             )
 
     def _pump_step(self, engine: SimulationEngine) -> None:

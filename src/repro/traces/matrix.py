@@ -152,11 +152,15 @@ class TraceMatrix:
 
     # -- queries ------------------------------------------------------------
 
-    def sample_index(self, time_seconds: float) -> np.ndarray:
-        """Per-row sample index for one time (each row wraps independently)."""
+    def sample_of(self, time_seconds: float) -> int:
+        """The sample ``time_seconds`` falls in, before any row's wrap."""
         if time_seconds < 0:
             raise ValueError(f"time must be non-negative (got {time_seconds})")
-        return int(time_seconds // self._interval) % self._lengths
+        return int(time_seconds // self._interval)
+
+    def sample_index(self, time_seconds: float) -> np.ndarray:
+        """Per-row sample index for one time (each row wraps independently)."""
+        return self.sample_of(time_seconds) % self._lengths
 
     def utilization_at(self, time_seconds: float) -> np.ndarray:
         """Every tenant's utilization at one time — one value per row."""
@@ -171,10 +175,8 @@ class TraceMatrix:
         full per-tenant vector — the shape the NameNode's per-server busy
         mask wants, since many servers share a tenant row.
         """
-        if time_seconds < 0:
-            raise ValueError(f"time must be non-negative (got {time_seconds})")
         rows = np.asarray(rows, dtype=np.int64)
-        idx = int(time_seconds // self._interval) % self._lengths[rows]
+        idx = self.sample_of(time_seconds) % self._lengths[rows]
         return self._values[rows, idx]
 
     def utilization(self, rows: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -210,6 +210,45 @@ class TestClassStatistics:
         assert sum(util.tolist()) / len(fleet) == expected
 
 
+class TestSampleCaches:
+    def test_primary_utilization_is_one_frozen_array_per_sample(self):
+        fleet = build_fleet(rows_of(PROFILES))
+        first = fleet.primary_utilization(0.0)
+        assert fleet.primary_utilization(117.0) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+        crossed = fleet.primary_utilization(120.0)
+        assert crossed is not first
+        assert crossed.tolist() == [values[1] for values in PROFILES.values()]
+        assert fleet.primary_utilization(239.0) is crossed
+
+    def test_secondary_fraction_is_cached_per_allocation_version(self):
+        fleet = build_fleet(rows_of(PROFILES))
+        fleet.refresh(0.0)
+        before = fleet.secondary_cpu_fraction()
+        assert fleet.secondary_cpu_fraction() is before
+        assert not before.flags.writeable
+        container = fleet.launch(1, "t", "job", Resource(3.0, 2.0), 0.0)
+        launched = fleet.secondary_cpu_fraction()
+        assert launched is not before
+        assert launched.tolist() == [0.0, 0.25, 0.0, 0.0]
+        fleet.complete(container, 1.0)
+        assert fleet.secondary_cpu_fraction().tolist() == before.tolist()
+
+    def test_average_utilization_follows_allocations_within_a_sample(self):
+        rm = build_rm(rows_of(PROFILES))
+        rm.process_heartbeats(0.0)
+        idle = rm.average_total_utilization(0.0)
+        assert rm.average_total_utilization(3.0) == idle
+        container = launch_on(rm, "idle", "t", Resource(3.0, 2.0), 3.0)
+        busy = rm.average_total_utilization(3.0)
+        assert busy == pytest.approx(idle + 0.25 / len(PROFILES))
+        rm.complete(container, 6.0)
+        assert rm.average_total_utilization(6.0) == idle
+        assert rm.average_total_utilization(120.0) != idle
+
+
 class TestOverridesAndViews:
     def test_duplicate_registration_rejected(self):
         rows = rows_of(PROFILES) + [make_row("idle", [0.1])]

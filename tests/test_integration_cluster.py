@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.api as api
 from repro.cluster.resource_manager import SchedulerMode
 from repro.harness.runners import _scheduler_counters
 from repro.jobs.scheduler_variants import ClusterConfig, HarvestingCluster
@@ -12,6 +13,7 @@ from repro.jobs.dag import JobDag, Vertex
 from repro.jobs.tpcds import TpcdsWorkloadFactory
 from repro.jobs.workload import WorkloadGenerator
 from repro.simulation.random import RandomSource
+from repro.traces.utilization import SAMPLE_INTERVAL_SECONDS
 
 
 def build_cluster(small_tenants, mode: SchedulerMode, **config_kwargs):
@@ -204,3 +206,43 @@ class TestPlainCounts:
         }
         # The busy workload pumps several waves of one shape per batch.
         assert counters["waves_coalesced"] > 0
+
+
+class TestHeartbeatCaches:
+    def test_recorded_rows_are_read_only(self, small_tenants):
+        from test_streaming import RetainAllRecorder
+
+        cluster = build_cluster(small_tenants, SchedulerMode.HISTORY)
+        recorder = RetainAllRecorder()
+        cluster.set_series_recorder(recorder)
+        cluster.submit_arrivals(quick_workload().arrivals(600.0))
+        cluster.run(600.0)
+        rows = recorder.secondary + recorder.primary
+        assert len(rows) == 2 * len(cluster.heartbeat_utilization)
+        for row in (recorder.secondary[-1], recorder.primary[-1]):
+            with pytest.raises(ValueError):
+                row[0] = 0.5
+        # Rows in one trace sample share its primary array.
+        samples = {time // SAMPLE_INTERVAL_SECONDS for time in recorder.times}
+        assert len({id(row) for row in recorder.primary}) == len(samples) < len(rows)
+
+    def test_heartbeat_utilization_equals_a_full_recompute(self, monkeypatch):
+        expected = []
+        step = HarvestingCluster._heartbeat_step
+
+        def recomputing_step(cluster, engine):
+            step(cluster, engine)
+            fleet = cluster.fleet
+            primary = fleet._traces.utilization_at(engine.now)[fleet._trace_rows]
+            values = np.minimum(
+                1.0, primary + fleet.allocated_cores / fleet.capacity_cores
+            )
+            expected.append(sum(values.tolist()) / len(fleet))
+            assert cluster.heartbeat_utilization[-1] == expected[-1]
+
+        overrides = {"scale": "tiny"}
+        plain = api.run("fig10-11-scheduling-testbed", overrides=overrides, seed=0)
+        monkeypatch.setattr(HarvestingCluster, "_heartbeat_step", recomputing_step)
+        checked = api.run("fig10-11-scheduling-testbed", overrides=overrides, seed=0)
+        assert len(expected) > 100
+        assert checked.fingerprint() == plain.fingerprint()

@@ -6,13 +6,17 @@ The compute counterpart of ``tests/test_property_storage.py``:
 launches, completions, heartbeats, reserve resizes, relabellings and
 Resource Manager placement batches, and the tests drive it with randomized
 sequences (checking after every placement inside a batch too) and from
-inside a scenario run.
+inside a scenario run.  Twin fleets driven through one random sequence,
+one of them forced onto the full refresh path before every heartbeat, check
+that the mid-sample dirty-row refresh publishes the same RM view and kills
+the same containers.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scalar_cluster import build_rm, make_row, scalar_candidates
 
@@ -227,3 +231,182 @@ class TestFleetInvariants:
         assert len(checks) > 100
         # The checks only read state: the run is unchanged.
         assert checked.fingerprint() == plain.fingerprint()
+
+
+# -- the dirty-row refresh against the full one ------------------------------
+
+#: Heartbeat gaps, mostly inside one 120 s sample; the rest land onto and
+#: across a sample boundary, or far enough to wrap past the 4-sample traces.
+GAPS = st.sampled_from(
+    [0.0, 3.0, 3.0, 3.0, 3.0, 30.0, 57.0, 117.0, 120.0, 123.0, 600.0]
+)
+
+
+#: Launches placed without a fit check, half a server each, so an oblivious
+#: (Stock) row can hold more than its capacity and publish a clamped zero.
+OVERSIZED = st.just(Resource(6.0, 16.0))
+
+
+def twin_operations():
+    row = st.integers(0, len(PROFILES) - 1)
+    return st.lists(
+        st.one_of(
+            st.tuples(st.just("launch"), row, ON_GRID),
+            st.tuples(st.just("launch"), row, OVERSIZED),
+            st.tuples(st.just("tight"), row),
+            st.tuples(st.just("complete"), st.integers(0, 1000)),
+            st.tuples(st.just("complete"), st.integers(0, 1000)),
+            st.tuples(st.just("schedule"), ON_GRID, st.integers(1, 6), LABEL_SETS),
+            st.tuples(st.just("relabel"), row, st.sampled_from(["c0", "c1", None])),
+            st.tuples(
+                st.just("apply_reserve"),
+                st.floats(0.0, 0.6, allow_nan=False),
+                st.floats(0.0, 0.6, allow_nan=False),
+            ),
+            st.tuples(st.just("refresh"), GAPS),
+            st.tuples(st.just("refresh"), GAPS),
+            st.tuples(st.just("refresh"), GAPS),
+        ),
+        max_size=50,
+    )
+
+
+def tight_reserve(fleet: FleetState, row: int, time: float):
+    """A cpu reserve fraction leaving ``row`` room for one more core minus
+    half of ``FIT_EPSILON``, or None when no fraction in [0, 1) does.
+
+    An on-grid 1-core launch then fits the row only within the epsilon and
+    overshoots its harvestable room by more than the violation tolerance.
+    """
+    capacity = float(fleet.capacity_cores[row])
+    usage = np.ceil(fleet.primary_utilization(time)[row] * capacity)
+    allocated = float(fleet.allocated_cores[row])
+    room = capacity - usage - allocated - 1.0 + FleetState.FIT_EPSILON / 2
+    fraction = room / capacity
+    return fraction if 0.0 <= fraction < 1.0 else None
+
+
+def drive_twins(rows, mode, ops, off_grid_at=None) -> None:
+    """Apply ``ops`` to twin fleets; before every refresh the second twin is
+    forced onto the full path, and after it both must agree bit for bit.
+
+    Before op number ``off_grid_at`` both twins launch one off-grid
+    container, which sends every later refresh down the full path.
+    """
+    labels = LABELS if rows else None
+    twins = [build_rm(rows, mode=mode, labels=labels) for _ in range(2)]
+    fleets = [rm.fleet for rm in twins]
+    live = [[], []]
+    time = 0.0
+    serial = 0
+
+    def refresh():
+        fleets[1]._full_sample = None
+        killed = [fleet.refresh(time) for fleet in fleets]
+        assert [c.task_id for c in killed[0]] == [c.task_id for c in killed[1]]
+        for side in (0, 1):
+            live[side] = [c for c in live[side] if c.state is ContainerState.RUNNING]
+        for column in ("available_cores", "available_memory", "allocated_cores"):
+            assert getattr(fleets[0], column).tobytes() == getattr(
+                fleets[1], column
+            ).tobytes()
+
+    def launch(index, allocation):
+        nonlocal serial
+        serial += 1
+        for side, fleet in enumerate(fleets):
+            live[side].append(
+                fleet.launch(index, f"task-{serial}", "job", allocation, time)
+            )
+
+    refresh()
+    for step, op in enumerate(ops):
+        if step == off_grid_at and rows:
+            launch(0, Resource(0.1, 0.3))
+        kind = op[0]
+        if kind in ("launch", "tight", "relabel") and not rows:
+            continue
+        if kind == "launch":
+            launch(op[1], op[2])
+        elif kind == "tight":
+            fraction = tight_reserve(fleets[0], op[1], time)
+            if fraction is None:
+                continue
+            for fleet in fleets:
+                fleet.apply_reserve(fraction, 0.0)
+            refresh()
+            if (
+                fleets[0].primary_aware
+                and fleets[0].allocated_cores[op[1]] == 0.0
+                and not fleets[0]._inexact_allocations
+            ):
+                room = float(fleets[0].available_cores[op[1]])
+                assert room < 1.0 <= room + FleetState.FIT_EPSILON
+            launch(op[1], Resource(1.0, 0.0))
+        elif kind == "complete":
+            if live[0]:
+                pick = op[1] % len(live[0])
+                for side, fleet in enumerate(fleets):
+                    fleet.complete(live[side].pop(pick), time)
+        elif kind == "schedule":
+            _, allocation, count, labels = op
+            placed = []
+            for side, rm in enumerate(twins):
+                wave = [
+                    ContainerRequest("job", f"task-{serial}-{i}", allocation, labels)
+                    for i in range(count)
+                ]
+                containers = rm.begin_batch(time).schedule(wave)
+                live[side].extend(c for c in containers if c is not None)
+                placed.append([c and c.server_id for c in containers])
+            serial += 1
+            assert placed[0] == placed[1]
+        elif kind == "relabel":
+            for rm in twins:
+                rm.set_label(rm.fleet.server_ids[op[1]], op[2])
+        elif kind == "apply_reserve":
+            for fleet in fleets:
+                fleet.apply_reserve(op[1], op[2])
+        elif kind == "refresh":
+            time += op[1]
+            refresh()
+        for fleet in fleets:
+            check_fleet_invariants(fleet)
+
+
+class TestDirtyRefresh:
+    """A mid-sample refresh of the rows touched since the last one equals a
+    refresh of every row: same kills in the same order, bit-equal RM view."""
+
+    @pytest.mark.parametrize(
+        "mode", [SchedulerMode.HISTORY, SchedulerMode.STOCK], ids=["aware", "stock"]
+    )
+    @settings(max_examples=80, deadline=None)
+    @given(ops=twin_operations(), off_grid_at=st.none() | st.integers(0, 50))
+    # A Stock row over capacity publishes a clamped zero; a completion alone
+    # then leaves it over capacity or not, which only a revisit can tell.
+    @example(
+        ops=[
+            ("launch", 0, Resource(6.0, 16.0)),
+            ("launch", 0, Resource(6.0, 16.0)),
+            ("launch", 0, Resource(1.0, 2.0)),
+            ("refresh", 3.0),
+            ("complete", 0),
+            ("refresh", 3.0),
+        ],
+        off_grid_at=None,
+    )
+    # Off the grid the incremental sum drifts (0.5 + 0.1 - 0.5 != 0.1) until
+    # a full refresh re-sums the row.
+    @example(
+        ops=[("launch", 0, Resource(0.5, 1.5)), ("complete", 0), ("refresh", 3.0)],
+        off_grid_at=1,
+    )
+    def test_dirty_path_equals_full_path(self, mode, ops, off_grid_at):
+        rows = [make_row(sid, values) for sid, values in PROFILES.items()]
+        drive_twins(rows, mode, ops, off_grid_at)
+
+    @settings(max_examples=10, deadline=None)
+    @given(ops=twin_operations())
+    def test_empty_fleet(self, ops):
+        drive_twins([], SchedulerMode.HISTORY, ops)

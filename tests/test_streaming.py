@@ -27,12 +27,13 @@ import pytest
 
 import repro.api as api
 from repro.cli import build_parser, cmd_scenario
+from repro.harness.config import TINY_SCALE
 from repro.harness.continuous import _run_continuous_variant
 from repro.harness.harness import _build_runner
 from repro.harness.results import epoch_record
 from repro.harness.runners import _SCHEDULING_VARIANT_MODES
 from repro.harness.snapshot import CheckpointPause
-from repro.harness.streaming import StreamingEpochAggregator
+from repro.harness.streaming import MinuteLatencyRecorder, StreamingEpochAggregator
 from repro.harness.traffic import EpochRecorder
 from repro.jobs.scheduler_variants import (
     ClusterConfig,
@@ -479,17 +480,44 @@ class TestBoundedMemory:
         long = self._traced_peak(RetainAllRecorder, horizon=16 * 300.0)
         assert long >= short * 2.0, (short, long)
 
+    def test_rows_sharing_an_array_count_its_bytes_once(self):
+        # Heartbeat rows hand over the fleet's cached arrays, so consecutive
+        # rows share them until the sample or the allocations change.
+        recorder = MinuteLatencyRecorder(
+            latency_rng=RandomSource(0), reserve_fraction=0.2
+        )
+        primary, secondary = np.full(4, 0.5), np.zeros(4)
+        for time in (0.0, 3.0, 6.0):
+            recorder.record(time, secondary, primary)
+        assert recorder.peak_tail_bytes == 3 * 8 + 2 * primary.nbytes
+        launched = np.full(4, 0.25)
+        recorder.record(9.0, launched, primary)
+        recorder.record(60.0, launched, primary)
+        recorder.record(63.0, launched, primary)
+        assert recorder.peak_tail_bytes == 6 * 8 + 3 * primary.nbytes
+        # The first row left after a fold owns its arrays again.
+        assert len(recorder.fold(complete_before=60.0)) == 1
+        assert recorder._tail_bytes == 2 * 8 + 2 * primary.nbytes
+
     def test_real_run_tail_is_flat_across_4x_horizon(self):
-        # End-to-end: the aggregator's peak retained raw-series bytes in an
-        # actual continuous run must not grow with the horizon.
-        def peak_bytes(epochs: int) -> int:
+        # End-to-end: the aggregator's peak retained raw-series rows in an
+        # actual continuous run must not grow with the horizon.  Rows share
+        # the fleet's cached arrays, so the bytes they hold depend on how
+        # often the busiest minute saw the trace sample or the allocations
+        # change; they stay under the short run's peak rows each holding
+        # both arrays of its own.
+        def peaks(epochs: int) -> tuple:
             spec = tiny_continuous(epochs=epochs, epoch_seconds=300.0)
-            result = api.run(spec, seed=11)
-            return max(
-                v.peak_tail_bytes for v in result.payload.variants.values()
+            variants = api.run(spec, seed=11).payload.variants.values()
+            return (
+                max(v.peak_tail_rows for v in variants),
+                max(v.peak_tail_bytes for v in variants),
             )
 
-        assert peak_bytes(8) <= peak_bytes(2) * 1.10
+        (short, _), (long, long_bytes) = peaks(2), peaks(8)
+        assert long <= short * 1.10, (short, long)
+        unshared_row = 8 + 2 * 8 * TINY_SCALE.num_servers
+        assert long_bytes <= short * unshared_row, (short, long_bytes)
 
 
 # ---------------------------------------------------------------------------

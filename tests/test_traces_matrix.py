@@ -78,6 +78,14 @@ class TestConstruction:
 
 
 class TestQueries:
+    def test_sample_of_uses_the_matrix_interval(self, tenants):
+        matrix = TraceMatrix(tenants, sample_interval_seconds=60.0)
+        assert [matrix.sample_of(t) for t in (0.0, 59.9, 60.0, 500.0)] == [0, 0, 1, 8]
+        # Before any row's wrap: tenant b (2 samples) reads index 8 % 2.
+        assert matrix.sample_index(500.0).tolist() == [0, 0, 0]
+        with pytest.raises(ValueError):
+            matrix.sample_of(-1.0)
+
     def test_matches_scalar_path_including_wraparound(self, tenants):
         matrix = TraceMatrix(tenants)
         times = [0.0, 119.0, 120.0, 500.0, 7 * SAMPLE_INTERVAL_SECONDS + 3.0]

@@ -450,7 +450,7 @@ class BufferedDraws:
     32-bit word to ``i``'s bit length and redrawing while ``j > i``
     (``random_interval``).  Both are replayed here over an array of
     pre-drawn words, so a draw costs a few Python operations instead of a
-    numpy call.
+    numpy call; :meth:`integers` replays a whole vector of bounds at once.
     """
 
     __slots__ = ("_generator", "_chunk", "_start", "_words", "_used")
@@ -511,6 +511,64 @@ class BufferedDraws:
             except IndexError:
                 # Out of words: draw more and replay this draw from its start.
                 self._refill()
+
+    def integers(self, highs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``integer(0, high)`` for each bound of ``highs`` in turn, as arrays.
+
+        Lemire's method runs on the whole vector of pending words at once:
+        a bound of 1 takes no word, and a rejecting word ends the vector
+        step, that one draw is replayed by :meth:`integer` (which redraws
+        exactly as numpy does) and the next step starts after it.  Returns
+        the draws and, per draw, the session's used-word count right after
+        it, so a caller that keeps only a prefix of the draws can
+        :meth:`rewind` to the end of that prefix.
+        """
+        highs = np.asarray(highs, dtype=np.int64)
+        if len(highs) and not (highs.min() >= 1 and highs.max() < 2**32):
+            raise ValueError("bounded draws need 1 <= high - low < 2**32")
+        values = np.zeros(len(highs), dtype=np.int64)
+        ends = np.empty(len(highs), dtype=np.int64)
+        start = 0
+        while start < len(highs):
+            bounds = highs[start:]
+            takes = np.flatnonzero(bounds > 1)
+            if not len(takes):
+                ends[start:] = self._used
+                break
+            while len(self._words) - self._used < len(takes):
+                self._refill()
+            words = np.frombuffer(
+                self._words, dtype=np.uint32, count=len(takes), offset=4 * self._used
+            ).astype(np.uint64)
+            n = bounds[takes].astype(np.uint64)
+            scaled = words * n
+            leftover = scaled & np.uint64(0xFFFFFFFF)
+            rejected = np.flatnonzero(leftover < (np.uint64(2**32) - n) % n)
+            taken = len(takes) if not len(rejected) else int(rejected[0])
+            # Draws before the first rejecting word (or all of them).
+            stop = len(bounds) if taken == len(takes) else int(takes[taken])
+            values[start + takes[:taken]] = (scaled[:taken] >> np.uint64(32)).astype(
+                np.int64
+            )
+            consumed = np.cumsum(bounds[:stop] > 1)
+            ends[start : start + stop] = self._used + consumed
+            self._used += taken
+            start += stop
+            if taken < len(takes):
+                values[start] = self.integer(0, int(highs[start]))
+                ends[start] = self._used
+                start += 1
+        return values, ends
+
+    def rewind(self, used: int) -> None:
+        """Forget every word past the first ``used`` consumed ones, so the
+        next draw reads word ``used`` again (see :meth:`integers`)."""
+        if not 0 <= used <= self._used:
+            raise ValueError(
+                f"can only rewind to a consumed position (got {used}, "
+                f"{self._used} consumed)"
+            )
+        self._used = used
 
     def shuffle(self, items: Sequence[T]) -> List[T]:
         """A shuffled list copy, drawn like :meth:`RandomSource.shuffle`."""

@@ -16,8 +16,9 @@ per created block, in creation order):
   block ever holds more live replicas), so accesses, reimages and recovery
   picks touch O(replication) slots per block,
 * per row, the *ever-held* record: every server that ever held a replica,
-  as a bitset over the servers' lexicographic ranks (recovery excludes
-  these with one ``&``) plus their insertion order (only re-adding a
+  as a packed bit column over the servers' lexicographic ranks (a recovery
+  round unpacks its blocks' rows into one boolean matrix and excludes
+  them with one ``&``) plus their insertion order (only re-adding a
   replica on a server that lost one reads it),
 * per server, the set of rows holding a healthy replica there — the
   NameNode's answer to "what does a reimage of this disk destroy?".
@@ -88,12 +89,15 @@ class BlockTable:
             dtype=np.int64,
         )
         #: Inverse permutation: lexicographic rank of each server index,
-        #: which is also its bit in the ever-held bitsets.
+        #: which is also its bit in the ever-held column.
         self.sorted_server_rank = np.empty_like(self.sorted_server_order)
         self.sorted_server_rank[self.sorted_server_order] = np.arange(
             len(self.server_ids)
         )
         self._rank: List[int] = self.sorted_server_rank.tolist()
+        #: Where each server's bit sits in a row of the ever-held column.
+        self._held_byte, bit = np.divmod(self.sorted_server_rank, 8)
+        self._held_mask = np.left_shift(1, bit).astype(np.uint8)
 
         self._n = 0
         capacity = INITIAL_ROW_CAPACITY
@@ -101,16 +105,26 @@ class BlockTable:
         self._row_of: Dict[str, int] = {}
         #: Per server index, the rows holding a healthy replica there.
         self._rows_on_server: List[Set[int]] = [set() for _ in self.server_ids]
-        #: Per row, the ever-held servers as a bitset over their ranks, and
-        #: in insertion order.
-        self._held: List[int] = []
-        self._held_order: List[List[int]] = []
 
         self._size_gb = np.zeros(capacity)
         self._target = np.zeros(capacity, dtype=np.int64)
         self._healthy_count = np.zeros(capacity, dtype=np.int64)
         self._lost = np.zeros(capacity, dtype=bool)
         self._live = np.full((capacity, replica_slots), -1, dtype=np.int64)
+        #: Per row, the ever-held servers as packed bits over their ranks
+        #: (``np.packbits`` little bit order: rank ``r`` is bit ``r % 8`` of
+        #: byte ``r // 8``), and in insertion order: ``-1`` padded, in the
+        #: smallest signed type that holds every server index, grown
+        #: (doubling) like the live slots.
+        self._held = np.zeros(
+            (capacity, (len(self.server_ids) + 7) // 8), dtype=np.uint8
+        )
+        self._held_order = np.full(
+            (capacity, replica_slots),
+            -1,
+            dtype=np.min_scalar_type(-len(self.server_ids)),
+        )
+        self._held_count = np.zeros(capacity, dtype=np.int64)
 
     # -- shape ---------------------------------------------------------------
 
@@ -191,8 +205,8 @@ class BlockTable:
         """Grow the row capacity to hold at least ``rows`` rows."""
         capacity = max(2 * len(self._size_gb), rows, INITIAL_ROW_CAPACITY)
 
-        def grown(column: np.ndarray) -> np.ndarray:
-            fresh = np.zeros(capacity, dtype=column.dtype)
+        def grown(column: np.ndarray, fill: int = 0) -> np.ndarray:
+            fresh = np.full((capacity,) + column.shape[1:], fill, dtype=column.dtype)
             fresh[: self._n] = column[: self._n]
             return fresh
 
@@ -200,15 +214,22 @@ class BlockTable:
         self._target = grown(self._target)
         self._healthy_count = grown(self._healthy_count)
         self._lost = grown(self._lost)
-        live = np.full((capacity, self._live.shape[1]), -1, dtype=np.int64)
-        live[: self._n] = self._live[: self._n]
-        self._live = live
+        self._live = grown(self._live, -1)
+        self._held = grown(self._held)
+        self._held_order = grown(self._held_order, -1)
+        self._held_count = grown(self._held_count)
+
+    @staticmethod
+    def _widened(matrix: np.ndarray) -> np.ndarray:
+        """``matrix`` with its columns doubled, the new ones ``-1``."""
+        capacity, width = matrix.shape
+        return np.hstack([matrix, np.full((capacity, max(1, width)), -1, matrix.dtype)])
 
     def _grow_slots(self) -> None:
-        capacity, slots = self._live.shape
-        self._live = np.hstack(
-            [self._live, np.full((capacity, max(1, slots)), -1, dtype=np.int64)]
-        )
+        self._live = self._widened(self._live)
+
+    def _grow_order(self) -> None:
+        self._held_order = self._widened(self._held_order)
 
     # -- mutations -----------------------------------------------------------
 
@@ -237,18 +258,13 @@ class BlockTable:
                 f"target_replication must be positive (got {target_replication!r})"
             )
         first = self._n
-        rank = self._rank
         new_rows: Dict[str, int] = {}
-        held: List[int] = []
         width = self._live.shape[1]
         for row, (block_id, servers) in enumerate(blocks, first):
             if block_id in self._row_of or block_id in new_rows:
                 raise ValueError(f"block {block_id} already exists")
             new_rows[block_id] = row
-            bits = 0
-            for server in servers:
-                bits |= 1 << rank[server]
-            if bits.bit_count() != len(servers):
+            if len(set(servers)) != len(servers):
                 seen: Set[int] = set()
                 for server in servers:
                     if server in seen:
@@ -257,33 +273,44 @@ class BlockTable:
                             f"{self.server_ids[server]}"
                         )
                     seen.add(server)
-            held.append(bits)
             width = max(width, len(servers))
-        end = first + len(held)
+        end = first + len(new_rows)
         if end == first:
             return range(first, end)
         if end > len(self._size_gb):
             self._grow_rows(end)
         while width > self._live.shape[1]:
             self._grow_slots()
+        while width > self._held_order.shape[1]:
+            self._grow_order()
         slots = self._live.shape[1]
         rows_on = self._rows_on_server
         live: List[List[int]] = []
         counts: List[int] = []
+        placed: List[int] = []
         for row, (_, servers) in enumerate(blocks, first):
             servers = list(servers)
             for server in servers:
                 rows_on[server].add(row)
-            self._held_order.append(servers)
             counts.append(len(servers))
+            placed.extend(servers)
             live.append(servers + [-1] * (slots - len(servers)))
+        placed_at = np.array(placed, dtype=np.int64)
+        np.bitwise_or.at(
+            self._held,
+            (np.repeat(np.arange(first, end), counts), self._held_byte[placed_at]),
+            self._held_mask[placed_at],
+        )
         self._ids.extend(new_rows)
         self._row_of.update(new_rows)
-        self._held.extend(held)
         self._size_gb[first:end] = size_gb
         self._target[first:end] = target_replication
         self._healthy_count[first:end] = counts
+        self._held_count[first:end] = counts
         self._live[first:end] = live
+        # A new row's live slots are its ever-held record, -1 past ``width``.
+        order_width = min(slots, self._held_order.shape[1])
+        self._held_order[first:end, :order_width] = self._live[first:end, :order_width]
         self._n = end
         return range(first, end)
 
@@ -304,20 +331,75 @@ class BlockTable:
         count = int(self._healthy_count[row])
         if count == self._live.shape[1]:
             self._grow_slots()
-        bit = 1 << self._rank[server_index]
-        if self._held[row] & bit:
-            order = self._held_order[row]
+        byte, bit = divmod(self._rank[server_index], 8)
+        if self._held[row, byte] >> bit & 1:
+            order = self.holders_of(row)
             earlier = set(order[: order.index(server_index)])
             live = self._live[row]
             slot = sum(1 for server in live[:count].tolist() if server in earlier)
             live[slot + 1 : count + 1] = live[slot:count]
             live[slot] = server_index
         else:
-            self._held[row] |= bit
-            self._held_order[row].append(server_index)
+            self._held[row, byte] |= 1 << bit
+            held = int(self._held_count[row])
+            if held == self._held_order.shape[1]:
+                self._grow_order()
+            self._held_order[row, held] = server_index
+            self._held_count[row] = held + 1
             self._live[row, count] = server_index
         self._healthy_count[row] = count + 1
         self._rows_on_server[server_index].add(row)
+
+    def add_replicas(self, rows: np.ndarray, servers: np.ndarray) -> None:
+        """Attach a replica of block ``rows[i]`` on ``servers[i]``, in order.
+
+        The batched :meth:`add_replica` for servers that never held their
+        block (re-replication targets): each new replica takes its row's
+        next live slot.  A row listed more than once, as a block missing
+        several replicas is, must have its listings next to each other;
+        they fill its slots in list order.  A server that holds or once
+        held the block, a pair listed twice, or a row listed apart raises
+        ``ValueError`` and writes nothing.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        servers = np.asarray(servers, dtype=np.int64)
+        if not len(rows):
+            return
+        byte = self._held_byte[servers]
+        bits = self._held_mask[servers]
+        held = np.flatnonzero(self._held[rows, byte] & bits)
+        if len(held):
+            raise ValueError(
+                f"block {self._ids[rows[held[0]]]} already has or had a replica "
+                f"on {self.server_ids[servers[held[0]]]}"
+            )
+        # ``nth``: how many listings of the same row come before this one.
+        starts = np.flatnonzero(np.concatenate(([True], rows[1:] != rows[:-1])))
+        if len(set(rows[starts].tolist())) != len(starts):
+            raise ValueError("a row's replicas must be listed next to each other")
+        run_lengths = np.diff(starts, append=len(rows))
+        nth = np.arange(len(rows)) - np.repeat(starts, run_lengths)
+        for lag in range(1, int(nth.max()) + 1):
+            if ((servers[lag:] == servers[:-lag]) & (nth[lag:] >= lag)).any():
+                raise ValueError("a (block, server) pair is listed twice")
+        slots = self._healthy_count[rows] + nth
+        while int(slots.max()) >= self._live.shape[1]:
+            self._grow_slots()
+        order = self._held_count[rows] + nth
+        while int(order.max()) >= self._held_order.shape[1]:
+            self._grow_order()
+        self._live[rows, slots] = servers
+        self._held_order[rows, order] = servers
+        np.add.at(self._healthy_count, rows, 1)
+        np.add.at(self._held_count, rows, 1)
+        np.bitwise_or.at(self._held, (rows, byte), bits)
+        rows_on = self._rows_on_server
+        # The row sets keep the int the id map holds for a row, not a
+        # fresh object per replica.
+        row_of = self._row_of
+        ids = self._ids
+        for row, server in zip(rows.tolist(), servers.tolist()):
+            rows_on[server].add(row_of[ids[row]])
 
     def destroy_replica(self, row: int, server_index: int) -> bool:
         """Destroy the replica of block ``row`` on ``server_index`` if healthy.
@@ -378,12 +460,30 @@ class BlockTable:
         destroyed replicas still exclude their server from recovery
         placement.
         """
-        return list(self._held_order[row])
+        return self._held_order[row, : self._held_count[row]].tolist()
 
     def held_bits(self, row: int) -> int:
-        """:meth:`holders_of` as a bitset: bit ``sorted_server_rank[s]`` per
-        server ``s``, so recovery excludes holders with one ``&``."""
-        return self._held[row]
+        """:meth:`holders_of` as an integer bitset: bit
+        ``sorted_server_rank[s]`` per server ``s``."""
+        return int.from_bytes(self._held[row].tobytes(), "little")
+
+    def held_matrix(self, rows: np.ndarray) -> np.ndarray:
+        """``(rows x servers)`` ever-held flags, columns in rank order.
+
+        Row ``i`` is :meth:`held_bits` of ``rows[i]`` unpacked, so a
+        recovery round excludes every ever-held server of its blocks with
+        one ``&`` against a viable mask permuted by ``sorted_server_order``.
+        """
+        return np.unpackbits(
+            self._held[rows], axis=1, count=self.num_servers, bitorder="little"
+        ).view(bool)
+
+    def rows_of(self, block_ids: Sequence[str]) -> np.ndarray:
+        """The row of each block id, ``-1`` where the id is unknown."""
+        row_of = self._row_of
+        return np.array(
+            [row_of.get(block_id, -1) for block_id in block_ids], dtype=np.int64
+        )
 
     def missing_of(self, row: int) -> int:
         """How many replicas re-replication still needs to restore."""

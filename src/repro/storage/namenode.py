@@ -275,26 +275,6 @@ class NameNode:
         self._replication.enqueue_many(pending)
         return results
 
-    def _place_replica(self, row: int, server_index: int) -> float:
-        """Place a replica of ``row`` on ``server_index`` and charge its space.
-
-        Goal G1: a server never holds more than its primary tenant allows.
-        Returns the space left on the server afterwards.
-        """
-        size_gb = self._table.size_of(row)
-        capacity = float(self._server_capacity[server_index])
-        used = float(self._server_used[server_index])
-        if size_gb > max(0.0, capacity - used) + 1e-9:
-            raise ValueError(
-                f"server {self._server_ids[server_index]} has no space for "
-                f"block {self._table.id_of(row)}"
-            )
-        self._table.add_replica(row, server_index)
-        used += size_gb
-        self._server_used[server_index] = used
-        self._healthy_server_count = None
-        return capacity - used
-
     def _busy_mask(self, time: float) -> np.ndarray:
         """Per-server busy flags, evaluated as one trace-matrix gather."""
         util = self._matrix.utilization_rows(self._server_rows, time)
@@ -475,8 +455,8 @@ class NameNode:
         """Re-create replicas for queued blocks, subject to the rate limit.
 
         Returns the number of replicas restored in this round.  The busy
-        mask (a pure function of ``time``) is evaluated once; the space mask
-        is refreshed per pick as restored replicas consume space.
+        mask (a pure function of ``time``) is evaluated once; the viable
+        masks follow used space as restored replicas consume it.
         """
         if self._healthy_server_count is None:
             # ``max(0, capacity - used) > 0`` is ``capacity - used > 0``; a
@@ -496,72 +476,121 @@ class NameNode:
     def _restore(self, drained: List[str], time: float, draws: Draws) -> int:
         """Restore the missing replicas of ``drained``; returns how many.
 
-        Each pick draws ``draws.integer(0, count)`` over the viable servers
-        that never held the block, in lexicographic server-id order.
+        Per missing replica, in drain order, one ``draws.integer(0, count)``
+        picks among the ``count`` viable servers (space for the block and,
+        when primary-aware, not busy) that never held the block, in
+        lexicographic server-id order; a block out of such servers goes
+        back on the queue, in drain order, without a draw.
+
+        The round runs in steps, each placing every remaining pick as
+        arrays: the blocks' ever-held rows form one ``(blocks x servers)``
+        matrix in rank order, ANDed with the viable mask of each block's
+        size to count its candidates.  A block's ``j``-th pick then has
+        bound ``count - j`` (its earlier targets count as held), so every
+        bound is known up front and drawn in one
+        :meth:`~repro.simulation.random.BufferedDraws.integers` call; each
+        index maps to its server through the candidate matrix's row-major
+        positions, one pass per pick layer (every block's first pick, then
+        every second pick, ...).  The step is written with one
+        :meth:`~repro.storage.block_table.BlockTable.add_replicas` call and
+        an in-order add to the used-space column.  Placements only shrink
+        space, so the masks hold until a placement leaves its server too
+        full for a block size of the step: the step ends there, the session
+        rewinds to the words that placement's draw consumed, and the next
+        step starts from rebuilt masks.
         """
         table = self._table
+        rows = table.rows_of(drained)
+        known = np.flatnonzero(rows >= 0)
+        alive = known[~table.lost[rows[known]]]
+        rows = rows[alive]
+        sizes = table.size_gb[rows]
+        targets = table.target_replication[rows]
         busy = self._busy_mask(time) if self._primary_aware else None
         order = table.sorted_server_order
-        rank = table.sorted_server_rank.tolist()
-        # Per-round caches: the viable mask (space ∧ ¬busy) is a pure
-        # function of used space once ``time`` is fixed, so it is built once
-        # per block size and refreshed scalar-wise as restored replicas
-        # consume space.  Candidates are kept pre-permuted into
-        # lexicographic order — matching the scalar ``choice(sorted(ids))``
-        # draw — together with the same set as a bitset over lexicographic
-        # ranks and an inclusive prefix count of viable ranks.  A pick then
-        # intersects the block's ever-held bitset with the viable one and
-        # maps its bounded-integer draw past those holders in rank order.
-        cache: Dict[float, tuple] = {}
-
-        def ranked(viable: np.ndarray) -> tuple:
-            in_order = viable[order]
-            bits = int.from_bytes(
-                np.packbits(in_order, bitorder="little").tobytes(), "little"
-            )
-            return viable, order[in_order], bits, np.cumsum(in_order).tolist()
-
+        width = table.num_servers
+        capacity = self._server_capacity
+        used = self._server_used
         restored = 0
-        for block_id in drained:
-            row = table.get_row(block_id)
-            if row is None or table.is_lost(row):
-                continue
-            size_gb = table.size_of(row)
-            missing = table.missing_of(row)
-            while missing > 0:
-                entry = cache.get(size_gb)
-                if entry is None:
-                    viable = self._space_mask(size_gb)
-                    if busy is not None:
-                        viable &= ~busy
-                    entry = cache[size_gb] = ranked(viable)
-                _, candidates, viable_bits, prefix = entry
-                holders = table.held_bits(row) & viable_bits
-                count = len(candidates) - holders.bit_count()
-                if count <= 0:
-                    # Out of viable targets; try again on a later round.
-                    self._replication.enqueue(block_id)
-                    break
-                index = draws.integer(0, count)
-                # Skip past the viable holders in rank order; their
-                # candidate positions only grow, so stop at the first one
-                # beyond the (growing) index.
-                while holders:
-                    lowest = holders & -holders
-                    if prefix[lowest.bit_length() - 1] - 1 > index:
-                        break
-                    index += 1
-                    holders ^= lowest
-                target = int(candidates[index])
-                room = max(0.0, self._place_replica(row, target)) + 1e-9
-                restored += 1
-                missing -= 1
-                # The store consumed space on ``target``; space only shrinks
-                # within a round, so a cached mask can only lose ``target``:
-                # rebuild the ones it no longer fits.
-                target_bit = 1 << rank[target]
-                for cached_size, (mask, _, bits, _) in cache.items():
-                    if bits & target_bit and cached_size > room:
-                        mask[target] = False
-                        cache[cached_size] = ranked(mask)
+        requeued: List[int] = []
+        start = 0
+        while start < len(rows):
+            step_rows = rows[start:]
+            step_sizes = sizes[start:]
+            missing = targets[start:] - table.healthy_count[step_rows]
+            levels = np.array(sorted(set(step_sizes.tolist())))
+            level_of = levels.searchsorted(step_sizes)
+            free = np.maximum(0.0, capacity - used) + 1e-9
+            viable = levels[:, None] <= free
+            if busy is not None:
+                viable &= ~busy
+            candidates = viable[:, order][level_of] & ~table.held_matrix(step_rows)
+            counts = candidates.sum(axis=1)
+            picks = np.minimum(np.maximum(missing, 0), counts)
+            total = int(picks.sum())
+            first = np.cumsum(picks) - picks
+            block_of = np.repeat(np.arange(len(step_rows)), picks)
+            layer = np.arange(total) - first[block_of]
+            index, ends = draws.integers(counts[block_of] - layer)
+            chosen = np.empty(total, dtype=np.int64)
+            for j in range(int(picks.max(initial=0))):
+                at = np.flatnonzero(picks > j)
+                pos = first[at] + j
+                # Row-major candidate ranks: row i's start is the sum of the
+                # earlier rows' counts (each down by the j picks taken).
+                flat = np.flatnonzero(candidates[at])
+                left = counts[at] - j
+                ranks = flat[np.cumsum(left) - left + index[pos]] % width
+                candidates[at, ranks] = False
+                chosen[pos] = ranks
+            servers = order[chosen]
+            placed_sizes = step_sizes[block_of]
+            end = self._first_fill(levels, free, servers, placed_sizes)
+            done = len(step_rows) if end == total else int(block_of[end - 1])
+            table.add_replicas(step_rows[block_of[:end]], servers[:end])
+            np.add.at(used, servers[:end], placed_sizes[:end])
+            restored += end
+            if end < total:
+                draws.rewind(int(ends[end - 1]))
+            short = np.flatnonzero(missing[:done] > counts[:done])
+            requeued.extend(alive[start + short].tolist())
+            start += done
+        if restored:
+            self._healthy_server_count = None
+        for position in requeued:
+            # Out of viable targets; try again on a later round.
+            self._replication.enqueue(drained[position])
         return restored
+
+    def _first_fill(
+        self,
+        levels: np.ndarray,
+        free: np.ndarray,
+        servers: np.ndarray,
+        sizes: np.ndarray,
+    ) -> int:
+        """How many of a step's placements (``sizes[i]`` on ``servers[i]``,
+        in order) keep every mask of the step valid: the count up to and
+        including the first one after which its server no longer fits a
+        block size in ``levels`` that it fitted before (``free`` is the
+        step's ``max(0, capacity - used) + 1e-9``), or all of them."""
+        capacity = self._server_capacity
+        used = self._server_used
+        after = used.copy()
+        np.add.at(after, servers, sizes)
+        fitted = levels[:, None] <= free
+        fills = fitted & ~(levels[:, None] <= np.maximum(0.0, capacity - after) + 1e-9)
+        filled = fills.any(axis=0)
+        if not filled[servers].any():
+            return len(servers)
+        # Used space grows in placement order, so each filled server
+        # crosses at one placement; replay the ones on those servers.
+        running: Dict[int, float] = {}
+        for position in np.flatnonzero(filled[servers]).tolist():
+            server = int(servers[position])
+            taken = running.get(server, float(used[server])) + float(sizes[position])
+            running[server] = taken
+            room = max(0.0, float(capacity[server]) - taken) + 1e-9
+            if (levels[fills[:, server]] > room).any():
+                return position + 1
+        raise AssertionError("a filled server must cross at one placement")

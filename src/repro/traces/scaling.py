@@ -31,12 +31,12 @@ def scale_trace(
     """Scale a trace by ``factor`` using the requested method.
 
     Linear scaling multiplies every sample by ``factor`` and clips at 1.0.
-    Root scaling raises every sample to the power ``1 / factor`` for
-    ``factor >= 1`` (which lifts low values more than high ones) and to the
-    power ``factor`` for ``factor < 1`` (which lowers them); the exponent
-    form keeps the transform monotonic and saturation-free.
+    Root scaling raises every sample to the power ``1 / factor``: for
+    ``factor > 1`` that is a root, which lifts low values more than high
+    ones, and for ``factor < 1`` a power above 1, which lowers them.  The
+    exponent form keeps the transform monotonic and saturation-free.
     """
-    return UtilizationTrace(
+    return UtilizationTrace.adopt(
         _scaled_values(trace.values, factor, method), trace.pattern, trace.spec
     )
 
@@ -55,8 +55,7 @@ def _scaled_values(
     if method is ScalingMethod.LINEAR:
         scaled = values * factor
     elif method is ScalingMethod.ROOT:
-        exponent = 1.0 / factor if factor >= 1.0 else 1.0 / factor
-        scaled = np.power(np.clip(values, 0.0, 1.0), exponent)
+        scaled = np.power(np.clip(values, 0.0, 1.0), 1.0 / factor)
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unknown scaling method {method}")
     return np.clip(scaled, 0.0, 1.0, out=scaled)

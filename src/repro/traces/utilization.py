@@ -108,14 +108,32 @@ class UtilizationTrace:
     spec: Optional[TraceSpec] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 1:
-            raise ValueError("utilization trace must be one-dimensional")
-        if len(self.values) == 0:
-            raise ValueError("utilization trace must not be empty")
-        if float(self.values.min()) < -1e-9 or float(self.values.max()) > 1.0 + 1e-9:
-            raise ValueError("utilization values must lie in [0, 1]")
-        self.values = np.clip(self.values, 0.0, 1.0)
+        # The clip copies, so the trace never shares the caller's array.
+        values = _checked(np.asarray(self.values, dtype=float), slack=1e-9)
+        self.values = np.clip(values, 0.0, 1.0)
+
+    @classmethod
+    def adopt(
+        cls,
+        values: np.ndarray,
+        pattern: UtilizationPattern,
+        spec: Optional[TraceSpec] = None,
+    ) -> "UtilizationTrace":
+        """A trace that takes ``values`` over without copying or clipping.
+
+        For producers that build a fresh float64 array, clip it into
+        ``[0, 1]`` themselves and keep no reference to it
+        (:func:`generate_trace`, :func:`~repro.traces.scaling.scale_trace`).
+        The range check is exact: a value outside ``[0, 1]``, even within
+        the constructor's rounding slack, raises instead of being clipped.
+        """
+        if not isinstance(values, np.ndarray) or values.dtype != np.float64:
+            raise ValueError("an adopted trace needs a float64 numpy array")
+        trace = cls.__new__(cls)
+        trace.values = _checked(values, slack=0.0)
+        trace.pattern = pattern
+        trace.spec = spec
+        return trace
 
     @property
     def num_samples(self) -> int:
@@ -226,6 +244,18 @@ def _unpredictable_series(spec: TraceSpec, rng: RandomSource) -> np.ndarray:
     return values + noise
 
 
+def _checked(values: np.ndarray, slack: float) -> np.ndarray:
+    """``values`` if it is a non-empty 1-D series within ``[-slack, 1 +
+    slack]``; raises ``ValueError`` otherwise."""
+    if values.ndim != 1:
+        raise ValueError("utilization trace must be one-dimensional")
+    if len(values) == 0:
+        raise ValueError("utilization trace must not be empty")
+    if float(values.min()) < -slack or float(values.max()) > 1.0 + slack:
+        raise ValueError("utilization values must lie in [0, 1]")
+    return values
+
+
 def generate_trace(spec: TraceSpec, rng: RandomSource) -> UtilizationTrace:
     """Generate a synthetic utilization trace for ``spec``.
 
@@ -240,7 +270,7 @@ def generate_trace(spec: TraceSpec, rng: RandomSource) -> UtilizationTrace:
         series = _unpredictable_series(spec, rng)
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unknown pattern {spec.pattern}")
-    return UtilizationTrace(np.clip(series, 0.0, 1.0), spec.pattern, spec)
+    return UtilizationTrace.adopt(np.clip(series, 0.0, 1.0), spec.pattern, spec)
 
 
 def average_trace(traces: list[UtilizationTrace]) -> UtilizationTrace:

@@ -5,8 +5,8 @@ session on the policy's stream, checks space over plain-float copies of the
 used-space column, and writes every placed block with one
 ``BlockTable.append_blocks`` call.  This module keeps the loop it replaced:
 per block, one policy call and a replica-less table row, then per replica a
-``NameNode._place_replica`` (``BlockTable.add_replica`` plus a scalar
-used-space write) and a refresh of the exclusion mask.  Each policy call
+:func:`place_replica` (``BlockTable.add_replica`` plus a scalar used-space
+write) and a refresh of the exclusion mask.  Each policy call
 draws straight from the policy's ``RandomSource``, one numpy call per draw.
 """
 
@@ -17,6 +17,28 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.storage.namenode import NameNode
+
+
+def place_replica(namenode: NameNode, row: int, server_index: int) -> float:
+    """Place a replica of ``row`` on ``server_index`` and charge its space.
+
+    Goal G1: a server never holds more than its primary tenant allows.
+    Returns the space left on the server afterwards.
+    """
+    table = namenode.block_table
+    size_gb = table.size_of(row)
+    capacity = float(namenode._server_capacity[server_index])
+    used = float(namenode._server_used[server_index])
+    if size_gb > max(0.0, capacity - used) + 1e-9:
+        raise ValueError(
+            f"server {table.server_ids[server_index]} has no space for "
+            f"block {table.id_of(row)}"
+        )
+    table.add_replica(row, server_index)
+    used += size_gb
+    namenode._server_used[server_index] = used
+    namenode._healthy_server_count = None
+    return capacity - used
 
 
 def create_blocks_per_replica(
@@ -56,7 +78,7 @@ def create_blocks_per_replica(
             continue
         (row,) = table.append_blocks([(block_id, ())], size_gb, replication)
         for server_index in chosen:
-            free = namenode._place_replica(row, server_index)
+            free = place_replica(namenode, row, server_index)
             now_excluded = not (size_gb <= max(0.0, free) + 1e-9) or bool(
                 busy is not None and busy[server_index]
             )

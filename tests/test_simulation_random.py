@@ -439,3 +439,94 @@ class TestBufferedDraws:
             assert draws.integer(4, 5) == 4
             assert draws.shuffle(["only"]) == ["only"]
         assert state_of(rng) == state_of(untouched)
+
+
+class TestVectorIntegers:
+    """``BufferedDraws.integers`` is one ``integer(0, n)`` per bound, in
+    order: the same values, the same words consumed, and a position after
+    each draw that :meth:`~BufferedDraws.rewind` can return to."""
+
+    @given(
+        sizes=st.lists(
+            st.one_of(
+                st.just(1),  # takes no word
+                st.integers(2, 100),
+                st.integers(1, 2**32 - 1),
+                st.just(2**31 + 1),  # rejects about half its draws
+            ),
+            max_size=80,
+        ),
+        seed=st.integers(0, 10_000),
+        expected=st.integers(0, 40),
+        buffered=st.booleans(),
+        before=st.integers(0, 20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_draw_integers(self, sizes, seed, expected, buffered, before):
+        bulk, scalar = RandomSource(seed), RandomSource(seed)
+        if buffered:
+            bulk.integer(0, 10)
+            scalar.integer(0, 10)
+        with bulk.buffered_draws(expected) as draws:
+            leading = [draws.integer(0, 7) for _ in range(before)]
+            values, ends = draws.integers(np.array(sizes, dtype=np.int64))
+            after = draws.integer(0, 1000)
+        assert leading == [scalar.integer(0, 7) for _ in range(before)]
+        assert values.tolist() == [scalar.integer(0, n) for n in sizes]
+        assert after == scalar.integer(0, 1000)
+        assert state_of(bulk) == state_of(scalar)
+        assert bulk.uniform() == scalar.uniform()
+        # Each end is the session position after that draw: a bound of 1
+        # adds nothing, any other bound at least one word.
+        steps = np.diff(np.concatenate(([before], ends)))
+        assert ((steps == 0) == (np.array(sizes) == 1)).all()
+
+    def test_crosses_refills_with_mixed_bounds(self):
+        bulk, scalar = RandomSource(21), RandomSource(21)
+        sizes = np.array([1, 76, 1, 1, 3, 2**31 + 1, 2, 1, 40] * 60)
+        with bulk.buffered_draws(0) as draws:  # a 16-word first chunk
+            values, _ = draws.integers(sizes)
+        assert values.tolist() == [scalar.integer(0, int(n)) for n in sizes]
+        assert state_of(bulk) == state_of(scalar)
+
+    def test_rejection_heavy_bounds_replay_exactly(self):
+        """Near ``2**31 + 1`` about half the words are rejected, so nearly
+        every vector step ends at a rejection and redraws like numpy."""
+        bulk, scalar = RandomSource(11), RandomSource(11)
+        sizes = np.full(64, 2**31 + 1)
+        sizes[::5] = 2**31 + 3
+        with bulk.buffered_draws(8) as draws:
+            values, ends = draws.integers(sizes)
+        assert values.tolist() == [scalar.integer(0, int(n)) for n in sizes]
+        assert state_of(bulk) == state_of(scalar)
+        assert int(ends[-1]) > len(sizes)  # some words were rejected
+
+    def test_rewind_redraws_the_same_words(self):
+        bulk, scalar = RandomSource(5), RandomSource(5)
+        sizes = np.array([9, 1, 30, 4, 76, 2])
+        with bulk.buffered_draws(4) as draws:
+            values, ends = draws.integers(sizes)
+            draws.rewind(int(ends[2]))
+            again, _ = draws.integers(sizes[3:])
+            with pytest.raises(ValueError, match="consumed position"):
+                draws.rewind(int(ends[-1]) + 1)
+        assert again.tolist() == values[3:].tolist()
+        assert values.tolist() == [scalar.integer(0, int(n)) for n in sizes]
+        assert state_of(bulk) == state_of(scalar)
+
+    def test_bounds_of_one_and_empty_input_consume_nothing(self):
+        rng, untouched = RandomSource(4), RandomSource(4)
+        with rng.buffered_draws(10) as draws:
+            values, ends = draws.integers(np.ones(5, dtype=np.int64))
+            empty, no_ends = draws.integers(np.array([], dtype=np.int64))
+        assert values.tolist() == [0] * 5 and ends.tolist() == [0] * 5
+        assert len(empty) == len(no_ends) == 0
+        assert state_of(rng) == state_of(untouched)
+
+    def test_rejects_bounds_outside_the_32_bit_path(self):
+        rng, untouched = RandomSource(5), RandomSource(5)
+        with rng.buffered_draws(4) as draws:
+            for bad in ([3, 0], [2**32]):
+                with pytest.raises(ValueError):
+                    draws.integers(np.array(bad, dtype=np.int64))
+        assert state_of(rng) == state_of(untouched)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from per_replica_creation import place_replica
 from scalar_block import Block, BlockReplica
 
 from repro.simulation.random import RandomSource
@@ -113,14 +114,14 @@ class TestDataNode:
         # Storing past the quota directly is refused, not over-committed.
         (row,) = namenode.block_table.append_blocks([("extra", ())], 0.25, 1)
         with pytest.raises(ValueError, match="no space"):
-            namenode._place_replica(row, 0)
+            place_replica(namenode, row, 0)
         assert used_gb(namenode) == pytest.approx(0.5)
 
     def test_duplicate_replica_rejected(self):
         namenode = make_namenode()
         (block_id,) = namenode.create_blocks(0.0, [None])
         with pytest.raises(ValueError, match="already has a replica"):
-            namenode._place_replica(namenode.block_table.row_of(block_id), 0)
+            place_replica(namenode, namenode.block_table.row_of(block_id), 0)
         assert used_gb(namenode) == pytest.approx(0.25)
 
     def test_reimage_clears_everything(self):

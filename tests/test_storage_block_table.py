@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scalar_block import Block, BlockReplica
+from test_property_storage import check_invariants
 
 from repro.simulation.random import RandomSource
 from repro.storage.block_table import BlockTable
@@ -80,7 +81,9 @@ class ScalarNameNode:
     """The pre-BlockTable NameNode logic, kept as the equivalence oracle.
 
     It keeps its own per-server bookkeeping (stored block ids and used
-    space), the way the DataNodes once did.
+    space), the way the DataNodes once did.  Its recovery round is the
+    per-replica walk the NameNode's batched rounds replay: one candidate
+    list, one draw and one store per missing replica, in drain order.
     """
 
     def __init__(self, datanodes, policy, primary_aware=True, replication=3, rng=None):
@@ -358,6 +361,148 @@ class TestReimageReplicationEquivalence:
         )
 
 
+def tight_datanodes(capacities, primary_aware=True):
+    """The :data:`PROFILES` fleet (4 tenants x 3 servers, busy at varying
+    times) with the given per-server quotas."""
+    tenants = [make_tenant(tid, values, 3) for tid, values in PROFILES.items()]
+    servers = [server for tenant in tenants for server in tenant.servers]
+    for server, capacity in zip(servers, capacities):
+        server.harvestable_disk_gb = capacity
+    return [
+        DataNode(server=s, tenant=t, primary_aware=primary_aware)
+        for t in tenants
+        for s in t.servers
+    ]
+
+
+def scalar_invariants(scalar: ScalarNameNode) -> None:
+    """The oracle's own conservation checks: used space is the summed size
+    of the stored replicas and within quota, stored replicas are exactly
+    the healthy ones, and a block is lost exactly when none is left."""
+    for server_id, datanode in scalar.datanodes.items():
+        stored = scalar.stored[server_id]
+        assert scalar.used[server_id] == pytest.approx(
+            sum(scalar.blocks[b].size_gb for b in stored)
+        )
+        assert scalar.used[server_id] <= datanode.capacity_gb + 1e-9
+    for block_id, block in scalar.blocks.items():
+        healthy = block.servers_with_healthy_replicas()
+        assert {s for s in scalar.stored if block_id in scalar.stored[s]} == set(
+            healthy
+        )
+        assert len(healthy) <= block.target_replication
+        assert block.lost == (not healthy)
+
+
+#: One storage event: ``("create", count, size_gb)``, ``("reimage",
+#: server position, _)`` or ``("recover", extra minutes, _)``.
+RECOVERY_EVENTS = st.lists(
+    st.one_of(
+        st.tuples(st.just("create"), st.integers(1, 10), st.sampled_from([0.25, 0.5])),
+        st.tuples(st.just("reimage"), st.integers(0, 11), st.just(0.0)),
+        st.tuples(st.just("recover"), st.integers(0, 90), st.just(0.0)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+QUOTAS = st.lists(st.sampled_from([0.5, 0.75, 1.0, 1.5, 3.0]), min_size=12, max_size=12)
+
+
+class TestBatchedRecoveryRounds:
+    """A recovery round placed as arrays equals the oracle's per-replica
+    walk: the same restored counts, draws, queue, live slots, ever-held
+    record and used space, under quotas tight enough that targets fill
+    mid-round, two block sizes in one round, blocks missing several
+    replicas, busy servers, and blocks left without a viable target."""
+
+    @given(
+        events=RECOVERY_EVENTS,
+        quotas=QUOTAS,
+        replication=st.sampled_from([2, 3, 4]),
+        seed=st.integers(0, 1000),
+        primary_aware=st.booleans(),
+    )
+    # Three-way replicas on 0.5-0.75 GB quotas: reimages leave blocks
+    # missing two or three replicas, targets fill mid-round, and some
+    # blocks run out of viable servers.
+    @example(
+        events=[("create", 10, 0.25), ("create", 6, 0.5), ("reimage", 0, 0.0),
+                ("reimage", 4, 0.0), ("reimage", 7, 0.0), ("recover", 30, 0.0),
+                ("reimage", 2, 0.0), ("recover", 60, 0.0), ("recover", 60, 0.0)],
+        quotas=[0.75, 0.5, 1.0, 0.5, 0.75, 1.5, 0.5, 0.75, 3.0, 0.5, 1.0, 0.75],
+        replication=3,
+        seed=7,
+        primary_aware=True,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rounds_match_the_scalar_walk(
+        self, events, quotas, replication, seed, primary_aware
+    ):
+        namenode = NameNode(
+            tight_datanodes(quotas, primary_aware),
+            StockPlacementPolicy(rng=RandomSource(seed)),
+            primary_aware=primary_aware,
+            default_replication=replication,
+            rng=RandomSource(seed + 1),
+        )
+        scalar = ScalarNameNode(
+            tight_datanodes(quotas, primary_aware),
+            StockPlacementPolicy(rng=RandomSource(seed)),
+            primary_aware=primary_aware,
+            replication=replication,
+            rng=RandomSource(seed + 1),
+        )
+        servers = sorted(namenode.datanodes)
+        creators, twin_creators = RandomSource(seed), RandomSource(seed)
+        time = 0.0
+        for kind, value, size_gb in events:
+            # 137 s steps walk the 120 s trace samples, so the busy set moves.
+            time += 137.0
+            if kind == "create":
+                ids = namenode.create_blocks(
+                    time,
+                    [creators.choice(servers) for _ in range(value)],
+                    size_gb=size_gb,
+                )
+                expected = [
+                    scalar.create_block(time, twin_creators.choice(servers), size_gb)
+                    for _ in range(value)
+                ]
+                assert ids == [b.block_id if b else None for b in expected]
+            elif kind == "reimage":
+                victim = servers[value]
+                assert namenode.handle_reimage(victim, time) == scalar.handle_reimage(
+                    victim, time
+                )
+            else:
+                time += 60.0 * value
+                assert namenode.run_replication(time) == scalar.run_replication(time)
+                # The round consumed exactly the oracle's words.
+                assert namenode._rng.integer(0, 2**31) == scalar.rng.integer(0, 2**31)
+                assert namenode._replication._pending == scalar.manager._pending
+
+        table = namenode.block_table
+        index = table.index_of_server
+        blocks = list(scalar.blocks.values())
+        assert block_ids_of(namenode) == [b.block_id for b in blocks]
+        live = np.full(table.live_servers.shape, -1, dtype=np.int64)
+        held = np.zeros((len(blocks), table.num_servers), dtype=bool)
+        for row, block in enumerate(blocks):
+            healthy = [index[s] for s in block.servers_with_healthy_replicas()]
+            live[row, : len(healthy)] = healthy
+            ranks = table.sorted_server_rank[[index[s] for s in block.replicas]]
+            held[row, ranks] = True
+            assert table.holders_of(row) == [index[s] for s in block.replicas]
+        assert table.live_servers.tobytes() == live.tobytes()
+        assert table.held_matrix(np.arange(len(blocks))).tobytes() == held.tobytes()
+        assert table.lost.tolist() == [b.lost for b in blocks]
+        used = np.array([scalar.used[s] for s in table.server_ids])
+        assert namenode._server_used.tobytes() == used.tobytes()
+        check_invariants(namenode)
+        scalar_invariants(scalar)
+
+
 class TestAccessBatchEquivalence:
     def scalar_minute(self, scalar, block_ids, time, count, rng, column_of):
         """The legacy per-access loop from the fig12 runner."""
@@ -538,6 +683,61 @@ class TestBlockTableUnit:
                 for b, r in zip(blocks, rows)
                 if server_id in b.servers_with_healthy_replicas()
             }
+
+    @given(
+        earlier=st.lists(
+            st.lists(st.integers(0, 6), unique=True, max_size=4), min_size=1, max_size=5
+        ),
+        picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 6)), max_size=25),
+        reimaged=st.integers(0, 6),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_add_replicas_matches_add_replica_in_order(self, earlier, picks, reimaged):
+        """One ``add_replicas`` call equals ``add_replica`` per pair, in
+        order, for servers that never held their block -- a row listed
+        several times in a row included, slots growing past the initial
+        width -- and a bad call raises before writing anything."""
+        servers = [f"s-{i}" for i in (3, 10, 2, 0, 7, 11, 5)]  # rank != index
+        batched = BlockTable(servers, replica_slots=2)
+        looped = BlockTable(servers, replica_slots=2)
+        for table in (batched, looped):
+            table.append_blocks(
+                [(f"b{i}", held) for i, held in enumerate(earlier)], 0.25, 4
+            )
+            table.destroy_replicas_on(reimaged)
+        # Each row's pairs next to each other, in first-listed row order.
+        fresh = {}
+        for row, server in picks:
+            row %= len(earlier)
+            if server not in looped.holders_of(row) + fresh.get(row, []):
+                fresh.setdefault(row, []).append(server)
+        pairs = [(row, server) for row, servers in fresh.items() for server in servers]
+        for row, server in pairs:
+            looped.add_replica(row, server)
+        rows = np.array([row for row, _ in pairs], dtype=np.int64)
+        batched.add_replicas(rows, np.array([s for _, s in pairs], dtype=np.int64))
+        assert table_state(batched) == table_state(looped)
+        before = table_state(batched)
+        for row in range(len(earlier)):
+            free = [s for s in range(7) if s not in batched.holders_of(row)]
+            if batched.holders_of(row):
+                with pytest.raises(ValueError, match="already has or had"):
+                    batched.add_replicas(
+                        np.array([row]), np.array(batched.holders_of(row)[:1])
+                    )
+            if free:
+                with pytest.raises(ValueError, match="listed twice"):
+                    batched.add_replicas(np.array([row, row]), np.array(free[:1] * 2))
+            if len(free) >= 2 and len(earlier) >= 2:
+                other = (row + 1) % len(earlier)
+                spare = [s for s in range(7) if s not in batched.holders_of(other)]
+                if spare:
+                    with pytest.raises(ValueError, match="next to each other"):
+                        batched.add_replicas(
+                            np.array([row, other, row]),
+                            np.array([free[0], spare[0], free[1]]),
+                        )
+        assert table_state(batched) == before
 
     def test_sorted_server_order_is_lexicographic(self):
         table = BlockTable(["s-10", "s-2", "s-1"])

@@ -54,6 +54,23 @@ class TestScaleTrace:
         scaled = scale_trace(trace, 2.0, ScalingMethod.ROOT)
         assert scaled.mean() > trace.mean()
 
+    @given(
+        values=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=30),
+        factor=st.floats(0.1, 10.0).filter(lambda f: abs(f - 1.0) >= 0.01),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_root_moves_every_inner_sample_the_factors_way(self, values, factor):
+        """Root scaling raises each sample to ``1 / factor``: a sample
+        inside (0, 1) moves strictly lower when ``factor < 1`` and strictly
+        higher when ``factor > 1``."""
+        trace = UtilizationTrace(np.array(values), UtilizationPattern.CONSTANT)
+        scaled = scale_trace(trace, factor, ScalingMethod.ROOT).values
+        np.testing.assert_array_equal(scaled, np.power(trace.values, 1.0 / factor))
+        if factor < 1.0:
+            assert (scaled < trace.values).all()
+        else:
+            assert (scaled > trace.values).all()
+
     def test_non_positive_factor_rejected(self):
         with pytest.raises(ValueError):
             scale_trace(periodic_trace(), 0.0)

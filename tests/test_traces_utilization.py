@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulation.random import RandomSource
+from repro.traces.scaling import ScalingMethod, scale_trace
 from repro.traces.utilization import (
     SAMPLE_INTERVAL_SECONDS,
     SAMPLES_PER_DAY,
@@ -130,6 +131,40 @@ class TestUtilizationTrace:
     def test_duration(self):
         trace = UtilizationTrace(np.array([0.1, 0.2]), UtilizationPattern.CONSTANT)
         assert trace.duration_seconds == 2 * SAMPLE_INTERVAL_SECONDS
+
+    def test_never_aliases_the_callers_array(self):
+        """The constructor copies (and clips) what it is given; traces that
+        the producers build without that copy own their arrays too."""
+        values = np.array([0.2, 1.0 + 5e-10, 0.4])
+        trace = UtilizationTrace(values, UtilizationPattern.CONSTANT)
+        assert not np.shares_memory(trace.values, values)
+        assert trace.values.tolist() == [0.2, 1.0, 0.4]
+        values[0] = 0.9
+        assert trace.values[0] == 0.2
+        generated = generate_trace(
+            TraceSpec(UtilizationPattern.PERIODIC, mean_utilization=0.4, days=1),
+            RandomSource(3),
+        )
+        scaled = scale_trace(generated, 1.0, ScalingMethod.LINEAR)
+        rooted = scale_trace(generated, 2.0, ScalingMethod.ROOT)
+        for derived in (scaled, rooted):
+            assert not np.shares_memory(derived.values, generated.values)
+        assert not np.shares_memory(scaled.values, rooted.values)
+        np.testing.assert_array_equal(scaled.values, generated.values)
+
+    def test_adopt_keeps_the_array_and_the_exact_range_check(self):
+        values = np.array([0.0, 0.5, 1.0])
+        trace = UtilizationTrace.adopt(values, UtilizationPattern.CONSTANT)
+        assert trace.values is values
+        assert trace.pattern is UtilizationPattern.CONSTANT and trace.spec is None
+        # What the constructor would clip away, an adopted array may not hold.
+        for bad in ([0.5, 1.0 + 5e-10], [-5e-10, 0.5], [[0.5]], []):
+            with pytest.raises(ValueError):
+                UtilizationTrace.adopt(
+                    np.array(bad, dtype=float), UtilizationPattern.CONSTANT
+                )
+        with pytest.raises(ValueError, match="float64"):
+            UtilizationTrace.adopt(np.array([0, 1]), UtilizationPattern.CONSTANT)
 
 
 class TestAverageTrace:

@@ -20,18 +20,13 @@ and reserve enforcement are its batch :meth:`~FleetState.refresh`.
 from repro.cluster.resources import Resource
 from repro.cluster.server import Container, ContainerState
 from repro.cluster.fleet_state import FleetState
-from repro.cluster.resource_manager import (
-    ContainerRequest,
-    ResourceManager,
-    SchedulerMode,
-)
+from repro.cluster.resource_manager import ResourceManager, SchedulerMode
 
 __all__ = [
     "Resource",
     "Container",
     "ContainerState",
     "FleetState",
-    "ContainerRequest",
     "ResourceManager",
     "SchedulerMode",
 ]

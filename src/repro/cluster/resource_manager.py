@@ -28,7 +28,6 @@ draw over the shape's fitting rows.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Collection, List, Optional, Sequence
 
 import numpy as np
@@ -45,23 +44,6 @@ class SchedulerMode(str, enum.Enum):
     STOCK = "stock"
     PRIMARY_AWARE = "primary_aware"
     HISTORY = "history"
-
-
-@dataclass
-class ContainerRequest:
-    """A container request from an Application Master.
-
-    Attributes:
-        job_id: requesting job.
-        task_id: the task that will run in the container.
-        allocation: requested cores and memory.
-        node_labels: acceptable utilization-class labels (empty = any server).
-    """
-
-    job_id: str
-    task_id: str
-    allocation: Resource
-    node_labels: List[str] = field(default_factory=list)
 
 
 class ResourceManager:
@@ -154,7 +136,7 @@ class ResourceManager:
         any order.  The answer is exact for the current RM view: it reads
         the fleet's fit index, which every heartbeat, launch, completion and
         label change keeps current.  Pump waves use it to skip building
-        their request lists: a request with no candidate server draws
+        their frontiers: a placement with no candidate server draws
         nothing and places nothing, so skipping is draw-invisible.
         """
         cores, memory_gb, labels = shape
@@ -196,11 +178,11 @@ class ResourceManager:
 class WaveBatch:
     """Placement context for one pump tick's waves.
 
-    One pump tick submits many uniform waves back to back — one per live
-    execution — and between them nothing touches the fleet's availability
-    view except the batch's own launches (launch bookkeeping schedules
-    engine events and writes task tables; completions and heartbeats arrive
-    as separate engine events).  Each wave takes its candidates from the
+    One pump tick submits many waves back to back — one per live
+    execution, each of one allocation and one label set — and between them
+    nothing touches the fleet's availability view except the batch's own
+    launches (launch bookkeeping schedules engine events and writes task
+    tables; completions and heartbeats arrive as separate engine events).  Each wave takes its candidates from the
     fleet's fit index — the shape's fitting rows, ascending — and each
     placement:
 
@@ -210,7 +192,7 @@ class WaveBatch:
     * launches, which rechecks the chosen row in the fit index; a chosen
       row that no longer fits leaves the wave's candidate list.
 
-    A request with no candidate draws nothing, and availability only
+    A placement with no candidate draws nothing, and availability only
     shrinks within a wave, so once the list is empty the rest of the wave
     fails in one step.  Every placement draws from the random stream
     individually, in submission order — a fixed seed schedules
@@ -234,45 +216,32 @@ class WaveBatch:
 
     def schedule(
         self,
-        requests: Sequence[ContainerRequest],
-        uniform: bool = False,
-        key: Optional[tuple] = None,
+        allocation: Resource,
+        node_labels: Collection[str],
+        job_id: str,
+        task_ids: Sequence[str],
     ) -> List[Optional[Container]]:
-        """Place one uniform wave; one entry per request, in order.
+        """Place one wave of one shape; one entry per task id, in order.
 
-        ``uniform=True`` asserts the caller already guarantees every
-        request carries the same allocation and node labels (the
-        Application Master's cached request lists do by construction) and
-        skips the per-request validation scan.  ``key`` optionally supplies
-        the precomputed ``(cores, memory_gb, frozenset(labels))`` shape.
+        Every container of the wave is ``allocation`` for a task of
+        ``job_id``, placed on a server carrying one of ``node_labels``
+        (empty = any server; History mode only).
         """
-        if not requests:
+        if not task_ids:
             return []
         rm = self._rm
-        first = requests[0]
-        cores = first.allocation.cores
-        memory_gb = first.allocation.memory_gb
-        if not uniform:
-            for request in requests[1:]:
-                if (
-                    request.allocation.cores != cores
-                    or request.allocation.memory_gb != memory_gb
-                    or request.node_labels != first.node_labels
-                ):
-                    raise ValueError(
-                        "a wave must be uniform: every request "
-                        "must carry the same allocation and node_labels"
-                    )
-        if key is None:
-            key = (cores, memory_gb, frozenset(first.node_labels))
+        cores = allocation.cores
+        memory_gb = allocation.memory_gb
+        labels = frozenset(node_labels)
+        key = (cores, memory_gb, labels)
         if key in self._seen:
             rm.waves_coalesced += 1
         else:
             self._seen.add(key)
         fleet = self._fleet
-        candidates = fleet.fit_rows(cores, memory_gb, rm._placement_labels(key[2]))
+        candidates = fleet.fit_rows(cores, memory_gb, rm._placement_labels(labels))
         if not candidates:
-            return [None] * len(requests)
+            return [None] * len(task_ids)
         fits = fleet.fit_index(cores, memory_gb).fits
         stock = self._stock
         available = self._cores
@@ -280,25 +249,19 @@ class WaveBatch:
             available = self._cores = fleet.available_cores.tolist()
         available_cores = fleet.available_cores
         results: List[Optional[Container]] = []
-        for request in requests:
+        for task_id in task_ids:
             if stock:
                 chosen = fleet.most_available(candidates)
             else:
                 chosen = fleet.draw_proportional(candidates, available, rm._rng)
             results.append(
-                fleet.launch(
-                    chosen,
-                    request.task_id,
-                    request.job_id,
-                    request.allocation,
-                    self._time,
-                )
+                fleet.launch(chosen, task_id, job_id, allocation, self._time)
             )
             if not stock:
                 available[chosen] = float(available_cores[chosen])
             if not fits[chosen]:
                 candidates.remove(chosen)
                 if not candidates:
-                    results.extend([None] * (len(requests) - len(results)))
+                    results.extend([None] * (len(task_ids) - len(results)))
                     break
         return results

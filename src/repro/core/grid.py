@@ -71,11 +71,6 @@ class GridCell:
     tenant_ids: List[str] = field(default_factory=list)
     total_space_gb: float = 0.0
 
-    @property
-    def cell_id(self) -> Tuple[int, int]:
-        """(row, column) identifier."""
-        return (self.row, self.column)
-
 
 @dataclass
 class GridClustering:

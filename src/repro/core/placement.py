@@ -259,11 +259,6 @@ class ReplicaPlacer:
         """The grid clustering the placer operates on."""
         return self._grid
 
-    def update_grid(self, grid: GridClustering) -> None:
-        """Swap in a re-clustered grid (the clustering runs periodically)."""
-        self._grid = grid
-        self._index_grid()
-
     def space_used_gb(self, tenant_id: str) -> float:
         """Space already consumed on a tenant by placed replicas."""
         return self._space_used_gb.get(tenant_id, 0.0)

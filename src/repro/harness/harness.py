@@ -63,17 +63,13 @@ def cells_from_spec(
     Child-seed derivation is pure arithmetic, so every built-in kind can
     name its grid points — keys, seeds, coordinates — straight from the
     spec (fig14 previously built all N datacenter fleets just to enumerate).
-    Kinds that cannot enumerate spec-only fall back to a full build.
     """
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
     effective = spec.seed if seed is None else int(seed)
     runner_cls = RUNNERS.get(spec.kind)
     if runner_cls is None:
         raise ValueError(f"no runner registered for kind {spec.kind!r}")
-    cells = runner_cls.cells_from_spec(spec, effective)
-    if cells is None:
-        cells = _build_runner(spec, effective).cells()
-    return cells
+    return runner_cls.cells_from_spec(spec, effective)
 
 
 def _worker_init(data: bytes, digest: str) -> None:

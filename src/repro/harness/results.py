@@ -522,11 +522,6 @@ class VariantContinuousResult:
         """Task attempts killed over the whole horizon."""
         return sum(e.tasks_killed for e in self.epochs)
 
-    @property
-    def final_queue_depth(self) -> int:
-        """Backlog when the horizon closed."""
-        return self.epochs[-1].queue_depth if self.epochs else 0
-
 
 @dataclass
 class ContinuousResult:

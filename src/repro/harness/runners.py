@@ -185,9 +185,8 @@ class ScenarioRunner:
     #: Fork labels ``_prepare`` consumes off the runner stream, in order.
     #: Child-seed derivation is pure arithmetic, so replaying these labels
     #: through a :class:`ForkSequence` positions the fork index exactly
-    #: where ``_enumerate_cells`` starts — the spec-only enumeration fast
-    #: path.  ``None`` disables the fast path for the kind.
-    SHARED_FORK_LABELS: ClassVar[Optional[Tuple[str, ...]]] = None
+    #: where ``_enumerate_cells`` starts — the spec-only enumeration path.
+    SHARED_FORK_LABELS: ClassVar[Tuple[str, ...]] = ()
 
     def __init__(self, spec: ScenarioSpec, rng: RandomSource) -> None:
         self.spec = spec
@@ -254,19 +253,16 @@ class ScenarioRunner:
     # -- spec-only enumeration ----------------------------------------------
 
     @classmethod
-    def cells_from_spec(cls, spec: ScenarioSpec, seed: int) -> Optional[List[Cell]]:
+    def cells_from_spec(cls, spec: ScenarioSpec, seed: int) -> List[Cell]:
         """The kind's cell grid derived from the spec alone — no build.
 
         Replays the fork labels ``_prepare`` consumes (they draw nothing —
         seeds are arithmetic), then runs the same grid loops
         ``_enumerate_cells`` runs, so the returned cells are identical —
         index, key, seeds, coords — to what a fully prepared runner
-        enumerates, at zero fleet-build cost.  Returns ``None`` when the
-        kind cannot enumerate without context.
+        enumerates, at zero fleet-build cost.
         """
         cls.check_spec(spec)
-        if cls.SHARED_FORK_LABELS is None:
-            return None
         forks = ForkSequence(seed)
         for label in cls.SHARED_FORK_LABELS:
             forks.fork_seed(label)
@@ -858,7 +854,7 @@ class FleetImprovementRunner(ScenarioRunner):
             sub_cells = SchedulingSweepRunner.cells_from_spec(
                 cls._sweep_spec(spec, name), forks.seed
             )
-            for sub_cell in sub_cells or []:
+            for sub_cell in sub_cells:
                 cells.append(
                     Cell(
                         index=len(cells),

@@ -16,13 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.resource_manager import ContainerRequest, ResourceManager
+from repro.cluster.resource_manager import ResourceManager
 from repro.cluster.resources import Resource
 from repro.cluster.server import Container, ContainerState
 from repro.core.class_selection import ClassSelection
 from repro.core.job_types import JobHistory, JobType
-from repro.jobs.dag import JobDag, Task, TaskState
-from repro.jobs.task_table import CODE_OF_STATE, TaskTable, TaskView
+from repro.jobs.dag import JobDag
+from repro.jobs.task_table import COMPLETED, KILLED, TaskTable
 from repro.simulation.engine import SimulationEngine
 
 
@@ -61,20 +61,15 @@ class JobResult:
 class JobExecution:
     """Mutable state of a job while it runs.
 
-    All per-task state lives in a columnar
-    :class:`~repro.jobs.task_table.TaskTable`; :attr:`tasks` holds
-    write-through :class:`~repro.jobs.task_table.TaskView` objects over its
-    rows (the scalar ``Task`` API), grouped per vertex as before.  Callers
-    that pass pre-built scalar ``Task`` objects get their states and attempt
-    counts adopted into the table, and views replace the scalar objects.
+    All per-task state lives in the rows of a columnar
+    :class:`~repro.jobs.task_table.TaskTable`: a task runs in the container
+    its row's ``container_slot`` names.
     """
 
     dag: JobDag
     submit_time: float
     job_type: JobType
     selection: Optional[ClassSelection] = None
-    tasks: Dict[str, List[Task]] = field(default_factory=dict)
-    running: Dict[int, Task] = field(default_factory=dict)
     start_time: Optional[float] = None
     tasks_killed: int = 0
     tasks_completed: int = 0
@@ -84,36 +79,14 @@ class JobExecution:
     def __post_init__(self) -> None:
         self.table = TaskTable(self.dag)
         # Request-side caches, filled by the Application Master: the
-        # container allocation, labels, request shape and per-task requests
-        # of an execution never change after submit.
+        # container allocation and request shape of an execution never
+        # change after submit.
         self._allocation: Optional[Resource] = None
-        self._labels: Optional[List[str]] = None
         self._shape: Optional[tuple] = None
-        self._requests: List[Optional[ContainerRequest]] = []
-        if self.tasks:
-            for vertex_name, scalar_tasks in self.tasks.items():
-                start = int(
-                    self.table.layout.starts[
-                        self.table.layout.index_of_vertex[vertex_name]
-                    ]
-                )
-                for offset, task in enumerate(scalar_tasks):
-                    row = start + offset
-                    self.table.set_state(row, CODE_OF_STATE[task.state])
-                    self.table.attempts[row] = task.attempts
-        self.tasks = self.table.views_by_vertex()
 
     def vertex_completed(self, vertex_name: str) -> bool:
         """Whether every task of a vertex has completed (O(1) counter check)."""
         return self.table.vertex_completed(vertex_name)
-
-    def runnable_tasks(self) -> List[TaskView]:
-        """Pending tasks whose upstream vertices have all completed.
-
-        One frontier mask over the task table, in the same vertex-major row
-        order the scalar full-DAG rescan produced.
-        """
-        return self.table.runnable_views()
 
     def all_completed(self) -> bool:
         """Whether every task of every vertex has completed (O(1))."""
@@ -143,11 +116,11 @@ class ApplicationMaster:
         self._history = history
         self.tasks_killed = 0
         self._results: List[JobResult] = []
-        # Container id -> owning execution, maintained across launches and
-        # completions so a reserve-kill heartbeat resolves its affected
-        # executions with dict lookups instead of fanning out over every
-        # live execution (see :meth:`resolve_kills`).
-        self._owner: Dict[int, JobExecution] = {}
+        # Container id -> owning execution and task row, maintained across
+        # launches, completions and kills so a reserve-kill heartbeat
+        # resolves its affected tasks with dict lookups instead of fanning
+        # out over every live execution (see :meth:`resolve_kills`).
+        self._owner: Dict[int, Tuple[JobExecution, int]] = {}
         #: Optional completion hook: called as ``on_job_finished(execution,
         #: result)`` after a job's result is recorded.  Closed-loop traffic
         #: drivers use it to schedule the submitting user's next job.
@@ -186,44 +159,54 @@ class ApplicationMaster:
             return []
         return list(execution.selection.class_ids)
 
-    def _launch(
-        self, execution: JobExecution, task: TaskView, container: Container
-    ) -> None:
-        execution.table.mark_running(task.row, container.container_id)
-        execution.running[container.container_id] = task
-        self._owner[container.container_id] = execution
+    def _launch(self, execution: JobExecution, row: int, container: Container) -> None:
+        table = execution.table
+        container_id = container.container_id
+        table.mark_running(row, container_id)
+        self._owner[container_id] = (execution, row)
         if execution.start_time is None:
             execution.start_time = self._engine.now
         self._engine.schedule(
-            task.duration_seconds,
-            lambda engine, c=container, e=execution: self._on_task_finished(e, c),
-            name=f"finish-{task.task_id}",
+            float(table.layout.durations[row]),
+            lambda engine, e=execution, r=row, c=container: self._on_task_finished(
+                e, r, c
+            ),
+            name=f"finish-{table.task_id_of(row)}",
         )
 
-    def _on_task_finished(self, execution: JobExecution, container: Container) -> None:
-        """A task's duration elapsed; completes unless the container was killed."""
-        task = execution.running.pop(container.container_id, None)
-        if task is None:
+    def _on_task_finished(
+        self, execution: JobExecution, row: int, container: Container
+    ) -> None:
+        """A task's duration elapsed; completes unless the container was killed.
+
+        The task is still live only while its row names this container:
+        container ids come from one global counter, so a killed (and maybe
+        relaunched) task's row names another container or none.
+        """
+        table = execution.table
+        if table.container_slot[row] != container.container_id:
             return
         self._owner.pop(container.container_id, None)
         if container.state is ContainerState.KILLED:
             # The kill was already handled by resolve_kills; nothing to do.
             return
         self._rm.complete(container, self._engine.now)
-        task.state = TaskState.COMPLETED
+        table.set_state(row, COMPLETED)
         execution.tasks_completed += 1
         if execution.all_completed():
             self._finish(execution)
         else:
             self._pump((execution,))
 
-    def _mark_killed(self, execution: JobExecution, container: Container) -> None:
+    def _mark_killed(
+        self, execution: JobExecution, row: int, container: Container
+    ) -> None:
         """Return a killed container's task to the runnable pool."""
-        task = execution.running.pop(container.container_id, None)
-        if task is None:
+        table = execution.table
+        if table.container_slot[row] != container.container_id:
             return
         self._owner.pop(container.container_id, None)
-        task.state = TaskState.KILLED
+        table.set_state(row, KILLED)
         execution.tasks_killed += 1
         self.tasks_killed += 1
 
@@ -231,51 +214,26 @@ class ApplicationMaster:
         """Return every killed container's task to its job's runnable pool.
 
         Reserve kills (the NodeManagers replenishing the reserve) reach the
-        owning execution through the container->execution index, one dict
+        owning task through the container->(execution, row) index, one dict
         lookup each; kills of containers no execution owns are ignored.
         The caller re-requests containers afterwards (the cluster pumps
         every execution in submission order) — the re-execution cost that
         inflates YARN-PT's job times.
         """
         for container in killed:
-            execution = self._owner.get(container.container_id)
-            if execution is not None:
-                self._mark_killed(execution, container)
+            owner = self._owner.get(container.container_id)
+            if owner is not None:
+                self._mark_killed(*owner, container)
 
     def _shape_of(self, execution: JobExecution) -> tuple:
         """Fill the execution's request-side caches; returns its shape."""
         allocation = execution._allocation = self._container_allocation(execution.dag)
-        execution._labels = self._node_labels(execution)
         execution._shape = (
             allocation.cores,
             allocation.memory_gb,
-            frozenset(execution._labels),
+            frozenset(self._node_labels(execution)),
         )
-        execution._requests = [None] * execution.table.num_tasks
         return execution._shape
-
-    def _wave(
-        self, execution: JobExecution
-    ) -> Tuple[List[TaskView], List[ContainerRequest]]:
-        """The execution's runnable frontier and one request per task.
-
-        Requests are built once per task row and reused by its retries.
-        """
-        wave = execution.runnable_tasks()
-        by_row = execution._requests
-        requests = []
-        for task in wave:
-            row = task.row
-            request = by_row[row]
-            if request is None:
-                request = by_row[row] = ContainerRequest(
-                    job_id=execution.dag.name,
-                    task_id=task.task_id,
-                    allocation=execution._allocation,
-                    node_labels=execution._labels,
-                )
-            requests.append(request)
-        return wave, requests
 
     def pump_all(self, executions: Sequence[JobExecution]) -> None:
         """Periodic retry: every execution's unsatisfied requests, in order.
@@ -288,18 +246,18 @@ class ApplicationMaster:
     def _pump(self, executions: Sequence[JobExecution]) -> None:
         """Request a container for every runnable task, execution by execution.
 
-        Each execution's runnable frontier goes to the RM as one wave, and
-        the RM draws one placement per request in wave order; tasks a wave
-        could not place stay pending for the next pump.  A submission or a
-        task completion pumps its own execution; :meth:`pump_all` pumps them
-        all.  All waves share one
+        Each execution's runnable frontier goes to the RM as one wave of
+        the execution's one request shape, and the RM draws one placement
+        per task in row order; tasks a wave could not place stay pending
+        for the next pump.  A submission or a task completion pumps its own
+        execution; :meth:`pump_all` pumps them all.  All waves share one
         :class:`~repro.cluster.resource_manager.WaveBatch`, which places them
         step for step as one batch per wave would.
 
-        An execution is passed over before its frontier or any request is
-        built when it is finished, when nothing of it is runnable (every
-        task running or completed, or the pending ones waiting on an
-        upstream vertex), or when no server can take its request shape
+        An execution is passed over before its frontier is built when it is
+        finished, when nothing of it is runnable (every task running or
+        completed, or the pending ones waiting on an upstream vertex), or
+        when no server can take its request shape
         (:meth:`ResourceManager.shape_exhausted`): such a wave would draw
         nothing and place nothing, so the skip is draw-invisible.  Within
         one call launches only consume capacity, so a shape found
@@ -319,16 +277,22 @@ class ApplicationMaster:
             if rm.shape_exhausted(shape):
                 exhausted.add(shape)
                 continue
-            wave, requests = self._wave(execution)
+            table = execution.table
+            rows = table.runnable_rows().tolist()
             if batch is None:
                 batch = rm.begin_batch(self._engine.now)
-            containers = batch.schedule(requests, uniform=True, key=shape)
+            containers = batch.schedule(
+                execution._allocation,
+                shape[2],
+                execution.dag.name,
+                [table.task_id_of(row) for row in rows],
+            )
             if containers[-1] is None:
                 # The wave ran out of candidates.
                 exhausted.add(shape)
-            for task, container in zip(wave, containers):
+            for row, container in zip(rows, containers):
                 if container is not None:
-                    self._launch(execution, task, container)
+                    self._launch(execution, row, container)
 
     def _finish(self, execution: JobExecution) -> None:
         execution.finished = True

@@ -263,6 +263,9 @@ class HarvestingCluster:
             until=duration_seconds,
         )
         self.engine.run_until(duration_seconds)
+        # A run is the cluster's whole life: events past the horizon (the
+        # finish events of tasks still running) never fire.
+        self.engine.clear()
 
     # -- results -------------------------------------------------------------
 

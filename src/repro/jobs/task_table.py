@@ -28,22 +28,22 @@ Equivalence contract
 Rows are laid out vertex-major in DAG insertion order with tasks in index
 order — exactly the nesting of the scalar ``runnable_tasks`` loop — so
 ``np.flatnonzero`` over the frontier mask yields tasks in the identical
-order, and everything downstream (per-request container draws against
+order, and everything downstream (per-placement container draws against
 :class:`~repro.cluster.fleet_state.FleetState`) consumes the random stream
 draw for draw (see ``tests/test_jobs_task_table.py`` for the scalar oracle).
 
-:class:`TaskView` objects are thin write-through views over the rows: the
-``state`` / ``attempts`` attributes read and write the arrays, and every
-state transition keeps the counters and the readiness frontier in sync.
+The rows are the only task record: the Application Master launches, tracks
+and kills tasks by row, and every state transition goes through
+:meth:`TaskTable.set_state`, which keeps the counters and the readiness
+frontier in sync.
 
 The runnable frontier itself is cached between state transitions: repeated
-queries with no transition in between make :meth:`TaskTable.runnable_rows` /
-:meth:`TaskTable.runnable_views` hand back the previously computed row array
-and view list untouched.  Any actual ``set_state`` transition — launch,
-completion, kill, or a completion that unlocks downstream vertices — marks
-the frontier dirty, because each of those can change either the
-needs-container column or the vertex-readiness column the mask is built
-from.
+queries with no transition in between make :meth:`TaskTable.runnable_rows`
+hand back the previously computed row array untouched.  Any actual
+``set_state`` transition — launch, completion, kill, or a completion that
+unlocks downstream vertices — drops the cached rows, because each of those
+can change either the needs-container column or the vertex-readiness column
+the mask is built from.
 """
 
 from __future__ import annotations
@@ -52,23 +52,12 @@ from typing import Dict, List, TYPE_CHECKING
 
 import numpy as np
 
-from repro.jobs.dag import TaskState
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.jobs.dag import JobDag
 
 
-#: Integer state codes, index-aligned with :data:`STATE_ORDER`.
+#: Integer state codes of the ``state`` column.
 PENDING, RUNNING, COMPLETED, KILLED = range(4)
-
-#: Row value -> TaskState, and back.
-STATE_ORDER = (
-    TaskState.PENDING,
-    TaskState.RUNNING,
-    TaskState.COMPLETED,
-    TaskState.KILLED,
-)
-CODE_OF_STATE = {state: code for code, state in enumerate(STATE_ORDER)}
 
 
 class TaskLayout:
@@ -134,61 +123,6 @@ class TaskLayout:
         return layout
 
 
-class TaskView:
-    """Write-through view of one task row (the scalar ``Task`` API)."""
-
-    __slots__ = ("_table", "_row")
-
-    def __init__(self, table: "TaskTable", row: int) -> None:
-        self._table = table
-        self._row = row
-
-    @property
-    def row(self) -> int:
-        """This task's row in the table."""
-        return self._row
-
-    @property
-    def task_id(self) -> str:
-        """Unique task id (``job/vertex/index``)."""
-        return self._table.task_id_of(self._row)
-
-    @property
-    def vertex_name(self) -> str:
-        """Name of the DAG vertex this task belongs to."""
-        layout = self._table.layout
-        return layout.vertex_names[layout.vertex_of[self._row]]
-
-    @property
-    def duration_seconds(self) -> float:
-        """How long the task runs once started."""
-        return float(self._table.layout.durations[self._row])
-
-    @property
-    def state(self) -> TaskState:
-        """Current lifecycle state."""
-        return STATE_ORDER[self._table.state[self._row]]
-
-    @state.setter
-    def state(self, value: TaskState) -> None:
-        self._table.set_state(self._row, CODE_OF_STATE[value])
-
-    @property
-    def attempts(self) -> int:
-        """How many times the task has been (re)started."""
-        return int(self._table.attempts[self._row])
-
-    @attempts.setter
-    def attempts(self, value: int) -> None:
-        self._table.attempts[self._row] = value
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"TaskView({self.task_id!r}, state={self.state.value!r}, "
-            f"attempts={self.attempts})"
-        )
-
-
 class TaskTable:
     """Numpy columns over every task of one job execution."""
 
@@ -217,11 +151,8 @@ class TaskTable:
         self._runnable_count = int(self.layout.task_counts[self._vertex_ready].sum())
         self._total_completed = 0
         self._task_ids: List[str | None] = [None] * n
-        self._views: List[TaskView | None] = [None] * n
-        #: Frontier cache: rows/views are rebuilt only after a state change.
-        self._frontier_dirty = True
+        #: Frontier cache: rebuilt only after a state change drops it.
         self._frontier_rows: np.ndarray | None = None
-        self._frontier_views: List[TaskView] | None = None
 
     # -- serialized form ----------------------------------------------------
 
@@ -306,7 +237,6 @@ class TaskTable:
             for needs, ready in zip(table._vertex_needs, table._vertex_ready.tolist())
             if ready
         )
-        table._frontier_dirty = True
         return table
 
     # -- identity -----------------------------------------------------------
@@ -326,25 +256,6 @@ class TaskTable:
             self._task_ids[row] = task_id
         return task_id
 
-    def view(self, row: int) -> TaskView:
-        """The (stable-identity) view object for a row."""
-        view = self._views[row]
-        if view is None:
-            view = TaskView(self, int(row))
-            self._views[row] = view
-        return view
-
-    def views_by_vertex(self) -> Dict[str, List[TaskView]]:
-        """Views grouped per vertex, in row order (the scalar ``tasks`` dict)."""
-        layout = self.layout
-        return {
-            name: [
-                self.view(row)
-                for row in range(int(layout.starts[i]), int(layout.starts[i + 1]))
-            ]
-            for i, name in enumerate(layout.vertex_names)
-        }
-
     # -- state transitions --------------------------------------------------
 
     def set_state(self, row: int, code: int) -> None:
@@ -355,7 +266,7 @@ class TaskTable:
         # Any real transition can move the frontier: it rewrites the
         # needs-container column and/or (via completion propagation) the
         # vertex-readiness column the runnable mask intersects.
-        self._frontier_dirty = True
+        self._frontier_rows = None
         self.state[row] = code
         vertex = int(self.layout.vertex_of[row])
         needs = code == PENDING or code == KILLED
@@ -438,35 +349,17 @@ class TaskTable:
         """
         return self._needs_count > 0
 
-    @property
-    def frontier_cached(self) -> bool:
-        """Whether the next :meth:`runnable_views` call is a cache hit."""
-        return not self._frontier_dirty and self._frontier_views is not None
-
     def runnable_rows(self) -> np.ndarray:
         """Rows of tasks that need a container and whose vertex is ready.
 
         Row order is vertex-major DAG insertion order — identical to the
         scalar ``for vertex ... for task`` rescans this mask replaces.  The
         returned array is cached (and read-only) until the next state
-        transition dirties the frontier.
+        transition drops it.
         """
-        if self._frontier_dirty or self._frontier_rows is None:
+        rows = self._frontier_rows
+        if rows is None:
             mask = self._needs_container & self._vertex_ready[self.layout.vertex_of]
-            rows = mask.nonzero()[0]
+            rows = self._frontier_rows = mask.nonzero()[0]
             rows.setflags(write=False)
-            self._frontier_rows = rows
-            self._frontier_views = None
-            self._frontier_dirty = False
-        return self._frontier_rows
-
-    def runnable_views(self) -> List[TaskView]:
-        """The runnable frontier as stable view objects, in row order.
-
-        The list object itself is cached alongside the rows; callers must
-        treat it as read-only (every in-repo consumer only iterates it).
-        """
-        rows = self.runnable_rows()
-        if self._frontier_views is None:
-            self._frontier_views = [self.view(int(row)) for row in rows]
-        return self._frontier_views
+        return rows

@@ -75,11 +75,6 @@ class SimulationEngine:
         """Number of events executed so far."""
         return self._processed
 
-    @property
-    def pending_events(self) -> int:
-        """Number of events still queued (including cancelled ones)."""
-        return len(self._queue)
-
     def schedule(
         self,
         delay: float,
@@ -137,14 +132,22 @@ class SimulationEngine:
         if interval <= 0:
             raise ValueError(f"interval must be positive (got {interval})")
         first_delay = interval if start_delay is None else start_delay
+        return self.schedule(
+            first_delay,
+            _Periodic(callback, interval, priority, name, until),
+            priority=priority,
+            name=name,
+        )
 
-        def wrapper(engine: "SimulationEngine") -> None:
-            callback(engine)
-            next_time = engine.now + interval
-            if until is None or next_time <= until:
-                engine.schedule_at(next_time, wrapper, priority=priority, name=name)
+    def clear(self) -> None:
+        """Drop every pending event.
 
-        return self.schedule(first_delay, wrapper, priority=priority, name=name)
+        A pending event's callback usually refers to an object that refers
+        back to the engine; once a run is over, dropping its leftovers lets
+        reference counting free that object graph at once instead of at the
+        cyclic collector's next full pass.
+        """
+        self._queue.clear()
 
     def stop(self) -> None:
         """Stop the run loop after the current event finishes."""
@@ -185,6 +188,37 @@ class SimulationEngine:
             self._processed += 1
         if not self._stopped:
             self._now = max(self._now, end_time)
+
+
+class _Periodic:
+    """A periodic chain's callback: runs ``callback``, then re-arms itself.
+
+    A callable object rather than a closure over its own name, which would
+    be a reference cycle holding ``callback`` (and whatever it refers to)
+    until the cyclic collector runs.
+    """
+
+    __slots__ = ("callback", "interval", "priority", "name", "until")
+
+    def __init__(
+        self,
+        callback: Callable[[SimulationEngine], None],
+        interval: float,
+        priority: int,
+        name: str,
+        until: Optional[float],
+    ) -> None:
+        self.callback = callback
+        self.interval = interval
+        self.priority = priority
+        self.name = name
+        self.until = until
+
+    def __call__(self, engine: SimulationEngine) -> None:
+        self.callback(engine)
+        next_time = engine.now + self.interval
+        if self.until is None or next_time <= self.until:
+            engine.schedule_at(next_time, self, priority=self.priority, name=self.name)
 
 
 class Process:

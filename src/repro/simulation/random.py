@@ -412,11 +412,6 @@ class RandomSource:
             self._rng = generator
             draws.close()
 
-    def exponential_interarrivals(self, mean: float) -> Iterator[float]:
-        """Infinite stream of exponential inter-arrival gaps."""
-        while True:
-            yield float(self._rng.exponential(mean))
-
     @property
     def generator(self) -> np.random.Generator:
         """Access to the underlying numpy generator for bulk operations."""

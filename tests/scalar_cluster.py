@@ -11,20 +11,20 @@ throughout — as the oracle the equivalence tests compare against:
 * :func:`scalar_candidates` and :class:`LegacyScalarScheduler` — the
   per-record candidate filter and draw (and with it the recount that
   ``ResourceManager.shape_exhausted`` must equal).
+
+:class:`ContainerRequest` is the per-task request the tests phrase their
+placements in; :func:`place` and :func:`schedule_wave` hand requests to the
+production one-shape ``WaveBatch.schedule``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.fleet_state import FleetState
-from repro.cluster.resource_manager import (
-    ContainerRequest,
-    ResourceManager,
-    SchedulerMode,
-)
+from repro.cluster.resource_manager import ResourceManager, SchedulerMode, WaveBatch
 from repro.cluster.resources import Resource
 from repro.cluster.server import Container
 from repro.simulation.random import RandomSource
@@ -89,9 +89,38 @@ def build_rm(
     return rm
 
 
+class ContainerRequest(NamedTuple):
+    """One task's container request: who asks, for what, and where."""
+
+    job_id: str
+    task_id: str
+    allocation: Resource
+    node_labels: Sequence[str] = ()
+
+
+def schedule_wave(
+    batch: WaveBatch, requests: Sequence[ContainerRequest]
+) -> List[Optional[Container]]:
+    """Place requests of one job and one shape as one production wave."""
+    if not requests:
+        return []
+    first = requests[0]
+    assert all(
+        (r.job_id, r.allocation, list(r.node_labels))
+        == (first.job_id, first.allocation, list(first.node_labels))
+        for r in requests
+    ), "a wave is one job's requests of one shape"
+    return batch.schedule(
+        first.allocation,
+        first.node_labels,
+        first.job_id,
+        [r.task_id for r in requests],
+    )
+
+
 def place(rm: ResourceManager, request: ContainerRequest, time: float):
     """Place one request through the production batch path."""
-    return rm.begin_batch(time).schedule([request])[0]
+    return schedule_wave(rm.begin_batch(time), [request])[0]
 
 
 class ScalarServer:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 from scalar_cluster import (
+    ContainerRequest,
     LegacyScalarScheduler,
     ScalarServer,
     build_fleet,
@@ -20,7 +21,7 @@ from scalar_cluster import (
     scalar_heartbeats,
 )
 
-from repro.cluster.resource_manager import ContainerRequest, SchedulerMode
+from repro.cluster.resource_manager import SchedulerMode
 from repro.cluster.resources import Resource
 from repro.traces.datacenter import PrimaryTenant, Server
 

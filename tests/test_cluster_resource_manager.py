@@ -8,13 +8,16 @@ from __future__ import annotations
 
 import pytest
 import scalar_cluster
-from scalar_cluster import build_fleet, make_row, place, scalar_exhausted
-
-from repro.cluster.resource_manager import (
+from scalar_cluster import (
     ContainerRequest,
-    ResourceManager,
-    SchedulerMode,
+    build_fleet,
+    make_row,
+    place,
+    scalar_exhausted,
+    schedule_wave,
 )
+
+from repro.cluster.resource_manager import ResourceManager, SchedulerMode
 from repro.cluster.resources import Resource
 
 
@@ -253,7 +256,7 @@ class TestScheduleWavesParity:
             if rm.shape_exhausted(shape(first.allocation, first.node_labels)):
                 results.append([None] * len(requests))
                 continue
-            results.append(batch.schedule(requests))
+            results.append(schedule_wave(batch, requests))
         return results
 
     @staticmethod
@@ -340,19 +343,11 @@ class TestScheduleWavesParity:
         rm = build_rm(SchedulerMode.PRIMARY_AWARE, {f"s{i}": 0.1 for i in range(4)})
         alloc = Resource(1.0, 2.0)
         batch = rm.begin_batch(0.0)
-        batch.schedule(self._wave("a", 2, alloc))
+        schedule_wave(batch, self._wave("a", 2, alloc))
         assert rm.waves_coalesced == 0
-        batch.schedule(self._wave("b", 2, alloc))
+        schedule_wave(batch, self._wave("b", 2, alloc))
         assert rm.waves_coalesced == 1
         # A fresh batch has scheduled no shape yet; the count never spans
         # ticks.
-        rm.begin_batch(1.0).schedule(self._wave("c", 1, alloc))
+        schedule_wave(rm.begin_batch(1.0), self._wave("c", 1, alloc))
         assert rm.waves_coalesced == 1
-
-    def test_mixed_wave_rejected(self):
-        rm = build_rm(SchedulerMode.PRIMARY_AWARE, {"a": 0.1})
-        wave = self._wave("a", 1, Resource(1.0, 2.0)) + self._wave(
-            "b", 1, Resource(2.0, 2.0)
-        )
-        with pytest.raises(ValueError, match="uniform"):
-            rm.begin_batch(0.0).schedule(wave)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -178,6 +181,26 @@ class TestVariantComparison:
         assert cluster.fleet.server_ids == [
             s.server_id for t in small_tenants for s in t.servers
         ]
+
+
+class TestRunLifetime:
+    def test_finished_cluster_is_freed_by_reference_counting(self, small_tenants):
+        """Neither the periodic loops nor the finish events of tasks still
+        running at the horizon hold a finished cluster in a cycle."""
+        cluster = busy_cluster_run(small_tenants, SchedulerMode.PRIMARY_AWARE, seed=3)
+        assert cluster.fleet.running_containers.sum() > 0
+        probes = [
+            weakref.ref(part)
+            for part in (cluster, cluster.engine, cluster.app_master, cluster.fleet)
+        ]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del cluster
+            assert [probe() for probe in probes] == [None] * len(probes)
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestPlainCounts:

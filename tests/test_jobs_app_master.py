@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from scalar_cluster import build_rm, make_row
 
@@ -11,6 +12,7 @@ from repro.cluster.server import Container
 from repro.core.job_types import JobHistory, JobType
 from repro.jobs.app_master import ApplicationMaster
 from repro.jobs.dag import JobDag, Vertex
+from repro.jobs.task_table import RUNNING
 from repro.simulation.engine import SimulationEngine
 
 
@@ -41,6 +43,17 @@ def pump(engine, am, execution, until: float, step: float = 10.0) -> None:
         t += step
         am.pump_all([execution])
         engine.run_until(t)
+
+
+def running_rows(execution) -> np.ndarray:
+    """Rows of the execution's running tasks."""
+    return np.flatnonzero(execution.table.state == RUNNING)
+
+
+def running_containers(execution) -> set:
+    """Container ids the execution's running rows name."""
+    table = execution.table
+    return set(table.container_slot[table.state == RUNNING].tolist())
 
 
 def small_dag(name: str = "job") -> JobDag:
@@ -79,7 +92,10 @@ class TestJobExecution:
         execution = am.submit(small_dag(), JobType.MEDIUM)
         # Just after the mappers start, no reducer may run yet.
         engine.run_until(10.0)
-        running_vertices = {t.vertex_name for t in execution.running.values()}
+        layout = execution.table.layout
+        running_vertices = {
+            layout.vertex_names[layout.vertex_of[row]] for row in running_rows(execution)
+        }
         assert running_vertices == {"map"}
 
     def test_queueing_when_cluster_is_small(self):
@@ -89,7 +105,7 @@ class TestJobExecution:
         engine.run_until(5.0)
         # A single 12-core server (minus reserve and primary) cannot run all
         # 30 single-core tasks at once.
-        assert len(execution.running) < 30
+        assert len(running_rows(execution)) < 30
         # Periodic pumping eventually finishes the job.
         pump(engine, am, execution, until=400.0)
         assert execution.finished
@@ -116,7 +132,7 @@ def spiked_rig():
     engine.run_until(115.0)
     execution = am.submit(small_dag(), JobType.MEDIUM)
     engine.run_until(119.0)
-    assert execution.running, "tasks should be running before the spike"
+    assert len(running_rows(execution)), "tasks should be running before the spike"
     killed = rm.process_heartbeats(120.0)
     assert killed
     return engine, rm, am, history, execution, killed
@@ -159,11 +175,13 @@ class TestKillHandling:
             assert killed
             return am, first, second, killed
 
-        # Reference: offer every kill to every execution, then retry each.
+        # Reference: offer every kill to every task row of every execution,
+        # then retry each.
         am_a, first_a, second_a, killed_a = rig_with_two_jobs()
         for execution in (first_a, second_a):
             for container in killed_a:
-                am_a._mark_killed(execution, container)
+                for row in range(execution.table.num_tasks):
+                    am_a._mark_killed(execution, row, container)
             am_a.pump_all([execution])
 
         am_b, first_b, second_b, killed_b = rig_with_two_jobs()
@@ -175,13 +193,16 @@ class TestKillHandling:
             second_b.tasks_killed,
         )
         assert am_a.tasks_killed == am_b.tasks_killed
-        assert {c for c in first_a.running} == {c for c in first_b.running}
-        assert {c for c in second_a.running} == {c for c in second_b.running}
+        assert running_containers(first_a) == running_containers(first_b)
+        assert running_containers(second_a) == running_containers(second_b)
 
     def test_owner_index_tracks_launches_and_completions(self):
         engine, rm, am, _ = build_rig()
         execution = am.submit(small_dag(), JobType.MEDIUM)
-        assert set(am._owner) == set(execution.running)
+        assert set(am._owner) == running_containers(execution)
+        for container_id, (owner, row) in am._owner.items():
+            assert owner is execution
+            assert execution.table.container_slot[row] == container_id
         engine.run_until(200.0)
         assert execution.finished
         assert am._owner == {}
@@ -206,35 +227,36 @@ class TestPumpEarlyOuts:
         engine, rm, am, _ = build_rig(num_servers=1)
         wide = JobDag("wide", [Vertex("stage", 30, 10.0)])
         execution = am.submit(wide, JobType.SHORT)
-        # The submit-time wave launches what fits; the launches dirtied the
-        # frontier and the rest of the wave stays queued.
-        assert execution.running
-        assert execution.table.runnable_count == 30 - len(execution.running)
-        assert not execution.table.frontier_cached
+        # The submit-time wave launches what fits; the launches dropped the
+        # cached frontier and the rest of the wave stays queued.
+        running = len(running_rows(execution))
+        assert running
+        assert execution.table.runnable_count == 30 - running
+        assert execution.table._frontier_rows is None
         assert rm.shape_exhausted(execution._shape)
         batches = self._count_batches(monkeypatch, rm)
         rm.process_heartbeats(1.0)
         am.pump_all([execution])
         # Nothing fits, so the pump neither rebuilt the frontier nor opened
         # a placement batch.
-        assert not execution.table.frontier_cached
+        assert execution.table._frontier_rows is None
         assert batches == []
         # Capacity returns when the first containers finish (t=10); the
         # finish event itself launches the next wave.
         engine.run_until(10.0)
         assert execution.table.tasks_completed_total > 0
-        assert len(execution.running) > 0
+        assert len(running_rows(execution)) > 0
 
     def test_blocked_execution_is_skipped(self, monkeypatch):
         engine, rm, am, _ = build_rig()
         execution = am.submit(small_dag(), JobType.MEDIUM)
         # Every map task runs; both reduce tasks wait on the map vertex.
-        assert len(execution.running) == 4
+        assert len(running_rows(execution)) == 4
         assert execution.table.needs_containers
         assert execution.table.runnable_count == 0
         batches = self._count_batches(monkeypatch, rm)
         am.pump_all([execution])
-        assert not execution.table.frontier_cached
+        assert execution.table._frontier_rows is None
         assert batches == []
         engine.run_until(200.0)
         assert execution.finished

@@ -20,7 +20,7 @@ from repro.core.headroom import class_headroom
 from repro.core.job_types import JobType
 from repro.jobs.app_master import JobExecution
 from repro.jobs.dag import JobDag, Task, TaskState, Vertex
-from repro.jobs.task_table import CODE_OF_STATE, TaskTable
+from repro.jobs.task_table import COMPLETED, KILLED, PENDING, RUNNING, TaskTable
 from repro.simulation.random import RandomSource
 from repro.traces.utilization import UtilizationPattern
 
@@ -86,8 +86,8 @@ def random_dag(rng: np.random.Generator, name: str) -> JobDag:
     return JobDag(name, vertices)
 
 
-def frontier_ids(execution: JobExecution) -> List[str]:
-    return [t.task_id for t in execution.runnable_tasks()]
+def frontier_ids(table: TaskTable) -> List[str]:
+    return [table.task_id_of(row) for row in table.runnable_rows().tolist()]
 
 
 def oracle_frontier_ids(oracle: ScalarExecutionOracle) -> List[str]:
@@ -101,10 +101,16 @@ class TestFrontierEquivalence:
         for trial in range(25):
             dag = random_dag(rng, f"job-{trial}")
             execution = JobExecution(dag=dag, submit_time=0.0, job_type=JobType.MEDIUM)
+            table = execution.table
             oracle = ScalarExecutionOracle(dag)
-            running: List = []
+            running: List[int] = []
+
+            def move(row: int, code: int, state: TaskState) -> None:
+                table.set_state(row, code)
+                oracle.set_state(table.task_id_of(row), state)
+
             for _ in range(200):
-                assert frontier_ids(execution) == oracle_frontier_ids(oracle)
+                assert frontier_ids(table) == oracle_frontier_ids(oracle)
                 assert execution.all_completed() == oracle.all_completed()
                 for name in dag.vertices:
                     assert execution.vertex_completed(name) == (
@@ -112,25 +118,20 @@ class TestFrontierEquivalence:
                     )
                 if execution.all_completed():
                     break
-                wave = execution.runnable_tasks()
+                wave = table.runnable_rows().tolist()
                 action = rng.random()
                 if wave and (action < 0.5 or not running):
                     # Launch a random prefix of the wave.
                     take = int(rng.integers(1, len(wave) + 1))
-                    for task in wave[:take]:
-                        task.state = TaskState.RUNNING
-                        oracle.set_state(task.task_id, TaskState.RUNNING)
-                        running.append(task)
+                    for row in wave[:take]:
+                        move(row, RUNNING, TaskState.RUNNING)
+                        running.append(row)
                 elif running and action < 0.85:
                     index = int(rng.integers(0, len(running)))
-                    task = running.pop(index)
-                    task.state = TaskState.COMPLETED
-                    oracle.set_state(task.task_id, TaskState.COMPLETED)
+                    move(running.pop(index), COMPLETED, TaskState.COMPLETED)
                 elif running:
                     index = int(rng.integers(0, len(running)))
-                    task = running.pop(index)
-                    task.state = TaskState.KILLED
-                    oracle.set_state(task.task_id, TaskState.KILLED)
+                    move(running.pop(index), KILLED, TaskState.KILLED)
 
     def test_frontier_is_vertex_major_row_order(self):
         dag = JobDag(
@@ -141,8 +142,7 @@ class TestFrontierEquivalence:
                 Vertex("c", 2, 10.0, upstream=["a"]),
             ],
         )
-        execution = JobExecution(dag=dag, submit_time=0.0, job_type=JobType.SHORT)
-        assert frontier_ids(execution) == [
+        assert frontier_ids(TaskTable(dag)) == [
             "order/a/0",
             "order/a/1",
             "order/a/2",
@@ -152,36 +152,31 @@ class TestFrontierEquivalence:
 
 
 class TestKillRequeue:
-    def _completed(self, execution: JobExecution, vertex: str) -> None:
-        for task in execution.tasks[vertex]:
-            task.state = TaskState.COMPLETED
-
     def test_killed_task_reenters_frontier_in_row_order(self):
-        dag = JobDag("kill", [Vertex("stage", 4, 10.0)])
-        execution = JobExecution(dag=dag, submit_time=0.0, job_type=JobType.SHORT)
-        for task in execution.runnable_tasks():
-            task.state = TaskState.RUNNING
-        assert frontier_ids(execution) == []
+        table = TaskTable(JobDag("kill", [Vertex("stage", 4, 10.0)]))
+        for row in table.runnable_rows().tolist():
+            table.set_state(row, RUNNING)
+        assert frontier_ids(table) == []
         # Kill the middle two; they come back in row order, not kill order.
-        execution.tasks["stage"][2].state = TaskState.KILLED
-        execution.tasks["stage"][1].state = TaskState.KILLED
-        assert frontier_ids(execution) == ["kill/stage/1", "kill/stage/2"]
+        table.set_state(2, KILLED)
+        table.set_state(1, KILLED)
+        assert frontier_ids(table) == ["kill/stage/1", "kill/stage/2"]
 
     def test_downstream_unlocks_only_when_last_task_completes(self):
         dag = JobDag(
             "unlock",
             [Vertex("up", 2, 10.0), Vertex("down", 1, 10.0, upstream=["up"])],
         )
-        execution = JobExecution(dag=dag, submit_time=0.0, job_type=JobType.SHORT)
-        execution.tasks["up"][0].state = TaskState.COMPLETED
-        assert frontier_ids(execution) == ["unlock/up/1"]
-        execution.tasks["up"][1].state = TaskState.RUNNING
-        assert frontier_ids(execution) == []
-        execution.tasks["up"][1].state = TaskState.COMPLETED
-        assert frontier_ids(execution) == ["unlock/down/0"]
-        assert not execution.all_completed()
-        execution.tasks["down"][0].state = TaskState.COMPLETED
-        assert execution.all_completed()
+        table = TaskTable(dag)
+        table.set_state(0, COMPLETED)
+        assert frontier_ids(table) == ["unlock/up/1"]
+        table.set_state(1, RUNNING)
+        assert frontier_ids(table) == []
+        table.set_state(1, COMPLETED)
+        assert frontier_ids(table) == ["unlock/down/0"]
+        assert not table.all_completed()
+        table.set_state(2, COMPLETED)
+        assert table.all_completed()
 
     def test_state_regression_keeps_counters_exact(self):
         """The bookkeeping survives a test rewinding a completed state."""
@@ -190,24 +185,12 @@ class TestKillRequeue:
             [Vertex("up", 1, 10.0), Vertex("down", 1, 10.0, upstream=["up"])],
         )
         table = TaskTable(dag)
-        table.set_state(0, CODE_OF_STATE[TaskState.COMPLETED])
+        table.set_state(0, COMPLETED)
         assert table.runnable_rows().tolist() == [1]
-        table.set_state(0, CODE_OF_STATE[TaskState.PENDING])
+        table.set_state(0, PENDING)
         assert table.runnable_rows().tolist() == [0]
         assert not table.all_completed()
         assert table.tasks_completed_total == 0
-
-    def test_adopts_caller_provided_scalar_tasks(self):
-        dag = JobDag("adopt", [Vertex("stage", 2, 10.0)])
-        tasks = dag.build_tasks()
-        tasks["stage"][0].state = TaskState.COMPLETED
-        tasks["stage"][0].attempts = 2
-        execution = JobExecution(
-            dag=dag, submit_time=0.0, job_type=JobType.SHORT, tasks=tasks
-        )
-        assert execution.tasks["stage"][0].state is TaskState.COMPLETED
-        assert execution.tasks["stage"][0].attempts == 2
-        assert frontier_ids(execution) == ["adopt/stage/1"]
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +305,14 @@ class TestClassSelectorDrawParity:
 class TestWaveSchedulingParity:
     def test_schedule_wave_matches_sequential_schedule(self):
         """One batched wave = the same requests placed in one batch each."""
-        from scalar_cluster import build_rm, make_row, place, scalar_exhausted
-        from repro.cluster.resource_manager import ContainerRequest
+        from scalar_cluster import (
+            ContainerRequest,
+            build_rm,
+            make_row,
+            place,
+            scalar_exhausted,
+            schedule_wave,
+        )
         from repro.cluster.resources import Resource
 
         def rig(seed):
@@ -338,7 +327,7 @@ class TestWaveSchedulingParity:
         ]
         wave_rm = rig(seed=9)
         scalar_rm = rig(seed=9)
-        wave = wave_rm.begin_batch(0.0).schedule(requests)
+        wave = schedule_wave(wave_rm.begin_batch(0.0), requests)
         sequential = [place(scalar_rm, request, 0.0) for request in requests]
         wave_ids = [c.server_id if c else None for c in wave]
         sequential_ids = [c.server_id if c else None for c in sequential]
@@ -358,50 +347,52 @@ class TestWaveSchedulingParity:
 # ---------------------------------------------------------------------------
 
 
-class TestFrontierCacheIdentity:
-    """Frontier queries without a transition return cached lists *by identity*."""
+def frontier_cached(table: TaskTable) -> bool:
+    """Whether the next ``runnable_rows`` call is a cache hit."""
+    return table._frontier_rows is not None
 
-    def test_runnable_views_identity_stable_without_transitions(self):
+
+class TestFrontierCacheIdentity:
+    """Frontier queries without a transition return the cached rows *by identity*."""
+
+    def test_runnable_rows_identity_stable_without_transitions(self):
         dag = JobDag(
             "cache",
             [Vertex("a", 3, 10.0), Vertex("b", 2, 10.0, upstream=["a"])],
         )
-        execution = JobExecution(dag=dag, submit_time=0.0, job_type=JobType.SHORT)
-        table = execution.table
-        first = execution.runnable_tasks()
-        # Repeated calls with no state transition return the same list
+        table = TaskTable(dag)
+        first = table.runnable_rows()
+        # Repeated calls with no state transition return the same array
         # object — the regression guard for the fresh-allocation-per-call
         # behaviour the cache replaced.
-        assert execution.runnable_tasks() is first
-        assert table.frontier_cached
-        assert table.runnable_views() is first
+        assert frontier_cached(table)
+        assert table.runnable_rows() is first
+        assert not first.flags.writeable
 
     def test_cache_cold_until_first_build(self):
         table = TaskTable(JobDag("cold", [Vertex("a", 1, 10.0)]))
-        assert not table.frontier_cached
-        views = table.runnable_views()
-        assert table.frontier_cached
-        assert table.runnable_views() is views
+        assert not frontier_cached(table)
+        rows = table.runnable_rows()
+        assert frontier_cached(table)
+        assert table.runnable_rows() is rows
 
     def test_kill_then_retry_invalidates_and_recaches(self):
-        dag = JobDag("kill", [Vertex("stage", 3, 10.0)])
-        execution = JobExecution(dag=dag, submit_time=0.0, job_type=JobType.SHORT)
-        table = execution.table
-        wave = execution.runnable_tasks()
-        for task in wave:
-            task.state = TaskState.RUNNING
-        assert not table.frontier_cached
-        empty = execution.runnable_tasks()
-        assert empty == []
+        table = TaskTable(JobDag("kill", [Vertex("stage", 3, 10.0)]))
+        wave = table.runnable_rows()
+        for row in wave.tolist():
+            table.mark_running(row, container_id=row + 1)
+        assert not frontier_cached(table)
+        empty = table.runnable_rows()
+        assert empty.tolist() == []
         # The empty frontier is cached by identity too.
-        assert execution.runnable_tasks() is empty
-        table.set_state(1, CODE_OF_STATE[TaskState.KILLED])
-        assert not table.frontier_cached
-        retry = execution.runnable_tasks()
+        assert table.runnable_rows() is empty
+        table.set_state(1, KILLED)
+        assert not frontier_cached(table)
+        retry = table.runnable_rows()
         assert retry is not wave
-        assert [v.task_id for v in retry] == ["kill/stage/1"]
-        assert table.frontier_cached
-        assert table.runnable_views() is retry
+        assert frontier_ids(table) == ["kill/stage/1"]
+        assert frontier_cached(table)
+        assert table.runnable_rows() is retry
 
     def test_vertex_completion_unlocking_downstream_invalidates(self):
         dag = JobDag(
@@ -409,18 +400,17 @@ class TestFrontierCacheIdentity:
             [Vertex("up", 2, 10.0), Vertex("down", 1, 10.0, upstream=["up"])],
         )
         table = TaskTable(dag)
-        up = table.runnable_views()
-        assert [v.task_id for v in up] == ["unlock/up/0", "unlock/up/1"]
-        table.set_state(0, CODE_OF_STATE[TaskState.COMPLETED])
-        assert not table.frontier_cached
-        assert [v.task_id for v in table.runnable_views()] == ["unlock/up/1"]
+        assert frontier_ids(table) == ["unlock/up/0", "unlock/up/1"]
+        table.set_state(0, COMPLETED)
+        assert not frontier_cached(table)
+        assert frontier_ids(table) == ["unlock/up/1"]
         # The last upstream completion unlocks the downstream vertex: the
         # cache must not serve the pre-unlock frontier.
-        table.set_state(1, CODE_OF_STATE[TaskState.COMPLETED])
-        assert not table.frontier_cached
-        down = table.runnable_views()
-        assert [v.task_id for v in down] == ["unlock/down/0"]
-        assert table.runnable_views() is down
+        table.set_state(1, COMPLETED)
+        assert not frontier_cached(table)
+        down = table.runnable_rows()
+        assert frontier_ids(table) == ["unlock/down/0"]
+        assert table.runnable_rows() is down
 
     def test_recurring_submissions_share_layout_not_cache(self):
         dag = JobDag("recurring", [Vertex("a", 2, 10.0)])
@@ -428,19 +418,16 @@ class TestFrontierCacheIdentity:
         second = TaskTable(dag)
         # Recurring submissions of the same DAG share one immutable layout...
         assert first.layout is second.layout
-        views_first = first.runnable_views()
-        views_second = second.runnable_views()
-        assert views_first is not views_second
+        rows_first = first.runnable_rows()
+        rows_second = second.runnable_rows()
+        assert rows_first is not rows_second
         # ...but dirtying one execution's frontier leaves the other's
         # cache untouched.
-        first.set_state(0, CODE_OF_STATE[TaskState.RUNNING])
-        assert not first.frontier_cached
-        assert second.frontier_cached
-        assert second.runnable_views() is views_second
-        assert [v.task_id for v in second.runnable_views()] == [
-            "recurring/a/0",
-            "recurring/a/1",
-        ]
+        first.set_state(0, RUNNING)
+        assert not frontier_cached(first)
+        assert frontier_cached(second)
+        assert second.runnable_rows() is rows_second
+        assert frontier_ids(second) == ["recurring/a/0", "recurring/a/1"]
 
 
 # ---------------------------------------------------------------------------
@@ -495,12 +482,12 @@ class TestCorruptCheckpoints:
         dag = self._dag()
         table = TaskTable(dag)
         table.mark_running(0, container_id=4)
-        table.set_state(1, CODE_OF_STATE[TaskState.COMPLETED])
+        table.set_state(1, COMPLETED)
         assert table.runnable_count == 0
         restored = TaskTable.from_arrays(dag, table.to_arrays())
         assert restored.runnable_count == 0
-        table.set_state(0, CODE_OF_STATE[TaskState.COMPLETED])
-        restored.set_state(0, CODE_OF_STATE[TaskState.COMPLETED])
+        table.set_state(0, COMPLETED)
+        restored.set_state(0, COMPLETED)
         # Vertex "a" completed: "b" unlocks on both.
         assert table.runnable_count == restored.runnable_count == 1
         assert restored.runnable_rows().tolist() == [2]

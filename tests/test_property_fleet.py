@@ -18,11 +18,17 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scalar_cluster import build_rm, make_row, scalar_candidates
+from scalar_cluster import (
+    ContainerRequest,
+    build_rm,
+    make_row,
+    scalar_candidates,
+    schedule_wave,
+)
 
 import repro.api as api
 from repro.cluster.fleet_state import FleetState
-from repro.cluster.resource_manager import ContainerRequest, SchedulerMode
+from repro.cluster.resource_manager import SchedulerMode
 from repro.cluster.resources import Resource
 from repro.cluster.server import ContainerState
 from repro.jobs.scheduler_variants import HarvestingCluster
@@ -171,7 +177,7 @@ def drive(ops) -> FleetState:
                 )
                 assert candidates == scalar_candidates(rm, allocation, labels)
                 assert exhausted == (not candidates)
-                placed = batch.schedule(wave)
+                placed = schedule_wave(batch, wave)
                 assert len(placed) == count
                 # An exhausted shape places nothing; any other places its
                 # first request at least.
@@ -356,7 +362,7 @@ def drive_twins(rows, mode, ops, off_grid_at=None) -> None:
                     ContainerRequest("job", f"task-{serial}-{i}", allocation, labels)
                     for i in range(count)
                 ]
-                containers = rm.begin_batch(time).schedule(wave)
+                containers = schedule_wave(rm.begin_batch(time), wave)
                 live[side].extend(c for c in containers if c is not None)
                 placed.append([c and c.server_id for c in containers])
             serial += 1

@@ -6,16 +6,25 @@ states what must hold of a :class:`~repro.jobs.task_table.TaskTable` after
 any sequence of state transitions — every counter the table maintains
 incrementally equals a recount of its state column — and the tests drive it
 with randomized transition sequences, kills and checkpoint round trips.
+:func:`check_owner_index` states the same of the Application Master's
+container index over the rows, driven by random submit, finish and kill
+events.
 """
 
 from __future__ import annotations
 
+from typing import List
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_cluster import build_rm, make_row
 
+from repro.core.job_types import JobHistory, JobType
+from repro.jobs.app_master import ApplicationMaster, JobExecution
 from repro.jobs.dag import JobDag, Vertex
 from repro.jobs.task_table import COMPLETED, KILLED, PENDING, RUNNING, TaskTable
+from repro.simulation.engine import SimulationEngine
 
 
 def check_task_table_invariants(table: TaskTable) -> None:
@@ -142,3 +151,84 @@ class TestTaskTableInvariants:
             table = TaskTable.from_arrays(dag, table.to_arrays())
             check_task_table_invariants(table)
         assert table.runnable_count == 0
+
+
+def check_owner_index(am: ApplicationMaster, executions: List[JobExecution]) -> None:
+    """The AM's container index names exactly the running rows.
+
+    For every execution, the container ids ``am._owner`` maps to it are
+    exactly the ``container_slot`` values of its RUNNING rows, each once,
+    and each maps back to the row that names it.  Together the index holds
+    every container the fleet runs (the AM is the rig's only launcher).
+    """
+    owned = {id(execution): [] for execution in executions}
+    for container_id, (execution, row) in am._owner.items():
+        owned[id(execution)].append(container_id)
+        assert execution.table.state[row] == RUNNING
+        assert execution.table.container_slot[row] == container_id
+    for execution in executions:
+        table = execution.table
+        check_task_table_invariants(table)
+        slots = table.container_slot[table.state == RUNNING].tolist()
+        assert len(set(slots)) == len(slots)
+        assert sorted(owned[id(execution)]) == sorted(slots)
+    fleet = am._rm.fleet
+    live = [cid for running in fleet._running for cid in running]
+    assert sorted(live) == sorted(am._owner)
+
+
+#: ``("submit", job)`` submits a job drawn from the walk's DAGs;
+#: ``("finish",)`` runs the engine's next event (a task finishing, which
+#: completes its row and pumps the job); ``("kill", k)`` kills the k-th
+#: live container as a reserve kill does, then resolves it and pumps every
+#: execution, like the cluster's heartbeat.
+AM_EVENTS = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), st.integers(0, 1000)),
+        st.tuples(st.just("finish")),
+        st.tuples(st.just("finish")),
+        st.tuples(st.just("kill"), st.integers(0, 1000)),
+    ),
+    max_size=60,
+)
+
+
+class TestApplicationMasterOwnerIndex:
+    @settings(max_examples=100, deadline=None)
+    @given(jobs=st.lists(dags(), min_size=1, max_size=3), events=AM_EVENTS)
+    def test_owner_index_names_exactly_the_running_rows(self, jobs, events):
+        engine = SimulationEngine()
+        rm = build_rm([make_row(f"s{i}", 0.1) for i in range(2)])
+        rm.process_heartbeats(0.0)
+        am = ApplicationMaster(engine, rm, JobHistory())
+        fleet = rm.fleet
+        executions: List[JobExecution] = []
+        for event in events:
+            kind = event[0]
+            if kind == "submit":
+                dag = jobs[event[1] % len(jobs)]
+                executions.append(am.submit(dag, JobType.SHORT))
+            elif kind == "finish":
+                engine.run(max_events=1)
+            elif am._owner:
+                live = [
+                    (index, container)
+                    for index, running in enumerate(fleet._running)
+                    for container in running.values()
+                ]
+                index, container = live[event[1] % len(live)]
+                fleet._kill(index, container, engine.now)
+                am.resolve_kills([container])
+                am.pump_all([e for e in executions if not e.finished])
+            check_owner_index(am, executions)
+        # Draining the engine, with the cluster's retry pump between
+        # events, finishes every job and empties the index.
+        while True:
+            am.pump_all([e for e in executions if not e.finished])
+            processed = engine.processed_events
+            engine.run(max_events=1)
+            check_owner_index(am, executions)
+            if engine.processed_events == processed:
+                break
+        assert all(execution.finished for execution in executions)
+        assert am._owner == {}

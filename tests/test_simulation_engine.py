@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.simulation.engine import Process, SimulationEngine
@@ -48,6 +51,15 @@ class TestScheduling:
         event.cancel()
         engine.run()
         assert ran == []
+
+    def test_clear_drops_pending_events(self):
+        engine = SimulationEngine()
+        ran = []
+        engine.schedule(1.0, lambda e: ran.append("dropped"))
+        engine.clear()
+        engine.schedule(2.0, lambda e: ran.append("kept"))
+        engine.run()
+        assert ran == ["kept"]
 
     def test_events_scheduled_during_run_execute(self):
         engine = SimulationEngine()
@@ -125,6 +137,27 @@ class TestPeriodic:
         engine.schedule_periodic(1.0, tick)
         engine.run(max_events=100)
         assert len(ticks) == 3
+
+    def test_finished_chain_is_freed_by_reference_counting(self):
+        """A chain past ``until`` keeps nothing alive through a cycle."""
+
+        class Owner:
+            def tick(self, engine: SimulationEngine) -> None:
+                pass
+
+        owner = Owner()
+        engine = SimulationEngine()
+        engine.schedule_periodic(1.0, owner.tick, until=3.0)
+        engine.run()
+        probe = weakref.ref(owner)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del owner
+            assert probe() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestProcess:

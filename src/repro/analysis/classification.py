@@ -17,7 +17,7 @@ The decision rules are deliberately simple and order-dependent:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable
 
 from repro.analysis.fft import FrequencyProfile, compute_spectrum
 from repro.traces.datacenter import PrimaryTenant
@@ -85,24 +85,3 @@ def classify_tenants(
         result[tenant.tenant_id] = classify_trace(tenant.trace, thresholds)
     return result
 
-
-def classification_accuracy(
-    predicted: Mapping[str, UtilizationPattern],
-    tenants: Iterable[PrimaryTenant],
-) -> float:
-    """Fraction of tenants whose inferred pattern matches the ground truth.
-
-    Only used for validating the classifier against the synthetic traces'
-    known generating pattern; the production policies never see ground truth.
-    """
-    total = 0
-    correct = 0
-    for tenant in tenants:
-        if tenant.pattern is None or tenant.tenant_id not in predicted:
-            continue
-        total += 1
-        if predicted[tenant.tenant_id] is tenant.pattern:
-            correct += 1
-    if total == 0:
-        return 0.0
-    return correct / total

@@ -23,10 +23,10 @@ from repro.traces.utilization import SAMPLES_PER_DAY, UtilizationTrace
 class FrequencyProfile:
     """Frequency-domain summary of one utilization trace.
 
+    Only scalars: the spectrum itself is not kept, so a clustering service
+    holding a profile per tenant holds no trace-sized arrays.
+
     Attributes:
-        frequencies: cycle counts over the trace duration (0 is the DC term).
-        magnitudes: FFT magnitude at each frequency (DC term removed from the
-            dominance statistics but kept in the arrays for plotting).
         mean_utilization: time-domain mean of the trace.
         peak_utilization: time-domain 99th-percentile of the trace.
         std_utilization: time-domain standard deviation.
@@ -40,8 +40,6 @@ class FrequencyProfile:
             behaviour.
     """
 
-    frequencies: np.ndarray
-    magnitudes: np.ndarray
     mean_utilization: float
     peak_utilization: float
     std_utilization: float
@@ -73,7 +71,6 @@ def compute_spectrum(trace: UtilizationTrace) -> FrequencyProfile:
 
     centered = values - values.mean()
     spectrum = np.abs(np.fft.rfft(centered))
-    frequencies = np.arange(len(spectrum))
 
     power = spectrum**2
     non_dc_power = power[1:]
@@ -85,8 +82,6 @@ def compute_spectrum(trace: UtilizationTrace) -> FrequencyProfile:
     if total_power <= 0:
         # Perfectly flat trace: no periodicity, no variation.
         return FrequencyProfile(
-            frequencies=frequencies,
-            magnitudes=spectrum,
             mean_utilization=float(values.mean()),
             peak_utilization=float(np.percentile(values, 99)),
             std_utilization=float(values.std()),
@@ -114,8 +109,6 @@ def compute_spectrum(trace: UtilizationTrace) -> FrequencyProfile:
     low_frequency_fraction = float(power[1:low_cut + 1].sum() / total_power)
 
     return FrequencyProfile(
-        frequencies=frequencies,
-        magnitudes=spectrum,
         mean_utilization=float(values.mean()),
         peak_utilization=float(np.percentile(values, 99)),
         std_utilization=float(values.std()),

@@ -114,6 +114,10 @@ class FleetState:
             harvestable room and kill containers when the primary bursts
             into the reserve; oblivious ones publish capacity minus
             allocations and never kill.
+        trace_matrix: a prebuilt matrix with a row for every tenant in
+            ``rows``, holding their traces (e.g. the one a scaled set was
+            written into, shared by several clusters); built from the
+            tenants when omitted.
     """
 
     #: Epsilon of ``Resource.fits_within``; every fit comparison — the batch
@@ -127,6 +131,7 @@ class FleetState:
         cpu_fraction: float,
         memory_fraction: float,
         primary_aware: bool,
+        trace_matrix: Optional[TraceMatrix] = None,
     ) -> None:
         _check_fractions(cpu_fraction, memory_fraction)
         self.primary_aware = primary_aware
@@ -151,7 +156,8 @@ class FleetState:
         # Container id -> container, in launch order, per row.
         self._running: List[Dict[int, Container]] = [{} for _ in rows]
 
-        # One TraceMatrix row per distinct tenant, in first-seen order.
+        # One TraceMatrix row per distinct tenant (first-seen order when
+        # the fleet builds it).
         tenants: Dict[str, PrimaryTenant] = {}
         for _, tenant in rows:
             if tenant.trace is None:
@@ -162,7 +168,11 @@ class FleetState:
         self._traces: Optional[TraceMatrix] = None
         self._trace_rows = np.zeros(0, dtype=np.int64)
         if tenants:
-            self._traces = TraceMatrix(list(tenants.values()))
+            self._traces = (
+                TraceMatrix(list(tenants.values()))
+                if trace_matrix is None
+                else trace_matrix
+            )
             self._trace_rows = np.array(
                 [self._traces.row_of_tenant(t) for t in self._tenant_ids],
                 dtype=np.int64,

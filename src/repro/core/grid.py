@@ -19,7 +19,7 @@ discusses in Sections 4.2 and 7.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 @dataclass
@@ -217,36 +217,3 @@ def build_grid(
 
     return GridClustering(rows, columns, cells, cell_of_tenant, stats_by_tenant)
 
-
-def stats_from_tenants(
-    tenants: Mapping[str, "object"],
-    reimage_rates: Mapping[str, float],
-    peak_utilizations: Mapping[str, float],
-    available_space_gb: Optional[Mapping[str, float]] = None,
-) -> List[TenantPlacementStats]:
-    """Build placement stats from tenant objects plus observed statistics.
-
-    ``tenants`` maps tenant id to :class:`repro.traces.datacenter.PrimaryTenant`
-    (typed loosely to avoid a circular import); reimage rates and peak
-    utilizations come from the history the placement policy has observed.
-    """
-    stats: List[TenantPlacementStats] = []
-    for tenant_id, tenant in tenants.items():
-        servers = getattr(tenant, "servers", [])
-        space = None
-        if available_space_gb is not None:
-            space = available_space_gb.get(tenant_id)
-        if space is None:
-            space = float(sum(s.harvestable_disk_gb for s in servers))
-        stats.append(
-            TenantPlacementStats(
-                tenant_id=tenant_id,
-                environment=getattr(tenant, "environment", tenant_id),
-                reimage_rate=float(reimage_rates.get(tenant_id, 0.0)),
-                peak_utilization=float(peak_utilizations.get(tenant_id, 0.0)),
-                available_space_gb=space,
-                server_ids=[s.server_id for s in servers],
-                racks_by_server={s.server_id: s.rack for s in servers},
-            )
-        )
-    return stats

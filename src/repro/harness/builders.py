@@ -10,7 +10,7 @@ random-stream fork order) the drivers pinned down.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.grid import TenantPlacementStats
 from repro.harness.config import ExperimentScale
@@ -24,8 +24,8 @@ from repro.storage.placement_policies import (
 from repro.traces.datacenter import Datacenter, PrimaryTenant, Server
 from repro.traces.fleet import DatacenterSpec, build_datacenter, fleet_specs
 from repro.traces.matrix import TraceMatrix
-from repro.traces.scaling import ScalingMethod, fleet_scaling_factor, scale_trace
-from repro.traces.utilization import UtilizationPattern
+from repro.traces.scaling import ScalingMethod, fleet_scaling_factor, scale_into
+from repro.traces.utilization import UtilizationPattern, UtilizationTrace
 
 
 def find_datacenter_spec(name: str) -> DatacenterSpec:
@@ -99,20 +99,35 @@ def scaled_tenants(
     target_utilization: float,
     scaling: ScalingMethod,
     factor: Optional[float] = None,
-) -> List[PrimaryTenant]:
-    """Copies of the traced tenants scaled by one common factor.
+) -> Tuple[List[PrimaryTenant], Optional[TraceMatrix]]:
+    """Copies of the traced tenants scaled by one common factor, and their matrix.
 
-    ``factor`` is :func:`fleet_factor`'s result for the same arguments,
-    when the caller already has it (its search is a bisection over every
-    trace); an empty list means no tenant is traced.
+    Each trace is scaled straight into its row of one
+    :class:`~repro.traces.matrix.TraceMatrix`, and the scaled traces are
+    views of those rows, so the set holds its samples once.  ``factor`` is
+    :func:`fleet_factor`'s result for the same arguments, when the caller
+    already has it (its search is a bisection over every trace).  No traced
+    tenant gives ``([], None)``.
     """
     if factor is None:
         factor = fleet_factor(tenants, target_utilization, scaling)
-    return [
-        copy_tenant(t, trace=scale_trace(t.trace, factor, scaling))
-        for t in tenants
-        if t.trace is not None
+    traced = [t for t in tenants if t.trace is not None]
+    if not traced:
+        return [], None
+    matrix = TraceMatrix(
+        traced,
+        transform=lambda values, out: scale_into(values, factor, scaling, out),
+    )
+    scaled = [
+        copy_tenant(
+            t,
+            trace=UtilizationTrace.adopt(
+                matrix.row(row), t.trace.pattern, t.trace.spec
+            ),
+        )
+        for row, t in enumerate(traced)
     ]
+    return scaled, matrix
 
 
 def placement_stats(tenants: Sequence[PrimaryTenant]) -> List[TenantPlacementStats]:

@@ -29,6 +29,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -292,9 +293,12 @@ class ScenarioRunner:
         key (one utilization target, one trace matrix) back to back, so one
         slot builds each product once per process in grid order, and any
         other order merely rebuilds it.  ``build`` must not draw from a stream:
-        a product built twice has to be the same product.
+        a product built twice has to be the same product.  The slot lets go
+        of the previous product before ``build`` runs, so the two are never
+        held at once.
         """
         if self._derived is None or self._derived[0] != key:
+            self._derived = None
             self._derived = (key, build())
         return self._derived[1]
 
@@ -468,7 +472,10 @@ class DurabilityRunner(ScenarioRunner):
             tenants,
             replication,
             rng,
-            trace_matrix=self.derived("matrix", lambda: TraceMatrix(tenants)),
+            # The matrix becomes the one copy of the context's traces.
+            trace_matrix=self.derived(
+                "matrix", lambda: TraceMatrix.take_over(tenants)
+            ),
         )
         created, replayed = _replay_reimages(
             namenode,
@@ -606,14 +613,10 @@ class AvailabilityRunner(ScenarioRunner):
         the cell leaves the fork sequence unchanged.
         """
         ctx = self.ctx
-        tenants = scaled_tenants(
+        tenants, matrix = scaled_tenants(
             ctx["trimmed"], target, ctx["scaling"], ctx["factors"][target]
         )
-        return (
-            tenants,
-            [s.server_id for t in tenants for s in t.servers],
-            TraceMatrix(tenants) if tenants else None,
-        )
+        return tenants, [s.server_id for t in tenants for s in t.servers], matrix
 
     def _run_point(
         self,
@@ -697,6 +700,15 @@ def _scheduler_counters(cluster: HarvestingCluster) -> Dict[str, int]:
     }
 
 
+class _SweepVariant(NamedTuple):
+    """What a sweep point reports of one finished scheduler variant."""
+
+    seconds: float
+    tasks_killed: int
+    jobs_completed: int
+    counters: Dict[str, int]
+
+
 @_register
 class SchedulingSweepRunner(ScenarioRunner):
     """Figure 13: YARN-PT vs YARN-H across the utilization spectrum.
@@ -735,8 +747,9 @@ class SchedulingSweepRunner(ScenarioRunner):
 
     def _enumerate_cells(self) -> List[Cell]:
         # A point is empty exactly when no tenant in ``trimmed`` is traced
-        # (``scaled_tenants`` returns ``[]``), so either every point is empty
-        # or none is.  The serial loop skipped empty points before forking.
+        # (``scaled_tenants`` returns ``([], None)``), so either every point
+        # is empty or none is.  The serial loop skipped empty points before
+        # forking.
         if not any(t.trace is not None for t in self._ctx["trimmed"]):
             return []
         return super()._enumerate_cells()
@@ -756,23 +769,25 @@ class SchedulingSweepRunner(ScenarioRunner):
         scaling: ScalingMethod = cell.coord("scaling")
         target = cell.coord("target_utilization")
         # One cell per sweep point: the scaled set is never reused, so it is
-        # built here rather than memoized.
-        tenants = scaled_tenants(ctx["trimmed"], target, scaling)
+        # built here rather than memoized.  Both variants read its matrix.
+        tenants, matrix = scaled_tenants(ctx["trimmed"], target, scaling)
         point_rng = RandomSource(cell.seeds[0])
-        pt = self._run_variant(SchedulerMode.PRIMARY_AWARE, tenants, point_rng)
-        h = self._run_variant(SchedulerMode.HISTORY, tenants, point_rng)
+        pt = self._run_variant(
+            SchedulerMode.PRIMARY_AWARE, tenants, matrix, point_rng
+        )
+        h = self._run_variant(SchedulerMode.HISTORY, tenants, matrix, point_rng)
         return SchedulingSweepPoint(
             target_utilization=target,
             scaling=scaling,
-            yarn_pt_seconds=pt.average_job_execution_seconds(),
-            yarn_h_seconds=h.average_job_execution_seconds(),
-            yarn_pt_tasks_killed=pt.total_tasks_killed(),
-            yarn_h_tasks_killed=h.total_tasks_killed(),
-            jobs_completed_pt=pt.completed_job_count(),
-            jobs_completed_h=h.completed_job_count(),
+            yarn_pt_seconds=pt.seconds,
+            yarn_h_seconds=h.seconds,
+            yarn_pt_tasks_killed=pt.tasks_killed,
+            yarn_h_tasks_killed=h.tasks_killed,
+            jobs_completed_pt=pt.jobs_completed,
+            jobs_completed_h=h.jobs_completed,
             scheduler_counters={
-                "yarn_pt": _scheduler_counters(pt),
-                "yarn_h": _scheduler_counters(h),
+                "yarn_pt": pt.counters,
+                "yarn_h": h.counters,
             },
         )
 
@@ -785,9 +800,14 @@ class SchedulingSweepRunner(ScenarioRunner):
         self,
         mode: SchedulerMode,
         tenants: Sequence[PrimaryTenant],
+        matrix: TraceMatrix,
         rng: RandomSource,
-    ) -> HarvestingCluster:
-        """Run one scheduler variant over the scaled tenants."""
+    ) -> _SweepVariant:
+        """Run one scheduler variant over the scaled tenants; its numbers.
+
+        Only the numbers leave: the cluster is freed before the next
+        variant's is built.
+        """
         duration = self.spec.scale.simulation_days * 24 * 3600.0
         factory = TpcdsWorkloadFactory(
             rng.fork("tpcds"),
@@ -804,6 +824,7 @@ class SchedulingSweepRunner(ScenarioRunner):
                 thresholds=thresholds,
             ),
             rng=rng.fork(f"cluster-{mode.value}"),
+            trace_matrix=matrix,
         )
         generator = WorkloadGenerator(
             factory,
@@ -812,7 +833,12 @@ class SchedulingSweepRunner(ScenarioRunner):
         )
         cluster.submit_arrivals(generator.arrivals(duration * 0.8))
         cluster.run(duration)
-        return cluster
+        return _SweepVariant(
+            cluster.average_job_execution_seconds(),
+            cluster.total_tasks_killed(),
+            cluster.completed_job_count(),
+            _scheduler_counters(cluster),
+        )
 
 
 @_register

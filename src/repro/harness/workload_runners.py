@@ -205,7 +205,10 @@ class FailureStormRunner(ScenarioRunner):
             ctx["tenants"],
             self.spec.replication_levels[0],
             rng,
-            trace_matrix=self.derived("matrix", lambda: TraceMatrix(ctx["tenants"])),
+            # The matrix becomes the one copy of the context's traces.
+            trace_matrix=self.derived(
+                "matrix", lambda: TraceMatrix.take_over(ctx["tenants"])
+            ),
         )
         # A trace recorded against a larger fleet reimages servers that
         # don't exist here; those reimages are moot.

@@ -38,6 +38,7 @@ from repro.jobs.workload import JobArrival
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.random import RandomSource
 from repro.traces.datacenter import PrimaryTenant
+from repro.traces.matrix import TraceMatrix
 
 #: Heartbeat period used by the modelled systems.
 HEARTBEAT_INTERVAL_SECONDS = 3.0
@@ -82,7 +83,12 @@ class ClusterConfig:
 
 
 class HarvestingCluster:
-    """A compute-harvesting cluster of shared servers plus its scheduler."""
+    """A compute-harvesting cluster of shared servers plus its scheduler.
+
+    ``trace_matrix``, when given, is the tenants' prebuilt
+    :class:`~repro.traces.matrix.TraceMatrix` (see :class:`FleetState`), so
+    clusters over one tenant set can share it.
+    """
 
     def __init__(
         self,
@@ -91,6 +97,7 @@ class HarvestingCluster:
         rng: Optional[RandomSource] = None,
         engine: Optional[SimulationEngine] = None,
         servers_per_tenant_limit: Optional[int] = None,
+        trace_matrix: Optional[TraceMatrix] = None,
     ) -> None:
         self.config = config or ClusterConfig()
         self._rng = rng or RandomSource(0)
@@ -111,6 +118,7 @@ class HarvestingCluster:
             self.config.reserve_cpu_fraction,
             self.config.reserve_memory_fraction,
             primary_aware=self.config.mode is not SchedulerMode.STOCK,
+            trace_matrix=trace_matrix,
         )
 
         self.resource_manager = ResourceManager(

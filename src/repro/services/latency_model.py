@@ -72,20 +72,13 @@ class LatencyModel:
             raise ValueError("reserve_fraction must be in [0, 1)")
         self._reserve_fraction = reserve_fraction
 
-    def baseline_sample(self) -> float:
-        """One no-harvesting p99 sample (baseline plus jitter)."""
-        return max(
-            1.0,
-            self._rng.normal(self.config.baseline_ms, self.config.baseline_jitter_ms),
-        )
-
-    def p99_latency_ms(
+    def p99_latency_ms_array(
         self,
-        primary_utilization: float,
-        secondary_cpu_fraction: float,
-        secondary_io_fraction: float = 0.0,
-    ) -> float:
-        """p99 latency of the primary service on one server.
+        primary_utilization: Union[np.ndarray, float],
+        secondary_cpu_fraction: Union[np.ndarray, float],
+        secondary_io_fraction: Union[np.ndarray, float] = 0.0,
+    ) -> np.ndarray:
+        """p99 latency of the primary service, per server (or minute).
 
         Args:
             primary_utilization: the primary tenant's own CPU demand as a
@@ -95,49 +88,12 @@ class LatencyModel:
             secondary_io_fraction: extra contention from secondary storage
                 accesses served by the server (0..1).
 
-        Returns:
-            Modelled p99 latency in milliseconds.
-        """
-        if not 0.0 <= primary_utilization <= 1.0:
-            raise ValueError("primary_utilization must be in [0, 1]")
-        if secondary_cpu_fraction < 0 or secondary_io_fraction < 0:
-            raise ValueError("secondary fractions must be non-negative")
-
-        latency = self.baseline_sample()
-
-        secondary = secondary_cpu_fraction + 0.5 * secondary_io_fraction
-        # How far the secondary tenants intrude into the burst reserve the
-        # primary would otherwise have to itself.
-        headroom_wo_reserve = max(
-            0.0, 1.0 - primary_utilization - self._reserve_fraction
-        )
-        reserve_intrusion = max(0.0, secondary - headroom_wo_reserve)
-        reserve_intrusion = min(reserve_intrusion, self._reserve_fraction)
-        if self._reserve_fraction > 0:
-            latency += (
-                self.config.reserve_penalty_ms
-                * reserve_intrusion
-                / self._reserve_fraction
-            )
-
-        # Demand beyond the whole server: severe queueing for the primary.
-        overload = max(0.0, primary_utilization + secondary - 1.0)
-        latency += self.config.overload_penalty_ms * overload
-
-        return float(min(self.config.max_latency_ms, latency))
-
-    def p99_latency_ms_array(
-        self,
-        primary_utilization: Union[np.ndarray, float],
-        secondary_cpu_fraction: Union[np.ndarray, float],
-        secondary_io_fraction: Union[np.ndarray, float] = 0.0,
-    ) -> np.ndarray:
-        """Vectorized :meth:`p99_latency_ms` over many servers (or minutes).
-
-        Inputs broadcast against each other; one baseline jitter draw is
-        consumed per output element, in C (row-major) order, so the result is
-        bit-identical to calling the scalar method element by element against
-        the same random stream.
+        Inputs broadcast against each other; one baseline jitter draw
+        (baseline plus jitter, at least 1 ms) is consumed per output
+        element, in C (row-major) order, so the result is bit-identical to
+        the per-server formula evaluated element by element against the
+        same random stream (``tests/test_services_latency.py`` keeps that
+        scalar form as the oracle).  Returns milliseconds.
         """
         primary = np.asarray(primary_utilization, dtype=float)
         secondary_cpu = np.asarray(secondary_cpu_fraction, dtype=float)

@@ -13,11 +13,17 @@ The one deliberate divergence from the scalar path: a tenant without a trace
 reads as zero utilization here — it can never be busy, like a
 primary-oblivious server — where ``PrimaryTenant.utilization_at`` would
 raise.  The fleet builders always attach traces, so the case is latent.
+
+A matrix can be the one copy of its traces.  :meth:`TraceMatrix.take_over`
+turns each tenant's ``trace.values`` into a view of its row, and a scaled
+set is written straight into the rows (``transform``) and its traces adopt
+the views (:meth:`TraceMatrix.row`).  The array is read-only, since every
+trace and every cluster reading those rows shares it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,7 +38,14 @@ class TraceMatrix:
         self,
         tenants: Sequence[PrimaryTenant],
         sample_interval_seconds: float = SAMPLE_INTERVAL_SECONDS,
+        transform: Optional[Callable[[np.ndarray, np.ndarray], object]] = None,
     ) -> None:
+        """Stack the tenants' traces, one row each.
+
+        ``transform(values, out)``, when given, writes a row's samples into
+        ``out`` from the trace's ``values`` (e.g. scaled) instead of
+        copying them.
+        """
         if not tenants:
             raise ValueError("a TraceMatrix needs at least one tenant")
         if sample_interval_seconds <= 0:
@@ -45,25 +58,45 @@ class TraceMatrix:
             raise ValueError("tenant ids must be unique")
         self._interval = float(sample_interval_seconds)
 
-        lengths: List[int] = []
-        series: List[np.ndarray] = []
-        for tenant in tenants:
-            if tenant.trace is None:
-                lengths.append(1)
-                series.append(np.zeros(1))
-            else:
-                lengths.append(tenant.trace.num_samples)
-                series.append(tenant.trace.values)
-        self._lengths = np.asarray(lengths, dtype=np.int64)
+        self._lengths = np.array(
+            [1 if t.trace is None else t.trace.num_samples for t in tenants],
+            dtype=np.int64,
+        )
+        # An untraced row stays all zeros.
         self._values = np.zeros((len(tenants), int(self._lengths.max())))
-        for row, values in enumerate(series):
-            self._values[row, : len(values)] = values
+        for row, tenant in enumerate(tenants):
+            if tenant.trace is None:
+                continue
+            out = self._values[row, : self._lengths[row]]
+            if transform is None:
+                out[:] = tenant.trace.values
+            else:
+                transform(tenant.trace.values, out)
+        self._values.flags.writeable = False
 
         # Server map derived from the tenants, for busy_servers() queries.
         self._row_of_server: Dict[str, int] = {}
         for row, tenant in enumerate(tenants):
             for server in tenant.servers:
                 self._row_of_server[server.server_id] = row
+
+    @classmethod
+    def take_over(
+        cls,
+        tenants: Sequence[PrimaryTenant],
+        sample_interval_seconds: float = SAMPLE_INTERVAL_SECONDS,
+    ) -> "TraceMatrix":
+        """A matrix that becomes the one copy of its tenants' traces.
+
+        Each traced tenant's ``trace.values`` turns into its row's view, so
+        the arrays the traces held before are freed unless something else
+        refers to them.  The samples do not change.
+        """
+        matrix = cls(tenants, sample_interval_seconds)
+        for row, tenant in enumerate(tenants):
+            if tenant.trace is not None:
+                tenant.trace.values = matrix.row(row)
+        return matrix
 
     # -- serialized form ----------------------------------------------------
 
@@ -102,6 +135,7 @@ class TraceMatrix:
         self._interval = float(arrays["interval"])  # type: ignore[arg-type]
         self._lengths = np.array(arrays["lengths"], dtype=np.int64)
         self._values = np.array(arrays["values"], dtype=float)
+        self._values.flags.writeable = False
         server_ids = list(arrays["server_ids"])  # type: ignore[arg-type]
         server_rows = np.asarray(arrays["server_rows"], dtype=np.int64)
         self._row_of_server = {
@@ -135,8 +169,15 @@ class TraceMatrix:
 
     @property
     def values(self) -> np.ndarray:
-        """The underlying ``(tenants x samples)`` array (padded with zeros)."""
+        """The underlying ``(tenants x samples)`` array (padded with zeros).
+
+        Read-only: traces may be views of its rows.
+        """
         return self._values
+
+    def row(self, row: int) -> np.ndarray:
+        """Row ``row``'s samples without the padding: a read-only view."""
+        return self._values[row, : self._lengths[row]]
 
     def row_of_tenant(self, tenant_id: str) -> int:
         """Row index of a tenant; raises ``KeyError`` when unknown."""

@@ -46,19 +46,33 @@ def _scaled_values(
 ) -> np.ndarray:
     """The scaled, clipped samples of :func:`scale_trace` as a fresh array.
 
-    The final clip runs in place, so one call allocates one array of the
-    trace's length: the fleet-mean bisection below evaluates this thousands
-    of times, and each extra trace-sized temporary is a heap round trip.
+    One call allocates one array of the trace's length: the fleet-mean
+    bisection below evaluates this thousands of times, and each extra
+    trace-sized temporary is a heap round trip.
+    """
+    return scale_into(values, factor, method, np.empty_like(values))
+
+
+def scale_into(
+    values: np.ndarray, factor: float, method: ScalingMethod, out: np.ndarray
+) -> np.ndarray:
+    """Write ``values`` scaled by ``factor`` and clipped to ``[0, 1]`` into ``out``.
+
+    Every step runs in place in ``out``, so a scaled set can be written
+    straight into the rows of one
+    :class:`~repro.traces.matrix.TraceMatrix`; the samples are the same
+    as :func:`scale_trace`'s wherever they land.
     """
     if factor <= 0:
         raise ValueError(f"scaling factor must be positive (got {factor})")
     if method is ScalingMethod.LINEAR:
-        scaled = values * factor
+        np.multiply(values, factor, out=out)
     elif method is ScalingMethod.ROOT:
-        scaled = np.power(np.clip(values, 0.0, 1.0), 1.0 / factor)
+        np.clip(values, 0.0, 1.0, out=out)
+        np.power(out, 1.0 / factor, out=out)
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(f"unknown scaling method {method}")
-    return np.clip(scaled, 0.0, 1.0, out=scaled)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def scale_to_target_mean(

@@ -123,9 +123,12 @@ class UtilizationTrace:
 
         For producers that build a fresh float64 array, clip it into
         ``[0, 1]`` themselves and keep no reference to it
-        (:func:`generate_trace`, :func:`~repro.traces.scaling.scale_trace`).
-        The range check is exact: a value outside ``[0, 1]``, even within
-        the constructor's rounding slack, raises instead of being clipped.
+        (:func:`generate_trace`, :func:`~repro.traces.scaling.scale_trace`),
+        and for read-only row views of a
+        :class:`~repro.traces.matrix.TraceMatrix` that owns the samples
+        (``harness.builders.scaled_tenants``).  The range check is exact: a
+        value outside ``[0, 1]``, even within the constructor's rounding
+        slack, raises instead of being clipped.
         """
         if not isinstance(values, np.ndarray) or values.dtype != np.float64:
             raise ValueError("an adopted trace needs a float64 numpy array")
@@ -272,22 +275,3 @@ def generate_trace(spec: TraceSpec, rng: RandomSource) -> UtilizationTrace:
         raise ValueError(f"unknown pattern {spec.pattern}")
     return UtilizationTrace.adopt(np.clip(series, 0.0, 1.0), spec.pattern, spec)
 
-
-def average_trace(traces: list[UtilizationTrace]) -> UtilizationTrace:
-    """Per-sample average across a tenant's servers (the "average server").
-
-    Section 3.2 averages the utilization of all servers of a primary tenant
-    in each time slot and uses the resulting series to represent the tenant.
-    All input traces must have the same length and pattern.
-    """
-    if not traces:
-        raise ValueError("cannot average an empty list of traces")
-    lengths = {t.num_samples for t in traces}
-    if len(lengths) != 1:
-        raise ValueError(f"traces have differing lengths: {sorted(lengths)}")
-    patterns = {t.pattern for t in traces}
-    pattern = (
-        traces[0].pattern if len(patterns) == 1 else UtilizationPattern.UNPREDICTABLE
-    )
-    stacked = np.vstack([t.values for t in traces])
-    return UtilizationTrace(stacked.mean(axis=0), pattern, traces[0].spec)

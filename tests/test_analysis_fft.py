@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+from typing import Iterable, Mapping
+
 import numpy as np
 import pytest
 
 from repro.analysis.classification import (
     ClassificationThresholds,
-    classification_accuracy,
     classify_tenants,
     classify_trace,
 )
 from repro.analysis.fft import compute_spectrum
 from repro.simulation.random import RandomSource
+from repro.traces.datacenter import PrimaryTenant
 from repro.traces.utilization import (
     SAMPLES_PER_DAY,
     TraceSpec,
@@ -20,6 +22,28 @@ from repro.traces.utilization import (
     UtilizationTrace,
     generate_trace,
 )
+
+
+def classification_accuracy(
+    predicted: Mapping[str, UtilizationPattern],
+    tenants: Iterable[PrimaryTenant],
+) -> float:
+    """Fraction of tenants whose inferred pattern matches the ground truth.
+
+    Validates the classifier against the synthetic traces' known generating
+    pattern; the policies themselves never see ground truth.
+    """
+    total = 0
+    correct = 0
+    for tenant in tenants:
+        if tenant.pattern is None or tenant.tenant_id not in predicted:
+            continue
+        total += 1
+        if predicted[tenant.tenant_id] is tenant.pattern:
+            correct += 1
+    if total == 0:
+        return 0.0
+    return correct / total
 
 
 class TestSpectrum:

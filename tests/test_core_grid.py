@@ -2,11 +2,46 @@
 
 from __future__ import annotations
 
+from typing import List, Mapping, Optional
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.grid import TenantPlacementStats, build_grid, stats_from_tenants
+from repro.core.grid import TenantPlacementStats, build_grid
+from repro.traces.datacenter import PrimaryTenant
+
+
+def stats_from_tenants(
+    tenants: Mapping[str, PrimaryTenant],
+    reimage_rates: Mapping[str, float],
+    peak_utilizations: Mapping[str, float],
+    available_space_gb: Optional[Mapping[str, float]] = None,
+) -> List[TenantPlacementStats]:
+    """Placement stats from tenant objects plus observed statistics.
+
+    Reimage rates and peak utilizations come from the history a placement
+    policy has observed; a tenant's space defaults to its servers' sum.
+    """
+    stats: List[TenantPlacementStats] = []
+    for tenant_id, tenant in tenants.items():
+        space = None
+        if available_space_gb is not None:
+            space = available_space_gb.get(tenant_id)
+        if space is None:
+            space = float(sum(s.harvestable_disk_gb for s in tenant.servers))
+        stats.append(
+            TenantPlacementStats(
+                tenant_id=tenant_id,
+                environment=tenant.environment,
+                reimage_rate=float(reimage_rates.get(tenant_id, 0.0)),
+                peak_utilization=float(peak_utilizations.get(tenant_id, 0.0)),
+                available_space_gb=space,
+                server_ids=[s.server_id for s in tenant.servers],
+                racks_by_server={s.server_id: s.rack for s in tenant.servers},
+            )
+        )
+    return stats
 
 
 def make_stats(

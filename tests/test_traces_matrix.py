@@ -77,6 +77,63 @@ class TestConstruction:
             TraceMatrix(tenants).utilization_at(-1.0)
 
 
+class TestSharedStorage:
+    """A matrix can be the one copy of its traces; its array is read-only."""
+
+    def test_matrix_values_are_read_only(self, tenants):
+        matrix = TraceMatrix(tenants)
+        with pytest.raises(ValueError, match="read-only"):
+            matrix.values[0, 0] = 0.5
+        restored = TraceMatrix.from_arrays(matrix.to_arrays())
+        with pytest.raises(ValueError, match="read-only"):
+            restored.values[0, 0] = 0.5
+
+    def test_row_is_the_unpadded_read_only_view(self, tenants):
+        matrix = TraceMatrix(tenants)
+        row = matrix.row(1)
+        assert row.tolist() == [0.8, 0.2]
+        assert np.shares_memory(row, matrix.values)
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0.5
+
+    def test_a_plain_matrix_copies_its_traces(self, tenants):
+        matrix = TraceMatrix(tenants)
+        assert not np.shares_memory(tenants[0].trace.values, matrix.values)
+        tenants[0].trace.values[0] = 0.7  # the caller's trace stays its own
+        assert matrix.values[0, 0] == 0.1
+
+    def test_take_over_turns_traces_into_row_views(self, tenants):
+        before = [t.trace.values.copy() for t in tenants if t.trace is not None]
+        matrix = TraceMatrix.take_over(tenants)
+        after = [t.trace.values for t in tenants if t.trace is not None]
+        for old, new in zip(before, after):
+            assert new.tolist() == old.tolist()
+            assert np.shares_memory(new, matrix.values)
+        assert tenants[2].trace is None
+        assert matrix.values.tolist() == TraceMatrix(tenants).values.tolist()
+        with pytest.raises(ValueError, match="read-only"):
+            tenants[0].trace.values[0] = 0.5
+
+    def test_adopt_accepts_a_read_only_row_view(self, tenants):
+        matrix = TraceMatrix(tenants)
+        trace = UtilizationTrace.adopt(matrix.row(0), UtilizationPattern.CONSTANT)
+        assert np.shares_memory(trace.values, matrix.values)
+        assert trace.mean() == pytest.approx(0.45)
+        with pytest.raises(ValueError, match="read-only"):
+            trace.values[0] = 0.5
+
+    def test_transform_writes_each_traced_row(self, tenants):
+        def halve(values, out):
+            np.multiply(values, 0.5, out=out)
+
+        matrix = TraceMatrix(tenants, transform=halve)
+        assert matrix.values.tolist() == [
+            [0.05, 0.45, 0.25, 0.15],
+            [0.4, 0.1, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
+
+
 class TestQueries:
     def test_sample_of_uses_the_matrix_interval(self, tenants):
         matrix = TraceMatrix(tenants, sample_interval_seconds=60.0)

@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simulation.random import RandomSource
+from repro.traces.datacenter import PrimaryTenant
+from repro.traces.matrix import TraceMatrix
 from repro.traces.scaling import (
     ScalingMethod,
     saturation_fraction,
+    scale_into,
     scale_to_target_mean,
     scale_trace,
     temporal_variation,
@@ -23,9 +26,11 @@ from repro.traces.utilization import (
 )
 
 
-def periodic_trace(mean: float = 0.3, seed: int = 1) -> UtilizationTrace:
+def periodic_trace(
+    mean: float = 0.3, seed: int = 1, days: int = 7
+) -> UtilizationTrace:
     return generate_trace(
-        TraceSpec(UtilizationPattern.PERIODIC, mean_utilization=mean, days=7),
+        TraceSpec(UtilizationPattern.PERIODIC, mean_utilization=mean, days=days),
         RandomSource(seed),
     )
 
@@ -78,6 +83,31 @@ class TestScaleTrace:
     def test_scaling_preserves_pattern(self):
         trace = periodic_trace()
         assert scale_trace(trace, 1.5).pattern is trace.pattern
+
+
+class TestScaleInto:
+    @pytest.mark.parametrize("method", list(ScalingMethod))
+    @pytest.mark.parametrize("factor", [0.4, 1.0, 2.7])
+    def test_matrix_rows_match_scale_trace_bit_for_bit(self, method, factor):
+        traces = [periodic_trace(0.3, seed=1), periodic_trace(0.6, seed=2, days=3)]
+        tenants = [
+            PrimaryTenant(f"t{i}", "env", "mf", trace=trace)
+            for i, trace in enumerate(traces)
+        ]
+        matrix = TraceMatrix(
+            tenants,
+            transform=lambda values, out: scale_into(values, factor, method, out),
+        )
+        for row, trace in enumerate(traces):
+            expected = scale_trace(trace, factor, method).values
+            assert matrix.row(row).tobytes() == expected.tobytes()
+        # The shorter row's padding stays zero.
+        assert not matrix.values[1, traces[1].num_samples :].any()
+
+    def test_non_positive_factor_rejected(self):
+        out = np.empty(4)
+        with pytest.raises(ValueError):
+            scale_into(np.full(4, 0.5), 0.0, ScalingMethod.LINEAR, out)
 
 
 class TestScaleToTargetMean:

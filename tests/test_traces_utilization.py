@@ -16,9 +16,29 @@ from repro.traces.utilization import (
     TraceSpec,
     UtilizationPattern,
     UtilizationTrace,
-    average_trace,
     generate_trace,
 )
+
+
+def average_trace(traces: list[UtilizationTrace]) -> UtilizationTrace:
+    """Per-sample average across a tenant's servers (the "average server").
+
+    Section 3.2 averages the utilization of all servers of a primary tenant
+    in each time slot and uses the resulting series to represent the tenant.
+    All input traces must have the same length; mixed patterns average to
+    an unpredictable one.
+    """
+    if not traces:
+        raise ValueError("cannot average an empty list of traces")
+    lengths = {t.num_samples for t in traces}
+    if len(lengths) != 1:
+        raise ValueError(f"traces have differing lengths: {sorted(lengths)}")
+    patterns = {t.pattern for t in traces}
+    pattern = (
+        traces[0].pattern if len(patterns) == 1 else UtilizationPattern.UNPREDICTABLE
+    )
+    stacked = np.vstack([t.values for t in traces])
+    return UtilizationTrace(stacked.mean(axis=0), pattern, traces[0].spec)
 
 
 class TestTraceSpec:

@@ -26,8 +26,9 @@ All checks run at tiny scale so the whole script stays in about a minute:
 
 Run it from the repository root (``python benchmarks/ci_smoke.py``) with the
 package installed or ``src`` on ``PYTHONPATH``; it needs no output of an
-earlier step.  A real module file (not a stdin heredoc) because the spawn
-pool re-imports ``__main__`` from its path.
+earlier step.  A real module file (not a stdin heredoc) because the pool
+spawns its workers wherever it cannot fork (fork on Linux, spawn
+elsewhere), and a spawned worker re-imports ``__main__`` from its path.
 """
 
 from __future__ import annotations
@@ -294,5 +295,5 @@ def main() -> None:
     check_hash_seeds()
 
 
-if __name__ == "__main__":  # spawn workers re-import this module
+if __name__ == "__main__":  # spawned pool workers re-import this module
     main()

@@ -9,8 +9,9 @@ Three assertions, all at tiny scale so the whole script stays in seconds:
 * a second new kind (``antagonist``) holds the serial-vs-parallel
   fingerprint contract on its synthetic path.
 
-A real module file (not a stdin heredoc) because the spawn pool
-re-imports ``__main__`` from its path.
+A real module file (not a stdin heredoc) because the pool spawns its
+workers wherever it cannot fork (fork on Linux, spawn elsewhere), and a
+spawned worker re-imports ``__main__`` from its path.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def check_parallel_kind(name: str) -> None:
     print(name, "tiny fingerprint", serial.fingerprint())
 
 
-if __name__ == "__main__":  # spawn workers re-import this module
+if __name__ == "__main__":  # spawned pool workers re-import this module
     with tempfile.TemporaryDirectory() as tmp:
         check_record_replay(str(Path(tmp) / "storm.jsonl"))
     check_parallel_kind("antagonist")

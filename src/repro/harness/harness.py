@@ -3,8 +3,9 @@
 Since the ``repro.api`` redesign the harness no longer knows anything about
 scenario kinds: every runner declares its **cell grid** (see
 :mod:`repro.harness.cells`) and the harness merely executes it — either
-serially in-process, or across a ``ProcessPoolExecutor`` (spawn) when
-``workers > 1``.
+serially in-process, or across a ``ProcessPoolExecutor`` when
+``workers > 1``, whose workers are forked on Linux and spawned elsewhere
+(see :func:`_pool_start_method`).
 
 The parent prepares the shared context once and ships it as a
 :class:`~repro.harness.snapshot.ContextSnapshot`: pool workers *deserialize*
@@ -42,9 +43,8 @@ from repro.harness.snapshot import (
 from repro.harness.spec import ScenarioSpec, get_scenario
 from repro.simulation.random import RandomSource
 
-#: Per-process cache of the restored runner, keyed by snapshot digest; a
-#: pool worker deserializes the parent's prepared context once and serves
-#: every cell it is handed from it.
+#: A pool worker's restored runner: the worker deserializes the parent's
+#: prepared context once and serves every cell it is handed from it.
 _WORKER_STATE: dict = {}
 
 
@@ -72,19 +72,43 @@ def cells_from_spec(
     return runner_cls.cells_from_spec(spec, effective)
 
 
-def _worker_init(data: bytes, digest: str) -> None:
+def _pool_start_method() -> str:
+    """How the cell pool starts its workers: ``"fork"`` or ``"spawn"``.
+
+    A forked worker skips the interpreter start-up and the ``repro`` import
+    a spawned one pays.  Fork is chosen on Linux, when the platform offers
+    it and the parent runs a single Python thread; everywhere else (macOS,
+    where fork is unsafe, platforms without it, a parent running other
+    threads) the pool spawns.
+
+    The OpenBLAS pool behind numpy runs OS threads that Python does not
+    count, so CPython 3.12 warns when it forks such a parent.  The fork is
+    safe: OpenBLAS quiesces its pool through ``pthread_atfork``, and for
+    the fork method ``ProcessPoolExecutor`` launches every worker before
+    it starts its own manager thread.
+    """
+    import multiprocessing
+    import sys
+    import threading
+
+    if (
+        sys.platform.startswith("linux")
+        and "fork" in multiprocessing.get_all_start_methods()
+        and threading.active_count() == 1
+    ):
+        return "fork"
+    return "spawn"
+
+
+def _worker_init(data: bytes) -> None:
     """Pool initializer: restore the parent's prepared context once.
 
-    The restored runner is cached by snapshot digest, so a worker process
-    that already holds this exact context (long-lived pools, repeated runs)
-    skips even the deserialize.
+    A forked worker inherits ``data`` and a spawned one reads it from a
+    pipe; either way the worker runs only what the snapshot carries, never
+    the parent's live runner.
     """
-    if _WORKER_STATE.get("digest") == digest:
-        _WORKER_STATE["reported"] = False
-        return
     started = time.perf_counter()
     runner = restore_runner(deserialize_snapshot(data))
-    _WORKER_STATE["digest"] = digest
     _WORKER_STATE["runner"] = runner
     _WORKER_STATE["cells"] = runner.cells()
     _WORKER_STATE["restore_seconds"] = time.perf_counter() - started
@@ -116,11 +140,12 @@ class ExperimentHarness:
     The harness owns the run's seed-derived random stream; the scenario's
     runner builds the fleet once, declares one cell per independent grid
     point (each with forked streams), and the harness executes the cells —
-    serially, or on a spawn-based process pool when ``workers > 1`` —
-    before the runner merges the partial results in cell order into the
-    kind's result dataclass, which ``run()`` returns.  Two runs with the
-    same spec and seed return identical results regardless of worker
-    count; :attr:`cell_timings` holds the per-cell wall-clock.
+    serially, or on a process pool when ``workers > 1`` (fork on Linux,
+    spawn elsewhere) — before the runner merges the partial results in
+    cell order into the kind's result dataclass, which ``run()`` returns.
+    Two runs with the same spec and seed return identical results
+    regardless of worker count; :attr:`cell_timings` holds the per-cell
+    wall-clock.
 
     With a ``checkpoint_dir`` the run persists its prepared context and each
     completed cell; ``resume=True`` restores the context from the checkpoint
@@ -296,26 +321,28 @@ class ExperimentHarness:
         checkpoint: Optional[RunCheckpoint],
         snapshot_data: Optional[bytes],
     ) -> Dict[int, Tuple[Any, CellTiming]]:
-        """Execute ``pending`` on a spawn pool; partials return in cell order.
+        """Execute ``pending`` on a process pool; partials return in cell order.
 
-        The parent serializes its prepared context once (reusing the
-        checkpoint's bytes when one was just written) and every worker
-        restores it in its initializer — no context rebuild, no per-cell
-        state pickling.  Results are reassembled by index before the merge.
+        The workers are forked on Linux and spawned elsewhere
+        (:func:`_pool_start_method`).  The parent serializes its prepared
+        context once (reusing the checkpoint's bytes when one was just
+        written) and every worker restores it in its initializer — no
+        context rebuild, no per-cell state pickling, and with fork as with
+        spawn no parent runner state reaches a worker.  Results are
+        reassembled by index before the merge.
         """
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         if snapshot_data is None:
             snapshot_data = self._serialize(runner)
-        digest = snapshot_digest(snapshot_data)
         executed: Dict[int, Tuple[Any, CellTiming]] = {}
-        context = multiprocessing.get_context("spawn")
+        context = multiprocessing.get_context(_pool_start_method())
         with ProcessPoolExecutor(
             max_workers=workers,
             mp_context=context,
             initializer=_worker_init,
-            initargs=(snapshot_data, digest),
+            initargs=(snapshot_data,),
         ) as pool:
             for index, partial, seconds, restore_seconds in pool.map(
                 _worker_run_cell, [cell.index for cell in pending]

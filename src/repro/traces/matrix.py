@@ -23,7 +23,7 @@ trace and every cluster reading those rows shares it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -74,7 +74,7 @@ class TraceMatrix:
                 transform(tenant.trace.values, out)
         self._values.flags.writeable = False
 
-        # Server map derived from the tenants, for busy_servers() queries.
+        # Server map derived from the tenants, for row_of_server() queries.
         self._row_of_server: Dict[str, int] = {}
         for row, tenant in enumerate(tenants):
             for server in tenant.servers:
@@ -106,8 +106,8 @@ class TraceMatrix:
         Everything a matrix holds is derived from these entries;
         :meth:`from_arrays` reconstructs an exact equivalent without the
         tenants.  ``server_ids``/``server_rows`` are parallel (id order is
-        the insertion order of ``_row_of_server``, so ``busy_servers``
-        output order survives the round trip).
+        the insertion order of ``_row_of_server``, so the server order
+        survives the round trip).
         """
         return {
             "version": 1,
@@ -235,38 +235,3 @@ class TraceMatrix:
     def busy_mask(self, time_seconds: float, threshold: float) -> np.ndarray:
         """Boolean row mask: tenants whose utilization exceeds ``threshold``."""
         return self.utilization_at(time_seconds) > threshold
-
-    def busy_servers(self, time_seconds: float, threshold: float) -> List[str]:
-        """Ids of servers whose tenant is above ``threshold`` at ``time``."""
-        busy = self.busy_mask(time_seconds, threshold)
-        return [sid for sid, row in self._row_of_server.items() if busy[row]]
-
-    def busy_fraction(
-        self, times: np.ndarray, threshold: float
-    ) -> np.ndarray:
-        """Fraction of tenants busy at each of ``times`` (one value per time)."""
-        times = np.asarray(times, dtype=float)
-        raw = (times // self._interval).astype(np.int64)
-        idx = raw[None, :] % self._lengths[:, None]
-        busy = self._values[np.arange(self.num_tenants)[:, None], idx] > threshold
-        return busy.mean(axis=0)
-
-    def mean_utilization(
-        self, weights: Optional[Union[Sequence[float], np.ndarray]] = None
-    ) -> float:
-        """(Optionally weighted) mean utilization across tenants and time."""
-        per_tenant = np.array(
-            [
-                self._values[row, : self._lengths[row]].mean()
-                for row in range(self.num_tenants)
-            ]
-        )
-        if weights is None:
-            return float(per_tenant.mean())
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != per_tenant.shape:
-            raise ValueError("weights must have one entry per tenant")
-        total = weights.sum()
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
-        return float((per_tenant * weights).sum() / total)

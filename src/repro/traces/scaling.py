@@ -186,17 +186,6 @@ def fleet_scaling_factor(
     return factor
 
 
-def scale_fleet_to_target_mean(
-    traces: "list[UtilizationTrace]",
-    target_mean: float,
-    method: ScalingMethod = ScalingMethod.LINEAR,
-    weights: "list[float] | None" = None,
-) -> "list[UtilizationTrace]":
-    """Scale every trace by the common factor from :func:`fleet_scaling_factor`."""
-    factor = fleet_scaling_factor(traces, target_mean, method, weights)
-    return [scale_trace(trace, factor, method) for trace in traces]
-
-
 def saturation_fraction(trace: UtilizationTrace, threshold: float = 0.999) -> float:
     """Fraction of samples pinned at (or above) the saturation threshold."""
     if not 0.0 < threshold <= 1.0:

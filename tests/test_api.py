@@ -1,10 +1,11 @@
 """Tests for ``repro.api``: cell grids, parallel execution, sweeps, envelopes.
 
 The core contract under test is *bit-exact executor equivalence*: for every
-scenario kind, running the cell grid across a spawn process pool must
-produce exactly the payload, telemetry, and fingerprint the serial run
-produces, because partial results are reassembled in deterministic cell
-order and every cell draws only from its recorded child seeds.
+scenario kind, running the cell grid across a process pool (fork on
+Linux, spawn elsewhere) must produce exactly the payload, telemetry, and
+fingerprint the serial run produces, because partial results are
+reassembled in deterministic cell order and every cell draws only from
+its recorded child seeds.
 """
 
 from __future__ import annotations

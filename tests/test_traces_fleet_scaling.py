@@ -11,10 +11,25 @@ from repro.simulation.random import RandomSource
 from repro.traces.scaling import (
     ScalingMethod,
     fleet_scaling_factor,
-    scale_fleet_to_target_mean,
     scale_trace,
 )
-from repro.traces.utilization import TraceSpec, UtilizationPattern, generate_trace
+from repro.traces.utilization import (
+    TraceSpec,
+    UtilizationPattern,
+    UtilizationTrace,
+    generate_trace,
+)
+
+
+def scale_fleet_to_target_mean(
+    traces: list[UtilizationTrace],
+    target_mean: float,
+    method: ScalingMethod = ScalingMethod.LINEAR,
+    weights: list[float] | None = None,
+) -> list[UtilizationTrace]:
+    """Scale every trace by the common factor from ``fleet_scaling_factor``."""
+    factor = fleet_scaling_factor(traces, target_mean, method, weights)
+    return [scale_trace(trace, factor, method) for trace in traces]
 
 
 def make_fleet(means=(0.1, 0.3, 0.5), days: int = 5):

